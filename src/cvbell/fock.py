@@ -1,12 +1,20 @@
 """Truncated photon-number-basis implementation of the whole experiment.
 
 Everything here is computed independently of the covariance-matrix
-pipeline: states are amplitude arrays over photon numbers, beam splitters
-act through binomial amplitude tables, loss through Kraus operators
-obtained from a beam-splitter dilation that is traced out immediately,
-and homodyne statistics through harmonic-oscillator wavefunctions.  The
-module exists to referee the Gaussian results, so it favours directness
-over speed.
+pipeline.  Pure states are amplitude arrays over photon numbers and beam
+splitters act through binomial amplitude tables.  The heralded state, and
+pure loss on either of its modes, keep the photon-number difference
+Delta = n_A - n_B of each ket and bra equal, so a mixed state is stored as
+its Delta-blocks: an array of shape (2N-1, N, N) with
+
+    blocks[Delta + N - 1, a, c] = <a, a - Delta| rho |c, c - Delta>,
+
+O(N^3) numbers instead of the dense O(N^4) array.  Click conditioning
+builds each block with one product over the tap photon counts, loss is a
+batched product with the Kraus weights, and homodyne statistics come from
+the Gauss-Legendre sign operator S = sum_x h(x) w(x) sgn(x) h(x)^T of the
+Hermite functions h, contracted with each block as
+E = sum R[Delta, a, c] e^{i(theta+phi)(a-c)} S[a, c] S[a-Delta, c-Delta].
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
 vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
@@ -14,6 +22,7 @@ vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +53,11 @@ def _check_truncation(probs: np.ndarray, n_trunc: int):
             f"exceeds {TAIL_TOLERANCE:.1e}; increase the truncation")
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class FockState:
     """Pure two-mode state as a complex amplitude array over (n_A, n_B)."""
@@ -64,29 +78,94 @@ class FockState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+# ---------------------------------------------------------------------------
+# Delta-block storage
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(n_trunc: int):
+    """In-range mask and the gathers between blocks and pair blocks.
+
+    The pair layout of mode A, pairs[k + N - 1, a, b] = <a, b| rho |a - k,
+    b - k>, holds the same entries as the Delta-blocks, grouped by the
+    ket-bra offset k that loss and phase-space transforms leave fixed; the
+    pair layout of mode B swaps its last two axes.  Returns the mask of
+    entries whose partner indices lie in [0, N) (the same for blocks and
+    pairs), their flat positions, and per mode the flat positions that the
+    blocks -> pairs and pairs -> blocks maps read them from.
+    """
+    n = n_trunc
+    u = np.arange(1 - n, n)[:, None, None]
+    i = np.arange(n)[None, :, None]
+    j = np.arange(n)[None, None, :]
+    valid = (i >= u) & (i - u < n) & (j >= u) & (j - u < n)
+    dest = np.flatnonzero(valid)
+
+    def read(u_from, i_from, j_from):
+        flat = ((u_from + n - 1) * n + i_from) * n + j_from
+        return _readonly(np.broadcast_to(flat, valid.shape).ravel()[dest])
+
+    # entry [u, i, j] of either mode-A layout is [i - j, i, i - u] of the other
+    mode_a = read(i - j, i, i - u)
+    gathers = ((mode_a, mode_a),
+               (read(j - i, j, j - u), read(i - j, i - u, i)))
+    return _readonly(valid), _readonly(dest), gathers
+
+
+@functools.lru_cache(maxsize=8)
+def _mirror_positions(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of in-range block entries [u, i, j], i <= j, and [u, j, i]."""
+    valid = _layout(n_trunc)[0]
+    u, i, j = np.nonzero(valid & np.triu(np.ones(valid.shape[1:], bool)))
+    return (_readonly(np.ravel_multi_index((u, i, j), valid.shape)),
+            _readonly(np.ravel_multi_index((u, j, i), valid.shape)))
+
+
+def _relayout(array: np.ndarray, mode: int, to_pairs: bool) -> np.ndarray:
+    """Delta-blocks to the pair layout of a mode, or back."""
+    _, dest, gathers = _layout(array.shape[1])
+    out = np.zeros(array.shape, dtype=array.dtype)
+    out.reshape(-1)[dest] = array.reshape(-1)[gathers[mode][0 if to_pairs else 1]]
+    return out
+
+
+def _photon_numbers(blocks: np.ndarray, n_trunc: int) -> np.ndarray:
+    """Photon-number distribution P(n_A, n_B), read off the block diagonals."""
+    idx = np.arange(n_trunc)
+    return blocks[np.subtract.outer(idx, idx) + n_trunc - 1,
+                  idx[:, None], idx[:, None]].real
+
+
 @dataclass(frozen=True)
 class FockDensityMatrix:
-    """Mixed two-mode state, indexed (n_A, n_B, m_A, m_B)."""
+    """Mixed two-mode state stored as its photon-number-difference blocks.
 
-    entries: np.ndarray
+    blocks[Delta + n_trunc - 1, a, c] = <a, a - Delta| rho |c, c - Delta>;
+    an entry whose partner index a - Delta or c - Delta leaves the
+    truncation must be zero.
+    """
+
+    blocks: np.ndarray
     n_trunc: int
 
     def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
+        blocks = np.asarray(self.blocks, dtype=complex)
         n = self.n_trunc
-        if rho.shape != (n, n, n, n):
-            raise DomainError("density array does not match the truncation")
-        flat = rho.reshape(n * n, n * n)
-        if np.max(np.abs(flat - flat.conj().T)) > 1e-10:
+        if blocks.shape != (2 * n - 1, n, n):
+            raise DomainError("density blocks do not match the truncation")
+        if np.any(blocks[~_layout(n)[0]]):
+            raise DomainError("density block has an entry whose partner "
+                              "photon number lies outside the truncation")
+        upper, lower = _mirror_positions(n)
+        flat = blocks.reshape(-1)
+        if np.max(np.abs(flat[upper] - flat[lower].conj())) > 1e-10:
             raise DomainError("density matrix is not hermitian within 1e-10")
-        trace = float(np.einsum("abab->", rho).real)
+        probs = _photon_numbers(blocks, n)
+        trace = float(probs.sum())
         if abs(trace - 1.0) > 1e-9:
             raise DomainError(f"density matrix trace {trace} differs from 1")
-        object.__setattr__(self, "entries", rho)
-
-    def flat(self) -> np.ndarray:
-        n = self.n_trunc
-        return self.entries.reshape(n * n, n * n)
+        _check_truncation(probs, n)
+        object.__setattr__(self, "blocks", blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +311,37 @@ def click_weights(apd_efficiency: float, n_trunc: int) -> np.ndarray:
 def _click_conditioned_unnormalized(squeezing: float, transmittance: float,
                                     apd_efficiency: float,
                                     n_trunc: int) -> np.ndarray:
-    """Unnormalized heralded state; its trace is the double-click probability."""
+    """Unnormalized heralded blocks; their trace is the double-click probability.
+
+    Tap counts kc, kd leave |n - kc, n - kd>, so block Delta collects the
+    pairs kd = kc + Delta: blocks[Delta] = U U^T with
+    U[a, kc] = sqrt(w(kc) w(kd)) c(n) t(n, kc) t(n, kd) at n = a + kc.
+    """
     if not 0.0 < apd_efficiency <= 1.0:
         raise DomainError(f"apd_efficiency must lie in (0, 1], got {apd_efficiency}")
-    coeff = tmsv_amplitudes(squeezing, n_trunc)
-    table = tap_amplitude_table(transmittance, n_trunc)
-    weights = click_weights(apd_efficiency, n_trunc)
-    rho = np.zeros((n_trunc, n_trunc, n_trunc, n_trunc))
-    for kc in range(1, n_trunc):
-        for kd in range(1, n_trunc):
-            totals = np.arange(max(kc, kd), n_trunc)
-            vec = coeff[totals] * table[totals, kc] * table[totals, kd]
-            contribution = weights[kc] * weights[kd] * np.outer(vec, vec)
-            a_idx, b_idx = totals - kc, totals - kd
-            rho[a_idx[:, None], b_idx[:, None],
-                a_idx[None, :], b_idx[None, :]] += contribution
-    return rho
+    n = n_trunc
+    # zero padding: totals reach 2n - 2, tap counts run from 1 - n to 2n - 2
+    coeff = np.zeros(2 * n)
+    coeff[:n] = tmsv_amplitudes(squeezing, n)
+    table = np.zeros((2 * n, 3 * n))
+    table[:n, n:2 * n] = tap_amplitude_table(transmittance, n)
+    root_w = np.zeros(3 * n)
+    root_w[n:2 * n] = np.sqrt(click_weights(apd_efficiency, n))
+    a = np.arange(n)[:, None]
+    kc = np.arange(n)[None, :]
+    kd = kc + np.arange(1 - n, n)[:, None, None]
+    first = coeff[a + kc] * table[a + kc, n + kc] * root_w[n + kc]
+    factor = first * table[a + kc, n + kd] * root_w[n + kd]
+    return factor @ factor.transpose(0, 2, 1)
 
 
 def double_click_probability(squeezing: float, transmittance: float,
                              apd_efficiency: float,
                              n_trunc: int = DEFAULT_TRUNCATION) -> float:
     """Probability that both tap detectors click on one pulse."""
-    rho = _click_conditioned_unnormalized(squeezing, transmittance,
-                                          apd_efficiency, n_trunc)
-    return float(np.einsum("abab->", rho))
+    blocks = _click_conditioned_unnormalized(squeezing, transmittance,
+                                             apd_efficiency, n_trunc)
+    return float(_photon_numbers(blocks, n_trunc).sum())
 
 
 def lossy_click_conditioning(squeezing: float, transmittance: float,
@@ -269,39 +354,67 @@ def lossy_click_conditioning(squeezing: float, transmittance: float,
     conditioning on both clicking yields a mixed state block-diagonal in
     the photon-number difference.
     """
-    rho = _click_conditioned_unnormalized(squeezing, transmittance,
-                                          apd_efficiency, n_trunc)
-    p_click = float(np.einsum("abab->", rho))
+    blocks = _click_conditioned_unnormalized(squeezing, transmittance,
+                                             apd_efficiency, n_trunc)
+    p_click = float(_photon_numbers(blocks, n_trunc).sum())
     if p_click <= 0.0:
         raise InvalidRegimeError(
             f"double-click probability {p_click} vanishes; "
             "no conditional state exists")
-    state = FockDensityMatrix(entries=(rho / p_click).astype(complex),
+    state = FockDensityMatrix(blocks=(blocks / p_click).astype(complex),
                               n_trunc=n_trunc)
     return state, p_click
 
 
-def apply_loss(rho: np.ndarray, transmittance: float, mode: int) -> np.ndarray:
-    """Pure loss on one mode of a two-mode density array.
+@functools.lru_cache(maxsize=8)
+def _loss_index(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the factors t(m, l), t(m - k, l) of _loss_matrices.
 
-    Kraus operators come from coupling the mode to a vacuum ancilla on a
-    beam splitter of the given transmittance and tracing the ancilla.
+    They index the amplitude table zero-padded to (2N, N + 1), so factors
+    outside the truncation read zeros.
     """
-    n = rho.shape[0]
-    table = np.abs(tap_amplitude_table(transmittance, n))
-    out = np.zeros_like(rho)
-    for lost in range(n):
-        kept = n - lost
-        w = table[lost + np.arange(kept), lost]
-        if mode == 0:
-            out[:kept, :, :kept, :] += (w[:, None, None, None]
-                                        * w[None, None, :, None]
-                                        * rho[lost:, :, lost:, :])
-        else:
-            out[:, :kept, :, :kept] += (w[None, :, None, None]
-                                        * w[None, None, None, :]
-                                        * rho[:, lost:, :, lost:])
-    return out
+    n = n_trunc
+    a = np.arange(n)[:, None]
+    m = np.arange(n)[None, :]
+    lost = np.where(m >= a, m - a, n)
+    bra = m - np.arange(1 - n, n)[:, None, None]
+    bra = np.where(bra >= 0, bra, 2 * n - 1)
+    return (_readonly(m * (n + 1) + lost),
+            _readonly(np.broadcast_to(bra * (n + 1) + lost,
+                                      (2 * n - 1, n, n)).copy()))
+
+
+def _loss_matrices(transmittance: float, n_trunc: int) -> np.ndarray:
+    """Kraus weights of pure loss on one mode, per ket-bra offset k.
+
+    Losing l photons maps |m><m - k| to |m - l><m - l - k| with weight
+    t(m, l) t(m - k, l); returns L[k + N - 1, a, m] for l = m - a.
+    """
+    n = n_trunc
+    table = np.zeros((2 * n, n + 1))
+    table[:n, :n] = np.abs(tap_amplitude_table(transmittance, n))
+    kept, bra = _loss_index(n)
+    flat = table.reshape(-1)
+    loss = flat[bra]
+    loss *= flat[kept]
+    return loss
+
+
+def apply_loss(blocks: np.ndarray, transmittance: float,
+               mode: int) -> np.ndarray:
+    """Pure loss on one mode of a density stored in Delta-blocks.
+
+    Losing l photons on mode A moves block Delta to Delta - l, on mode B to
+    Delta + l.  The Kraus weights come from coupling the mode to a vacuum
+    ancilla on a beam splitter of the given transmittance; they act on the
+    mode's pair layout, where the ket-bra offset is fixed, as one batched
+    real product.
+    """
+    mode = 0 if mode == 0 else 1
+    loss = _loss_matrices(transmittance, blocks.shape[1])
+    pairs = _relayout(blocks, mode, to_pairs=True)
+    lossy = (loss @ pairs.view(float)).view(complex)
+    return _relayout(lossy, mode, to_pairs=False)
 
 
 # ---------------------------------------------------------------------------
@@ -321,60 +434,89 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def signed_quadrature_grid(n_points: int = GRID_POINTS,
                            halfwidth: float = GRID_HALFWIDTH):
     """Gauss-Legendre nodes/weights per half-axis, glued symmetrically.
 
     Splitting at zero keeps the sign function constant on each panel, so
-    the sign-binned integrals converge at quadrature accuracy.
+    the sign-binned integrals converge at quadrature accuracy.  The arrays
+    are cached and read-only.
     """
     nodes, wts = np.polynomial.legendre.leggauss(n_points // 2)
     pos = (nodes + 1.0) * halfwidth / 2.0
     w_pos = wts * halfwidth / 2.0
     x = np.concatenate([-pos[::-1], pos])
     w = np.concatenate([w_pos[::-1], w_pos])
-    return x, w
+    return _readonly(x), _readonly(w)
 
 
-def joint_quadrature_density(rho: FockDensityMatrix, theta: float, phi: float,
-                             x: np.ndarray) -> np.ndarray:
-    """P(x_theta^A, x_phi^B) on the tensor grid x (x) x.
+@functools.lru_cache(maxsize=8)
+def _quadrature_matrices(n_trunc: int, n_points: int,
+                         halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sign operator S = (h w sgn x) h^T and mass M = (h w) h^T on the grid."""
+    x, w = signed_quadrature_grid(n_points, halfwidth)
+    h = hermite_functions(n_trunc, x)
+    weighted = h * w
+    return (_readonly((weighted * np.sign(x)) @ h.T),
+            _readonly(weighted @ h.T))
 
-    Rotating a mode by an angle multiplies the amplitudes by photon-number
-    phases, after which the density is a double Hermite-function contraction.
-    """
-    n = rho.n_trunc
-    phase_a = np.exp(1j * theta * np.arange(n))
-    phase_b = np.exp(1j * phi * np.arange(n))
-    rotated = (rho.entries
-               * phase_a[:, None, None, None] * phase_b[None, :, None, None]
-               * phase_a[None, None, :, None].conj()
-               * phase_b[None, None, None, :].conj())
-    h = hermite_functions(n, x)
-    pair_x = np.einsum("ax,cx->acx", h, h).reshape(n * n, -1)
-    pair_y = np.einsum("by,dy->bdy", h, h).reshape(n * n, -1)
-    mat = rotated.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return (pair_x.T @ (mat @ pair_y)).real
+
+@functools.lru_cache(maxsize=8)
+def _block_operators(n_trunc: int, n_points: int,
+                     halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block kernels S[a, c] S[a - Delta, c - Delta] and the same for M."""
+    n = n_trunc
+    valid = _layout(n)[0]
+    u = np.arange(1 - n, n)[:, None, None]
+    bra_a = np.clip(np.arange(n)[None, :, None] - u, 0, n - 1)
+    bra_c = np.clip(np.arange(n)[None, None, :] - u, 0, n - 1)
+    return tuple(_readonly(np.where(valid, op * op[bra_a, bra_c], 0.0))
+                 for op in _quadrature_matrices(n, n_points, halfwidth))
+
+
+def _contract(blocks: np.ndarray, kernel: np.ndarray, angle_sum: float) -> float:
+    """sum R[Delta, a, c] K[Delta, a, c] e^{i angle_sum (a - c)}."""
+    phase = np.exp(1j * angle_sum * np.arange(blocks.shape[1]))
+    summed = np.einsum("uac,uac->ac", blocks, kernel)
+    return float((phase @ summed @ phase.conj()).real)
+
+
+def _homodyne_loss(rho: FockDensityMatrix,
+                   homodyne_efficiency: float) -> FockDensityMatrix:
+    """The state both homodyne detectors see, with loss on both modes."""
+    if homodyne_efficiency >= 1.0:
+        return rho
+    blocks = apply_loss(apply_loss(rho.blocks, homodyne_efficiency, 0),
+                        homodyne_efficiency, 1)
+    return FockDensityMatrix(blocks=blocks, n_trunc=rho.n_trunc)
+
+
+def _sign_correlation(rho: FockDensityMatrix, angle_sum: float,
+                      n_points: int, halfwidth: float) -> float:
+    """Sign correlator of a state that already carries its homodyne loss."""
+    sign_kernel, mass_kernel = _block_operators(rho.n_trunc, n_points,
+                                                halfwidth)
+    mass = _contract(rho.blocks, mass_kernel, angle_sum)
+    if abs(mass - 1.0) > 1e-8:
+        warnings.warn(f"quadrature mass {mass:.12f} outside [-{halfwidth}, "
+                      f"{halfwidth}]^2 exceeds 1e-8", stacklevel=3)
+    return _contract(rho.blocks, sign_kernel, angle_sum)
 
 
 def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
                           homodyne_efficiency: float = 1.0,
                           n_points: int = GRID_POINTS,
                           halfwidth: float = GRID_HALFWIDTH) -> float:
-    """Sign-binned quadrature correlator evaluated in the photon-number basis."""
-    entries = rho.entries
-    if homodyne_efficiency < 1.0:
-        entries = apply_loss(apply_loss(entries, homodyne_efficiency, 0),
-                             homodyne_efficiency, 1)
-        rho = FockDensityMatrix(entries=entries, n_trunc=rho.n_trunc)
-    x, w = signed_quadrature_grid(n_points, halfwidth)
-    dens = joint_quadrature_density(rho, theta, phi, x)
-    mass = float(w @ dens @ w)
-    if abs(mass - 1.0) > 1e-8:
-        warnings.warn(f"quadrature mass {mass:.12f} outside [-{halfwidth}, "
-                      f"{halfwidth}]^2 exceeds 1e-8", stacklevel=2)
-    signed = w * np.sign(x)
-    return float(signed @ dens @ signed)
+    """Sign-binned quadrature correlator evaluated in the photon-number basis.
+
+    The joint quadrature density integrated against sgn(x) sgn(y) on the
+    glued Gauss-Legendre grid, with the sums taken over the grid first:
+    a rotation by theta on mode A and phi on mode B multiplies entry
+    (a, c) of every block by e^{i(theta+phi)(a-c)}.
+    """
+    return _sign_correlation(_homodyne_loss(rho, homodyne_efficiency),
+                             theta + phi, n_points, halfwidth)
 
 
 def fock_chsh(rho: FockDensityMatrix,
@@ -382,24 +524,21 @@ def fock_chsh(rho: FockDensityMatrix,
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state."""
     theta1, theta2, phi1, phi2 = angles
+    lossy = _homodyne_loss(rho, homodyne_efficiency)
     e = {}
     for theta in (theta1, theta2):
         for phi in (phi1, phi2):
-            e[(theta, phi)] = fock_sign_correlation(rho, theta, phi,
-                                                    homodyne_efficiency)
+            e[(theta, phi)] = _sign_correlation(lossy, theta + phi,
+                                                GRID_POINTS, GRID_HALFWIDTH)
     return (e[(theta1, phi1)] + e[(theta1, phi2)]
             + e[(theta2, phi1)] - e[(theta2, phi2)])
 
 
 def _diag_sign_correlation(diag: np.ndarray, angle_sum: float,
-                           x: np.ndarray, w: np.ndarray,
-                           h: np.ndarray) -> float:
-    """Sign correlator of a pure sum_n g_n |n,n> state (fast scan path)."""
+                           sign_squared: np.ndarray) -> float:
+    """Sign correlator g^dagger (S o S) g of a pure sum_n g_n |n,n> state."""
     phased = diag * np.exp(1j * angle_sum * np.arange(diag.size))
-    wave = np.einsum("n,nx,ny->xy", phased, h, h)
-    dens = np.abs(wave) ** 2
-    signed = w * np.sign(x)
-    return float(signed @ dens @ signed)
+    return float((phased.conj() @ sign_squared @ phased).real)
 
 
 def fock_optimal_product(transmittance: float, n_trunc: int = 60,
@@ -411,8 +550,8 @@ def fock_optimal_product(transmittance: float, n_trunc: int = 60,
     ideal homodynes, which keeps the heralded state pure and the scan
     cheap.  Returns (lambda_opt * T, S_max).
     """
-    x, w = signed_quadrature_grid()
-    h = hermite_functions(n_trunc, x)
+    sign_op, _ = _quadrature_matrices(n_trunc, GRID_POINTS, GRID_HALFWIDTH)
+    sign_squared = sign_op * sign_op
     theta1, theta2, phi1, phi2 = DEFAULT_ANGLES
 
     def s_value(lam: float) -> float:
@@ -420,7 +559,7 @@ def fock_optimal_product(transmittance: float, n_trunc: int = 60,
         diag = np.diag(state.amplitudes)
         e = {}
         for s in {theta1 + phi1, theta1 + phi2, theta2 + phi1, theta2 + phi2}:
-            e[s] = _diag_sign_correlation(diag, s, x, w, h)
+            e[s] = _diag_sign_correlation(diag, s, sign_squared)
         return (e[theta1 + phi1] + e[theta1 + phi2]
                 + e[theta2 + phi1] - e[theta2 + phi2])
 
@@ -462,32 +601,41 @@ def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     rsq = x * x + p * p
     alpha = np.sqrt(2.0) * (x - 1j * p)
+    m, n = np.tril_indices(n_trunc)
+    ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+    diff = (m - n)[:, None]
+    lower = (((-1.0) ** n * ratio)[:, None] * alpha ** diff
+             * eval_genlaguerre(n[:, None], diff, 2.0 * rsq)
+             * (np.exp(-rsq) / np.pi))
     table = np.zeros((n_trunc, n_trunc, x.size), dtype=complex)
-    base = np.exp(-rsq) / np.pi
-    for m in range(n_trunc):
-        for n in range(m + 1):
-            ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            val = ((-1.0) ** n * ratio * alpha ** (m - n)
-                   * eval_genlaguerre(n, m - n, 2.0 * rsq) * base)
-            table[m, n] = val
-            if m != n:
-                table[n, m] = val.conj()
+    table[n, m] = lower.conj()
+    table[m, n] = lower
     return table
+
+
+def _offset_diagonals(table: np.ndarray) -> np.ndarray:
+    """diagonals[k + N - 1, a] = table[a, a - k], zero where a - k leaves [0, N)."""
+    n = table.shape[0]
+    a = np.arange(n)[None, :]
+    bra = a - np.arange(1 - n, n)[:, None]
+    inside = (bra >= 0) & (bra < n)
+    return np.where(inside[..., None], table[a, np.clip(bra, 0, n - 1)], 0.0)
 
 
 def wigner_values(rho: FockDensityMatrix, points: np.ndarray) -> np.ndarray:
     """Two-mode Wigner function at phase-space points (..., 4).
 
     Point components are ordered (x_A, p_A, x_B, p_B) to match the
-    covariance-matrix modules.
+    covariance-matrix modules.  Each pair block, one ket-bra offset k,
+    contracts with the k-th diagonals of the two single-mode tables.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 4:
         raise DomainError("phase-space points must have 4 components")
     flat = pts.reshape(-1, 4)
     n = rho.n_trunc
-    table_a = wigner_pair_table(n, flat[:, 0], flat[:, 1])
-    table_b = wigner_pair_table(n, flat[:, 2], flat[:, 3])
-    partial = np.einsum("abcd,aci->bdi", rho.entries, table_a)
-    values = np.einsum("bdi,bdi->i", partial, table_b)
+    diag_a = _offset_diagonals(wigner_pair_table(n, flat[:, 0], flat[:, 1]))
+    diag_b = _offset_diagonals(wigner_pair_table(n, flat[:, 2], flat[:, 3]))
+    pairs = _relayout(rho.blocks, 0, to_pairs=True)
+    values = np.einsum("kai,kai->i", diag_a, pairs @ diag_b)
     return values.real.reshape(pts.shape[:-1])

@@ -219,6 +219,13 @@ class TestValidateCommand:
         rows = read_csv(out)
         assert rows and all(r["status"] == "PASS" for r in rows)
 
+    def test_short_truncation_exits_with_domain_code(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG + "\n[fock]\nn_trunc = 16\n")
+        out = tmp_path / "validate.csv"
+        assert cli.main(["validate", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert not out.exists()
+
 
 class TestFormatting:
     def test_twelve_significant_digits(self):

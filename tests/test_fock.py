@@ -1,14 +1,143 @@
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from cvbell import bell, conditioning, fock, gaussian
 from cvbell.errors import DomainError, InvalidRegimeError, TruncationError
+
+# ---------------------------------------------------------------------------
+# dense (n, n, n, n) references: the direct photon-number-basis computations
+# the Delta-block route replaces, kept here to check it
+
+
+def block_index(n_trunc):
+    """(u, a, c) of every in-range block entry and its partners b, d."""
+    u, a, c = np.meshgrid(np.arange(1 - n_trunc, n_trunc), np.arange(n_trunc),
+                          np.arange(n_trunc), indexing="ij")
+    inside = (a - u >= 0) & (a - u < n_trunc) & (c - u >= 0) & (c - u < n_trunc)
+    return inside, a[inside], (a - u)[inside], c[inside], (c - u)[inside]
+
+
+def to_dense(rho):
+    """Dense array rho[n_A, n_B, m_A, m_B] of a block-stored density."""
+    n = rho.n_trunc
+    inside, a, b, c, d = block_index(n)
+    dense = np.zeros((n,) * 4, dtype=complex)
+    dense[a, b, c, d] = rho.blocks[inside]
+    return dense
+
+
+def to_blocks(dense):
+    """Delta-blocks of a dense density array."""
+    n = dense.shape[0]
+    inside, a, b, c, d = block_index(n)
+    blocks = np.zeros((2 * n - 1, n, n), dtype=complex)
+    blocks[inside] = dense[a, b, c, d]
+    return blocks
 
 
 def vacuum_density(n_trunc=16):
     rho = np.zeros((n_trunc,) * 4, dtype=complex)
     rho[0, 0, 0, 0] = 1.0
-    return fock.FockDensityMatrix(entries=rho, n_trunc=n_trunc)
+    return fock.FockDensityMatrix(blocks=to_blocks(rho), n_trunc=n_trunc)
+
+
+def dense_click_conditioned(squeezing, transmittance, apd_efficiency, n_trunc):
+    """Unnormalized heralded state, scattered term by term over tap counts."""
+    coeff = fock.tmsv_amplitudes(squeezing, n_trunc)
+    table = fock.tap_amplitude_table(transmittance, n_trunc)
+    weights = fock.click_weights(apd_efficiency, n_trunc)
+    rho = np.zeros((n_trunc, n_trunc, n_trunc, n_trunc))
+    for kc in range(1, n_trunc):
+        for kd in range(1, n_trunc):
+            totals = np.arange(max(kc, kd), n_trunc)
+            vec = coeff[totals] * table[totals, kc] * table[totals, kd]
+            contribution = weights[kc] * weights[kd] * np.outer(vec, vec)
+            a_idx, b_idx = totals - kc, totals - kd
+            rho[a_idx[:, None], b_idx[:, None],
+                a_idx[None, :], b_idx[None, :]] += contribution
+    return rho
+
+
+def dense_apply_loss(rho, transmittance, mode):
+    """Pure loss on one mode through its Kraus operators."""
+    n = rho.shape[0]
+    table = np.abs(fock.tap_amplitude_table(transmittance, n))
+    out = np.zeros_like(rho)
+    for lost in range(n):
+        kept = n - lost
+        w = table[lost + np.arange(kept), lost]
+        if mode == 0:
+            out[:kept, :, :kept, :] += (w[:, None, None, None]
+                                        * w[None, None, :, None]
+                                        * rho[lost:, :, lost:, :])
+        else:
+            out[:, :kept, :, :kept] += (w[None, :, None, None]
+                                        * w[None, None, None, :]
+                                        * rho[:, lost:, :, lost:])
+    return out
+
+
+def dense_joint_quadrature_density(rho, theta, phi, x):
+    """P(x_theta^A, x_phi^B) on the tensor grid x (x) x."""
+    n = rho.shape[0]
+    phase_a = np.exp(1j * theta * np.arange(n))
+    phase_b = np.exp(1j * phi * np.arange(n))
+    rotated = (rho
+               * phase_a[:, None, None, None] * phase_b[None, :, None, None]
+               * phase_a[None, None, :, None].conj()
+               * phase_b[None, None, None, :].conj())
+    h = fock.hermite_functions(n, x)
+    pair_x = np.einsum("ax,cx->acx", h, h).reshape(n * n, -1)
+    pair_y = np.einsum("by,dy->bdy", h, h).reshape(n * n, -1)
+    mat = rotated.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    return (pair_x.T @ (mat @ pair_y)).real
+
+
+def dense_sign_correlation(rho, theta, phi, homodyne_efficiency=1.0):
+    """Sign correlator from the joint density integrated on the grid."""
+    if homodyne_efficiency < 1.0:
+        rho = dense_apply_loss(dense_apply_loss(rho, homodyne_efficiency, 0),
+                               homodyne_efficiency, 1)
+    x, w = fock.signed_quadrature_grid()
+    dens = dense_joint_quadrature_density(rho, theta, phi, x)
+    signed = w * np.sign(x)
+    return float(signed @ dens @ signed)
+
+
+def dense_wigner_values(rho, points):
+    """Two-mode Wigner function by a full contraction with both tables."""
+    n = rho.shape[0]
+    table_a = fock.wigner_pair_table(n, points[:, 0], points[:, 1])
+    table_b = fock.wigner_pair_table(n, points[:, 2], points[:, 3])
+    partial = np.einsum("abcd,aci->bdi", rho, table_a)
+    return np.einsum("bdi,bdi->i", partial, table_b).real
+
+
+def loop_wigner_pair_table(n_trunc, x, p):
+    """Wigner transforms of |m><n|, one Laguerre evaluation per pair."""
+    rsq = x * x + p * p
+    alpha = np.sqrt(2.0) * (x - 1j * p)
+    table = np.zeros((n_trunc, n_trunc, x.size), dtype=complex)
+    base = np.exp(-rsq) / np.pi
+    for m in range(n_trunc):
+        for n in range(m + 1):
+            ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+            val = ((-1.0) ** n * ratio * alpha ** (m - n)
+                   * eval_genlaguerre(n, m - n, 2.0 * rsq) * base)
+            table[m, n] = val
+            if m != n:
+                table[n, m] = val.conj()
+    return table
+
+
+def dense_diag_sign_correlation(diag, angle_sum, x, w, h):
+    """Sign correlator of sum_n g_n |n,n> from its wavefunction on the grid."""
+    phased = diag * np.exp(1j * angle_sum * np.arange(diag.size))
+    wave = np.einsum("n,nx,ny->xy", phased, h, h)
+    dens = np.abs(wave) ** 2
+    signed = w * np.sign(x)
+    return float(signed @ dens @ signed)
 
 
 class TestStates:
@@ -68,7 +197,8 @@ class TestClickConditioning:
         rho, _ = fock.lossy_click_conditioning(0.5, 0.9999, 0.9999, 40)
         ideal, _ = fock.ideal_subtracted_state(0.5, 0.9999, 40)
         psi = ideal.amplitudes
-        fidelity = np.einsum("ab,abcd,cd->", psi.conj(), rho.entries, psi).real
+        fidelity = np.einsum("ab,abcd,cd->", psi.conj(), to_dense(rho),
+                             psi).real
         assert fidelity > 0.999
 
     def test_click_rate_matches_gaussian_pipeline(self, realistic_state,
@@ -83,10 +213,10 @@ class TestClickConditioning:
 
     def test_density_matrix_is_physical(self, fock_realistic):
         rho, _ = fock_realistic
-        flat = rho.flat()
+        dense = to_dense(rho)
+        flat = dense.reshape(rho.n_trunc ** 2, rho.n_trunc ** 2)
         assert np.max(np.abs(flat - flat.conj().T)) < 1e-10
-        assert np.einsum("abab->", rho.entries).real == pytest.approx(1.0,
-                                                                      abs=1e-9)
+        assert np.einsum("abab->", dense).real == pytest.approx(1.0, abs=1e-9)
         eigs = np.linalg.eigvalsh(flat)
         assert eigs.min() > -1e-8
 
@@ -165,6 +295,12 @@ class TestWigner:
                                           y) / (2.0 * np.pi)
                     assert abs(direct - closed[m, n]) < 1e-8
 
+    def test_pair_table_matches_loop(self):
+        pts = np.random.default_rng(6).normal(scale=1.5, size=(20, 2))
+        table = fock.wigner_pair_table(40, pts[:, 0], pts[:, 1])
+        direct = loop_wigner_pair_table(40, pts[:, 0], pts[:, 1])
+        assert np.max(np.abs(table - direct)) < 1e-12
+
     def test_vacuum_wigner(self):
         pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, -0.2, 0.1, 0.3]])
         values = fock.wigner_values(vacuum_density(), pts)
@@ -180,3 +316,133 @@ class TestWigner:
         mask = np.abs(w_gauss) > 1e-8
         assert np.max(np.abs((w_fock[mask] - w_gauss[mask]) / w_gauss[mask])) \
             < 1e-6
+
+
+class TestDensityBlocks:
+    def test_heavy_density_tail_raises(self):
+        # about 2e-4 of the heralded state's probability sits in the top
+        # four photon-number layers at this truncation
+        with pytest.raises(TruncationError):
+            fock.lossy_click_conditioning(0.6, 0.95, 0.3, 16)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(DomainError, match="truncation"):
+            fock.FockDensityMatrix(blocks=np.zeros((16, 16, 16)), n_trunc=16)
+
+    def test_rejects_non_hermitian_block(self):
+        blocks = vacuum_density().blocks.copy()
+        blocks[15, 1, 2] = 1e-6
+        with pytest.raises(DomainError, match="hermitian"):
+            fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
+
+    def test_rejects_wrong_trace(self):
+        blocks = 1.5 * vacuum_density().blocks
+        with pytest.raises(DomainError, match="trace"):
+            fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
+
+    def test_rejects_partner_outside_truncation(self):
+        # block Delta = 3 at a = 1 would pair n_A = 1 with n_B = -2
+        blocks = vacuum_density().blocks.copy()
+        blocks[15 + 3, 1, 1] = 1e-12
+        with pytest.raises(DomainError, match="partner"):
+            fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
+
+    def test_quadrature_grid_is_cached_and_read_only(self):
+        x, w = fock.signed_quadrature_grid()
+        again = fock.signed_quadrature_grid()
+        assert again[0] is x and again[1] is w
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_narrow_grid_warns_about_mass(self, fock_realistic):
+        rho, _ = fock_realistic
+        with pytest.warns(UserWarning, match="quadrature mass"):
+            fock.fock_sign_correlation(rho, 0.0, 0.0, halfwidth=2.0)
+
+
+SMALL_POINTS = [(0.4, 0.95, 0.3), (0.35, 0.9, 1.0)]
+
+
+@pytest.fixture(scope="module", params=SMALL_POINTS)
+def small_pair(request):
+    """Block and dense heralded states at N=20."""
+    squeezing, transmittance, apd = request.param
+    rho, p_click = fock.lossy_click_conditioning(squeezing, transmittance,
+                                                 apd, 20)
+    dense = dense_click_conditioned(squeezing, transmittance, apd, 20)
+    p_dense = float(np.einsum("abab->", dense))
+    return rho, p_click, dense / p_dense, p_dense
+
+
+class TestDenseReferences:
+    def test_conditioning_matches_scatter_loop(self, small_pair):
+        rho, p_click, dense, p_dense = small_pair
+        assert np.max(np.abs(to_dense(rho) - dense)) < 1e-12
+        assert abs(p_click - p_dense) < 1e-12 * p_dense
+
+    @pytest.mark.parametrize("mode", [0, 1])
+    def test_loss_matches_kraus_operators(self, small_pair, mode):
+        rho, _, dense, _ = small_pair
+        lossy = fock.FockDensityMatrix(
+            blocks=fock.apply_loss(rho.blocks, 0.8, mode), n_trunc=20)
+        assert np.max(np.abs(to_dense(lossy)
+                             - dense_apply_loss(dense, 0.8, mode))) < 1e-12
+
+    @pytest.mark.parametrize("eta", [1.0, 0.9])
+    def test_correlator_matches_grid_density(self, small_pair, eta):
+        rho, _, dense, _ = small_pair
+        for theta, phi in [(0.0, -np.pi / 4), (0.7, 0.2), (-2.5, 1.1)]:
+            e_blocks = fock.fock_sign_correlation(rho, theta, phi, eta)
+            e_dense = dense_sign_correlation(dense, theta, phi, eta)
+            assert abs(e_blocks - e_dense) < 1e-12
+
+    def test_wigner_matches_dense_contraction(self, small_pair):
+        rho, _, dense, _ = small_pair
+        pts = np.random.default_rng(11).normal(size=(12, 4))
+        assert np.max(np.abs(fock.wigner_values(rho, pts)
+                             - dense_wigner_values(dense, pts))) < 1e-12
+
+    def test_realistic_point_at_full_truncation(self, realistic_params,
+                                                fock_realistic):
+        rho, p_click = fock_realistic
+        dense = dense_click_conditioned(0.6, 0.95, 0.3, 40)
+        p_dense = float(np.einsum("abab->", dense))
+        dense /= p_dense
+        assert np.max(np.abs(to_dense(rho) - dense)) < 1e-12
+        assert abs(p_click - p_dense) < 1e-12 * p_dense
+        eta = realistic_params.homodyne_efficiency
+        e_blocks = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
+        e_dense = dense_sign_correlation(dense, 0.0, -np.pi / 4, eta)
+        assert abs(e_blocks - e_dense) < 1e-12
+        pts = np.random.default_rng(12).normal(size=(4, 4))
+        assert np.max(np.abs(fock.wigner_values(rho, pts)
+                             - dense_wigner_values(dense, pts))) < 1e-12
+
+    def test_chsh_is_four_correlators(self, realistic_params, fock_realistic):
+        rho, _ = fock_realistic
+        theta1, theta2, phi1, phi2 = realistic_params.angles
+        eta = realistic_params.homodyne_efficiency
+        e = {(t, p): fock.fock_sign_correlation(rho, t, p, eta)
+             for t in (theta1, theta2) for p in (phi1, phi2)}
+        expected = (e[(theta1, phi1)] + e[(theta1, phi2)]
+                    + e[(theta2, phi1)] - e[(theta2, phi2)])
+        assert abs(fock.fock_chsh(rho, realistic_params.angles, eta)
+                   - expected) < 1e-12
+
+    def test_diag_correlator_matches_wavefunction(self):
+        x, w = fock.signed_quadrature_grid()
+        h = fock.hermite_functions(60, x)
+        sign_op, _ = fock._quadrature_matrices(60, fock.GRID_POINTS,
+                                               fock.GRID_HALFWIDTH)
+        state = fock.pair_projected_state(0.58, 0.99, 60)
+        diag = np.diag(state.amplitudes)
+        for angle_sum in (-np.pi / 4, np.pi / 4, 3 * np.pi / 4, 0.3):
+            fast = fock._diag_sign_correlation(diag, angle_sum,
+                                               sign_op * sign_op)
+            direct = dense_diag_sign_correlation(diag, angle_sum, x, w, h)
+            assert abs(fast - direct) < 1e-12
+
+    def test_optimal_product_unchanged(self):
+        # lambda*T found with the wavefunction-grid correlator at T = 0.99
+        product, _ = fock.fock_optimal_product(0.99)
+        assert abs(product - 0.5719741657865842) < 1e-9
