@@ -9,19 +9,19 @@ pipeline with a closed-form arcsine correlator (`gaussian`,
 """
 
 from .bell import (BellResult, BivariateMixture, ExperimentParams, chsh,
-                   optimize_lambda, rotated_marginal, sign_correlation,
-                   sign_correlation_quadrature, sweep)
-from .conditioning import (SignedGaussianMixture, conditional_state,
+                   chsh_value, optimize_lambda, rotated_marginal,
+                   sign_correlation, sign_correlation_quadrature, sweep)
+from .conditioning import (HeraldedTerms, SignedGaussianMixture,
+                           conditional_state, heralded_terms,
                            success_probability, wigner_cut, wigner_value)
 from .errors import (ConfigError, CVBellError, DomainError, EnvelopeError,
                      InvalidRegimeError, OptimizationError,
                      SingularMatrixError, TruncationError)
 from .gaussian import (GaussianChannel, apply_channel, apply_symplectic,
-                       beamsplitter_symplectic, block_inverse_decompose,
-                       db_to_squeezing, detector_loss_channel,
-                       embed_with_vacuum_ancillas, output_covariance,
-                       squeezing_to_db, symplectic_eigenvalues,
-                       tmsv_covariance)
+                       beamsplitter_symplectic, db_to_squeezing,
+                       detector_loss_channel, embed_with_vacuum_ancillas,
+                       output_covariance, squeezing_to_db,
+                       symplectic_eigenvalues, tmsv_covariance, x_block)
 from .montecarlo import (MCResult, ProtocolConfig, acquisition_time,
                          run_protocol, sample_joint_quadratures)
 

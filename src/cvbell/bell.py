@@ -1,26 +1,30 @@
 """CHSH correlators from sign-binned homodyne outcomes.
 
-The joint distribution of the two measured quadratures is a signed
-mixture of bivariate Gaussians; the sign-binned correlator of each term
-follows from the Gaussian orthant probability,
+The heralded state is a signed mixture of four Gaussians (see
+`conditioning`).  Measured at phase theta on A and phi on B, term j is a
+bivariate Gaussian with correlation coefficient c_j cos(theta + phi), and
+its sign-binned correlator follows from the Gaussian orthant probability,
+so the full correlator is the weight-averaged arcsine
 
-    E_term = (2/pi) * arcsin(rho),
+    E(theta, phi) = sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)).
 
-with rho the term's correlation coefficient, so the full correlator is
-the weight-averaged arcsine.  A 2D quadrature fallback guards the closed
-form in the tests.
+Four (w_j, c_j) pairs describe a parameter point.  `chsh`, `sweep` and the
+pre-scan of `optimize_lambda` evaluate whole arrays of parameter rows with
+one call of `conditioning.heralded_terms`; a single point is a batch of
+one.  `rotated_marginal` gives the bivariate mixture of one setting for
+the Monte Carlo sampler and for the 2D quadrature fallback that guards the
+closed form in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import conditioning, gaussian
-from .errors import (CVBellError, DomainError, OptimizationError,
-                     SingularMatrixError)
+from .errors import DomainError, OptimizationError
 
 DEFAULT_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
 
@@ -51,12 +55,8 @@ class ExperimentParams:
     angles: tuple[float, float, float, float] = DEFAULT_ANGLES
 
     def __post_init__(self):
-        if not 0.0 <= self.squeezing < 1.0:
-            raise DomainError(f"squeezing must lie in [0, 1), got {self.squeezing}")
-        for name in ("transmittance", "apd_efficiency", "homodyne_efficiency"):
-            val = getattr(self, name)
-            if not 0.0 < val <= 1.0:
-                raise DomainError(f"{name} must lie in (0, 1], got {val}")
+        for name in gaussian.PARAM_DOMAINS:
+            gaussian.check_domain(name, getattr(self, name))
         if len(self.angles) != 4:
             raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
@@ -88,45 +88,56 @@ class BivariateMixture:
 
 @dataclass(frozen=True)
 class BellResult:
-    """Four correlators E(theta_j, phi_k), the CHSH combination, and the
-    heralding probability."""
+    """Four correlators E(theta_j, phi_k), the CHSH combination, the
+    heralding probability, and the cancellation factor sum_j |w_j| of the
+    signed mixture, by which it amplifies rounding errors."""
 
     correlators: np.ndarray    # shape (2, 2), rows theta, columns phi
     S: float
     success_prob: float
+    cancellation: float
+
+
+def chsh_value(correlators):
+    """CHSH combination E11 + E12 + E21 - E22 of correlators (..., 2, 2)."""
+    c = np.asarray(correlators)
+    return c[..., 0, 0] + c[..., 0, 1] + c[..., 1, 0] - c[..., 1, 1]
+
+
+def _arcsine_mean(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_j w_j (2/pi) arcsin(rho_j) over the last axis.
+
+    |rho| is clamped to _RHO_BOUND; each clamped element is counted.
+    """
+    global _clamp_count
+    over = np.abs(rho) > _RHO_BOUND
+    if over.any():
+        _clamp_count += int(np.count_nonzero(over))
+        rho = np.where(over, np.copysign(_RHO_BOUND, rho), rho)
+    return (weights * (2.0 / np.pi) * np.arcsin(rho)).sum(axis=-1)
 
 
 def rotated_marginal(state: conditioning.SignedGaussianMixture,
                      theta: float, phi: float) -> BivariateMixture:
     """Marginal of (x_theta on A, x_phi on B) as a signed bivariate mixture.
 
-    Each term's 4x4 covariance is projected onto the two measured
-    quadratures; marginalizing a Gaussian in covariance form just drops
-    the conjugate rows and columns.
+    Each term keeps its variances; its covariance is cov_AB cos(theta+phi),
+    because the (p_A, p_B) covariance is the (x_A, x_B) one with cov_AB
+    negated.  The conditioning refuses a term whose (x_A, x_B) covariance
+    is not positive definite, so every rotated term is a proper Gaussian.
     """
-    weights = conditioning.normalized_term_weights(state)
-    covs4 = conditioning.term_covariances(state)
-    proj = np.array([[np.cos(theta), np.sin(theta), 0.0, 0.0],
-                     [0.0, 0.0, np.cos(phi), np.sin(phi)]])
-    covs2 = np.einsum("ai,nij,bj->nab", proj, covs4, proj)
-    for cov in covs2:
-        if cov[0, 0] <= 0 or cov[1, 1] <= 0 or np.linalg.det(cov) <= 0:
-            raise SingularMatrixError(
-                "marginal term covariance is not positive definite")
-    return BivariateMixture(weights=weights, covariances=covs2)
+    covs = state.covariances
+    cross = covs[:, 0, 2] * np.cos(theta + phi)
+    covs2 = np.stack([np.stack([covs[:, 0, 0], cross], axis=-1),
+                      np.stack([cross, covs[:, 2, 2]], axis=-1)], axis=-2)
+    return BivariateMixture(weights=state.weights.copy(), covariances=covs2)
 
 
 def sign_correlation(marginal: BivariateMixture) -> float:
     """Closed-form sign-binned correlator of a signed Gaussian mixture."""
-    global _clamp_count
-    total = 0.0
-    for w, cov in zip(marginal.weights, marginal.covariances):
-        rho = cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1])
-        if abs(rho) > _RHO_BOUND:
-            rho = np.copysign(_RHO_BOUND, rho)
-            _clamp_count += 1
-        total += w * (2.0 / np.pi) * np.arcsin(rho)
-    return float(total)
+    covs = marginal.covariances
+    rho = covs[:, 0, 1] / np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
+    return float(_arcsine_mean(marginal.weights, rho))
 
 
 def sign_correlation_quadrature(marginal: BivariateMixture,
@@ -152,21 +163,61 @@ def sign_correlation_quadrature(marginal: BivariateMixture,
     return float(total)
 
 
+def _evaluate(rows: dict, angles):
+    """Correlators of parameter rows with one call of the closed form.
+
+    rows maps each pipeline parameter (`gaussian.PARAM_DOMAINS`) to an
+    array of n values.  Returns the correlators (n, 2, 2), P (n,), the
+    cancellation factor (n,) and the per-row errors: the DomainError
+    ExperimentParams raises for a value outside its domain, else the
+    refusal of `conditioning.heralded_terms`.  Failed rows hold NaN.
+    """
+    n = len(rows["squeezing"])
+    errors: list = [None] * n
+    safe = []
+    for name, (_, inside) in gaussian.PARAM_DOMAINS.items():
+        values = np.asarray(rows[name], dtype=float)
+        ok = inside(values)
+        for i in np.flatnonzero(~ok):
+            if errors[i] is None:
+                errors[i] = gaussian.domain_error(name, values[i])
+        # an out-of-domain row runs on a placeholder and keeps its error
+        safe.append(np.where(ok, values, 0.5))
+    terms = conditioning.heralded_terms(gaussian.x_block(*safe))
+    errors = [own or kernel for own, kernel in zip(errors, terms.errors)]
+    theta1, theta2, phi1, phi2 = angles
+    cosines = np.cos([[theta1 + phi1, theta1 + phi2],
+                      [theta2 + phi1, theta2 + phi2]])
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    correlations = np.where(failed[:, None], np.nan, terms.correlations)
+    corr = _arcsine_mean(terms.weights[:, None, None, :],
+                         correlations[:, None, None, :] * cosines[..., None])
+    success = np.where(failed, np.nan, terms.success_prob)
+    cancellation = np.where(failed, np.nan, terms.cancellation)
+    return corr, success, cancellation, errors
+
+
+def _rows(fixed: dict, **varying) -> dict:
+    """Parameter rows for `_evaluate`: the values in fixed, repeated, and
+    the arrays in varying; one row when nothing varies."""
+    n = len(next(iter(varying.values()))) if varying else 1
+    return {name: varying[name] if name in varying else np.full(n, fixed[name])
+            for name in gaussian.PARAM_DOMAINS}
+
+
 def chsh(params: ExperimentParams) -> BellResult:
     """Run the Gaussian pipeline end to end and assemble the CHSH parameter.
 
-    Propagates the invalid-regime error from the conditioning step when
-    the parameters cannot herald (e.g. zero squeezing).
+    Raises the refusal of the conditioning step when the parameters cannot
+    herald (InvalidRegimeError, e.g. zero squeezing) or a matrix is unusable.
     """
-    state = conditioning.conditional_state(params.output_covariance())
-    theta1, theta2, phi1, phi2 = params.angles
-    corr = np.empty((2, 2))
-    for (j, theta), (k, phi) in itertools.product(
-            enumerate((theta1, theta2)), enumerate((phi1, phi2))):
-        corr[j, k] = sign_correlation(rotated_marginal(state, theta, phi))
-    s = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
-    return BellResult(correlators=corr, S=float(s),
-                      success_prob=state.success_prob)
+    corr, success, cancellation, errors = _evaluate(_rows(vars(params)),
+                                                    params.angles)
+    if errors[0] is not None:
+        raise errors[0]
+    return BellResult(correlators=corr[0], S=float(chsh_value(corr[0])),
+                      success_prob=float(success[0]),
+                      cancellation=float(cancellation[0]))
 
 
 def _golden_section_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -197,18 +248,20 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
     local maxima agree within 0.005 (the unimodality assumption behind
     golden-section search would then be unsafe).
     """
+    fixed = dict(transmittance=transmittance, apd_efficiency=apd_efficiency,
+                 homodyne_efficiency=homodyne_efficiency)
+
+    def s_values(lams: np.ndarray) -> np.ndarray:
+        corr, _, _, errors = _evaluate(_rows(fixed, squeezing=lams), angles)
+        values = chsh_value(corr)
+        values[[e is not None for e in errors]] = -np.inf
+        return values
+
     def objective(lam: float) -> float:
-        params = ExperimentParams(squeezing=lam, transmittance=transmittance,
-                                  apd_efficiency=apd_efficiency,
-                                  homodyne_efficiency=homodyne_efficiency,
-                                  angles=angles)
-        try:
-            return chsh(params).S
-        except CVBellError:
-            return -np.inf
+        return float(s_values(np.array([lam]))[0])
 
     grid = np.linspace(0.01, 0.95, 20)
-    values = np.array([objective(lam) for lam in grid])
+    values = s_values(grid)
     maxima = [i for i in range(1, len(grid) - 1)
               if values[i] >= values[i - 1] and values[i] >= values[i + 1]
               and np.isfinite(values[i])]
@@ -238,28 +291,18 @@ class SweepPoint:
 SWEEP_AXES = ("squeezing", "apd_efficiency", "homodyne_efficiency")
 
 
-def sweep(axis: str, grid, fixed: ExperimentParams,
-          threads: int = 1) -> list[SweepPoint]:
-    """Evaluate the CHSH pipeline along one parameter axis.
+def sweep(axis: str, grid, fixed: ExperimentParams) -> list[SweepPoint]:
+    """Evaluate the CHSH pipeline along one parameter axis in one array call.
 
-    Per-point domain failures are recorded in the row and the sweep
-    continues.  Points are independent, so they may be evaluated by a
-    thread pool; the returned rows are ordered by axis value regardless.
+    Rows are ordered by axis value.  A point that fails records the error
+    text its own `chsh` call would raise, and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = sorted(float(v) for v in grid)
-
-    def evaluate(value: float) -> SweepPoint:
-        try:
-            result = chsh(replace(fixed, **{axis: value}))
-        except CVBellError as exc:
-            return SweepPoint(value=value, error=str(exc))
-        return SweepPoint(value=value, S=result.S,
-                          success_prob=result.success_prob)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate, values))
-    return [evaluate(v) for v in values]
+    values = np.array(sorted(float(v) for v in grid))
+    corr, success, _, errors = _evaluate(_rows(vars(fixed), **{axis: values}),
+                                         fixed.angles)
+    s_values = chsh_value(corr)
+    return [SweepPoint(value=float(v), error=str(e)) if e is not None
+            else SweepPoint(value=float(v), S=float(s), success_prob=float(p))
+            for v, s, p, e in zip(values, s_values, success, errors)]

@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -74,7 +73,7 @@ def write_table(rows: list[dict], path: str, fmt_name: str):
         raise IOError(f"cannot write {path}: {exc}")
 
 
-def cmd_chsh(cfg: RunConfig, threads: int) -> int:
+def cmd_chsh(cfg: RunConfig) -> int:
     result = bell.chsh(cfg.params())
     row = {
         "lambda": cfg.squeezing, "T": cfg.transmittance,
@@ -89,17 +88,17 @@ def cmd_chsh(cfg: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, threads: int) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     grid = cfg.sweep_grid()
     axis = AXIS_KEYS[cfg.sweep_axis]
-    points = bell.sweep(axis, grid, cfg.params(), threads=threads)
+    points = bell.sweep(axis, grid, cfg.params())
     rows = [{"axis": cfg.sweep_axis, "value": p.value, "S": p.S,
              "P": p.success_prob, "error": p.error or ""} for p in points]
     write_table(rows, cfg.output_path, cfg.output_format)
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig, threads: int) -> int:
+def cmd_optimize(cfg: RunConfig) -> int:
     lam_opt, s_max = bell.optimize_lambda(
         cfg.transmittance, cfg.apd_efficiency, cfg.homodyne_efficiency,
         angles=(cfg.theta1, cfg.theta2, cfg.phi1, cfg.phi2))
@@ -113,11 +112,11 @@ def cmd_optimize(cfg: RunConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_mc(cfg: RunConfig, threads: int) -> int:
+def cmd_mc(cfg: RunConfig) -> int:
     protocol = ProtocolConfig(params=cfg.params(),
                               n_target_events=cfg.n_target_events,
                               seed=cfg.seed, rep_rate=cfg.rep_rate)
-    result = montecarlo.run_protocol(protocol, threads=max(threads, 1))
+    result = montecarlo.run_protocol(protocol)
     row = {
         "seed": cfg.seed, "n_events": cfg.n_target_events,
         "rep_rate": cfg.rep_rate,
@@ -156,7 +155,7 @@ def _fig2_sweep_rows(axis: str, grid, series_params) -> list[dict]:
     return rows
 
 
-def cmd_fig2(cfg: RunConfig, threads: int) -> int:
+def cmd_fig2(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_path or "fig2")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +255,7 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def cmd_validate(cfg: RunConfig, threads: int) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     rows = _validation_checks(cfg)
     write_table(rows, cfg.output_path, cfg.output_format)
     if any(row["status"] == "FAIL" for row in rows):
@@ -293,30 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("csv", "json"),
                          help="output format override")
         cmd.add_argument("--seed", type=int, help="random seed override")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads, 0 = auto "
-                              "(falls back to CVBELL_THREADS)")
     return parser
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get("CVBELL_THREADS", "1")
-        try:
-            value = int(value)
-        except ValueError:
-            raise ConfigError(f"CVBELL_THREADS is not an integer: {value!r}")
-    if value == 0:
-        return os.cpu_count() or 1
-    if value < 0:
-        raise ConfigError("thread count must be >= 0")
-    return value
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
         if args.config:
             cfg = load_config(args.config)
         elif args.command in _DEFAULTABLE:
@@ -333,7 +314,7 @@ def main(argv=None) -> int:
         if overrides:
             from dataclasses import replace
             cfg = replace(cfg, **overrides)
-        return COMMANDS[args.command](cfg, threads)
+        return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
+from .bell import DEFAULT_ANGLES, _golden_section_max, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
 
 DEFAULT_TRUNCATION = 40
-
-DEFAULT_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
 
 #: maximum probability allowed in the top four photon-number layers
 TAIL_TOLERANCE = 1e-8
@@ -205,26 +204,24 @@ def second_moments(state: FockState) -> np.ndarray:
     """Covariance matrix gamma_ij = <r_i r_j + r_j r_i> of a zero-mean state.
 
     Brute-force moment evaluation used as the ground truth for the
-    covariance-matrix constructors.  For operators F on mode A and G
-    on mode B, <F (x) G> = sum conj(Psi[a,b]) F[a,c] G[b,d] Psi[c,d].
+    covariance-matrix constructors.  Each quadrature is a pair of
+    operators (F on mode A, G on mode B), one of them the identity, and
+    <F (x) G> = sum conj(Psi[a,b]) F[a,c] G[b,d] Psi[c,d]
+    = Tr(Psi^dagger F Psi G^T), two matrix products.
     """
-    quads = quadrature_operators(state.n_trunc)
+    x, p = quadrature_operators(state.n_trunc)
+    eye = np.eye(state.n_trunc)
+    ops = ((x, eye), (p, eye), (eye, x), (eye, p))
     psi = state.amplitudes
+
+    def expect(f, g):
+        return np.vdot(psi, f @ psi @ g.T)
+
     gamma = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            mode_i, op_i = i // 2, quads[i % 2]
-            mode_j, op_j = j // 2, quads[j % 2]
-            if mode_i == mode_j:
-                sym = op_i @ op_j + op_j @ op_i
-                if mode_i == 0:
-                    val = np.einsum("ab,ac,cb->", psi.conj(), sym, psi)
-                else:
-                    val = np.einsum("ab,bc,ac->", psi.conj(), sym, psi)
-            else:
-                op_a, op_b = (op_i, op_j) if mode_i == 0 else (op_j, op_i)
-                val = 2.0 * np.einsum("ab,ac,bd,cd->", psi.conj(), op_a, op_b, psi)
-            gamma[i, j] = val.real
+    for i, (f_i, g_i) in enumerate(ops):
+        for j, (f_j, g_j) in enumerate(ops):
+            gamma[i, j] = (expect(f_i @ f_j, g_i @ g_j)
+                           + expect(f_j @ f_i, g_j @ g_i)).real
     return gamma
 
 
@@ -525,13 +522,9 @@ def fock_chsh(rho: FockDensityMatrix,
     """CHSH combination of four sign correlators for a given heralded state."""
     theta1, theta2, phi1, phi2 = angles
     lossy = _homodyne_loss(rho, homodyne_efficiency)
-    e = {}
-    for theta in (theta1, theta2):
-        for phi in (phi1, phi2):
-            e[(theta, phi)] = _sign_correlation(lossy, theta + phi,
-                                                GRID_POINTS, GRID_HALFWIDTH)
-    return (e[(theta1, phi1)] + e[(theta1, phi2)]
-            + e[(theta2, phi1)] - e[(theta2, phi2)])
+    corr = [[_sign_correlation(lossy, theta + phi, GRID_POINTS, GRID_HALFWIDTH)
+             for phi in (phi1, phi2)] for theta in (theta1, theta2)]
+    return float(chsh_value(np.array(corr)))
 
 
 def _diag_sign_correlation(diag: np.ndarray, angle_sum: float,
@@ -560,8 +553,9 @@ def fock_optimal_product(transmittance: float, n_trunc: int = 60,
         e = {}
         for s in {theta1 + phi1, theta1 + phi2, theta2 + phi1, theta2 + phi2}:
             e[s] = _diag_sign_correlation(diag, s, sign_squared)
-        return (e[theta1 + phi1] + e[theta1 + phi2]
-                + e[theta2 + phi1] - e[theta2 + phi2])
+        return float(chsh_value(np.array(
+            [[e[theta1 + phi1], e[theta1 + phi2]],
+             [e[theta2 + phi1], e[theta2 + phi2]]])))
 
     lo, hi = lam_range
     grid = np.linspace(lo, hi, 16)
@@ -569,22 +563,9 @@ def fock_optimal_product(transmittance: float, n_trunc: int = 60,
     best = int(np.argmax(values))
     if best in (0, len(grid) - 1):
         raise DomainError("optimal squeezing fell on the scan boundary")
-    golden = (1.0 + np.sqrt(5.0)) / 2.0
-    a, b = grid[best - 1], grid[best + 1]
-    c = b - (b - a) / golden
-    d = a + (b - a) / golden
-    fc, fd = s_value(c), s_value(d)
-    while abs(b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / golden
-            fc = s_value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / golden
-            fd = s_value(d)
-    lam_opt = 0.5 * (a + b)
-    return float(lam_opt * transmittance), float(s_value(lam_opt))
+    lam_opt, s_max = _golden_section_max(s_value, grid[best - 1],
+                                         grid[best + 1], tol)
+    return float(lam_opt * transmittance), float(s_max)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ Conventions used throughout the package:
   D are the tap ancillas watched by the click detectors.
 
 All functions are pure and return fresh arrays; covariance matrices are
-plain float ndarrays.
+plain float ndarrays.  In every state of the pipeline x and p decouple and
+the p-block is D x D with D = diag(1, -1, 1, -1), so `x_block` builds just
+the 4x4 x-quadrature covariance (x_A, x_B, x_C, x_D), for whole arrays of
+parameters at once, and `from_x_block` restores the full matrix.
 """
 
 from __future__ import annotations
@@ -25,12 +28,34 @@ from .errors import DomainError, SingularMatrixError
 MODES = ("A", "B", "C", "D")
 BS_PAIRS = (("A", "C"), ("B", "D"))
 
-#: quadrature indices of the homodyne modes (A, B) and the detector modes (C, D)
+#: quadrature indices of the homodyne modes (A, B)
 HOMODYNE_SLICE = slice(0, 4)
-DETECTOR_SLICE = slice(4, 8)
 
 SYMMETRY_TOL = 1e-12
 CONDITION_LIMIT = 1e12
+
+
+#: pipeline parameter -> (interval text, elementwise membership test)
+PARAM_DOMAINS = {
+    "squeezing": ("[0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
+    "transmittance": ("(0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+    "apd_efficiency": ("(0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+    "homodyne_efficiency": ("(0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+}
+
+
+def domain_error(name: str, value) -> DomainError:
+    """The error for a pipeline parameter outside its PARAM_DOMAINS interval."""
+    return DomainError(f"{name} must lie in {PARAM_DOMAINS[name][0]}, "
+                       f"got {float(value)}")
+
+
+def check_domain(name: str, values) -> None:
+    """Raise `domain_error` for the first of values outside name's domain."""
+    values = np.asarray(values, dtype=float)
+    inside = PARAM_DOMAINS[name][1](values)
+    if not np.all(inside):
+        raise domain_error(name, values[~inside].flat[0])
 
 
 def mode_indices(mode: str) -> tuple[int, int]:
@@ -63,23 +88,38 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return mags.reshape(n, 2).mean(axis=1)
 
 
+def spd_error(lowest, highest) -> SingularMatrixError | None:
+    """Refusal of a symmetric matrix with extreme eigenvalues (lowest,
+    highest): not positive definite, or eigenvalue condition number above
+    CONDITION_LIMIT.  None when the matrix is usable."""
+    if not lowest > 0.0:
+        return SingularMatrixError("matrix is not positive definite",
+                                   condition_estimate=float("inf"))
+    cond = highest / lowest
+    if not cond <= CONDITION_LIMIT:
+        return SingularMatrixError("matrix too ill-conditioned to invert",
+                                   condition_estimate=float(cond))
+    return None
+
+
+def spd_refused(lowest: np.ndarray, highest: np.ndarray) -> np.ndarray:
+    """Elementwise form of `spd_error`: True where it refuses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~((lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT))
+
+
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix via Cholesky.
 
-    Refuses matrices whose eigenvalue condition number exceeds
-    CONDITION_LIMIT so precision loss surfaces as an error instead of
-    garbage output.
+    Refuses matrices that `spd_error` refuses, so precision loss surfaces
+    as an error instead of garbage output.
     """
     if not is_symmetric(mat, tol=1e-10):
         raise DomainError("matrix is not symmetric")
     eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] <= 0.0:
-        raise SingularMatrixError("matrix is not positive definite",
-                                  condition_estimate=float("inf"))
-    cond = eigs[-1] / eigs[0]
-    if cond > CONDITION_LIMIT:
-        raise SingularMatrixError("matrix too ill-conditioned to invert",
-                                  condition_estimate=float(cond))
+    error = spd_error(eigs[0], eigs[-1])
+    if error is not None:
+        raise error
     factor = cho_factor(mat, lower=True)
     inv = cho_solve(factor, np.eye(mat.shape[0]))
     return 0.5 * (inv + inv.T)
@@ -91,8 +131,7 @@ def tmsv_covariance(squeezing: float) -> np.ndarray:
     `squeezing` is tanh of the squeeze parameter, in [0, 1).  Diagonal
     blocks are cosh(2r) I, off-diagonal blocks sinh(2r) diag(1, -1).
     """
-    if not 0.0 <= squeezing < 1.0:
-        raise DomainError(f"squeezing must lie in [0, 1), got {squeezing}")
+    check_domain("squeezing", squeezing)
     r = np.arctanh(squeezing)
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     z = np.diag([1.0, -1.0])
@@ -125,8 +164,7 @@ def beamsplitter_symplectic(transmittance: float,
     identity on the other modes.  The overall sign of the reflected arm is
     a phase convention; final observables are insensitive to it.
     """
-    if not 0.0 < transmittance <= 1.0:
-        raise DomainError(f"transmittance must lie in (0, 1], got {transmittance}")
+    check_domain("transmittance", transmittance)
     if tuple(pair) not in BS_PAIRS:
         raise DomainError(f"pair must be one of {BS_PAIRS}, got {pair}")
     t = np.sqrt(transmittance)
@@ -169,10 +207,8 @@ def detector_loss_channel(homodyne_efficiency: float,
     efficiency.  Zero efficiency is rejected: it makes heralding (or the
     homodyne readout) impossible.
     """
-    for name, val in (("homodyne_efficiency", homodyne_efficiency),
-                      ("apd_efficiency", apd_efficiency)):
-        if not 0.0 < val <= 1.0:
-            raise DomainError(f"{name} must lie in (0, 1], got {val}")
+    check_domain("homodyne_efficiency", homodyne_efficiency)
+    check_domain("apd_efficiency", apd_efficiency)
     scale = np.array([homodyne_efficiency] * 4 + [apd_efficiency] * 4)
     return GaussianChannel(linear_part=np.diag(np.sqrt(scale)),
                            noise_part=np.diag(1.0 - scale))
@@ -198,52 +234,68 @@ def apply_channel(cov: np.ndarray, channel: GaussianChannel) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency
+            ) -> np.ndarray:
+    """x-quadrature covariance (x_A, x_B, x_C, x_D) of the source pipeline.
+
+    Squeezer, both tap beam splitters and detector loss in closed form.
+    The arguments broadcast against each other and the result has shape
+    (..., 4, 4), one block per parameter row.  Every entry must lie in its
+    domain: squeezing in [0, 1), the rest in (0, 1].
+    """
+    lam, trans, eta, eta_h = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (squeezing, transmittance,
+                                               apd_efficiency,
+                                               homodyne_efficiency)))
+    for name, val in zip(PARAM_DOMAINS, (lam, trans, eta, eta_h)):
+        check_domain(name, val)
+    r = np.arctanh(lam)
+    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    t, rfl = np.sqrt(trans), np.sqrt(1.0 - trans)
+    gain = np.sqrt(eta_h * eta)
+    aa = eta_h * (t * t * ch + rfl * rfl) + (1.0 - eta_h)
+    ab = eta_h * t * t * sh
+    cc = eta * (rfl * rfl * ch + t * t) + (1.0 - eta)
+    cd = eta * rfl * rfl * sh
+    ac = gain * t * rfl * (1.0 - ch)
+    ad = -gain * t * rfl * sh
+    entries = (aa, ab, ac, ad, ab, aa, ad, ac,
+               ac, ad, cc, cd, ad, ac, cd, cc)
+    return np.stack(entries, axis=-1).reshape(lam.shape + (4, 4))
+
+
+def from_x_block(x: np.ndarray) -> np.ndarray:
+    """Full covariance, quadratures interleaved (x_1, p_1, x_2, p_2, ...),
+    of a state whose x and p decouple with p-block D x D.
+
+    D = diag(1, -1, 1, -1, ...) flips the sign of every second mode, the
+    structure of every covariance in this pipeline.  x has shape
+    (..., n, n); the result has shape (..., 2n, 2n).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    signs = (-1.0) ** np.arange(n)
+    out = np.zeros(x.shape[:-2] + (2 * n, 2 * n))
+    out[..., 0::2, 0::2] = x
+    out[..., 1::2, 1::2] = signs[:, None] * x * signs[None, :]
+    return out
+
+
 def output_covariance(squeezing: float, transmittance: float,
                       apd_efficiency: float,
                       homodyne_efficiency: float) -> np.ndarray:
-    """Full source pipeline: squeezer, both tap beam splitters, detector loss."""
-    cov = embed_with_vacuum_ancillas(tmsv_covariance(squeezing))
-    s = beamsplitter_symplectic(transmittance, ("A", "C")) \
-        @ beamsplitter_symplectic(transmittance, ("B", "D"))
-    cov = apply_symplectic(cov, s)
-    return apply_channel(cov, detector_loss_channel(homodyne_efficiency,
-                                                    apd_efficiency))
+    """Full source pipeline: squeezer, both tap beam splitters, detector loss.
 
-
-@dataclass(frozen=True)
-class InverseBlocks:
-    """Block decomposition of the inverse output covariance.
-
-    homodyne_block and detector_block are the 4x4 diagonal blocks of the
-    inverse in the (A,B | C,D) ordering; coupling is the upper off-diagonal
-    block.
+    Built from `x_block`; it equals the composition of `tmsv_covariance`,
+    `beamsplitter_symplectic` and `detector_loss_channel`.
     """
-
-    homodyne_block: np.ndarray
-    coupling: np.ndarray
-    detector_block: np.ndarray
-
-    def assemble(self) -> np.ndarray:
-        top = np.hstack([self.homodyne_block, self.coupling])
-        bot = np.hstack([self.coupling.T, self.detector_block])
-        return np.vstack([top, bot])
-
-
-def block_inverse_decompose(cov_out: np.ndarray) -> InverseBlocks:
-    """Invert an 8x8 covariance and split the inverse into 4x4 blocks."""
-    cov_out = np.asarray(cov_out, dtype=float)
-    if cov_out.shape != (8, 8):
-        raise DomainError(f"expected an 8x8 covariance, got shape {cov_out.shape}")
-    inv = spd_inverse(cov_out)
-    return InverseBlocks(homodyne_block=inv[HOMODYNE_SLICE, HOMODYNE_SLICE].copy(),
-                         coupling=inv[HOMODYNE_SLICE, DETECTOR_SLICE].copy(),
-                         detector_block=inv[DETECTOR_SLICE, DETECTOR_SLICE].copy())
+    return from_x_block(x_block(squeezing, transmittance, apd_efficiency,
+                                homodyne_efficiency))
 
 
 def squeezing_to_db(squeezing: float) -> float:
     """Squeezing strength in dB: -10 log10(e^{-2r}) with r = atanh(lambda)."""
-    if not 0.0 <= squeezing < 1.0:
-        raise DomainError(f"squeezing must lie in [0, 1), got {squeezing}")
+    check_domain("squeezing", squeezing)
     r = np.arctanh(squeezing)
     return float(-10.0 * np.log10(np.exp(-2.0 * r)))
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditioning
-from .bell import BellResult, BivariateMixture, ExperimentParams, rotated_marginal
+from .bell import (BellResult, BivariateMixture, ExperimentParams, chsh_value,
+                   rotated_marginal)
 from .errors import DomainError, EnvelopeError
 
 #: events processed per RNG block; the block is the reproducibility atom
@@ -296,8 +297,7 @@ def run_protocol(config: ProtocolConfig, threads: int = 1) -> MCResult:
                             where=populated)
     s_available = bool(populated.all())
     if s_available:
-        s_hat = float(correlators[0, 0] + correlators[0, 1]
-                      + correlators[1, 0] - correlators[1, 1])
+        s_hat = float(chsh_value(correlators))
         variance = float(((1.0 - correlators ** 2) / counts)[populated].sum())
         stderr = float(np.sqrt(variance))
     else:

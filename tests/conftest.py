@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvbell import bell, conditioning, fock
+from cvbell import bell, conditioning, fock, gaussian
 
 #: operating point quoted for a feasible experiment
 REALISTIC = dict(squeezing=0.6, transmittance=0.95, apd_efficiency=0.3,
@@ -55,3 +55,12 @@ def integrate_mixture_2d(marginal, sigma_range=8.0, nodes=128):
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     dens = marginal.density(xs[:, None] * sx, xs[None, :] * sy)
     return float((ws * sx) @ dens @ (ws * sy))
+
+
+def component_covariance(lam, t, eta, eta_bhd):
+    """8x8 output covariance composed from the single-step constructors."""
+    cov = gaussian.embed_with_vacuum_ancillas(gaussian.tmsv_covariance(lam))
+    s = gaussian.beamsplitter_symplectic(t, ("A", "C")) \
+        @ gaussian.beamsplitter_symplectic(t, ("B", "D"))
+    return gaussian.apply_channel(gaussian.apply_symplectic(cov, s),
+                                  gaussian.detector_loss_channel(eta_bhd, eta))

@@ -1,9 +1,80 @@
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 
 from cvbell import bell, conditioning, gaussian
-from cvbell.errors import DomainError
-from conftest import integrate_mixture_2d
+from cvbell.errors import CVBellError, DomainError, InvalidRegimeError
+from conftest import component_covariance, integrate_mixture_2d
+
+# ---------------------------------------------------------------------------
+# per-term 8x8 reference: the conditioning the x-block kernel replaces (full
+# 8x8 inverse, one 4x4 Schur complement per vacuum kernel, every matrix
+# through the guarded spd_inverse, projected 2x2 marginals), kept here to
+# check it
+
+REF_KERNELS = (np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]),
+               np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4))
+
+
+def reference_chsh(params):
+    """(correlators, S, P) of params through the 8x8 per-term pipeline."""
+    cov = component_covariance(params.squeezing, params.transmittance,
+                               params.apd_efficiency,
+                               params.homodyne_efficiency)
+    inv = gaussian.spd_inverse(cov)
+    homodyne, coupling, detector = inv[:4, :4], inv[:4, 4:], inv[4:, 4:]
+    masses, covs = [], []
+    for q, kernel in zip(conditioning.CLICK_WEIGHTS, REF_KERNELS):
+        block = detector + np.diag(kernel)
+        reduced = homodyne - coupling @ gaussian.spd_inverse(block) @ coupling.T
+        precision = 0.5 * (reduced + reduced.T)
+        masses.append(q / (np.sqrt(np.linalg.det(precision))
+                           * np.sqrt(np.linalg.det(block))))
+        covs.append(gaussian.spd_inverse(precision) / 2.0)
+    success = sum(masses) / np.sqrt(np.linalg.det(cov))
+    if not success >= conditioning.MIN_SUCCESS_PROB:
+        raise InvalidRegimeError(f"heralding probability {success:.3e}")
+    weights = np.array(masses) / sum(masses)
+    corr = np.empty((2, 2))
+    for j, theta in enumerate(params.angles[:2]):
+        for k, phi in enumerate(params.angles[2:]):
+            proj = np.array([[np.cos(theta), np.sin(theta), 0.0, 0.0],
+                             [0.0, 0.0, np.cos(phi), np.sin(phi)]])
+            cov2 = np.einsum("ai,nij,bj->nab", proj, np.array(covs), proj)
+            rho = cov2[:, 0, 1] / np.sqrt(cov2[:, 0, 0] * cov2[:, 1, 1])
+            corr[j, k] = float(np.sum(weights * (2.0 / np.pi) * np.arcsin(rho)))
+    s = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
+    return corr, s, success
+
+
+def exact_success_prob(params):
+    """P at 50 digits: the inverse-form conditioning on the x-block, whose
+    entries are the closed form of `gaussian.x_block` in exact arithmetic."""
+    with mpmath.workdps(50):
+        lam, t, eta, eta_h = (mpmath.mpf(v) for v in (
+            params.squeezing, params.transmittance, params.apd_efficiency,
+            params.homodyne_efficiency))
+        ch = mpmath.cosh(2 * mpmath.atanh(lam))
+        sh = mpmath.sinh(2 * mpmath.atanh(lam))
+        rfl, gain = mpmath.sqrt(1 - t), mpmath.sqrt(eta_h * eta)
+        aa = eta_h * (t * ch + 1 - t) + 1 - eta_h
+        cc = eta * ((1 - t) * ch + t) + 1 - eta
+        ac = gain * mpmath.sqrt(t) * rfl * (1 - ch)
+        ad = -gain * mpmath.sqrt(t) * rfl * sh
+        ab, cd = eta_h * t * sh, eta * (1 - t) * sh
+        x = mpmath.matrix([[aa, ab, ac, ad], [ab, aa, ad, ac],
+                           [ac, ad, cc, cd], [ad, ac, cd, cc]])
+        gamma = x ** -1
+        total = 0
+        for q, kernel in zip(conditioning.CLICK_WEIGHTS,
+                             ((0, 0), (1, 0), (0, 1), (1, 1))):
+            block = gamma[2:4, 2:4] + mpmath.diag(kernel)
+            reduced = gamma[0:2, 0:2] \
+                - gamma[0:2, 2:4] * block ** -1 * gamma[2:4, 0:2]
+            total += q / (mpmath.det(reduced) * mpmath.det(block))
+        return float(total / mpmath.det(x))
 
 
 def single_term_mixture(rho, var_x=1.0, var_y=1.0):
@@ -162,6 +233,58 @@ class TestChsh:
             assert abs(e_std - e_flip) < 1e-10
 
 
+class TestAgainstReference:
+    def test_random_draws(self):
+        # E and S within 8 sum|w_j| eps of the 8x8 reference, P within that
+        # relative bound of its 50-digit value.  The reference's own P is
+        # off by up to about 35 sum|w_j| eps near lambda = 0.9, where it
+        # inverts an x-block of condition number ~300, so P is held to the
+        # reference within the bound times that condition number.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(2005)
+        compared = 0
+        for _ in range(240):
+            params = bell.ExperimentParams(
+                rng.uniform(1e-3, 0.9), rng.uniform(0.85, 0.999),
+                rng.uniform(0.05, 1.0), rng.uniform(0.5, 1.0),
+                angles=tuple(rng.uniform(-np.pi, np.pi, size=4)))
+            try:
+                corr, s, success = reference_chsh(params)
+            except InvalidRegimeError:
+                with pytest.raises(InvalidRegimeError):
+                    bell.chsh(params)
+                continue
+            result = bell.chsh(params)
+            bound = 8.0 * result.cancellation * eps
+            assert np.max(np.abs(result.correlators - corr)) <= bound
+            assert abs(result.S - s) <= bound
+            exact = exact_success_prob(params)
+            assert abs(result.success_prob - exact) <= bound * exact
+            cond = np.linalg.cond(gaussian.x_block(
+                params.squeezing, params.transmittance, params.apd_efficiency,
+                params.homodyne_efficiency))
+            assert abs(result.success_prob - success) <= bound * cond * success
+            compared += 1
+        assert compared >= 200
+
+    def test_cancellation_factor(self, realistic_params):
+        result = bell.chsh(realistic_params)
+        state = conditioning.conditional_state(
+            realistic_params.output_covariance())
+        assert result.cancellation == pytest.approx(
+            np.abs(state.weights).sum(), rel=1e-12)
+        assert 1.4e4 < result.cancellation < 1.6e4
+
+    def test_chsh_builds_no_marginals(self, monkeypatch, realistic_params):
+        def refuse(*args):
+            raise AssertionError("chsh built a per-setting marginal")
+
+        expected = bell.chsh(realistic_params)
+        monkeypatch.setattr(bell, "rotated_marginal", refuse)
+        monkeypatch.setattr(bell, "sign_correlation", refuse)
+        assert bell.chsh(realistic_params).S == expected.S
+
+
 class TestOptimizeLambda:
     def test_ideal_product_near_quoted_value(self):
         lam_opt, _ = bell.optimize_lambda(0.99, 1.0, 1.0)
@@ -208,9 +331,38 @@ class TestSweep:
         fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
         grid = [0.6, 0.3, 0.5, 0.4]
         seq = bell.sweep("squeezing", grid, fixed)
-        par = bell.sweep("squeezing", grid, fixed, threads=3)
         assert [p.value for p in seq] == sorted(grid)
-        assert seq == par
+
+    def test_batched_rows_equal_single_chsh_calls(self):
+        rng = np.random.default_rng(31)
+        fixed = bell.ExperimentParams(0.6, 0.95, 0.3, 0.95,
+                                      angles=tuple(rng.uniform(-3, 3, 4)))
+        for axis, grid in (("squeezing", np.linspace(0.05, 0.90, 35)),
+                           ("apd_efficiency", np.linspace(0.05, 1.0, 20)),
+                           ("homodyne_efficiency", np.linspace(0.8, 1.0, 21))):
+            for point in bell.sweep(axis, grid, fixed):
+                single = bell.chsh(replace(fixed, **{axis: point.value}))
+                assert abs(point.S - single.S) <= 1e-15
+                assert abs(point.success_prob - single.success_prob) \
+                    <= 1e-15 * single.success_prob
+
+    def test_bad_rows_recorded_with_the_scalar_error_text(self):
+        fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
+        points = bell.sweep("squeezing", [0.0, 0.4, 1.2], fixed)
+        for point in (points[0], points[2]):
+            with pytest.raises(CVBellError) as info:
+                bell.chsh(replace(fixed, squeezing=point.value))
+            assert point.error == str(info.value)
+            assert np.isnan(point.S) and np.isnan(point.success_prob)
+        assert "invalid-regime" in points[0].error
+        assert "squeezing must lie in [0, 1)" in points[2].error
+        assert points[1] == bell.sweep("squeezing", [0.4], fixed)[0]
+        eff = bell.sweep("apd_efficiency", [0.0, 0.5], fixed)
+        with pytest.raises(DomainError) as info:
+            bell.ExperimentParams(0.5, 0.95, 0.0, 1.0)
+        assert eff[0].error == str(info.value)
+        assert eff[1].error is None
+        assert bell.sweep("squeezing", [], fixed) == []
 
     def test_unknown_axis(self):
         fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)

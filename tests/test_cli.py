@@ -117,8 +117,7 @@ class TestSweepCommand:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out2),
-                         "--threads", "3"]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         values = [float(r["value"]) for r in read_csv(out1)]
         assert values == sorted(values)
@@ -239,10 +238,3 @@ class TestFormatting:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
-
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("CVBELL_THREADS", "3")
-        assert cli._resolve_threads(None) == 3
-        monkeypatch.setenv("CVBELL_THREADS", "0")
-        assert cli._resolve_threads(None) >= 1
-        assert cli._resolve_threads(2) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvbell import bell, conditioning, fock, gaussian
-from cvbell.errors import DomainError, InvalidRegimeError
+from cvbell.errors import DomainError, InvalidRegimeError, SingularMatrixError
 
 CUT_DIRECTION = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -70,6 +70,70 @@ class TestConditionalState:
         mask = np.abs(w_gauss) > 1e-8
         rel = np.abs((w_gauss[mask] - w_fock[mask]) / w_gauss[mask])
         assert rel.max() < 1e-6
+
+
+class TestHeraldedTerms:
+    def test_ill_conditioned_x_block_refused(self):
+        x = np.eye(4)
+        x[0, 0] = 1e-14
+        error = conditioning.heralded_terms(x[None]).errors[0]
+        assert isinstance(error, SingularMatrixError)
+        assert error.condition_estimate > 1e12
+        with pytest.raises(SingularMatrixError) as info:
+            conditioning.conditional_state(gaussian.from_x_block(x))
+        assert str(info.value) == str(error)
+
+    def test_bad_rows_do_not_touch_good_rows(self):
+        good = gaussian.x_block(0.6, 0.95, 0.3, 0.95)
+        singular = np.eye(4)
+        singular[3, 3] = 0.0
+        vacuum = gaussian.x_block(0.0, 0.95, 0.3, 0.95)
+        asymmetric = good.copy()
+        asymmetric[3, 0] += 1e-9
+        stack = np.stack([good, singular, vacuum, asymmetric])
+        terms = conditioning.heralded_terms(stack)
+        assert terms.errors[0] is None
+        assert isinstance(terms.errors[1], SingularMatrixError)
+        assert isinstance(terms.errors[2], InvalidRegimeError)
+        assert isinstance(terms.errors[3], DomainError)
+        assert np.all(np.isnan(terms.success_prob[1:]))
+        assert np.all(np.isnan(terms.weights[1:]))
+        single = conditioning.heralded_terms(good[None])
+        assert np.array_equal(terms.weights[0], single.weights[0])
+        assert terms.success_prob[0] == single.success_prob[0]
+
+    def test_state_reads_the_kernel_row(self, realistic_params):
+        cov = realistic_params.output_covariance()
+        state = conditioning.conditional_state(cov)
+        terms = conditioning.heralded_terms(cov[None, 0::2, 0::2])
+        assert state.success_prob == terms.success_prob[0]
+        assert np.array_equal(conditioning.normalized_term_weights(state),
+                              terms.weights[0])
+        covs = conditioning.term_covariances(state)
+        assert np.array_equal(covs[:, 0::2, 0::2], terms.covariances[0])
+        flip = np.diag([1.0, -1.0])
+        assert np.array_equal(covs[:, 1::2, 1::2],
+                              flip @ terms.covariances[0] @ flip)
+        for term, precision in zip(state.terms, terms.precisions[0]):
+            assert np.array_equal(term.precision[0::2, 0::2], precision)
+            assert np.all(term.precision[0::2, 1::2] == 0.0)
+
+    def test_coupled_input_raises(self, realistic_params):
+        cov = realistic_params.output_covariance()
+        cross = cov.copy()
+        cross[0, 1] = cross[1, 0] = 1e-6
+        with pytest.raises(DomainError):
+            conditioning.conditional_state(cross)
+        unflipped = cov.copy()
+        unflipped[1::2, 1::2] = cov[0::2, 0::2]
+        with pytest.raises(DomainError):
+            conditioning.conditional_state(unflipped)
+
+    def test_shape_checked(self):
+        with pytest.raises(DomainError):
+            conditioning.heralded_terms(np.eye(4))
+        with pytest.raises(DomainError):
+            conditioning.conditional_state(np.eye(4))
 
 
 class TestSuccessProbability:

@@ -156,6 +156,31 @@ class TestStates:
         with pytest.raises(DomainError):
             fock.tmsv_state(0.1, 8)
 
+    def test_second_moments_match_einsum_form(self):
+        # the four-operand einsum the matrix-product form replaces
+        rng = np.random.default_rng(8)
+        n = 20
+        decay = 0.5 ** np.add.outer(np.arange(n), np.arange(n))
+        amps = decay * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        state = fock.FockState(amps / np.linalg.norm(amps), n)
+        x, p = fock.quadrature_operators(n)
+        quads, psi = (x, p), state.amplitudes
+        expected = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(4):
+                mode_i, op_i = i // 2, quads[i % 2]
+                mode_j, op_j = j // 2, quads[j % 2]
+                if mode_i == mode_j:
+                    sym = op_i @ op_j + op_j @ op_i
+                    path = "ab,ac,cb->" if mode_i == 0 else "ab,bc,ac->"
+                    val = np.einsum(path, psi.conj(), sym, psi)
+                else:
+                    op_a, op_b = (op_i, op_j) if mode_i == 0 else (op_j, op_i)
+                    val = 2.0 * np.einsum("ab,ac,bd,cd->", psi.conj(), op_a,
+                                          op_b, psi)
+                expected[i, j] = val.real
+        assert np.max(np.abs(fock.second_moments(state) - expected)) < 1e-13
+
     def test_second_moments_match_covariance(self):
         for lam in (0.0, 0.3, 0.5):
             cov = gaussian.tmsv_covariance(lam)

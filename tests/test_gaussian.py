@@ -3,6 +3,7 @@ import pytest
 
 from cvbell import fock, gaussian
 from cvbell.errors import DomainError, SingularMatrixError
+from conftest import component_covariance
 
 
 def pipeline_cov(lam=0.5, t=0.95, eta=0.3, eta_bhd=1.0):
@@ -162,34 +163,55 @@ class TestApplyChannel:
             gaussian.GaussianChannel(np.eye(8), -0.01 * np.eye(8))
 
 
-class TestBlockInverse:
-    def test_identity(self):
-        blocks = gaussian.block_inverse_decompose(np.eye(8))
-        assert np.allclose(blocks.homodyne_block, np.eye(4), atol=1e-14)
-        assert np.allclose(blocks.coupling, 0.0, atol=1e-14)
-        assert np.allclose(blocks.detector_block, np.eye(4), atol=1e-14)
+class TestXBlock:
+    @pytest.mark.parametrize("lam,t,eta,eta_bhd", [
+        (0.0, 0.95, 0.3, 0.95), (0.3, 0.9, 0.2, 0.85), (0.5, 0.95, 0.3, 1.0),
+        (0.65, 0.99, 1.0, 0.95), (0.9, 0.85, 0.05, 0.5),
+    ])
+    def test_matches_component_pipeline(self, lam, t, eta, eta_bhd):
+        cov = component_covariance(lam, t, eta, eta_bhd)
+        assert np.max(np.abs(pipeline_cov(lam, t, eta, eta_bhd) - cov)) < 1e-14
 
-    def test_blocks_positive_definite(self):
-        blocks = gaussian.block_inverse_decompose(pipeline_cov())
-        for mat in (blocks.homodyne_block, blocks.detector_block):
-            assert np.all(np.linalg.eigvalsh(mat) > 0)
-            assert np.max(np.abs(mat - mat.T)) < 1e-12
+    def test_output_decouples_exactly(self):
+        flip = np.diag([1.0, -1.0, 1.0, -1.0])
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            cov = pipeline_cov(rng.uniform(0.0, 0.95), rng.uniform(0.5, 1.0),
+                               rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
+            x = cov[0::2, 0::2]
+            assert np.all(cov[0::2, 1::2] == 0.0)
+            assert np.all(cov[1::2, 0::2] == 0.0)
+            assert np.array_equal(cov[1::2, 1::2], flip @ x @ flip)
 
-    def test_against_dense_inverse(self):
-        cov = pipeline_cov(0.5, 0.95, 0.3, 1.0)
-        blocks = gaussian.block_inverse_decompose(cov)
-        assert np.max(np.abs(blocks.assemble() - np.linalg.inv(cov))) < 1e-10
+    def test_broadcasts_over_rows(self):
+        lams = np.array([0.1, 0.4, 0.7])
+        blocks = gaussian.x_block(lams, 0.95, np.array([[0.3], [0.9]]), 1.0)
+        assert blocks.shape == (2, 3, 4, 4)
+        for i, eta in enumerate((0.3, 0.9)):
+            for j, lam in enumerate(lams):
+                assert np.array_equal(blocks[i, j],
+                                      gaussian.x_block(lam, 0.95, eta, 1.0))
 
-    def test_reassembly_inverts(self):
+    @pytest.mark.parametrize("args", [
+        (1.0, 0.95, 0.3, 1.0), ([0.5, -0.1], 0.95, 0.3, 1.0),
+        (0.5, 0.0, 0.3, 1.0), (0.5, 0.95, [0.3, 1.2], 1.0),
+        (0.5, 0.95, 0.3, np.nan),
+    ])
+    def test_domain(self, args):
+        with pytest.raises(DomainError):
+            gaussian.x_block(*args)
+
+
+class TestSpdInverse:
+    def test_inverts(self):
         cov = pipeline_cov(0.6, 0.9, 0.4, 0.9)
-        blocks = gaussian.block_inverse_decompose(cov)
-        assert np.max(np.abs(blocks.assemble() @ cov - np.eye(8))) < 1e-9
+        assert np.max(np.abs(gaussian.spd_inverse(cov) @ cov - np.eye(8))) < 1e-9
 
     def test_singular_input_reports_condition(self):
         cov = np.eye(8)
         cov[0, 0] = 1e-14
         with pytest.raises(SingularMatrixError) as info:
-            gaussian.block_inverse_decompose(cov)
+            gaussian.spd_inverse(cov)
         assert info.value.condition_estimate > 1e12
 
 
