@@ -1,6 +1,7 @@
 """CHSH correlators from sign-binned homodyne outcomes.
 
-The heralded state is a signed mixture of four Gaussians (see
+The heralded state is a signed mixture of four Gaussians, conditioned
+from the 4x4 x-quadrature block of the source (see `gaussian` and
 `conditioning`).  Measured at phase theta on A and phi on B, term j is a
 bivariate Gaussian with correlation coefficient c_j cos(theta + phi), and
 its sign-binned correlator follows from the Gaussian orthant probability,
@@ -55,7 +56,7 @@ class ExperimentParams:
     angles: tuple[float, float, float, float] = DEFAULT_ANGLES
 
     def __post_init__(self):
-        for name in gaussian.PARAM_DOMAINS:
+        for name in gaussian.PARAMS:
             gaussian.check_domain(name, getattr(self, name))
         if len(self.angles) != 4:
             raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
@@ -126,11 +127,9 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
     negated.  The conditioning refuses a term whose (x_A, x_B) covariance
     is not positive definite, so every rotated term is a proper Gaussian.
     """
-    covs = state.covariances
-    cross = covs[:, 0, 2] * np.cos(theta + phi)
-    covs2 = np.stack([np.stack([covs[:, 0, 0], cross], axis=-1),
-                      np.stack([cross, covs[:, 2, 2]], axis=-1)], axis=-2)
-    return BivariateMixture(weights=state.weights.copy(), covariances=covs2)
+    covs = state.covariances.copy()
+    covs[:, 0, 1] = covs[:, 1, 0] = covs[:, 0, 1] * np.cos(theta + phi)
+    return BivariateMixture(weights=state.weights.copy(), covariances=covs)
 
 
 def sign_correlation(marginal: BivariateMixture) -> float:
@@ -166,7 +165,7 @@ def sign_correlation_quadrature(marginal: BivariateMixture,
 def _evaluate(rows: dict, angles):
     """Correlators of parameter rows with one call of the closed form.
 
-    rows maps each pipeline parameter (`gaussian.PARAM_DOMAINS`) to an
+    rows maps each pipeline parameter (`gaussian.PARAMS`) to an
     array of n values.  Returns the correlators (n, 2, 2), P (n,), the
     cancellation factor (n,) and the per-row errors: the DomainError
     ExperimentParams raises for a value outside its domain, else the
@@ -175,9 +174,9 @@ def _evaluate(rows: dict, angles):
     n = len(rows["squeezing"])
     errors: list = [None] * n
     safe = []
-    for name, (_, inside) in gaussian.PARAM_DOMAINS.items():
+    for name, param in gaussian.PARAMS.items():
         values = np.asarray(rows[name], dtype=float)
-        ok = inside(values)
+        ok = param.inside(values)
         for i in np.flatnonzero(~ok):
             if errors[i] is None:
                 errors[i] = gaussian.domain_error(name, values[i])
@@ -202,7 +201,7 @@ def _rows(fixed: dict, **varying) -> dict:
     the arrays in varying; one row when nothing varies."""
     n = len(next(iter(varying.values()))) if varying else 1
     return {name: varying[name] if name in varying else np.full(n, fixed[name])
-            for name in gaussian.PARAM_DOMAINS}
+            for name in gaussian.PARAMS}
 
 
 def chsh(params: ExperimentParams) -> BellResult:
@@ -288,17 +287,15 @@ class SweepPoint:
     error: str | None = None
 
 
-SWEEP_AXES = ("squeezing", "apd_efficiency", "homodyne_efficiency")
-
-
 def sweep(axis: str, grid, fixed: ExperimentParams) -> list[SweepPoint]:
     """Evaluate the CHSH pipeline along one parameter axis in one array call.
 
     Rows are ordered by axis value.  A point that fails records the error
     text its own `chsh` call would raise, and the sweep continues.
     """
-    if axis not in SWEEP_AXES:
-        raise DomainError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    axes = tuple(gaussian.SWEEP_KEYS.values())
+    if axis not in axes:
+        raise DomainError(f"sweep axis must be one of {axes}, got {axis!r}")
     values = np.array(sorted(float(v) for v in grid))
     corr, success, _, errors = _evaluate(_rows(vars(fixed), **{axis: values}),
                                          fixed.angles)

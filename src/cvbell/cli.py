@@ -15,12 +15,13 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import bell, conditioning, fock, montecarlo
-from .config import AXIS_KEYS, RunConfig, load_config
+from . import bell, conditioning, fock, gaussian, montecarlo
+from .config import RunConfig, load_config
 from .errors import CVBellError, ConfigError, DomainError, InvalidRegimeError
 from .montecarlo import ProtocolConfig
 
@@ -78,10 +79,8 @@ def cmd_chsh(cfg: RunConfig) -> int:
     row = {
         "lambda": cfg.squeezing, "T": cfg.transmittance,
         "eta": cfg.apd_efficiency, "eta_bhd": cfg.homodyne_efficiency,
-        "E11": float(result.correlators[0, 0]),
-        "E12": float(result.correlators[0, 1]),
-        "E21": float(result.correlators[1, 0]),
-        "E22": float(result.correlators[1, 1]),
+        **{f"E{j+1}{k+1}": float(result.correlators[j, k])
+           for j in range(2) for k in range(2)},
         "S": result.S, "P": result.success_prob,
     }
     write_table([row], cfg.output_path, cfg.output_format)
@@ -90,7 +89,7 @@ def cmd_chsh(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = cfg.sweep_grid()
-    axis = AXIS_KEYS[cfg.sweep_axis]
+    axis = gaussian.SWEEP_KEYS[cfg.sweep_axis]
     points = bell.sweep(axis, grid, cfg.params())
     rows = [{"axis": cfg.sweep_axis, "value": p.value, "S": p.S,
              "P": p.success_prob, "error": p.error or ""} for p in points]
@@ -193,8 +192,6 @@ def cmd_fig2(cfg: RunConfig) -> int:
 
 def _validation_checks(cfg: RunConfig) -> list[dict]:
     """Cross-formalism agreement checks between the three computations."""
-    from . import gaussian
-
     rows = []
 
     def record(name, value, tolerance, passed):
@@ -204,7 +201,9 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     params = cfg.params()
     n_trunc = cfg.n_trunc
 
-    cov = gaussian.tmsv_covariance(params.squeezing)
+    # the two-mode squeezed vacuum is the AB block at unit transmittance
+    cov = gaussian.from_x_block(
+        gaussian.x_block(params.squeezing, 1.0, 1.0, 1.0))[:4, :4]
     moments = fock.second_moments(fock.tmsv_state(params.squeezing,
                                                   max(n_trunc, 60)))
     err = float(np.max(np.abs(cov - moments)))
@@ -230,10 +229,7 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
 
     # the Fock heralded state carries no homodyne loss, so compare against
     # the Gaussian pipeline with ideal homodynes
-    ideal_params = bell.ExperimentParams(
-        squeezing=params.squeezing, transmittance=params.transmittance,
-        apd_efficiency=params.apd_efficiency, homodyne_efficiency=1.0,
-        angles=params.angles)
+    ideal_params = replace(params, homodyne_efficiency=1.0)
     ideal_state = conditioning.conditional_state(ideal_params.output_covariance())
     direction = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     offsets = np.linspace(-3.0, 3.0, 41)
@@ -312,7 +308,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if overrides:
-            from dataclasses import replace
             cfg = replace(cfg, **overrides)
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:

@@ -6,15 +6,16 @@ on the homodyne modes: the inclusion-exclusion expansion of the two
 click projectors contributes one term per vacuum-kernel combination,
 with integer weights (1, -2, -2, 4).
 
-In this pipeline x and p decouple and the p-block is D x D with
-D = diag(1, -1, 1, -1), so the conditioning runs on the 4x4
-x-quadrature covariance (x_A, x_B, x_C, x_D) alone.  The p-part of every
-matrix involved is the D-flip of its x-part, with the same spectrum and
-determinant: each 8x8 or 4x4 determinant is the square of its x-part's,
-and each positive-definiteness or condition check on it is the same check
-on the x-part.  `heralded_terms` conditions a stack of x-blocks in one
-array call and returns, per row, the heralding probability P and four
-(w_j, var_A, var_B, cov_AB) terms; `conditional_state` is a batch of one.
+The conditioning runs on the 4x4 x-quadrature covariance
+X = (x_A, x_B, x_C, x_D) of `gaussian.x_block`, the package's
+representation of the source.  The p-part of every matrix involved is
+the D-flip of its x-part, D = diag(1, -1, 1, -1), with the same spectrum
+and determinant: each 8x8 or 4x4 determinant is the square of its
+x-part's, and each positive-definiteness or condition check on it is the
+same check on the x-part.  `heralded_terms` conditions a stack of
+x-blocks in one array call and returns, per row, the heralding
+probability P and four (w_j, var_A, var_B, cov_AB) terms;
+`conditional_state` reads one row as a `SignedGaussianMixture`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ import numpy as np
 from . import gaussian
 from .errors import (CVBellError, DomainError, InvalidRegimeError,
                      SingularMatrixError)
+
+#: largest eigenvalue condition number of a matrix the conditioning uses
+CONDITION_LIMIT = 1e12
 
 #: inclusion-exclusion weights of (no kernel, C vacuum, D vacuum, CD vacuum)
 CLICK_WEIGHTS = (1, -2, -2, 4)
@@ -46,30 +50,21 @@ STRUCTURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class MixtureTerm:
-    """One signed Gaussian: weight * exp(-r^T precision r) / detector_det_root."""
-
-    weight: int
-    precision: np.ndarray       # 4x4, quadratures (x_A, p_A, x_B, p_B)
-    detector_det_root: float    # sqrt(det of the augmented detector block)
-
-
-@dataclass(frozen=True)
 class SignedGaussianMixture:
-    """Wigner function of the heralded two-mode state.
+    """Wigner function of the heralded two-mode state, one row of
+    `HeraldedTerms`: at r = (x_A, p_A, x_B, p_B),
 
-    W(r) = prefactor * sum_j weight_j / detector_det_root_j
-           * exp(-r^T precision_j r)
+    W(r) = prefactor * sum_j q_j / detector_det_roots_j * exp(-r^T R_j r)
 
-    `weights` are the normalized signed masses of the terms and
-    `covariances` their 4x4 covariances as normalized Gaussians.
+    with q_j the CLICK_WEIGHTS and R_j = from_x_block(precisions_j).
     """
 
-    terms: tuple[MixtureTerm, ...]
-    prefactor: float
     success_prob: float
-    weights: np.ndarray         # (4,), sums to 1
-    covariances: np.ndarray     # (4, 4, 4)
+    weights: np.ndarray             # (4,), sums to 1
+    covariances: np.ndarray         # (4, 2, 2)
+    precisions: np.ndarray          # (4, 2, 2), x-part of each precision
+    detector_det_roots: np.ndarray  # (4,)
+    prefactor: float
 
 
 @dataclass(frozen=True)
@@ -113,19 +108,39 @@ def _refuse(errors: list, rows: np.ndarray, make) -> None:
             errors[i] = make(i)
 
 
+def spd_error(lowest, highest) -> SingularMatrixError | None:
+    """Refusal of a symmetric matrix with extreme eigenvalues (lowest,
+    highest): not positive definite, or eigenvalue condition number above
+    CONDITION_LIMIT.  None when the matrix is usable."""
+    if not lowest > 0.0:
+        return SingularMatrixError("matrix is not positive definite",
+                                   condition_estimate=float("inf"))
+    cond = highest / lowest
+    if not cond <= CONDITION_LIMIT:
+        return SingularMatrixError("matrix too ill-conditioned to invert",
+                                   condition_estimate=float(cond))
+    return None
+
+
+def spd_refused(lowest: np.ndarray, highest: np.ndarray) -> np.ndarray:
+    """Elementwise form of `spd_error`: True where it refuses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~((lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT))
+
+
 def _refuse_spd(errors: list, lowest: np.ndarray, highest: np.ndarray) -> None:
-    """Refuse the rows holding a matrix that `gaussian.spd_error` refuses.
+    """Refuse the rows holding a matrix that `spd_error` refuses.
 
     lowest and highest are the extreme eigenvalues, shape (n,) or (n, 4);
     the first refused term of a row names its error.
     """
     if lowest.ndim == 1:
         lowest, highest = lowest[:, None], highest[:, None]
-    refused = gaussian.spd_refused(lowest, highest)
+    refused = spd_refused(lowest, highest)
 
     def make(i):
         j = int(np.argmax(refused[i]))
-        return gaussian.spd_error(lowest[i, j], highest[i, j])
+        return spd_error(lowest[i, j], highest[i, j])
 
     _refuse(errors, refused.any(axis=1), make)
 
@@ -262,43 +277,34 @@ def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
     terms = heralded_terms(x[None])
     if terms.errors[0] is not None:
         raise terms.errors[0]
-    precisions = gaussian.from_x_block(terms.precisions[0])
-    roots = terms.detector_det_roots[0]
     success = float(terms.success_prob[0])
     return SignedGaussianMixture(
-        terms=tuple(MixtureTerm(weight=q, precision=prec,
-                                detector_det_root=float(root))
-                    for q, prec, root in zip(CLICK_WEIGHTS, precisions, roots)),
-        prefactor=1.0 / (np.pi ** 2 * success * float(terms.det_x[0])),
         success_prob=success, weights=terms.weights[0],
-        covariances=gaussian.from_x_block(terms.covariances[0]))
-
-
-def success_probability(cov_out: np.ndarray) -> float:
-    """Probability that both tap detectors click."""
-    return conditional_state(cov_out).success_prob
-
-
-def normalized_term_weights(state: SignedGaussianMixture) -> np.ndarray:
-    """Signed masses of the four terms; they sum to 1."""
-    return state.weights.copy()
-
-
-def term_covariances(state: SignedGaussianMixture) -> np.ndarray:
-    """4x4 covariance of each term viewed as a normalized Gaussian, shape (4,4,4)."""
-    return state.covariances.copy()
+        covariances=terms.covariances[0], precisions=terms.precisions[0],
+        detector_det_roots=terms.detector_det_roots[0],
+        prefactor=1.0 / (np.pi ** 2 * success * float(terms.det_x[0])))
 
 
 def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray:
-    """Evaluate W at phase-space points of shape (..., 4)."""
+    """Evaluate W at phase-space points of shape (..., 4).
+
+    Each term's exponent is the full quadratic form r^T R_j r with the 4x4
+    precision R_j = from_x_block(precisions_j).  The expanded 2x2 form
+    a (x_A^2 + p_A^2) + 2 b (x_A x_B - p_A p_B) + c (x_B^2 + p_B^2) is the
+    same algebra but rounds differently, and where W crosses zero the
+    signed terms cancel and magnify that: it moves 43 of the 121 `fig2a`
+    values in their 12-digit text, by up to 7.5e-11 relative.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 4:
         raise DomainError("phase-space points must have 4 components")
     flat = pts.reshape(-1, 4)
     total = np.zeros(flat.shape[0])
-    for term in state.terms:
-        quad = np.einsum("ni,ij,nj->n", flat, term.precision, flat)
-        total += term.weight / term.detector_det_root * np.exp(-quad)
+    precisions = gaussian.from_x_block(state.precisions)
+    for q, precision, root in zip(CLICK_WEIGHTS, precisions,
+                                  state.detector_det_roots):
+        quad = np.einsum("ni,ij,nj->n", flat, precision, flat)
+        total += q / root * np.exp(-quad)
     return (state.prefactor * total).reshape(pts.shape[:-1])
 
 

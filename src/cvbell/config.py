@@ -13,13 +13,7 @@ import numpy as np
 
 from .bell import DEFAULT_ANGLES, ExperimentParams
 from .errors import ConfigError
-
-#: config/CLI axis names -> ExperimentParams field names
-AXIS_KEYS = {
-    "lambda": "squeezing",
-    "eta": "apd_efficiency",
-    "eta_bhd": "homodyne_efficiency",
-}
+from .gaussian import PARAMS, SWEEP_KEYS
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -53,9 +47,9 @@ class RunConfig:
                 f"output format must be one of {OUTPUT_FORMATS}, "
                 f"got {self.output_format!r}")
         if self.sweep_axis:
-            if self.sweep_axis not in AXIS_KEYS:
+            if self.sweep_axis not in SWEEP_KEYS:
                 raise ConfigError(
-                    f"sweep axis must be one of {tuple(AXIS_KEYS)}, "
+                    f"sweep axis must be one of {tuple(SWEEP_KEYS)}, "
                     f"got {self.sweep_axis!r}")
             if not self.sweep_min < self.sweep_max:
                 raise ConfigError("sweep requires min < max")
@@ -66,11 +60,8 @@ class RunConfig:
 
     def params(self) -> ExperimentParams:
         return ExperimentParams(
-            squeezing=self.squeezing,
-            transmittance=self.transmittance,
-            apd_efficiency=self.apd_efficiency,
-            homodyne_efficiency=self.homodyne_efficiency,
-            angles=(self.theta1, self.theta2, self.phi1, self.phi2))
+            **{name: getattr(self, name) for name in PARAMS},
+            angles=tuple(getattr(self, key) for key in _ANGLE_KEYS))
 
     def sweep_grid(self) -> np.ndarray:
         if not self.sweep_axis:
@@ -78,40 +69,24 @@ class RunConfig:
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_steps)
 
 
-_PARAM_KEYS = {
-    "lambda": "squeezing",
-    "T": "transmittance",
-    "eta": "apd_efficiency",
-    "eta_bhd": "homodyne_efficiency",
-    "theta1": "theta1",
-    "theta2": "theta2",
-    "phi1": "phi1",
-    "phi2": "phi2",
-}
-
-_REQUIRED_PARAMS = ("lambda", "T", "eta", "eta_bhd")
+_ANGLE_KEYS = ("theta1", "theta2", "phi1", "phi2")
 
 
-def _get_float(section, key: str, section_name: str) -> float:
+def _get_float(section, key: str, section_name: str, integer=False):
+    """section[key] as a float, or truncated to an int when integer."""
     try:
-        return float(section[key])
+        value = float(section[key])
+        return int(value) if integer else value
     except KeyError:
         raise ConfigError(f"missing required field {key!r} in [{section_name}]")
     except ValueError:
         raise ConfigError(
-            f"field {key!r} in [{section_name}] is not a number: "
-            f"{section[key]!r}")
+            f"field {key!r} in [{section_name}] is not "
+            f"{'an integer' if integer else 'a number'}: {section[key]!r}")
 
 
 def _get_int(section, key: str, section_name: str) -> int:
-    try:
-        return int(float(section[key]))
-    except KeyError:
-        raise ConfigError(f"missing required field {key!r} in [{section_name}]")
-    except ValueError:
-        raise ConfigError(
-            f"field {key!r} in [{section_name}] is not an integer: "
-            f"{section[key]!r}")
+    return _get_float(section, key, section_name, integer=True)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -126,9 +101,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("missing required section [params]")
     sec = parser["params"]
     values = {}
-    for key in _REQUIRED_PARAMS:
-        values[_PARAM_KEYS[key]] = _get_float(sec, key, "params")
-    for key in ("theta1", "theta2", "phi1", "phi2"):
+    for name, param in PARAMS.items():
+        values[name] = _get_float(sec, param.key, "params")
+    for key in _ANGLE_KEYS:
         if key in sec:
             values[key] = _get_float(sec, key, "params")
     if "output" in parser:
@@ -172,16 +147,10 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser["params"] = {
-        "lambda": repr(cfg.squeezing),
-        "T": repr(cfg.transmittance),
-        "eta": repr(cfg.apd_efficiency),
-        "eta_bhd": repr(cfg.homodyne_efficiency),
-        "theta1": repr(cfg.theta1),
-        "theta2": repr(cfg.theta2),
-        "phi1": repr(cfg.phi1),
-        "phi2": repr(cfg.phi2),
-    }
+    params = {param.key: repr(getattr(cfg, name))
+              for name, param in PARAMS.items()}
+    params.update((key, repr(getattr(cfg, key))) for key in _ANGLE_KEYS)
+    parser["params"] = params
     parser["output"] = {"path": cfg.output_path, "format": cfg.output_format}
     parser["mc"] = {
         "n_target_events": str(cfg.n_target_events),

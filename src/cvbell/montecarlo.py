@@ -7,13 +7,13 @@ and CHSH estimation with propagated standard errors.
 
 Randomness is organized around counter-based Philox streams, one per
 party per fixed-size event block, so the heralding, Alice and Bob
-histories are independent and the results do not depend on how blocks
-are distributed over workers.
+histories are independent and the results do not depend on the order in
+which blocks are simulated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,32 +77,20 @@ class MCResult:
 
 
 @dataclass(frozen=True)
-class Envelope:
+class Envelope(BivariateMixture):
     """Dominating mixture for rejection sampling from a signed marginal.
 
-    Two inflated Gaussians built from the positive-weight terms dominate
-    the target after scaling by `bound`; `accept_rate` is the exact
-    expected acceptance 1/bound.
+    Two inflated Gaussians built from the positive-weight terms (weights
+    (2,), covariances (2, 2, 2)) dominate the target after scaling by
+    `bound`; `accept_rate` is the exact expected acceptance 1/bound.
     """
 
-    weights: np.ndarray      # (2,) mixture weights, sum 1
-    covariances: np.ndarray  # (2, 2, 2)
     chols: np.ndarray        # (2, 2, 2) lower Cholesky factors
     bound: float
 
     @property
     def accept_rate(self) -> float:
         return 1.0 / self.bound
-
-    def density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        out = np.zeros_like(x, dtype=float)
-        for w, cov in zip(self.weights, self.covariances):
-            det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-            quad = (cov[1, 1] * x * x - 2.0 * cov[0, 1] * x * y
-                    + cov[0, 0] * y * y) / det
-            out += w * np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
-        return out
 
 
 def build_envelope(marginal: BivariateMixture,
@@ -148,15 +136,17 @@ def build_envelope(marginal: BivariateMixture,
         raise EnvelopeError(
             f"envelope acceptance rate 1/{bound:.1f} is below "
             f"{MIN_ACCEPTANCE:.0%}; the dominating constant is unusable")
-    return Envelope(weights=env.weights, covariances=env.covariances,
-                    chols=env.chols, bound=bound)
+    return replace(env, bound=bound)
 
 
-def _propose(env: Envelope, comp_u: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Map uniform/normal draws to envelope proposals, shape (n, 2)."""
+def _propose(env: Envelope, marginal: BivariateMixture, comp_u: np.ndarray,
+             normals: np.ndarray, acc_u: np.ndarray):
+    """Map uniform/normal draws to envelope proposals, shape (n, 2), and
+    flag those the rejection step against marginal accepts."""
     comp = (comp_u >= env.weights[0]).astype(int)
-    chol = env.chols[comp]
-    return np.einsum("nij,nj->ni", chol, normals)
+    pts = np.einsum("nij,nj->ni", env.chols[comp], normals)
+    target = marginal.density(pts[:, 0], pts[:, 1])
+    return pts, acc_u * env.bound * env.density(pts[:, 0], pts[:, 1]) < target
 
 
 def sample_joint_quadratures(marginal: BivariateMixture, n: int,
@@ -178,9 +168,7 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
         comp_u = rng.random(batch)
         normals = rng.standard_normal((batch, 2))
         acc_u = rng.random(batch)
-        pts = _propose(env, comp_u, normals)
-        target = marginal.density(pts[:, 0], pts[:, 1])
-        accept = acc_u * env.bound * env.density(pts[:, 0], pts[:, 1]) < target
+        pts, accept = _propose(env, marginal, comp_u, normals, acc_u)
         good = pts[accept]
         take = min(len(good), n - filled)
         out[filled:filled + take] = good[:take]
@@ -226,11 +214,8 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
             rows = pending & (pair == idx)
             if not rows.any():
                 continue
-            env = envelopes[idx]
-            pts = _propose(env, comp_u[rows], normals[rows])
-            target = marginals[idx].density(pts[:, 0], pts[:, 1])
-            envd = env.density(pts[:, 0], pts[:, 1])
-            ok = acc_u[rows] * env.bound * envd < target
+            pts, ok = _propose(envelopes[idx], marginals[idx], comp_u[rows],
+                               normals[rows], acc_u[rows])
             take = np.flatnonzero(rows)[ok]
             samples[take] = pts[ok]
             pending[take] = False
@@ -251,13 +236,14 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     return int(gaps.sum()), counts, sums
 
 
-def run_protocol(config: ProtocolConfig, threads: int = 1) -> MCResult:
+def run_protocol(config: ProtocolConfig) -> MCResult:
     """Simulate pulses until the target number of heralded events.
 
     Each pulse heralds with the pipeline's double-click probability; on
     success both parties draw a setting and a quadrature sample is taken
-    from the corresponding joint marginal.  Results are bit-identical for
-    a given seed regardless of `threads`.
+    from the corresponding joint marginal.  Each block of BLOCK_EVENTS
+    events draws from its own streams, so the totals do not depend on the
+    order in which the blocks are simulated.
     """
     params = config.params
     state = conditioning.conditional_state(params.output_covariance())
@@ -269,28 +255,12 @@ def run_protocol(config: ProtocolConfig, threads: int = 1) -> MCResult:
     choice_probs = np.asarray(config.angle_choice_probs)
 
     n = config.n_target_events
-    blocks = [(b, min(BLOCK_EVENTS, n - b * BLOCK_EVENTS))
-              for b in range((n + BLOCK_EVENTS - 1) // BLOCK_EVENTS)]
-
-    def work(block_size):
-        block, size = block_size
-        return _simulate_block(config.seed, block, size, state.success_prob,
-                               choice_probs, envelopes, marginals)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, blocks))
-    else:
-        results = [work(b) for b in blocks]
-
-    total_pulses = 0
-    counts = np.zeros((2, 2), dtype=np.int64)
-    sums = np.zeros((2, 2))
-    for pulses, block_counts, block_sums in results:
-        total_pulses += pulses
-        counts += block_counts
-        sums += block_sums
+    results = [_simulate_block(config.seed, block,
+                               min(BLOCK_EVENTS, n - block * BLOCK_EVENTS),
+                               state.success_prob, choice_probs, envelopes,
+                               marginals)
+               for block in range((n + BLOCK_EVENTS - 1) // BLOCK_EVENTS)]
+    total_pulses, counts, sums = (sum(parts) for parts in zip(*results))
 
     populated = counts > 0
     correlators = np.divide(sums, counts, out=np.zeros_like(sums),

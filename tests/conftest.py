@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvbell import bell, conditioning, fock, gaussian
+from cvbell import bell, conditioning, fock, montecarlo
 
 #: operating point quoted for a feasible experiment
 REALISTIC = dict(squeezing=0.6, transmittance=0.95, apd_efficiency=0.3,
@@ -57,10 +57,20 @@ def integrate_mixture_2d(marginal, sigma_range=8.0, nodes=128):
     return float((ws * sx) @ dens @ (ws * sy))
 
 
-def component_covariance(lam, t, eta, eta_bhd):
-    """8x8 output covariance composed from the single-step constructors."""
-    cov = gaussian.embed_with_vacuum_ancillas(gaussian.tmsv_covariance(lam))
-    s = gaussian.beamsplitter_symplectic(t, ("A", "C")) \
-        @ gaussian.beamsplitter_symplectic(t, ("B", "D"))
-    return gaussian.apply_channel(gaussian.apply_symplectic(cov, s),
-                                  gaussian.detector_loss_channel(eta_bhd, eta))
+
+def reversed_block_totals(config):
+    """run_protocol(config) and the (pulses, counts, product sums) of its
+    event blocks, simulated again one by one in reverse order."""
+    calls = []
+    simulate = montecarlo._simulate_block
+
+    def record(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_simulate_block", record)
+        result = montecarlo.run_protocol(config)
+    assert len(calls) > 1
+    blocks = [simulate(*args) for args in reversed(calls)]
+    return result, tuple(sum(parts) for parts in zip(*blocks))

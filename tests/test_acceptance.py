@@ -7,9 +7,10 @@ criterion's assertions are exactly its stated bands, nothing looser.
 import time
 
 import numpy as np
-import pytest
 
 from cvbell import bell, conditioning, fock, gaussian, montecarlo
+from conftest import reversed_block_totals
+import symplectic_reference as ref
 
 REALISTIC = bell.ExperimentParams(squeezing=0.6, transmittance=0.95,
                                   apd_efficiency=0.3, homodyne_efficiency=0.95)
@@ -165,7 +166,7 @@ def test_criterion_9_structural_invariants():
                                  (0.65, 0.99, 1.0, 0.95)]:
         cov = gaussian.output_covariance(lam, t, eta, eta_bhd)
         physical &= bool(np.max(np.abs(cov - cov.T)) < 1e-12)
-        physical &= bool(np.all(gaussian.symplectic_eigenvalues(cov)
+        physical &= bool(np.all(ref.symplectic_eigenvalues(cov)
                                 >= 1.0 - 1e-9))
     checks.append(("covariance physicality", physical))
 
@@ -207,20 +208,19 @@ def test_criterion_9_structural_invariants():
         tsirelson &= bool(abs(bell.chsh(params).S) <= 2.0 * np.sqrt(2.0) + 1e-9)
     checks.append(("Tsirelson bound", tsirelson))
 
-    # seed determinism and shard independence of the protocol simulation
+    # seed determinism and block-order independence of the protocol run
     config = montecarlo.ProtocolConfig(params=REALISTIC,
                                        n_target_events=20_000, seed=4242)
-    a = montecarlo.run_protocol(config)
+    a, (pulses, counts, sums) = reversed_block_totals(config)
     b = montecarlo.run_protocol(config)
-    sharded = montecarlo.run_protocol(config, threads=4)
     determinism = (a.S_hat == b.S_hat
                    and np.array_equal(a.counts, b.counts)
                    and a.total_pulses == b.total_pulses)
-    shard_free = (a.S_hat == sharded.S_hat
-                  and np.array_equal(a.counts, sharded.counts)
-                  and a.total_pulses == sharded.total_pulses)
+    order_free = (pulses == a.total_pulses
+                  and np.array_equal(counts, a.counts)
+                  and np.array_equal(sums, a.product_sums))
     checks.append(("seed determinism", determinism))
-    checks.append(("shard-count independence", shard_free))
+    checks.append(("block-order independence", order_free))
 
     ok = all(passed for _, passed in checks)
     detail = ", ".join(f"{name}: {'ok' if passed else 'FAILED'}"

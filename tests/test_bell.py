@@ -6,7 +6,8 @@ import pytest
 
 from cvbell import bell, conditioning, gaussian
 from cvbell.errors import CVBellError, DomainError, InvalidRegimeError
-from conftest import component_covariance, integrate_mixture_2d
+from conftest import integrate_mixture_2d
+import symplectic_reference as ref
 
 # ---------------------------------------------------------------------------
 # per-term 8x8 reference: the conditioning the x-block kernel replaces (full
@@ -20,19 +21,19 @@ REF_KERNELS = (np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0]),
 
 def reference_chsh(params):
     """(correlators, S, P) of params through the 8x8 per-term pipeline."""
-    cov = component_covariance(params.squeezing, params.transmittance,
-                               params.apd_efficiency,
-                               params.homodyne_efficiency)
-    inv = gaussian.spd_inverse(cov)
+    cov = ref.component_covariance(params.squeezing, params.transmittance,
+                                   params.apd_efficiency,
+                                   params.homodyne_efficiency)
+    inv = ref.spd_inverse(cov)
     homodyne, coupling, detector = inv[:4, :4], inv[:4, 4:], inv[4:, 4:]
     masses, covs = [], []
     for q, kernel in zip(conditioning.CLICK_WEIGHTS, REF_KERNELS):
         block = detector + np.diag(kernel)
-        reduced = homodyne - coupling @ gaussian.spd_inverse(block) @ coupling.T
+        reduced = homodyne - coupling @ ref.spd_inverse(block) @ coupling.T
         precision = 0.5 * (reduced + reduced.T)
         masses.append(q / (np.sqrt(np.linalg.det(precision))
                            * np.sqrt(np.linalg.det(block))))
-        covs.append(gaussian.spd_inverse(precision) / 2.0)
+        covs.append(ref.spd_inverse(precision) / 2.0)
     success = sum(masses) / np.sqrt(np.linalg.det(cov))
     if not success >= conditioning.MIN_SUCCESS_PROB:
         raise InvalidRegimeError(f"heralding probability {success:.3e}")
@@ -212,19 +213,12 @@ class TestChsh:
         # flipping the sign of both tap arms is a phase choice; observables
         # must not move
         p = realistic_params
-        cov = gaussian.embed_with_vacuum_ancillas(
-            gaussian.tmsv_covariance(p.squeezing))
-        s = gaussian.beamsplitter_symplectic(p.transmittance, ("A", "C")) \
-            @ gaussian.beamsplitter_symplectic(p.transmittance, ("B", "D"))
-        flip = np.diag([1.0] * 4 + [-1.0] * 4)
-        channel = gaussian.detector_loss_channel(p.homodyne_efficiency,
-                                                 p.apd_efficiency)
-        cov_std = gaussian.apply_channel(gaussian.apply_symplectic(cov, s),
-                                         channel)
-        cov_flip = gaussian.apply_channel(
-            gaussian.apply_symplectic(cov, flip @ s @ flip), channel)
-        state_std = conditioning.conditional_state(cov_std)
-        state_flip = conditioning.conditional_state(cov_flip)
+        args = (p.squeezing, p.transmittance, p.apd_efficiency,
+                p.homodyne_efficiency)
+        state_std = conditioning.conditional_state(
+            ref.component_covariance(*args))
+        state_flip = conditioning.conditional_state(
+            ref.component_covariance(*args, flip_taps=True))
         for theta, phi in [(0.0, -np.pi / 4), (np.pi / 2, np.pi / 4)]:
             e_std = bell.sign_correlation(
                 bell.rotated_marginal(state_std, theta, phi))

@@ -29,14 +29,17 @@ class TestConditionalState:
             conditioning.conditional_state(cov)
 
     def test_click_weights(self, cut_state):
-        assert tuple(t.weight for t in cut_state.terms) == (1, -2, -2, 4)
+        assert conditioning.CLICK_WEIGHTS == (1, -2, -2, 4)
+        # each term's signed mass carries the sign of its click weight
+        assert np.array_equal(np.sign(cut_state.weights),
+                              np.sign(conditioning.CLICK_WEIGHTS))
 
     def test_term_shapes(self, cut_state):
-        for term in cut_state.terms:
-            assert np.max(np.abs(term.precision - term.precision.T)) < 1e-12
-            assert term.detector_det_root > 0
+        for precision in gaussian.from_x_block(cut_state.precisions):
+            assert np.max(np.abs(precision - precision.T)) < 1e-12
+        assert np.all(cut_state.detector_det_roots > 0)
         # the kernel-free term is the unconditioned marginal: positive definite
-        assert np.all(np.linalg.eigvalsh(cut_state.terms[0].precision) > 0)
+        assert np.all(np.linalg.eigvalsh(cut_state.precisions[0]) > 0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(squeezing=0.5, transmittance=0.95, apd_efficiency=0.3,
@@ -107,16 +110,13 @@ class TestHeraldedTerms:
         state = conditioning.conditional_state(cov)
         terms = conditioning.heralded_terms(cov[None, 0::2, 0::2])
         assert state.success_prob == terms.success_prob[0]
-        assert np.array_equal(conditioning.normalized_term_weights(state),
-                              terms.weights[0])
-        covs = conditioning.term_covariances(state)
-        assert np.array_equal(covs[:, 0::2, 0::2], terms.covariances[0])
-        flip = np.diag([1.0, -1.0])
-        assert np.array_equal(covs[:, 1::2, 1::2],
-                              flip @ terms.covariances[0] @ flip)
-        for term, precision in zip(state.terms, terms.precisions[0]):
-            assert np.array_equal(term.precision[0::2, 0::2], precision)
-            assert np.all(term.precision[0::2, 1::2] == 0.0)
+        assert np.array_equal(state.weights, terms.weights[0])
+        assert np.array_equal(state.covariances, terms.covariances[0])
+        assert np.array_equal(state.precisions, terms.precisions[0])
+        assert np.array_equal(state.detector_det_roots,
+                              terms.detector_det_roots[0])
+        assert state.prefactor == 1.0 / (np.pi ** 2 * state.success_prob
+                                         * terms.det_x[0])
 
     def test_coupled_input_raises(self, realistic_params):
         cov = realistic_params.output_covariance()
@@ -142,7 +142,7 @@ class TestSuccessProbability:
 
     def test_order_of_magnitude_estimate(self):
         cov = gaussian.output_covariance(0.6, 0.95, 0.3, 1.0)
-        p = conditioning.success_probability(cov)
+        p = conditioning.conditional_state(cov).success_prob
         estimate = 0.3 ** 2 * (1.0 - 0.95) ** 2
         assert 0.1 < p / estimate < 10.0
 
@@ -151,15 +151,15 @@ class TestSuccessProbability:
         assert abs(realistic_state.success_prob - p_click) / p_click < 1e-3
 
     def test_independent_of_homodyne_efficiency(self):
-        p_full = conditioning.success_probability(
-            gaussian.output_covariance(0.6, 0.95, 0.3, 1.0))
-        p_lossy = conditioning.success_probability(
-            gaussian.output_covariance(0.6, 0.95, 0.3, 0.85))
+        p_full = conditioning.conditional_state(
+            gaussian.output_covariance(0.6, 0.95, 0.3, 1.0)).success_prob
+        p_lossy = conditioning.conditional_state(
+            gaussian.output_covariance(0.6, 0.95, 0.3, 0.85)).success_prob
         assert p_full == pytest.approx(p_lossy, rel=1e-10)
 
     def test_decreases_with_transmittance(self):
-        probs = [conditioning.success_probability(
-            gaussian.output_covariance(0.5, t, 0.3, 1.0))
+        probs = [conditioning.conditional_state(
+            gaussian.output_covariance(0.5, t, 0.3, 1.0)).success_prob
             for t in (0.90, 0.925, 0.95, 0.975, 0.99)]
         assert all(a > b for a, b in zip(probs, probs[1:]))
 
@@ -198,7 +198,7 @@ class TestWignerProperties:
                 assert dens.min() > -1e-9
 
     def test_normalized_weights_sum_to_one(self, realistic_state):
-        weights = conditioning.normalized_term_weights(realistic_state)
+        weights = realistic_state.weights
         assert abs(weights.sum() - 1.0) < 1e-9
         # the kernel-free term carries weight 1/P, the rest nearly cancel
         assert weights[0] == pytest.approx(1.0 / realistic_state.success_prob,

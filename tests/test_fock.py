@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from cvbell import bell, conditioning, fock, gaussian
+from cvbell import bell, conditioning, fock
 from cvbell.errors import DomainError, InvalidRegimeError, TruncationError
+import symplectic_reference as ref
 
 # ---------------------------------------------------------------------------
 # dense (n, n, n, n) references: the direct photon-number-basis computations
@@ -183,7 +184,7 @@ class TestStates:
 
     def test_second_moments_match_covariance(self):
         for lam in (0.0, 0.3, 0.5):
-            cov = gaussian.tmsv_covariance(lam)
+            cov = ref.tmsv_covariance(lam)
             moments = fock.second_moments(fock.tmsv_state(lam, 60))
             assert np.max(np.abs(cov - moments)) < 1e-8
 

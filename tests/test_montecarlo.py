@@ -5,6 +5,7 @@ from scipy import stats
 from cvbell import bell, montecarlo
 from cvbell.errors import DomainError, EnvelopeError
 from cvbell.montecarlo import MCResult, ProtocolConfig
+from conftest import reversed_block_totals
 
 
 def unit_gaussian_mixture():
@@ -148,12 +149,12 @@ class TestRunProtocol:
         assert np.array_equal(a.product_sums, b.product_sums)
         assert a.total_pulses == b.total_pulses
 
-    def test_shard_count_independence(self, realistic_config):
-        serial = montecarlo.run_protocol(realistic_config, threads=1)
-        sharded = montecarlo.run_protocol(realistic_config, threads=4)
-        assert serial.S_hat == sharded.S_hat
-        assert np.array_equal(serial.counts, sharded.counts)
-        assert serial.total_pulses == sharded.total_pulses
+    def test_reverse_block_order_reproduces_totals(self, realistic_config):
+        result, (pulses, counts, sums) = reversed_block_totals(
+            realistic_config)
+        assert pulses == result.total_pulses
+        assert np.array_equal(counts, result.counts)
+        assert np.array_equal(sums, result.product_sums)
 
     def test_degenerate_choice_flags_s(self, realistic_params):
         config = ProtocolConfig(params=realistic_params, n_target_events=500,

@@ -1,0 +1,34 @@
+"""The package's public surface: the README example and the import cost."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library use")[1].split("```")[1][len("python"):]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    quoted = re.findall(r"# (\d+\.\d+)\.*, (\d+\.\d+(?:e-\d+)?)", code)
+    assert quoted == [("2.011", "2.61e-4"), ("0.573", "2.046")]
+    # each printed value holds the digits of its comment, to one unit
+    for value, text in zip(printed, [v for pair in quoted for v in pair],
+                           strict=True):
+        mantissa, _, exponent = text.partition("e")
+        unit = 10.0 ** (int(exponent or 0) - len(mantissa.split(".")[1]))
+        assert abs(value - float(text)) < unit
+
+
+def test_import_does_not_load_scipy_linalg():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = ("import sys, cvbell, cvbell.cli; "
+             "print('scipy.linalg' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
