@@ -2,19 +2,22 @@
 
 Everything here is computed independently of the covariance-matrix
 pipeline.  Pure states are amplitude arrays over photon numbers and beam
-splitters act through binomial amplitude tables.  The heralded state, and
-pure loss on either of its modes, keep the photon-number difference
-Delta = n_A - n_B of each ket and bra equal, so a mixed state is stored as
-its Delta-blocks: an array of shape (2N-1, N, N) with
+splitters act through binomial amplitude tables.  The heralded state
+keeps the photon-number difference Delta = n_A - n_B of each ket and bra
+equal, so a mixed state is stored as its Delta-blocks: an array of shape
+(2N-1, N, N) with
 
     blocks[Delta + N - 1, a, c] = <a, a - Delta| rho |c, c - Delta>,
 
 O(N^3) numbers instead of the dense O(N^4) array.  Click conditioning
-builds each block with one product over the tap photon counts, loss is a
-batched product with the Kraus weights, and homodyne statistics come from
-the Gauss-Legendre sign operator S = sum_x h(x) w(x) sgn(x) h(x)^T of the
-Hermite functions h, contracted with each block as
-E = sum R[Delta, a, c] e^{i(theta+phi)(a-c)} S[a, c] S[a-Delta, c-Delta].
+builds each block with one product over the tap photon counts.  Homodyne
+statistics come from the Gauss-Legendre sign operator
+S = sum_x h(x) w(x) sgn(x) h(x)^T of the Hermite functions h.  Homodyne
+loss acts on S, not on the state: its dual map
+L^dagger S[a, c] = sum_l t(a, l) t(c, l) S[a - l, c - l], with t the
+beam-splitter amplitudes, is one N x N matrix, and the correlator is
+E = sum R[Delta, a, c] e^{i(theta+phi)(a-c)} L^dagger S[a, c]
+L^dagger S[a-Delta, c-Delta], contracted block by block.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
 vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
@@ -83,15 +86,14 @@ class FockState:
 
 @functools.lru_cache(maxsize=8)
 def _layout(n_trunc: int):
-    """In-range mask and the gathers between blocks and pair blocks.
+    """In-range mask and the gather from Delta-blocks to pair blocks.
 
     The pair layout of mode A, pairs[k + N - 1, a, b] = <a, b| rho |a - k,
     b - k>, holds the same entries as the Delta-blocks, grouped by the
-    ket-bra offset k that loss and phase-space transforms leave fixed; the
-    pair layout of mode B swaps its last two axes.  Returns the mask of
-    entries whose partner indices lie in [0, N) (the same for blocks and
-    pairs), their flat positions, and per mode the flat positions that the
-    blocks -> pairs and pairs -> blocks maps read them from.
+    ket-bra offset k that phase-space transforms of mode A leave fixed.
+    Returns the mask of entries whose partner indices lie in [0, N) (the
+    same for blocks and pairs), their flat positions, and the flat
+    positions in the blocks that the pair entries are read from.
     """
     n = n_trunc
     u = np.arange(1 - n, n)[:, None, None]
@@ -99,16 +101,9 @@ def _layout(n_trunc: int):
     j = np.arange(n)[None, None, :]
     valid = (i >= u) & (i - u < n) & (j >= u) & (j - u < n)
     dest = np.flatnonzero(valid)
-
-    def read(u_from, i_from, j_from):
-        flat = ((u_from + n - 1) * n + i_from) * n + j_from
-        return _readonly(np.broadcast_to(flat, valid.shape).ravel()[dest])
-
-    # entry [u, i, j] of either mode-A layout is [i - j, i, i - u] of the other
-    mode_a = read(i - j, i, i - u)
-    gathers = ((mode_a, mode_a),
-               (read(j - i, j, j - u), read(i - j, i - u, i)))
-    return _readonly(valid), _readonly(dest), gathers
+    # pair entry [u, i, j] is block entry [i - j, i, i - u]
+    source = np.broadcast_to(((i - j + n - 1) * n + i) * n + i - u, valid.shape)
+    return _readonly(valid), _readonly(dest), _readonly(source.ravel()[dest])
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,11 +115,11 @@ def _mirror_positions(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
             _readonly(np.ravel_multi_index((u, j, i), valid.shape)))
 
 
-def _relayout(array: np.ndarray, mode: int, to_pairs: bool) -> np.ndarray:
-    """Delta-blocks to the pair layout of a mode, or back."""
-    _, dest, gathers = _layout(array.shape[1])
-    out = np.zeros(array.shape, dtype=array.dtype)
-    out.reshape(-1)[dest] = array.reshape(-1)[gathers[mode][0 if to_pairs else 1]]
+def _relayout(blocks: np.ndarray) -> np.ndarray:
+    """Delta-blocks to the pair layout of mode A."""
+    _, dest, source = _layout(blocks.shape[1])
+    out = np.zeros(blocks.shape, dtype=blocks.dtype)
+    out.reshape(-1)[dest] = blocks.reshape(-1)[source]
     return out
 
 
@@ -363,57 +358,6 @@ def lossy_click_conditioning(squeezing: float, transmittance: float,
     return state, p_click
 
 
-@functools.lru_cache(maxsize=8)
-def _loss_index(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the factors t(m, l), t(m - k, l) of _loss_matrices.
-
-    They index the amplitude table zero-padded to (2N, N + 1), so factors
-    outside the truncation read zeros.
-    """
-    n = n_trunc
-    a = np.arange(n)[:, None]
-    m = np.arange(n)[None, :]
-    lost = np.where(m >= a, m - a, n)
-    bra = m - np.arange(1 - n, n)[:, None, None]
-    bra = np.where(bra >= 0, bra, 2 * n - 1)
-    return (_readonly(m * (n + 1) + lost),
-            _readonly(np.broadcast_to(bra * (n + 1) + lost,
-                                      (2 * n - 1, n, n)).copy()))
-
-
-def _loss_matrices(transmittance: float, n_trunc: int) -> np.ndarray:
-    """Kraus weights of pure loss on one mode, per ket-bra offset k.
-
-    Losing l photons maps |m><m - k| to |m - l><m - l - k| with weight
-    t(m, l) t(m - k, l); returns L[k + N - 1, a, m] for l = m - a.
-    """
-    n = n_trunc
-    table = np.zeros((2 * n, n + 1))
-    table[:n, :n] = np.abs(tap_amplitude_table(transmittance, n))
-    kept, bra = _loss_index(n)
-    flat = table.reshape(-1)
-    loss = flat[bra]
-    loss *= flat[kept]
-    return loss
-
-
-def apply_loss(blocks: np.ndarray, transmittance: float,
-               mode: int) -> np.ndarray:
-    """Pure loss on one mode of a density stored in Delta-blocks.
-
-    Losing l photons on mode A moves block Delta to Delta - l, on mode B to
-    Delta + l.  The Kraus weights come from coupling the mode to a vacuum
-    ancilla on a beam splitter of the given transmittance; they act on the
-    mode's pair layout, where the ket-bra offset is fixed, as one batched
-    real product.
-    """
-    mode = 0 if mode == 0 else 1
-    loss = _loss_matrices(transmittance, blocks.shape[1])
-    pairs = _relayout(blocks, mode, to_pairs=True)
-    lossy = (loss @ pairs.view(float)).view(complex)
-    return _relayout(lossy, mode, to_pairs=False)
-
-
 # ---------------------------------------------------------------------------
 # homodyne statistics
 
@@ -459,17 +403,56 @@ def _quadrature_matrices(n_trunc: int, n_points: int,
             _readonly(weighted @ h.T))
 
 
+def _block_kernel(op: np.ndarray) -> np.ndarray:
+    """K[Delta, a, c] = O[a, c] O[a - Delta, c - Delta] of an N x N operator O.
+
+    The kernel of O (x) O on the Delta-blocks, zero where a partner index
+    leaves [0, N).
+    """
+    n = op.shape[0]
+    kernel = np.zeros((2 * n - 1, n, n))
+    for delta in range(1 - n, n):
+        lo, hi = max(delta, 0), min(n + delta, n)
+        kernel[delta + n - 1, lo:hi, lo:hi] = (
+            op[lo:hi, lo:hi] * op[lo - delta:hi - delta, lo - delta:hi - delta])
+    return kernel
+
+
+def _loss_dual(op: np.ndarray, transmittance: float) -> np.ndarray:
+    """Dual of pure loss, L^dagger(O)[a, c] = sum_l t(a,l) t(c,l) O[a-l, c-l].
+
+    The Kraus operator that loses l photons maps |m> to t(m, l) |m - l>,
+    with t the beam-splitter amplitudes.
+    """
+    n = op.shape[0]
+    tap = np.abs(tap_amplitude_table(transmittance, n))
+    out = np.zeros_like(op)
+    for lost in range(n):
+        kept = tap[lost:, lost]
+        out[lost:, lost:] += np.outer(kept, kept) * op[:n - lost, :n - lost]
+    return out
+
+
 @functools.lru_cache(maxsize=8)
-def _block_operators(n_trunc: int, n_points: int,
-                     halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block kernels S[a, c] S[a - Delta, c - Delta] and the same for M."""
-    n = n_trunc
-    valid = _layout(n)[0]
-    u = np.arange(1 - n, n)[:, None, None]
-    bra_a = np.clip(np.arange(n)[None, :, None] - u, 0, n - 1)
-    bra_c = np.clip(np.arange(n)[None, None, :] - u, 0, n - 1)
-    return tuple(_readonly(np.where(valid, op * op[bra_a, bra_c], 0.0))
-                 for op in _quadrature_matrices(n, n_points, halfwidth))
+def _lossless_kernels(n_trunc: int, n_points: int,
+                      halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Block kernels of the sign operator S and the mass operator M."""
+    return tuple(_readonly(_block_kernel(op))
+                 for op in _quadrature_matrices(n_trunc, n_points, halfwidth))
+
+
+def _kernels(n_trunc: int, homodyne_efficiency: float, n_points: int,
+             halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Block kernels of L^dagger S and L^dagger M, what lossy homodynes measure.
+
+    No state check is needed for L(rho): L is trace preserving, keeps
+    hermiticity and never raises a photon number, so the checks
+    FockDensityMatrix ran on rho also cover it.
+    """
+    if homodyne_efficiency >= 1.0:
+        return _lossless_kernels(n_trunc, n_points, halfwidth)
+    return tuple(_block_kernel(_loss_dual(op, homodyne_efficiency))
+                 for op in _quadrature_matrices(n_trunc, n_points, halfwidth))
 
 
 def _contract(blocks: np.ndarray, kernel: np.ndarray, angle_sum: float) -> float:
@@ -479,21 +462,10 @@ def _contract(blocks: np.ndarray, kernel: np.ndarray, angle_sum: float) -> float
     return float((phase @ summed @ phase.conj()).real)
 
 
-def _homodyne_loss(rho: FockDensityMatrix,
-                   homodyne_efficiency: float) -> FockDensityMatrix:
-    """The state both homodyne detectors see, with loss on both modes."""
-    if homodyne_efficiency >= 1.0:
-        return rho
-    blocks = apply_loss(apply_loss(rho.blocks, homodyne_efficiency, 0),
-                        homodyne_efficiency, 1)
-    return FockDensityMatrix(blocks=blocks, n_trunc=rho.n_trunc)
-
-
-def _sign_correlation(rho: FockDensityMatrix, angle_sum: float,
-                      n_points: int, halfwidth: float) -> float:
-    """Sign correlator of a state that already carries its homodyne loss."""
-    sign_kernel, mass_kernel = _block_operators(rho.n_trunc, n_points,
-                                                halfwidth)
+def _sign_correlation(rho: FockDensityMatrix, kernels: tuple, angle_sum: float,
+                      halfwidth: float) -> float:
+    """Sign correlator from the sign and mass kernels of _kernels."""
+    sign_kernel, mass_kernel = kernels
     mass = _contract(rho.blocks, mass_kernel, angle_sum)
     if abs(mass - 1.0) > 1e-8:
         warnings.warn(f"quadrature mass {mass:.12f} outside [-{halfwidth}, "
@@ -510,10 +482,12 @@ def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
     The joint quadrature density integrated against sgn(x) sgn(y) on the
     glued Gauss-Legendre grid, with the sums taken over the grid first:
     a rotation by theta on mode A and phi on mode B multiplies entry
-    (a, c) of every block by e^{i(theta+phi)(a-c)}.
+    (a, c) of every block by e^{i(theta+phi)(a-c)}.  Homodyne loss L acts
+    on the measured operator, not on the state: E = Tr rho (L^dagger S
+    (x) L^dagger S), and rotations commute with pure loss.
     """
-    return _sign_correlation(_homodyne_loss(rho, homodyne_efficiency),
-                             theta + phi, n_points, halfwidth)
+    kernels = _kernels(rho.n_trunc, homodyne_efficiency, n_points, halfwidth)
+    return _sign_correlation(rho, kernels, theta + phi, halfwidth)
 
 
 def fock_chsh(rho: FockDensityMatrix,
@@ -521,8 +495,9 @@ def fock_chsh(rho: FockDensityMatrix,
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state."""
     theta1, theta2, phi1, phi2 = angles
-    lossy = _homodyne_loss(rho, homodyne_efficiency)
-    corr = [[_sign_correlation(lossy, theta + phi, GRID_POINTS, GRID_HALFWIDTH)
+    kernels = _kernels(rho.n_trunc, homodyne_efficiency, GRID_POINTS,
+                       GRID_HALFWIDTH)
+    corr = [[_sign_correlation(rho, kernels, theta + phi, GRID_HALFWIDTH)
              for phi in (phi1, phi2)] for theta in (theta1, theta2)]
     return float(chsh_value(np.array(corr)))
 
@@ -617,6 +592,6 @@ def wigner_values(rho: FockDensityMatrix, points: np.ndarray) -> np.ndarray:
     n = rho.n_trunc
     diag_a = _offset_diagonals(wigner_pair_table(n, flat[:, 0], flat[:, 1]))
     diag_b = _offset_diagonals(wigner_pair_table(n, flat[:, 2], flat[:, 3]))
-    pairs = _relayout(rho.blocks, 0, to_pairs=True)
+    pairs = _relayout(rho.blocks)
     values = np.einsum("kai,kai->i", diag_a, pairs @ diag_b)
     return values.real.reshape(pts.shape[:-1])

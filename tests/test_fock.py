@@ -282,6 +282,25 @@ class TestSignCorrelation:
         e_lossy = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 0.7)
         assert abs(e_lossy) < abs(e_full)
 
+    def test_lossy_correlator_builds_no_state(self, monkeypatch,
+                                              realistic_params,
+                                              fock_realistic):
+        rho, _ = fock_realistic
+        eta = realistic_params.homodyne_efficiency
+        expected = (fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta),
+                    fock.fock_chsh(rho, realistic_params.angles, eta))
+        built = []
+
+        class Counting(fock.FockDensityMatrix):
+            def __post_init__(self):
+                built.append(self.n_trunc)
+                super().__post_init__()
+
+        monkeypatch.setattr(fock, "FockDensityMatrix", Counting)
+        assert (fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta),
+                fock.fock_chsh(rho, realistic_params.angles, eta)) == expected
+        assert built == []
+
     def test_full_chsh_cross_check(self, realistic_params, fock_realistic):
         rho, _ = fock_realistic
         s_fock = fock.fock_chsh(rho, realistic_params.angles,
@@ -407,14 +426,23 @@ class TestDenseReferences:
         assert abs(p_click - p_dense) < 1e-12 * p_dense
 
     @pytest.mark.parametrize("mode", [0, 1])
-    def test_loss_matches_kraus_operators(self, small_pair, mode):
-        rho, _, dense, _ = small_pair
-        lossy = fock.FockDensityMatrix(
-            blocks=fock.apply_loss(rho.blocks, 0.8, mode), n_trunc=20)
-        assert np.max(np.abs(to_dense(lossy)
-                             - dense_apply_loss(dense, 0.8, mode))) < 1e-12
+    def test_loss_dual_matches_kraus_operators(self, small_pair, mode):
+        # Tr(L(rho) (O_A (x) O_B)) = Tr(rho (O_A (x) O_B)) with L^dagger
+        # applied to the operator of the lossy mode
+        _, _, dense, _ = small_pair
+        rng = np.random.default_rng(13 + mode)
+        ops = []
+        for _ in range(2):
+            z = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+            ops.append(z + z.conj().T)
+        dual = list(ops)
+        dual[mode] = fock._loss_dual(ops[mode], 0.8)
+        lossy = dense_apply_loss(dense, 0.8, mode)
+        schrodinger = np.einsum("abcd,ca,db->", lossy, *ops)
+        heisenberg = np.einsum("abcd,ca,db->", dense, *dual)
+        assert abs(schrodinger - heisenberg) < 1e-12
 
-    @pytest.mark.parametrize("eta", [1.0, 0.9])
+    @pytest.mark.parametrize("eta", [1.0, 0.9, 1.0 - 1e-6])
     def test_correlator_matches_grid_density(self, small_pair, eta):
         rho, _, dense, _ = small_pair
         for theta, phi in [(0.0, -np.pi / 4), (0.7, 0.2), (-2.5, 1.1)]:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cvbell import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,6 +24,17 @@ def test_readme_library_example_runs(capsys):
         mantissa, _, exponent = text.partition("e")
         unit = 10.0 ** (int(exponent or 0) - len(mantissa.split(".")[1]))
         assert abs(value - float(text)) < unit
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text(readme.split("```ini")[1].split("```")[0],
+                      encoding="utf-8")
+    out = tmp_path / "chsh.csv"
+    assert cli.main(["chsh", "--config", str(config), "--out", str(out)]) == 0
+    header = out.read_text(encoding="utf-8").splitlines()[0].split(",")
+    assert {"S", "P"} <= set(header)
 
 
 def test_import_does_not_load_scipy_linalg():
