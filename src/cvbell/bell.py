@@ -1,20 +1,21 @@
 """CHSH correlators from sign-binned homodyne outcomes.
 
-The heralded state is a signed mixture of four Gaussians, conditioned
-from the 4x4 x-quadrature block of the source (see `gaussian` and
-`conditioning`).  Measured at phase theta on A and phi on B, term j is a
-bivariate Gaussian with correlation coefficient c_j cos(theta + phi), and
-its sign-binned correlator follows from the Gaussian orthant probability,
-so the full correlator is the weight-averaged arcsine
+The heralded state is a signed mixture of four Gaussians, the (w_j,
+Sigma_j) terms that `conditioning.heralded_terms` conditions from the 4x4
+x-quadrature block of the source (see `gaussian`).  Measured at phase
+theta on A and phi on B, term j is a bivariate Gaussian with correlation
+coefficient c_j cos(theta + phi), c_j the correlation of Sigma_j, and its
+sign-binned correlator follows from the Gaussian orthant probability, so
+the full correlator is the weight-averaged arcsine
 
     E(theta, phi) = sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)).
 
-Four (w_j, c_j) pairs describe a parameter point.  `chsh`, `sweep` and the
-pre-scan of `optimize_lambda` evaluate whole arrays of parameter rows with
-one call of `conditioning.heralded_terms`; a single point is a batch of
-one.  `rotated_marginal` gives the bivariate mixture of one setting for
-the Monte Carlo sampler and for the 2D quadrature fallback that guards the
-closed form in the tests.
+`chsh`, `sweep` and the pre-scan of `optimize_lambda` evaluate whole
+arrays of parameter rows with one call of `conditioning.heralded_terms`;
+a single point is a batch of one.  `rotated_marginal` gives the same
+terms at one setting as a `conditioning.BivariateMixture`, for the Monte
+Carlo sampler and for the 2D quadrature fallback that guards the closed
+form in the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditioning, gaussian
+from .conditioning import BivariateMixture
 from .errors import DomainError, OptimizationError
 
 DEFAULT_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
@@ -66,25 +68,6 @@ class ExperimentParams:
         return gaussian.output_covariance(self.squeezing, self.transmittance,
                                           self.apd_efficiency,
                                           self.homodyne_efficiency)
-
-
-@dataclass(frozen=True)
-class BivariateMixture:
-    """Signed mixture of zero-mean bivariate Gaussians; weights sum to 1."""
-
-    weights: np.ndarray        # shape (4,)
-    covariances: np.ndarray    # shape (4, 2, 2)
-
-    def density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Joint density on a broadcastable grid of quadrature values."""
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        out = np.zeros_like(x, dtype=float)
-        for w, cov in zip(self.weights, self.covariances):
-            det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-            quad = (cov[1, 1] * x * x - 2.0 * cov[0, 1] * x * y
-                    + cov[0, 0] * y * y) / det
-            out += w * np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
-        return out
 
 
 @dataclass(frozen=True)
@@ -134,8 +117,7 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
 
 def sign_correlation(marginal: BivariateMixture) -> float:
     """Closed-form sign-binned correlator of a signed Gaussian mixture."""
-    covs = marginal.covariances
-    rho = covs[:, 0, 1] / np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
+    rho = conditioning.correlation_coefficients(marginal.covariances)
     return float(_arcsine_mean(marginal.weights, rho))
 
 

@@ -36,6 +36,9 @@ SWEET_PRODUCT = 0.57
 
 FIG2_TRANSMITTANCES = (0.9, 0.95, 0.99)
 
+#: direction of the published Wigner-function cut, (x_A, p_A, x_B, p_B)
+CUT_DIRECTION = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+
 
 def fmt(value) -> str:
     """Fixed 12-significant-digit rendering for floats."""
@@ -138,9 +141,8 @@ def _fig2_panel_a() -> list[dict]:
     params = bell.ExperimentParams(squeezing=0.5, transmittance=0.95,
                                    apd_efficiency=0.3, homodyne_efficiency=1.0)
     state = conditioning.conditional_state(params.output_covariance())
-    direction = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     offsets = np.linspace(-3.0, 3.0, 121)
-    cut = conditioning.wigner_cut(state, direction, offsets)
+    cut = conditioning.wigner_cut(state, CUT_DIRECTION, offsets)
     return [{"axis": float(offset), "series": "wigner_cut", "value": float(w)}
             for offset, w in cut]
 
@@ -231,9 +233,8 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     # the Gaussian pipeline with ideal homodynes
     ideal_params = replace(params, homodyne_efficiency=1.0)
     ideal_state = conditioning.conditional_state(ideal_params.output_covariance())
-    direction = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     offsets = np.linspace(-3.0, 3.0, 41)
-    points = offsets[:, None] * direction[None, :]
+    points = offsets[:, None] * CUT_DIRECTION[None, :]
     w_gauss = conditioning.wigner_value(ideal_state, points)
     w_fock = fock.wigner_values(rho, points)
     mask = np.abs(w_gauss) > 1e-8

@@ -14,8 +14,10 @@ and determinant: each 8x8 or 4x4 determinant is the square of its
 x-part's, and each positive-definiteness or condition check on it is the
 same check on the x-part.  `heralded_terms` conditions a stack of
 x-blocks in one array call and returns, per row, the heralding
-probability P and four (w_j, var_A, var_B, cov_AB) terms;
-`conditional_state` reads one row as a `SignedGaussianMixture`.
+probability P and four (w_j, Sigma_j) terms, Sigma_j the (x_A, x_B)
+covariance of term j, which fix the correlators, the Wigner function and
+the Monte Carlo marginals; `conditional_state` reads one row as a
+`SignedGaussianMixture`.
 """
 
 from __future__ import annotations
@@ -49,22 +51,43 @@ MIN_SUCCESS_PROB = 64 * np.finfo(float).eps
 STRUCTURE_TOL = 1e-10
 
 
+def _term_density(weight, cov: np.ndarray, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """weight times the zero-mean bivariate normal density of 2x2
+    covariance cov at (x, y)."""
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+    quad = (cov[1, 1] * x * x - 2.0 * cov[0, 1] * x * y
+            + cov[0, 0] * y * y) / det
+    return weight * np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
+
+
+def correlation_coefficients(cov: np.ndarray) -> np.ndarray:
+    """Correlation coefficient of each of a stack of 2x2 covariances."""
+    return cov[..., 0, 1] / np.sqrt(cov[..., 0, 0] * cov[..., 1, 1])
+
+
 @dataclass(frozen=True)
-class SignedGaussianMixture:
-    """Wigner function of the heralded two-mode state, one row of
-    `HeraldedTerms`: at r = (x_A, p_A, x_B, p_B),
+class BivariateMixture:
+    """Signed mixture of zero-mean bivariate Gaussians; weights sum to 1."""
 
-    W(r) = prefactor * sum_j q_j / detector_det_roots_j * exp(-r^T R_j r)
+    weights: np.ndarray        # shape (4,)
+    covariances: np.ndarray    # shape (4, 2, 2)
 
-    with q_j the CLICK_WEIGHTS and R_j = from_x_block(precisions_j).
-    """
+    def density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Joint density on a broadcastable grid of quadrature values."""
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        out = np.zeros_like(x, dtype=float)
+        for w, cov in zip(self.weights, self.covariances):
+            out += _term_density(w, cov, x, y)
+        return out
+
+
+@dataclass(frozen=True, kw_only=True)
+class SignedGaussianMixture(BivariateMixture):
+    """The heralded two-mode state, one row of `HeraldedTerms`; `density`
+    is its (x_A, x_B) marginal."""
 
     success_prob: float
-    weights: np.ndarray             # (4,), sums to 1
-    covariances: np.ndarray         # (4, 2, 2)
-    precisions: np.ndarray          # (4, 2, 2), x-part of each precision
-    detector_det_roots: np.ndarray  # (4,)
-    prefactor: float
 
 
 @dataclass(frozen=True)
@@ -80,9 +103,6 @@ class HeraldedTerms:
     success_prob: np.ndarray        # (n,)
     weights: np.ndarray             # (n, 4), rows sum to 1
     covariances: np.ndarray         # (n, 4, 2, 2)
-    precisions: np.ndarray          # (n, 4, 2, 2), x-part of each precision
-    detector_det_roots: np.ndarray  # (n, 4)
-    det_x: np.ndarray               # (n,), determinant of the x-block
     errors: tuple[CVBellError | None, ...]
 
     @property
@@ -92,8 +112,7 @@ class HeraldedTerms:
         Measured at phases theta on A and phi on B, term j has correlation
         c_j cos(theta + phi).
         """
-        cov = self.covariances
-        return cov[..., 0, 1] / np.sqrt(cov[..., 0, 0] * cov[..., 1, 1])
+        return correlation_coefficients(self.covariances)
 
     @property
     def cancellation(self) -> np.ndarray:
@@ -177,21 +196,21 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
 
     Term j projects the detector modes S_j (none, C, D, both) onto vacuum.
     With A_j = I + X_SS, its (x_A, x_B) covariance is
-    (X_AB,AB - X_AB,S A_j^-1 X_S,AB) / 2 and its unnormalized mass is
-    q_j / det A_j, so P = sum_j q_j / det A_j.  This is the inverse-form
-    conditioning (precision R_j = Gamma_AB - Gamma_AB,CD B_j^-1 Gamma_CD,AB
-    with Gamma = X^-1 and augmented detector block B_j = Gamma_CD + K_j)
-    rewritten by the Woodbury identity and the matrix determinant lemma,
-    det R_j det B_j det X = det A_j, so X is never inverted.  A row is
-    refused, with the error of its first failing check, when:
+    Sigma_j = (X_AB,AB - X_AB,S A_j^-1 X_S,AB) / 2 and its unnormalized
+    mass is q_j / det A_j, so P = sum_j q_j / det A_j.  This is the
+    inverse-form conditioning (precision (2 Sigma_j)^-1 = Gamma_AB -
+    Gamma_AB,CD B_j^-1 Gamma_CD,AB with Gamma = X^-1 and augmented detector
+    block B_j = Gamma_CD + K_j) rewritten by the Woodbury identity and the
+    matrix determinant lemma, det B_j det X = det A_j det 2 Sigma_j, so X
+    is never inverted.  A row is refused, with the error of its first
+    failing check, when:
 
     * X is not symmetric (DomainError);
-    * X, a B_j or an R_j is not positive definite or has an eigenvalue
+    * X, a B_j or a Sigma_j is not positive definite or has an eigenvalue
       condition number above CONDITION_LIMIT (SingularMatrixError); the
-      B_j are checked before P, the R_j after;
-    * P is not finite or below MIN_SUCCESS_PROB (InvalidRegimeError);
-    * a term covariance is not positive definite, which would make some
-      rotated marginal improper (SingularMatrixError).
+      B_j are checked before P, the Sigma_j after.  A positive definite
+      Sigma_j makes every rotated marginal of the term proper;
+    * P is not finite or below MIN_SUCCESS_PROB (InvalidRegimeError).
     """
     x = np.asarray(x_blocks, dtype=float)
     if x.ndim != 3 or x.shape[1:] != (4, 4):
@@ -207,7 +226,6 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
         x = np.where(symmetric[:, None, None], _symmetrized(x), np.eye(4))
         eigs = np.linalg.eigvalsh(x)
         _refuse_spd(errors, eigs[:, 0], eigs[:, -1])
-        det_x = np.prod(eigs, axis=-1)
         homodyne, cross, detector = x[:, :2, :2], x[:, :2, 2:], x[:, 2:, 2:]
 
         # B_j = Gamma_CD + K_j, checked only; Gamma_CD is the inverse of the
@@ -218,8 +236,7 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
 
         a = np.eye(2) + detector[:, None] * (_VACUUM[:, :, None]
                                              * _VACUUM[:, None, :])
-        det_a = _det2(a)
-        masses = np.array(CLICK_WEIGHTS, dtype=float) / det_a
+        masses = np.array(CLICK_WEIGHTS, dtype=float) / _det2(a)
         success = masses.sum(axis=-1)
         _refuse(errors, ~(np.isfinite(success) & (success >= MIN_SUCCESS_PROB)),
                 lambda i: InvalidRegimeError(
@@ -228,21 +245,11 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
                     "detectors"))
 
         coupling = cross[:, None] * _VACUUM[:, None, :]
-        doubled = _symmetrized(homodyne[:, None] - coupling @ _inv2(a)
-                               @ np.swapaxes(coupling, 2, 3))
-        precisions = _symmetrized(_inv2(doubled))
-        _refuse_spd(errors, *_eig2(precisions))
-
-        covariances = 0.5 * doubled
-        proper = (covariances[..., 0, 0] > 0) & (covariances[..., 1, 1] > 0) \
-            & (_det2(covariances) > 0)
-        _refuse(errors, ~proper.all(axis=1),
-                lambda i: SingularMatrixError(
-                    "marginal term covariance is not positive definite"))
+        covariances = 0.5 * _symmetrized(
+            homodyne[:, None]
+            - coupling @ _inv2(a) @ np.swapaxes(coupling, 2, 3))
+        _refuse_spd(errors, *_eig2(covariances))
         weights = masses / success[:, None]
-        # det B_j through the determinant lemma keeps the Wigner
-        # coefficients q_j / det B_j consistent with the weights
-        roots = det_a * _det2(doubled) / det_x[:, None]
 
     failed = np.array([e is not None for e in errors], dtype=bool)
 
@@ -251,11 +258,7 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
                         np.nan, values)
 
     return HeraldedTerms(success_prob=clean(success), weights=clean(weights),
-                         covariances=clean(covariances),
-                         precisions=clean(precisions),
-                         detector_det_roots=clean(roots),
-                         det_x=clean(det_x),
-                         errors=tuple(errors))
+                         covariances=clean(covariances), errors=tuple(errors))
 
 
 def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
@@ -277,35 +280,27 @@ def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
     terms = heralded_terms(x[None])
     if terms.errors[0] is not None:
         raise terms.errors[0]
-    success = float(terms.success_prob[0])
-    return SignedGaussianMixture(
-        success_prob=success, weights=terms.weights[0],
-        covariances=terms.covariances[0], precisions=terms.precisions[0],
-        detector_det_roots=terms.detector_det_roots[0],
-        prefactor=1.0 / (np.pi ** 2 * success * float(terms.det_x[0])))
+    return SignedGaussianMixture(weights=terms.weights[0],
+                                 covariances=terms.covariances[0],
+                                 success_prob=float(terms.success_prob[0]))
 
 
 def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray:
-    """Evaluate W at phase-space points of shape (..., 4).
+    """Evaluate W at phase-space points (x_A, p_A, x_B, p_B), shape (..., 4).
 
-    Each term's exponent is the full quadratic form r^T R_j r with the 4x4
-    precision R_j = from_x_block(precisions_j).  The expanded 2x2 form
-    a (x_A^2 + p_A^2) + 2 b (x_A x_B - p_A p_B) + c (x_B^2 + p_B^2) is the
-    same algebra but rounds differently, and where W crosses zero the
-    signed terms cancel and magnify that: it moves 43 of the 121 `fig2a`
-    values in their 12-digit text, by up to 7.5e-11 relative.
+    W = sum_j w_j g_j(x_A, x_B) g_j(p_A, -p_B), with g_j the zero-mean
+    bivariate normal density of covariance Sigma_j: the p-part of term j
+    is Sigma_j with its off-diagonal negated.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 4:
         raise DomainError("phase-space points must have 4 components")
-    flat = pts.reshape(-1, 4)
-    total = np.zeros(flat.shape[0])
-    precisions = gaussian.from_x_block(state.precisions)
-    for q, precision, root in zip(CLICK_WEIGHTS, precisions,
-                                  state.detector_det_roots):
-        quad = np.einsum("ni,ij,nj->n", flat, precision, flat)
-        total += q / root * np.exp(-quad)
-    return (state.prefactor * total).reshape(pts.shape[:-1])
+    x_a, p_a, x_b, p_b = np.moveaxis(pts, -1, 0)
+    total = np.zeros(pts.shape[:-1])
+    for w, cov in zip(state.weights, state.covariances):
+        total += (_term_density(w, cov, x_a, x_b)
+                  * _term_density(1.0, cov, p_a, -p_b))
+    return total
 
 
 def wigner_cut(state: SignedGaussianMixture, direction: np.ndarray,

@@ -34,6 +34,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .bell import DEFAULT_ANGLES, _golden_section_max, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
+from .gaussian import check_domain
 
 DEFAULT_TRUNCATION = 40
 
@@ -447,8 +448,10 @@ def _kernels(n_trunc: int, homodyne_efficiency: float, n_points: int,
 
     No state check is needed for L(rho): L is trace preserving, keeps
     hermiticity and never raises a photon number, so the checks
-    FockDensityMatrix ran on rho also cover it.
+    FockDensityMatrix ran on rho also cover it.  homodyne_efficiency must
+    lie in (0, 1] (DomainError, with the text ExperimentParams uses).
     """
+    check_domain("homodyne_efficiency", homodyne_efficiency)
     if homodyne_efficiency >= 1.0:
         return _lossless_kernels(n_trunc, n_points, halfwidth)
     return tuple(_block_kernel(_loss_dual(op, homodyne_efficiency))

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvbell import bell, conditioning, gaussian
+from cvbell import bell, cli, conditioning, gaussian
 from cvbell.errors import CVBellError, DomainError, InvalidRegimeError
 from conftest import integrate_mixture_2d
 import symplectic_reference as ref
@@ -50,32 +50,60 @@ def reference_chsh(params):
     return corr, s, success
 
 
-def exact_success_prob(params):
-    """P at 50 digits: the inverse-form conditioning on the x-block, whose
+def exact_terms(params):
+    """Inverse-form conditioning on the x-block, at the working precision
+    of mpmath: P, det X and, per term, (q_j, det B_j, R_j) with B_j the
+    augmented detector block and R_j the (x_A, x_B) precision.  The x-block
     entries are the closed form of `gaussian.x_block` in exact arithmetic."""
+    lam, t, eta, eta_h = (mpmath.mpf(v) for v in (
+        params.squeezing, params.transmittance, params.apd_efficiency,
+        params.homodyne_efficiency))
+    ch = mpmath.cosh(2 * mpmath.atanh(lam))
+    sh = mpmath.sinh(2 * mpmath.atanh(lam))
+    rfl, gain = mpmath.sqrt(1 - t), mpmath.sqrt(eta_h * eta)
+    aa = eta_h * (t * ch + 1 - t) + 1 - eta_h
+    cc = eta * ((1 - t) * ch + t) + 1 - eta
+    ac = gain * mpmath.sqrt(t) * rfl * (1 - ch)
+    ad = -gain * mpmath.sqrt(t) * rfl * sh
+    ab, cd = eta_h * t * sh, eta * (1 - t) * sh
+    x = mpmath.matrix([[aa, ab, ac, ad], [ab, aa, ad, ac],
+                       [ac, ad, cc, cd], [ad, ac, cd, cc]])
+    gamma = x ** -1
+    terms = []
+    for q, kernel in zip(conditioning.CLICK_WEIGHTS,
+                         ((0, 0), (1, 0), (0, 1), (1, 1))):
+        block = gamma[2:4, 2:4] + mpmath.diag(kernel)
+        reduced = gamma[0:2, 0:2] \
+            - gamma[0:2, 2:4] * block ** -1 * gamma[2:4, 0:2]
+        terms.append((q, mpmath.det(block), reduced))
+    det_x = mpmath.det(x)
+    success = sum(q / (mpmath.det(reduced) * det_b)
+                  for q, det_b, reduced in terms) / det_x
+    return success, det_x, terms
+
+
+def exact_success_prob(params):
+    """P at 50 digits."""
     with mpmath.workdps(50):
-        lam, t, eta, eta_h = (mpmath.mpf(v) for v in (
-            params.squeezing, params.transmittance, params.apd_efficiency,
-            params.homodyne_efficiency))
-        ch = mpmath.cosh(2 * mpmath.atanh(lam))
-        sh = mpmath.sinh(2 * mpmath.atanh(lam))
-        rfl, gain = mpmath.sqrt(1 - t), mpmath.sqrt(eta_h * eta)
-        aa = eta_h * (t * ch + 1 - t) + 1 - eta_h
-        cc = eta * ((1 - t) * ch + t) + 1 - eta
-        ac = gain * mpmath.sqrt(t) * rfl * (1 - ch)
-        ad = -gain * mpmath.sqrt(t) * rfl * sh
-        ab, cd = eta_h * t * sh, eta * (1 - t) * sh
-        x = mpmath.matrix([[aa, ab, ac, ad], [ab, aa, ad, ac],
-                           [ac, ad, cc, cd], [ad, ac, cd, cc]])
-        gamma = x ** -1
-        total = 0
-        for q, kernel in zip(conditioning.CLICK_WEIGHTS,
-                             ((0, 0), (1, 0), (0, 1), (1, 1))):
-            block = gamma[2:4, 2:4] + mpmath.diag(kernel)
-            reduced = gamma[0:2, 0:2] \
-                - gamma[0:2, 2:4] * block ** -1 * gamma[2:4, 0:2]
-            total += q / (mpmath.det(reduced) * mpmath.det(block))
-        return float(total / mpmath.det(x))
+        return float(exact_terms(params)[0])
+
+
+def exact_wigner(params, points):
+    """W at 50 digits at each phase-space point (x_A, p_A, x_B, p_B):
+    sum_j q_j / det B_j exp(-x^T R_j x - p^T D R_j D p) / (pi^2 P det X),
+    with x = (x_A, x_B), p = (p_A, p_B) and D = diag(1, -1)."""
+    with mpmath.workdps(50):
+        success, det_x, terms = exact_terms(params)
+        scale = mpmath.pi ** 2 * success * det_x
+        values = []
+        for x_a, p_a, x_b, p_b in np.asarray(points, dtype=float):
+            x = mpmath.matrix([x_a, x_b])
+            p = mpmath.matrix([p_a, -p_b])
+            total = sum(q / det_b * mpmath.exp(-(x.T * reduced * x)[0]
+                                               - (p.T * reduced * p)[0])
+                        for q, det_b, reduced in terms)
+            values.append(float(total / scale))
+        return np.array(values)
 
 
 def single_term_mixture(rho, var_x=1.0, var_y=1.0):
@@ -260,6 +288,19 @@ class TestAgainstReference:
             assert abs(result.success_prob - success) <= bound * cond * success
             compared += 1
         assert compared >= 200
+
+    def test_wigner_matches_50_digit_oracle(self, cut_params, cut_state):
+        # the 121 points of the fig2a cut and random points with p != 0,
+        # within 4 sum|w_j| eps max|W| of the 50-digit inverse form
+        rng = np.random.default_rng(2005)
+        offsets = np.linspace(-3.0, 3.0, 121)
+        points = np.vstack([offsets[:, None] * cli.CUT_DIRECTION,
+                            rng.normal(scale=1.5, size=(40, 4))])
+        exact = exact_wigner(cut_params, points)
+        values = conditioning.wigner_value(cut_state, points)
+        bound = (4.0 * np.abs(cut_state.weights).sum()
+                 * np.finfo(float).eps * np.max(np.abs(exact)))
+        assert np.max(np.abs(values - exact)) <= bound
 
     def test_cancellation_factor(self, realistic_params):
         result = bell.chsh(realistic_params)

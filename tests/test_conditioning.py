@@ -35,11 +35,11 @@ class TestConditionalState:
                               np.sign(conditioning.CLICK_WEIGHTS))
 
     def test_term_shapes(self, cut_state):
-        for precision in gaussian.from_x_block(cut_state.precisions):
-            assert np.max(np.abs(precision - precision.T)) < 1e-12
-        assert np.all(cut_state.detector_det_roots > 0)
-        # the kernel-free term is the unconditioned marginal: positive definite
-        assert np.all(np.linalg.eigvalsh(cut_state.precisions[0]) > 0)
+        assert cut_state.weights.shape == (4,)
+        assert cut_state.covariances.shape == (4, 2, 2)
+        for cov in cut_state.covariances:
+            assert np.array_equal(cov, cov.T)
+            assert np.all(np.linalg.eigvalsh(cov) > 0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(squeezing=0.5, transmittance=0.95, apd_efficiency=0.3,
@@ -112,11 +112,14 @@ class TestHeraldedTerms:
         assert state.success_prob == terms.success_prob[0]
         assert np.array_equal(state.weights, terms.weights[0])
         assert np.array_equal(state.covariances, terms.covariances[0])
-        assert np.array_equal(state.precisions, terms.precisions[0])
-        assert np.array_equal(state.detector_det_roots,
-                              terms.detector_det_roots[0])
-        assert state.prefactor == 1.0 / (np.pi ** 2 * state.success_prob
-                                         * terms.det_x[0])
+
+    def test_state_is_its_x_marginal(self, realistic_state):
+        assert isinstance(realistic_state, conditioning.BivariateMixture)
+        marginal = bell.rotated_marginal(realistic_state, 0.0, 0.0)
+        grid = np.linspace(-4.0, 4.0, 17)
+        assert np.array_equal(
+            realistic_state.density(grid[:, None], grid[None, :]),
+            marginal.density(grid[:, None], grid[None, :]))
 
     def test_coupled_input_raises(self, realistic_params):
         cov = realistic_params.output_covariance()

@@ -282,6 +282,24 @@ class TestSignCorrelation:
         e_lossy = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 0.7)
         assert abs(e_lossy) < abs(e_full)
 
+    @pytest.mark.parametrize("eta", [1.5, 0.0])
+    def test_homodyne_efficiency_outside_unit_interval_raises(
+            self, fock_realistic, eta):
+        rho, _ = fock_realistic
+        text = f"homodyne_efficiency must lie in (0, 1], got {eta}"
+        with pytest.raises(DomainError) as info:
+            fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
+        assert str(info.value) == text
+        with pytest.raises(DomainError) as info:
+            fock.fock_chsh(rho, bell.DEFAULT_ANGLES, eta)
+        assert str(info.value) == text
+
+    def test_unit_homodyne_efficiency_is_lossless(self, fock_realistic):
+        rho, _ = fock_realistic
+        value = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 1.0)
+        assert value == fock.fock_sign_correlation(rho, 0.0, -np.pi / 4)
+        assert value == pytest.approx(0.5077034482696573, abs=1e-12)
+
     def test_lossy_correlator_builds_no_state(self, monkeypatch,
                                               realistic_params,
                                               fock_realistic):
