@@ -51,14 +51,35 @@ MIN_SUCCESS_PROB = 64 * np.finfo(float).eps
 STRUCTURE_TOL = 1e-10
 
 
-def _term_density(weight, cov: np.ndarray, x: np.ndarray,
-                  y: np.ndarray) -> np.ndarray:
-    """weight times the zero-mean bivariate normal density of 2x2
-    covariance cov at (x, y)."""
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-    quad = (cov[1, 1] * x * x - 2.0 * cov[0, 1] * x * y
-            + cov[0, 0] * y * y) / det
-    return weight * np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
+def quadratic_moments(x, y) -> np.ndarray:
+    """(x^2, xy, y^2) of broadcast quadrature values, stacked on a new
+    leading axis of length 3: the points at which `_term_densities` and
+    `BivariateMixture.moment_density` evaluate."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    moments = np.empty((3,) + x.shape)
+    np.multiply(x, x, out=moments[0])
+    np.multiply(x, y, out=moments[1])
+    np.multiply(y, y, out=moments[2])
+    return moments
+
+
+def _term_densities(weights: np.ndarray, covs: np.ndarray,
+                    moments: np.ndarray) -> np.ndarray:
+    """weights[j] times the zero-mean bivariate normal density of 2x2
+    covariance covs[j], at the points of `quadratic_moments` moments;
+    shape (len(weights),) + the points' shape.
+
+    The exponent of term j, -(c11 x^2 - 2 c01 xy + c00 y^2) / (2 det), is
+    row j of one (terms, 3) by (3, points) product.
+    """
+    det = _det2(covs)
+    coeffs = np.stack([-0.5 * covs[:, 1, 1], covs[:, 0, 1],
+                       -0.5 * covs[:, 0, 0]], axis=-1) / det[:, None]
+    scale = weights / (2.0 * np.pi * np.sqrt(det))
+    values = np.tensordot(coeffs, moments, axes=1)
+    np.exp(values, out=values)
+    values *= scale.reshape((-1,) + (1,) * (moments.ndim - 1))
+    return values
 
 
 def correlation_coefficients(cov: np.ndarray) -> np.ndarray:
@@ -75,11 +96,12 @@ class BivariateMixture:
 
     def density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Joint density on a broadcastable grid of quadrature values."""
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        out = np.zeros_like(x, dtype=float)
-        for w, cov in zip(self.weights, self.covariances):
-            out += _term_density(w, cov, x, y)
-        return out
+        return self.moment_density(quadratic_moments(x, y))
+
+    def moment_density(self, moments: np.ndarray) -> np.ndarray:
+        """Joint density at the points of `quadratic_moments` moments."""
+        return _term_densities(self.weights, self.covariances,
+                               moments).sum(axis=0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -296,11 +318,10 @@ def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray
     if pts.shape[-1] != 4:
         raise DomainError("phase-space points must have 4 components")
     x_a, p_a, x_b, p_b = np.moveaxis(pts, -1, 0)
-    total = np.zeros(pts.shape[:-1])
-    for w, cov in zip(state.weights, state.covariances):
-        total += (_term_density(w, cov, x_a, x_b)
-                  * _term_density(1.0, cov, p_a, -p_b))
-    return total
+    covs = state.covariances
+    return (_term_densities(state.weights, covs, quadratic_moments(x_a, x_b))
+            * _term_densities(np.ones(len(covs)), covs,
+                              quadratic_moments(p_a, -p_b))).sum(axis=0)
 
 
 def wigner_cut(state: SignedGaussianMixture, direction: np.ndarray,

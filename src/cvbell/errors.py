@@ -36,7 +36,8 @@ class TruncationError(CVBellError):
 
 
 class EnvelopeError(CVBellError):
-    """The rejection-sampling envelope is not usable (acceptance too low)."""
+    """The rejection-sampling envelope is not usable: acceptance too low,
+    or the target exceeds bound * envelope at a proposal."""
 
 
 class OptimizationError(CVBellError):

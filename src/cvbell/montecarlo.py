@@ -8,7 +8,11 @@ and CHSH estimation with propagated standard errors.
 Randomness is organized around counter-based Philox streams, one per
 party per fixed-size event block, so the heralding, Alice and Bob
 histories are independent and the results do not depend on the order in
-which blocks are simulated.
+which blocks are simulated.  Within a block, the heralding stream gives
+the pulse gaps, the Alice and Bob streams the settings, and the
+quadrature stream serves the four setting cells in turn, (theta1, phi1),
+(theta1, phi2), (theta2, phi1), (theta2, phi2): each cell draws exactly
+its event count from it by chunked rejection sampling (`_draw`).
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .errors import DomainError, EnvelopeError
 #: events processed per RNG block; the block is the reproducibility atom
 BLOCK_EVENTS = 4096
 
-#: rejection-sampling rounds per block before giving up
-MAX_ROUNDS = 10_000
+#: most proposals the rejection sampler evaluates at once
+CHUNK = 16_384
 
 #: abort threshold on the rejection acceptance rate
 MIN_ACCEPTANCE = 0.01
@@ -126,10 +130,17 @@ def build_envelope(marginal: BivariateMixture,
                    * np.sqrt(dets.max() / dets.min()))
     radius = np.sqrt(max(2.0 * np.log(max(prefac, 2.0)) / decay, 25.0 * lam_max))
 
+    # the grid goes in slabs of about CHUNK points, which keeps every
+    # temporary small; fmax skips the 0/0 of points where both underflow
     axis = np.linspace(-radius, radius, grid_points)
-    xg, yg = np.meshgrid(axis, axis, indexing="ij")
-    ratio = marginal.density(xg, yg) / env.density(xg, yg)
-    bound = 1.05 * float(np.nanmax(ratio))
+    rows = max(1, CHUNK // grid_points)
+    peaks = []
+    for start in range(0, grid_points, rows):
+        moments = conditioning.quadratic_moments(
+            axis[start:start + rows, None], axis)
+        ratio = marginal.moment_density(moments) / env.moment_density(moments)
+        peaks.append(np.fmax.reduce(ratio, axis=None))
+    bound = 1.05 * float(np.fmax.reduce(peaks))
     if not np.isfinite(bound) or bound <= 0:
         raise EnvelopeError("could not bound the target/envelope ratio")
     if 1.0 / bound < MIN_ACCEPTANCE:
@@ -139,47 +150,69 @@ def build_envelope(marginal: BivariateMixture,
     return replace(env, bound=bound)
 
 
-def _propose(env: Envelope, marginal: BivariateMixture, comp_u: np.ndarray,
-             normals: np.ndarray, acc_u: np.ndarray):
-    """Map uniform/normal draws to envelope proposals, shape (n, 2), and
-    flag those the rejection step against marginal accepts."""
-    comp = (comp_u >= env.weights[0]).astype(int)
-    pts = np.einsum("nij,nj->ni", env.chols[comp], normals)
-    target = marginal.density(pts[:, 0], pts[:, 1])
-    return pts, acc_u * env.bound * env.density(pts[:, 0], pts[:, 1]) < target
+def _draw(env: Envelope, marginal: BivariateMixture, n: int,
+          rng: np.random.Generator) -> np.ndarray:
+    """n samples of marginal by rejection against env, shape (n, 2).
+
+    Proposes in chunks of at most CHUNK points.  A chunk for m missing
+    samples holds bound * (m + 3 sqrt(m)) proposals, which at the
+    acceptance rate 1/bound yield them with three standard deviations to
+    spare (bound >= 1 for any envelope `build_envelope` makes, so a chunk
+    is never empty).  It draws a (2, size) array of uniforms, the envelope
+    component and the accept test of each point, then a (2, size) array of
+    standard normals.
+
+    Raises EnvelopeError when the target exceeds bound * envelope at a
+    proposal (the grid maximum of `build_envelope` missed a peak, and the
+    samples would be biased there) or when the observed acceptance falls
+    below MIN_ACCEPTANCE after 10,000 proposals.
+    """
+    edges = np.cumsum(env.weights)[:-1, None]
+    factors = env.chols[:, (0, 1, 1), (0, 0, 1)].T    # rows l00, l10, l11
+    out = np.empty((n, 2))
+    filled = proposed = accepted = 0
+    while filled < n:
+        missing = n - filled
+        size = min(CHUNK, int(env.bound * (missing + 3.0 * np.sqrt(missing))))
+        pick, accept = rng.random((2, size))
+        component = (pick >= edges).sum(axis=0)
+        l00, l10, l11 = factors.take(component, axis=1)
+        z = rng.standard_normal((2, size))
+        x = l00 * z[0]
+        y = l10 * z[0] + l11 * z[1]
+        moments = conditioning.quadratic_moments(x, y)
+        target = marginal.moment_density(moments)
+        cap = env.bound * env.moment_density(moments)
+        if np.any(target > cap):
+            raise EnvelopeError(
+                f"target density exceeds the envelope bound {env.bound:.3f} "
+                f"at {int(np.count_nonzero(target > cap))} of {size} "
+                "proposals; the grid maximum missed a peak")
+        keep = np.flatnonzero(accept * cap < target)
+        take = keep[:missing]
+        out[filled:filled + len(take), 0] = x[take]
+        out[filled:filled + len(take), 1] = y[take]
+        filled += len(take)
+        proposed += size
+        accepted += len(keep)
+        if proposed >= 10_000 and accepted < MIN_ACCEPTANCE * proposed:
+            raise EnvelopeError(
+                f"observed acceptance {accepted / proposed:.2%} below "
+                f"{MIN_ACCEPTANCE:.0%} after {proposed} proposals")
+    return out
 
 
 def sample_joint_quadratures(marginal: BivariateMixture, n: int,
                              seed: int) -> np.ndarray:
     """Draw n quadrature pairs from a signed-mixture joint distribution.
 
-    Plain batched rejection sampling against the positive-term envelope;
-    the stream is fully determined by the seed.
+    Chunked rejection sampling (`_draw`) against the positive-term
+    envelope; the stream is fully determined by the seed.
     """
     if n < 1:
         raise DomainError("sample count must be >= 1")
-    env = build_envelope(marginal)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    out = np.empty((n, 2))
-    filled = 0
-    proposed = accepted = 0
-    while filled < n:
-        batch = int(min(max((n - filled) / env.accept_rate * 1.2, 1024), 4e6))
-        comp_u = rng.random(batch)
-        normals = rng.standard_normal((batch, 2))
-        acc_u = rng.random(batch)
-        pts, accept = _propose(env, marginal, comp_u, normals, acc_u)
-        good = pts[accept]
-        take = min(len(good), n - filled)
-        out[filled:filled + take] = good[:take]
-        filled += take
-        proposed += batch
-        accepted += int(accept.sum())
-        if proposed >= 10_000 and accepted < MIN_ACCEPTANCE * proposed:
-            raise EnvelopeError(
-                f"observed acceptance {accepted / proposed:.2%} below "
-                f"{MIN_ACCEPTANCE:.0%} after {proposed} proposals")
-    return out
+    return _draw(build_envelope(marginal), marginal, n, rng)
 
 
 def _block_rng(seed: int, role: int, block: int) -> np.random.Generator:
@@ -202,38 +235,15 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     gaps = np.floor(np.log1p(-u) / np.log1p(-success_prob)).astype(np.int64) + 1
     set_a = (alice.random(size) >= choice_probs[0]).astype(np.int64)
     set_b = (bob.random(size) >= choice_probs[0]).astype(np.int64)
-    pair = set_a * 2 + set_b
 
-    samples = np.empty((size, 2))
-    pending = np.ones(size, dtype=bool)
-    for _ in range(MAX_ROUNDS):
-        comp_u = quad.random(size)
-        normals = quad.standard_normal((size, 2))
-        acc_u = quad.random(size)
-        for idx in range(4):
-            rows = pending & (pair == idx)
-            if not rows.any():
-                continue
-            pts, ok = _propose(envelopes[idx], marginals[idx], comp_u[rows],
-                               normals[rows], acc_u[rows])
-            take = np.flatnonzero(rows)[ok]
-            samples[take] = pts[ok]
-            pending[take] = False
-        if not pending.any():
-            break
-    else:
-        raise EnvelopeError("rejection sampling failed to converge in a block")
-
-    signs = np.where(samples >= 0.0, 1.0, -1.0)
-    products = signs[:, 0] * signs[:, 1]
-    counts = np.zeros((2, 2), dtype=np.int64)
-    sums = np.zeros((2, 2))
-    for j in range(2):
-        for k in range(2):
-            cell = (set_a == j) & (set_b == k)
-            counts[j, k] = int(cell.sum())
-            sums[j, k] = float(products[cell].sum())
-    return int(gaps.sum()), counts, sums
+    # settings cell j * 2 + k draws exactly its events' samples
+    counts = np.bincount(set_a * 2 + set_b, minlength=4)
+    sums = np.zeros(4)
+    for idx in range(4):
+        samples = _draw(envelopes[idx], marginals[idx], int(counts[idx]), quad)
+        signs = np.where(samples >= 0.0, 1.0, -1.0)
+        sums[idx] = float((signs[:, 0] * signs[:, 1]).sum())
+    return int(gaps.sum()), counts.reshape(2, 2), sums.reshape(2, 2)
 
 
 def run_protocol(config: ProtocolConfig) -> MCResult:

@@ -183,6 +183,33 @@ class TestWignerCut:
                                     [0.0])
 
 
+def loop_density(marginal, x, y):
+    """Per-term loop form of `BivariateMixture.density`, the reference for
+    its array form, and the error scale eps * sum_j |w_j g_j| (1 + e_j) of
+    that sum, e_j the magnitude of term j's exponent."""
+    total = scale = 0.0
+    for w, cov in zip(marginal.weights, marginal.covariances):
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
+        exponent = 0.5 * (cov[1, 1] * x * x - 2.0 * cov[0, 1] * x * y
+                          + cov[0, 0] * y * y) / det
+        term = w * np.exp(-exponent) / (2.0 * np.pi * np.sqrt(det))
+        total = total + term
+        scale = scale + np.abs(term) * (1.0 + exponent)
+    return total, np.finfo(float).eps * scale
+
+
+class TestMixtureDensity:
+    def test_matches_per_term_loop(self, realistic_state):
+        grid = np.linspace(-8.0, 8.0, 81)
+        for theta in np.linspace(0.0, np.pi, 5):
+            for phi in np.linspace(-np.pi / 2, np.pi / 2, 5):
+                marginal = bell.rotated_marginal(realistic_state, theta, phi)
+                expected, scale = loop_density(marginal, grid[:, None],
+                                               grid[None, :])
+                dens = marginal.density(grid[:, None], grid[None, :])
+                assert np.all(np.abs(dens - expected) <= 16.0 * scale)
+
+
 class TestWignerProperties:
     def test_swap_symmetry(self, cut_state):
         rng = np.random.default_rng(11)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -49,6 +52,13 @@ class TestEnvelope:
         bound = env.bound * env.density(grid[:, None], grid[None, :])
         assert np.all(target <= bound * (1.0 + 1e-12))
 
+    def test_bound_below_the_peak_ratio_raises(self, realistic_marginal):
+        env = montecarlo.build_envelope(realistic_marginal)
+        halved = dataclasses.replace(env, bound=env.bound / 2.0)
+        with pytest.raises(EnvelopeError, match="exceeds the envelope bound"):
+            montecarlo._draw(halved, realistic_marginal, 10_000,
+                             np.random.default_rng(0))
+
 
 class TestSampleJointQuadratures:
     def test_empirical_correlation_matches_closed_form(self, realistic_marginal):
@@ -99,6 +109,26 @@ class TestSampleJointQuadratures:
         chi2 = float(((obs - exp) ** 2 / np.maximum(exp, 1e-9)).sum())
         p_value = stats.chi2.sf(chi2, df=len(obs) - 1)
         assert p_value > 1e-3
+
+    @pytest.mark.parametrize("n", [1, montecarlo.CHUNK - 1,
+                                   3 * montecarlo.CHUNK + 1])
+    def test_returns_exactly_n_finite_rows(self, realistic_marginal, n):
+        samples = montecarlo.sample_joint_quadratures(realistic_marginal, n,
+                                                      seed=n)
+        assert samples.shape == (n, 2)
+        assert np.all(np.isfinite(samples))
+
+    def test_memory_does_not_grow_with_n(self, realistic_marginal):
+        tracemalloc.start()
+        try:
+            samples = montecarlo.sample_joint_quadratures(realistic_marginal,
+                                                          1_000_000, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (n, 2) result is 16 MB; chunks of CHUNK proposals and the
+        # envelope grid's slabs add under 8 MB whatever n is
+        assert peak < samples.nbytes + 8 * 2 ** 20
 
     def test_bad_count(self, realistic_marginal):
         with pytest.raises(DomainError):
@@ -155,6 +185,30 @@ class TestRunProtocol:
         assert pulses == result.total_pulses
         assert np.array_equal(counts, result.counts)
         assert np.array_equal(sums, result.product_sums)
+
+    def test_each_setting_draws_its_cell_count(self, realistic_params,
+                                                monkeypatch):
+        draws, block_counts = [], []
+        draw, simulate = montecarlo._draw, montecarlo._simulate_block
+
+        def record_draw(env, marginal, n, rng):
+            samples = draw(env, marginal, n, rng)
+            draws.append(len(samples))
+            return samples
+
+        def record_block(*args):
+            result = simulate(*args)
+            block_counts.append(result[1])
+            return result
+
+        monkeypatch.setattr(montecarlo, "_draw", record_draw)
+        monkeypatch.setattr(montecarlo, "_simulate_block", record_block)
+        result = montecarlo.run_protocol(ProtocolConfig(
+            params=realistic_params, n_target_events=10_000, seed=11))
+        assert len(block_counts) == 3
+        assert draws == [int(c) for counts in block_counts
+                         for c in counts.ravel()]
+        assert np.array_equal(sum(block_counts), result.counts)
 
     def test_degenerate_choice_flags_s(self, realistic_params):
         config = ProtocolConfig(params=realistic_params, n_target_events=500,
