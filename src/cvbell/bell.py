@@ -33,14 +33,12 @@ DEFAULT_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
-#: clamp |rho| at this bound, counting occurrences for diagnostics
-_RHO_BOUND = 1.0 - 1e-12
-_clamp_count = 0
+#: golden-section tolerance on the squeezing of `optimize_lambda`
+LAMBDA_TOL = 1e-4
 
-
-def clamp_count() -> int:
-    """Number of times a correlation coefficient had to be clamped to (-1, 1)."""
-    return _clamp_count
+#: Gauss-Legendre nodes per quadrant axis of `sign_correlation_quadrature`
+#: and its box half-width in standard deviations of the widest term
+QUADRATURE_NODES, QUADRATURE_SIGMAS = 48, 6.0
 
 
 @dataclass(frozen=True)
@@ -89,15 +87,9 @@ def chsh_value(correlators):
 
 
 def _arcsine_mean(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_j w_j (2/pi) arcsin(rho_j) over the last axis.
-
-    |rho| is clamped to _RHO_BOUND; each clamped element is counted.
-    """
-    global _clamp_count
-    over = np.abs(rho) > _RHO_BOUND
-    if over.any():
-        _clamp_count += int(np.count_nonzero(over))
-        rho = np.where(over, np.copysign(_RHO_BOUND, rho), rho)
+    """sum_j w_j (2/pi) arcsin(rho_j) over the last axis; the terms
+    `conditioning.heralded_terms` accepts have |rho_j| <= 1 - 2 / (1 +
+    CONDITION_LIMIT), so no clamp is needed."""
     return (weights * (2.0 / np.pi) * np.arcsin(rho)).sum(axis=-1)
 
 
@@ -116,23 +108,25 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
 
 
 def sign_correlation(marginal: BivariateMixture) -> float:
-    """Closed-form sign-binned correlator of a signed Gaussian mixture."""
+    """Closed-form sign-binned correlator of a signed Gaussian mixture;
+    DomainError for a term with |correlation| > 1."""
     rho = conditioning.correlation_coefficients(marginal.covariances)
+    if np.any(np.abs(rho) > 1.0):
+        raise DomainError("a mixture term has a correlation coefficient "
+                          "outside [-1, 1]")
     return float(_arcsine_mean(marginal.weights, rho))
 
 
-def sign_correlation_quadrature(marginal: BivariateMixture,
-                                nodes_per_quadrant: int = 48,
-                                sigma_range: float = 6.0) -> float:
+def sign_correlation_quadrature(marginal: BivariateMixture) -> float:
     """Quadrature evaluation of the sign-binned correlator.
 
     Integrates sign(x*y) * density quadrant by quadrant with Gauss-Legendre
     nodes (so the sign discontinuity never crosses a panel), giving the
     independent check on the arcsine closed form.
     """
-    sx = sigma_range * np.sqrt(max(cov[0, 0] for cov in marginal.covariances))
-    sy = sigma_range * np.sqrt(max(cov[1, 1] for cov in marginal.covariances))
-    nodes, wts = np.polynomial.legendre.leggauss(nodes_per_quadrant)
+    sx, sy = QUADRATURE_SIGMAS * np.sqrt(
+        marginal.covariances[:, (0, 1), (0, 1)].max(axis=0))
+    nodes, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     x_pos = (nodes + 1.0) * sx / 2.0
     y_pos = (nodes + 1.0) * sy / 2.0
     wx = wts * sx / 2.0
@@ -221,8 +215,8 @@ def _golden_section_max(fun, lo: float, hi: float, tol: float) -> tuple[float, f
 
 def optimize_lambda(transmittance: float, apd_efficiency: float,
                     homodyne_efficiency: float,
-                    angles: tuple[float, float, float, float] = DEFAULT_ANGLES,
-                    tol: float = 1e-4) -> tuple[float, float]:
+                    angles: tuple[float, float, float, float] = DEFAULT_ANGLES
+                    ) -> tuple[float, float]:
     """Squeezing value maximizing the CHSH parameter, and the maximum.
 
     A 20-point pre-scan brackets the peak and errors out if two separated
@@ -255,7 +249,7 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
                 "pre-scan found two comparable separated maxima; "
                 "refusing unimodal search")
     lam_opt, s_max = _golden_section_max(objective, grid[best - 1],
-                                         grid[best + 1], tol)
+                                         grid[best + 1], LAMBDA_TOL)
     return float(lam_opt), float(s_max)
 
 

@@ -36,8 +36,9 @@ class TruncationError(CVBellError):
 
 
 class EnvelopeError(CVBellError):
-    """The rejection-sampling envelope is not usable: acceptance too low,
-    or the target exceeds bound * envelope at a proposal."""
+    """The rejection-sampling envelope is not usable: a positive mixture
+    term is not below the widest term in the Loewner order, acceptance is
+    too low, or the target exceeds bound * envelope at a proposal."""
 
 
 class OptimizationError(CVBellError):

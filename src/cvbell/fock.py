@@ -45,6 +45,10 @@ TAIL_TOLERANCE = 1e-8
 GRID_HALFWIDTH = 8.0
 GRID_POINTS = 400
 
+#: truncation and squeezing scan range of `fock_optimal_product`
+PRODUCT_TRUNCATION = 60
+PRODUCT_LAMBDA_RANGE = (0.35, 0.80)
+
 
 def _check_truncation(probs: np.ndarray, n_trunc: int):
     """Fail when too much probability sits near the truncation edge."""
@@ -512,8 +516,7 @@ def _diag_sign_correlation(diag: np.ndarray, angle_sum: float,
     return float((phased.conj() @ sign_squared @ phased).real)
 
 
-def fock_optimal_product(transmittance: float, n_trunc: int = 60,
-                         lam_range: tuple[float, float] = (0.35, 0.80),
+def fock_optimal_product(transmittance: float,
                          tol: float = 5e-4) -> tuple[float, float]:
     """Squeezing-transmittance product maximizing S in the Fock pipeline.
 
@@ -521,12 +524,13 @@ def fock_optimal_product(transmittance: float, n_trunc: int = 60,
     ideal homodynes, which keeps the heralded state pure and the scan
     cheap.  Returns (lambda_opt * T, S_max).
     """
-    sign_op, _ = _quadrature_matrices(n_trunc, GRID_POINTS, GRID_HALFWIDTH)
+    sign_op, _ = _quadrature_matrices(PRODUCT_TRUNCATION, GRID_POINTS,
+                                      GRID_HALFWIDTH)
     sign_squared = sign_op * sign_op
     theta1, theta2, phi1, phi2 = DEFAULT_ANGLES
 
     def s_value(lam: float) -> float:
-        state = pair_projected_state(lam, transmittance, n_trunc)
+        state = pair_projected_state(lam, transmittance, PRODUCT_TRUNCATION)
         diag = np.diag(state.amplitudes)
         e = {}
         for s in {theta1 + phi1, theta1 + phi2, theta2 + phi1, theta2 + phi2}:
@@ -535,8 +539,7 @@ def fock_optimal_product(transmittance: float, n_trunc: int = 60,
             [[e[theta1 + phi1], e[theta1 + phi2]],
              [e[theta2 + phi1], e[theta2 + phi2]]])))
 
-    lo, hi = lam_range
-    grid = np.linspace(lo, hi, 16)
+    grid = np.linspace(*PRODUCT_LAMBDA_RANGE, 16)
     values = [s_value(lam) for lam in grid]
     best = int(np.argmax(values))
     if best in (0, len(grid) - 1):

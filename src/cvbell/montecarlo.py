@@ -12,7 +12,8 @@ which blocks are simulated.  Within a block, the heralding stream gives
 the pulse gaps, the Alice and Bob streams the settings, and the
 quadrature stream serves the four setting cells in turn, (theta1, phi1),
 (theta1, phi2), (theta2, phi1), (theta2, phi2): each cell draws exactly
-its event count from it by chunked rejection sampling (`_draw`).
+its event count from it by chunked rejection sampling (`_draw`) against
+one inflated Gaussian, the marginal's widest term (`build_envelope`).
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ CHUNK = 16_384
 #: abort threshold on the rejection acceptance rate
 MIN_ACCEPTANCE = 0.01
 
-#: covariance inflation of the envelope relative to the mixture terms
+#: covariance inflation of the envelope relative to the widest mixture term
 ENVELOPE_INFLATION = 2.0
+
+#: points per axis of the square grid that bounds target/envelope
+ENVELOPE_GRID = 321
 
 _ROLE_SOPHIE, _ROLE_ALICE, _ROLE_BOB, _ROLE_QUAD = range(4)
 
@@ -82,14 +86,12 @@ class MCResult:
 
 @dataclass(frozen=True)
 class Envelope(BivariateMixture):
-    """Dominating mixture for rejection sampling from a signed marginal.
-
-    Two inflated Gaussians built from the positive-weight terms (weights
-    (2,), covariances (2, 2, 2)) dominate the target after scaling by
-    `bound`; `accept_rate` is the exact expected acceptance 1/bound.
+    """One Gaussian (weights (1,), covariances (1, 2, 2)) that dominates a
+    signed marginal after scaling by `bound`; `chol` is its Cholesky factor
+    and `accept_rate` the exact expected acceptance 1/bound.
     """
 
-    chols: np.ndarray        # (2, 2, 2) lower Cholesky factors
+    chol: np.ndarray         # (2, 2) lower Cholesky factor
     bound: float
 
     @property
@@ -97,45 +99,45 @@ class Envelope(BivariateMixture):
         return 1.0 / self.bound
 
 
-def build_envelope(marginal: BivariateMixture,
-                   inflation: float = ENVELOPE_INFLATION,
-                   grid_points: int = 321) -> Envelope:
-    """Construct a dominating envelope and its scaling constant.
+def build_envelope(marginal: BivariateMixture) -> Envelope:
+    """Construct the dominating Gaussian and its scaling constant.
 
-    The envelope reuses the two positive-weight terms of the signed
-    mixture with covariances inflated by `inflation`, which makes its
-    tails strictly fatter than the target's.  The scaling constant is the
-    grid maximum of target/envelope (with 5% headroom) over a box large
-    enough that an analytic tail bound excludes a larger ratio outside.
+    Projecting tap modes onto vacuum only narrows a heralded term,
+    Sigma_j <= Sigma_0 in the Loewner order, and a rotation scales every
+    off-diagonal by one cos(theta + phi), which keeps the order.  So the
+    term of largest trace, inflated by ENVELOPE_INFLATION, has fatter tails
+    than every positive term; EnvelopeError if a positive term is not
+    below it.  The scaling constant is the grid maximum of target/envelope
+    (with 5% headroom) over a box large enough that an analytic tail bound
+    excludes a larger ratio outside.
     """
-    pos = [i for i, w in enumerate(marginal.weights) if w > 0]
-    if not pos:
+    covs = marginal.covariances
+    pos = np.flatnonzero(marginal.weights > 0)
+    if not pos.size:
         raise EnvelopeError("signed mixture has no positive terms")
-    w_pos = marginal.weights[pos]
-    covs = inflation * marginal.covariances[pos]
-    env_weights = w_pos / w_pos.sum()
-    env = Envelope(weights=env_weights, covariances=covs,
-                   chols=np.linalg.cholesky(covs), bound=1.0)
+    widest = covs[np.argmax(np.trace(covs, axis1=1, axis2=2))]
+    if np.any(np.linalg.eigvalsh(widest - covs[pos])[:, 0] < 0.0):
+        raise EnvelopeError("a positive term is not below the widest term "
+                            "in the Loewner order; the tail bound fails")
+    env_cov = ENVELOPE_INFLATION * widest
+    env = Envelope(weights=np.ones(1), covariances=env_cov[None],
+                   chol=np.linalg.cholesky(env_cov), bound=1.0)
 
-    # widest target term bounds every tail; solve for the box radius where
-    # (sum of positive terms)/envelope provably drops below 1
-    widest = marginal.covariances[pos[0]]
-    for cov in marginal.covariances[pos]:
-        if np.trace(cov) > np.trace(widest):
-            widest = cov
+    # each positive term over the envelope is at most
+    # inflation sqrt(det widest / det term) exp(-decay r^2 / 2); solve for
+    # the box radius where their sum provably drops below 1
     lam_max = float(np.linalg.eigvalsh(widest)[-1])
-    decay = (1.0 - 1.0 / inflation) / lam_max
-    dets = np.linalg.det(marginal.covariances[pos])
-    prefac = float(inflation * w_pos.sum() / env_weights[0]
-                   * np.sqrt(dets.max() / dets.min()))
+    decay = (1.0 - 1.0 / ENVELOPE_INFLATION) / lam_max
+    prefac = float(ENVELOPE_INFLATION * marginal.weights[pos].sum() * np.sqrt(
+        np.linalg.det(widest) / np.linalg.det(covs[pos]).min()))
     radius = np.sqrt(max(2.0 * np.log(max(prefac, 2.0)) / decay, 25.0 * lam_max))
 
     # the grid goes in slabs of about CHUNK points, which keeps every
     # temporary small; fmax skips the 0/0 of points where both underflow
-    axis = np.linspace(-radius, radius, grid_points)
-    rows = max(1, CHUNK // grid_points)
+    axis = np.linspace(-radius, radius, ENVELOPE_GRID)
+    rows = max(1, CHUNK // ENVELOPE_GRID)
     peaks = []
-    for start in range(0, grid_points, rows):
+    for start in range(0, ENVELOPE_GRID, rows):
         moments = conditioning.quadratic_moments(
             axis[start:start + rows, None], axis)
         ratio = marginal.moment_density(moments) / env.moment_density(moments)
@@ -158,25 +160,21 @@ def _draw(env: Envelope, marginal: BivariateMixture, n: int,
     samples holds bound * (m + 3 sqrt(m)) proposals, which at the
     acceptance rate 1/bound yield them with three standard deviations to
     spare (bound >= 1 for any envelope `build_envelope` makes, so a chunk
-    is never empty).  It draws a (2, size) array of uniforms, the envelope
-    component and the accept test of each point, then a (2, size) array of
-    standard normals.
+    is never empty).  It draws the accept uniform of each point, then a
+    (2, size) array of standard normals that `env.chol` maps to points.
 
     Raises EnvelopeError when the target exceeds bound * envelope at a
     proposal (the grid maximum of `build_envelope` missed a peak, and the
     samples would be biased there) or when the observed acceptance falls
     below MIN_ACCEPTANCE after 10,000 proposals.
     """
-    edges = np.cumsum(env.weights)[:-1, None]
-    factors = env.chols[:, (0, 1, 1), (0, 0, 1)].T    # rows l00, l10, l11
+    l00, l10, l11 = env.chol[(0, 1, 1), (0, 0, 1)]
     out = np.empty((n, 2))
     filled = proposed = accepted = 0
     while filled < n:
         missing = n - filled
         size = min(CHUNK, int(env.bound * (missing + 3.0 * np.sqrt(missing))))
-        pick, accept = rng.random((2, size))
-        component = (pick >= edges).sum(axis=0)
-        l00, l10, l11 = factors.take(component, axis=1)
+        accept = rng.random(size)
         z = rng.standard_normal((2, size))
         x = l00 * z[0]
         y = l10 * z[0] + l11 * z[1]
@@ -206,8 +204,8 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
                              seed: int) -> np.ndarray:
     """Draw n quadrature pairs from a signed-mixture joint distribution.
 
-    Chunked rejection sampling (`_draw`) against the positive-term
-    envelope; the stream is fully determined by the seed.
+    Chunked rejection sampling (`_draw`) against the Gaussian envelope;
+    the stream is fully determined by the seed.
     """
     if n < 1:
         raise DomainError("sample count must be >= 1")

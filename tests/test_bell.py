@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import mpmath
@@ -164,10 +165,25 @@ class TestSignCorrelation:
         assert bell.sign_correlation(single_term_mixture(1.0 - 1e-13)) == \
             pytest.approx(1.0, abs=1e-5)
 
-    def test_clamp_counter_increments(self):
-        before = bell.clamp_count()
-        bell.sign_correlation(single_term_mixture(1.0 - 1e-14))
-        assert bell.clamp_count() == before + 1
+    def test_near_unit_correlation_is_not_clamped(self):
+        rho = 1.0 - 1e-14
+        assert bell.sign_correlation(single_term_mixture(rho)) == \
+            (2.0 / np.pi) * np.arcsin(rho)
+
+    def test_correlation_above_one_raises(self):
+        with pytest.raises(DomainError):
+            bell.sign_correlation(single_term_mixture(1.0 + 1e-9))
+
+    def test_accepted_terms_stay_inside_unit_correlation(self):
+        # the arcsine has no clamp: near the squeezing limit every term the
+        # conditioning accepts must keep |c_j| < 1
+        grid = np.array(list(itertools.product(
+            1.0 - 10.0 ** -np.arange(1, 15), (0.85, 0.99, 0.999999),
+            (0.01, 1.0), (0.01, 1.0))))
+        terms = conditioning.heralded_terms(gaussian.x_block(*grid.T))
+        accepted = np.array([e is None for e in terms.errors])
+        assert accepted.any()
+        assert np.all(np.abs(terms.correlations[accepted]) < 1.0)
 
     def test_closed_form_vs_quadrature_at_reference_point(self, cut_state):
         marginal = bell.rotated_marginal(cut_state, 0.0, -np.pi / 4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cvbell import bell, montecarlo
+from cvbell import bell, conditioning, montecarlo
 from cvbell.errors import DomainError, EnvelopeError
 from cvbell.montecarlo import MCResult, ProtocolConfig
 from conftest import reversed_block_totals
@@ -51,6 +51,44 @@ class TestEnvelope:
         target = realistic_marginal.density(grid[:, None], grid[None, :])
         bound = env.bound * env.density(grid[:, None], grid[None, :])
         assert np.all(target <= bound * (1.0 + 1e-12))
+
+    def test_bound_holds_on_a_finer_grid_over_the_domain(self, monkeypatch):
+        axes = []
+        moments = conditioning.quadratic_moments
+
+        def record_axis(x, y):
+            axes.append(y)
+            return moments(x, y)
+
+        monkeypatch.setattr(conditioning, "quadratic_moments", record_axis)
+        rng = np.random.default_rng(1010)
+        for _ in range(50):
+            params = bell.ExperimentParams(
+                rng.uniform(0.02, 0.95), rng.uniform(0.85, 0.999),
+                rng.uniform(0.05, 1.0), rng.uniform(0.7, 1.0))
+            state = conditioning.conditional_state(params.output_covariance())
+            marginal = bell.rotated_marginal(state,
+                                             *rng.uniform(-np.pi, np.pi, 2))
+            axes.clear()
+            env = montecarlo.build_envelope(marginal)
+            assert env.accept_rate >= 1.0 / 3.0
+            # 5x finer than the envelope's grid over the same box; both
+            # densities are even, so the half x >= 0 covers every ratio
+            fine = np.linspace(axes[0][0], axes[0][-1],
+                               5 * (len(axes[0]) - 1) + 1)
+            half = fine[len(fine) // 2:]
+            peak = max(np.fmax.reduce(
+                marginal.density(x[:, None], fine)
+                / env.density(x[:, None], fine), axis=None)
+                for x in np.array_split(half, 80))
+            assert peak <= env.bound
+
+    def test_positive_term_not_below_the_widest_raises(self):
+        mixture = bell.BivariateMixture(
+            weights=np.array([0.5, 0.5]),
+            covariances=np.array([np.diag([4.0, 1.0]), np.diag([1.0, 3.0])]))
+        with pytest.raises(EnvelopeError, match="Loewner order"):
+            montecarlo.build_envelope(mixture)
 
     def test_bound_below_the_peak_ratio_raises(self, realistic_marginal):
         env = montecarlo.build_envelope(realistic_marginal)
@@ -139,7 +177,7 @@ class TestRunProtocol:
     def test_estimator_matches_pipeline(self, realistic_params):
         expected = bell.chsh(realistic_params).S
         config = ProtocolConfig(params=realistic_params,
-                                n_target_events=1_000_000, seed=2024)
+                                n_target_events=4_000_000, seed=2024)
         result = montecarlo.run_protocol(config)
         assert result.s_available
         assert abs(result.S_hat - expected) < 3.0 * result.stderr_S
