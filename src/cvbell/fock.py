@@ -11,13 +11,13 @@ equal, so a mixed state is stored as its Delta-blocks: an array of shape
 
 O(N^3) numbers instead of the dense O(N^4) array.  Click conditioning
 builds each block with one product over the tap photon counts.  Homodyne
-statistics come from the Gauss-Legendre sign operator
-S = sum_x h(x) w(x) sgn(x) h(x)^T of the Hermite functions h.  Homodyne
-loss acts on S, not on the state: its dual map
+statistics come from the sign operator S[a, c] = int sgn(x) h_a h_c dx of
+the Hermite functions h, in closed form from the oscillator equation: no
+quadrature grid.  Homodyne loss acts on S, not on the state: its dual map
 L^dagger S[a, c] = sum_l t(a, l) t(c, l) S[a - l, c - l], with t the
 beam-splitter amplitudes, is one N x N matrix, and the correlator is
 E = sum R[Delta, a, c] e^{i(theta+phi)(a-c)} L^dagger S[a, c]
-L^dagger S[a-Delta, c-Delta], contracted block by block.
+L^dagger S[a-Delta, c-Delta], one contraction over the blocks.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
 vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
@@ -26,11 +26,9 @@ vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .bell import DEFAULT_ANGLES, _golden_section_max, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
@@ -40,10 +38,6 @@ DEFAULT_TRUNCATION = 40
 
 #: maximum probability allowed in the top four photon-number layers
 TAIL_TOLERANCE = 1e-8
-
-#: half-width and size of the homodyne quadrature grid
-GRID_HALFWIDTH = 8.0
-GRID_POINTS = 400
 
 #: truncation and squeezing scan range of `fock_optimal_product`
 PRODUCT_TRUNCATION = 60
@@ -225,6 +219,11 @@ def second_moments(state: FockState) -> np.ndarray:
     return gamma
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k < n, as cumulative sums of log k."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n)))))
+
+
 def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     """Beam-splitter amplitudes for |m>|0> -> sum_k table[m,k] |m-k>|k>.
 
@@ -233,10 +232,11 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     """
     if not 0.0 < transmittance <= 1.0:
         raise DomainError(f"transmittance must lie in (0, 1], got {transmittance}")
-    m = np.arange(n_trunc)[:, None].astype(float)
-    k = np.arange(n_trunc)[None, :].astype(float)
+    m = np.arange(n_trunc)[:, None]
+    k = np.arange(n_trunc)[None, :]
+    log_fact = _log_factorials(n_trunc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_binom = gammaln(m + 1) - gammaln(k + 1) - gammaln(np.maximum(m - k, 0) + 1)
+        log_binom = log_fact[m] - log_fact[k] - log_fact[np.maximum(m - k, 0)]
         log_kept = (m - k) / 2.0 * np.log(transmittance)
         log_tapped = np.where(k > 0, k / 2.0 * np.log1p(-transmittance), 0.0)
         table = np.exp(0.5 * log_binom + log_kept + log_tapped)
@@ -367,45 +367,30 @@ def lossy_click_conditioning(squeezing: float, transmittance: float,
 # homodyne statistics
 
 
-def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Oscillator eigenfunctions psi_n(x) for n < n_max, shape (n_max, len(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n_max, x.size))
-    out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
-    if n_max > 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(2, n_max):
-        out[n] = np.sqrt(2.0 / n) * x * out[n - 1] \
-            - np.sqrt((n - 1) / n) * out[n - 2]
-    return out
-
-
 @functools.lru_cache(maxsize=8)
-def signed_quadrature_grid(n_points: int = GRID_POINTS,
-                           halfwidth: float = GRID_HALFWIDTH):
-    """Gauss-Legendre nodes/weights per half-axis, glued symmetrically.
+def _sign_operator(n_trunc: int) -> np.ndarray:
+    """S[a, c] = int sgn(x) h_a(x) h_c(x) dx of the Hermite functions h.
 
-    Splitting at zero keeps the sign function constant on each panel, so
-    the sign-binned integrals converge at quadrature accuracy.  The arrays
-    are cached and read-only.
+    h_a h_c is even when a + c is even, so S is zero there.  Otherwise S
+    is twice the half-axis integral, which the oscillator equation
+    h_n'' = (x^2 - 2n - 1) h_n turns into a boundary term at x = 0:
+    S[a, c] = (h_c(0) h_a'(0) - h_a(0) h_c'(0)) / (a - c), with
+    h_n(0) = -sqrt((n-1)/n) h_{n-2}(0) and h_n'(0) = sqrt(2n) h_{n-1}(0).
+    The matrix is cached and read-only.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(n_points // 2)
-    pos = (nodes + 1.0) * halfwidth / 2.0
-    w_pos = wts * halfwidth / 2.0
-    x = np.concatenate([-pos[::-1], pos])
-    w = np.concatenate([w_pos[::-1], w_pos])
-    return _readonly(x), _readonly(w)
-
-
-@functools.lru_cache(maxsize=8)
-def _quadrature_matrices(n_trunc: int, n_points: int,
-                         halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sign operator S = (h w sgn x) h^T and mass M = (h w) h^T on the grid."""
-    x, w = signed_quadrature_grid(n_points, halfwidth)
-    h = hermite_functions(n_trunc, x)
-    weighted = h * w
-    return (_readonly((weighted * np.sign(x)) @ h.T),
-            _readonly(weighted @ h.T))
+    n = np.arange(n_trunc)
+    value = np.zeros(n_trunc)
+    value[0] = np.pi ** -0.25
+    for k in range(2, n_trunc, 2):
+        value[k] = -np.sqrt((k - 1) / k) * value[k - 2]
+    slope = np.zeros(n_trunc)
+    slope[1:] = np.sqrt(2.0 * n[1:]) * value[:-1]
+    diff = np.subtract.outer(n, n)
+    odd = diff % 2 == 1
+    sign = np.zeros((n_trunc, n_trunc))
+    sign[odd] = ((np.outer(slope, value) - np.outer(value, slope))[odd]
+                 / diff[odd])
+    return _readonly(sign)
 
 
 def _block_kernel(op: np.ndarray) -> np.ndarray:
@@ -427,7 +412,8 @@ def _loss_dual(op: np.ndarray, transmittance: float) -> np.ndarray:
     """Dual of pure loss, L^dagger(O)[a, c] = sum_l t(a,l) t(c,l) O[a-l, c-l].
 
     The Kraus operator that loses l photons maps |m> to t(m, l) |m - l>,
-    with t the beam-splitter amplitudes.
+    with t the beam-splitter amplitudes.  At transmittance 1 only t(m, 0)
+    = 1 survives, and the map is the identity.
     """
     n = op.shape[0]
     tap = np.abs(tap_amplitude_table(transmittance, n))
@@ -438,28 +424,19 @@ def _loss_dual(op: np.ndarray, transmittance: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _lossless_kernels(n_trunc: int, n_points: int,
-                      halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Block kernels of the sign operator S and the mass operator M."""
-    return tuple(_readonly(_block_kernel(op))
-                 for op in _quadrature_matrices(n_trunc, n_points, halfwidth))
-
-
-def _kernels(n_trunc: int, homodyne_efficiency: float, n_points: int,
-             halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Block kernels of L^dagger S and L^dagger M, what lossy homodynes measure.
+@functools.lru_cache(maxsize=2)
+def _sign_kernel(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
+    """Block kernel of L^dagger S, what a pair of lossy homodynes measures.
 
     No state check is needed for L(rho): L is trace preserving, keeps
     hermiticity and never raises a photon number, so the checks
     FockDensityMatrix ran on rho also cover it.  homodyne_efficiency must
-    lie in (0, 1] (DomainError, with the text ExperimentParams uses).
+    lie in (0, 1] (DomainError, with the text ExperimentParams uses).  The
+    kernel is cached and read-only.
     """
     check_domain("homodyne_efficiency", homodyne_efficiency)
-    if homodyne_efficiency >= 1.0:
-        return _lossless_kernels(n_trunc, n_points, halfwidth)
-    return tuple(_block_kernel(_loss_dual(op, homodyne_efficiency))
-                 for op in _quadrature_matrices(n_trunc, n_points, halfwidth))
+    return _readonly(_block_kernel(
+        _loss_dual(_sign_operator(n_trunc), homodyne_efficiency)))
 
 
 def _contract(blocks: np.ndarray, kernel: np.ndarray, angle_sum: float) -> float:
@@ -469,32 +446,19 @@ def _contract(blocks: np.ndarray, kernel: np.ndarray, angle_sum: float) -> float
     return float((phase @ summed @ phase.conj()).real)
 
 
-def _sign_correlation(rho: FockDensityMatrix, kernels: tuple, angle_sum: float,
-                      halfwidth: float) -> float:
-    """Sign correlator from the sign and mass kernels of _kernels."""
-    sign_kernel, mass_kernel = kernels
-    mass = _contract(rho.blocks, mass_kernel, angle_sum)
-    if abs(mass - 1.0) > 1e-8:
-        warnings.warn(f"quadrature mass {mass:.12f} outside [-{halfwidth}, "
-                      f"{halfwidth}]^2 exceeds 1e-8", stacklevel=3)
-    return _contract(rho.blocks, sign_kernel, angle_sum)
-
-
 def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
-                          homodyne_efficiency: float = 1.0,
-                          n_points: int = GRID_POINTS,
-                          halfwidth: float = GRID_HALFWIDTH) -> float:
+                          homodyne_efficiency: float = 1.0) -> float:
     """Sign-binned quadrature correlator evaluated in the photon-number basis.
 
-    The joint quadrature density integrated against sgn(x) sgn(y) on the
-    glued Gauss-Legendre grid, with the sums taken over the grid first:
-    a rotation by theta on mode A and phi on mode B multiplies entry
-    (a, c) of every block by e^{i(theta+phi)(a-c)}.  Homodyne loss L acts
-    on the measured operator, not on the state: E = Tr rho (L^dagger S
-    (x) L^dagger S), and rotations commute with pure loss.
+    E = Tr rho (L^dagger S (x) L^dagger S), with S the closed-form sign
+    operator and L the homodyne loss, applied to the measured operator
+    rather than the state: one contraction of the blocks with the kernel
+    of `_sign_kernel`.  A rotation by theta on mode A and phi on mode B
+    multiplies entry (a, c) of every block by e^{i(theta+phi)(a-c)}, and
+    rotations commute with pure loss.
     """
-    kernels = _kernels(rho.n_trunc, homodyne_efficiency, n_points, halfwidth)
-    return _sign_correlation(rho, kernels, theta + phi, halfwidth)
+    kernel = _sign_kernel(rho.n_trunc, homodyne_efficiency)
+    return _contract(rho.blocks, kernel, theta + phi)
 
 
 def fock_chsh(rho: FockDensityMatrix,
@@ -502,9 +466,8 @@ def fock_chsh(rho: FockDensityMatrix,
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state."""
     theta1, theta2, phi1, phi2 = angles
-    kernels = _kernels(rho.n_trunc, homodyne_efficiency, GRID_POINTS,
-                       GRID_HALFWIDTH)
-    corr = [[_sign_correlation(rho, kernels, theta + phi, GRID_HALFWIDTH)
+    kernel = _sign_kernel(rho.n_trunc, homodyne_efficiency)
+    corr = [[_contract(rho.blocks, kernel, theta + phi)
              for phi in (phi1, phi2)] for theta in (theta1, theta2)]
     return float(chsh_value(np.array(corr)))
 
@@ -524,8 +487,7 @@ def fock_optimal_product(transmittance: float,
     ideal homodynes, which keeps the heralded state pure and the scan
     cheap.  Returns (lambda_opt * T, S_max).
     """
-    sign_op, _ = _quadrature_matrices(PRODUCT_TRUNCATION, GRID_POINTS,
-                                      GRID_HALFWIDTH)
+    sign_op = _sign_operator(PRODUCT_TRUNCATION)
     sign_squared = sign_op * sign_op
     theta1, theta2, phi1, phi2 = DEFAULT_ANGLES
 
@@ -556,19 +518,31 @@ def fock_optimal_product(transmittance: float,
 def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Wigner transforms of |m><n| at phase-space points, shape (n, n, npts).
 
-    Closed form in terms of associated Laguerre polynomials; down-weighted
-    by the usual factorial ratio, with the conjugate filled in for m < n.
+    Closed form in terms of the associated Laguerre polynomials
+    L_n^(m-n)(2 r^2), down-weighted by the usual factorial ratio, with the
+    conjugate filled in for m < n.  The polynomials come from the
+    three-term recurrence in the degree k,
+    L_{k+1} = ((2k + 1 + order - u) L_k - (k + order) L_{k-1}) / (k + 1),
+    run for every order at once.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     rsq = x * x + p * p
     alpha = np.sqrt(2.0) * (x - 1j * p)
+    u = 2.0 * rsq
+    order = np.arange(n_trunc)[:, None]
+    laguerre = np.empty((n_trunc, n_trunc, x.size))
+    laguerre[0] = 1.0
+    laguerre[1] = 1.0 + order - u
+    for k in range(1, n_trunc - 1):
+        laguerre[k + 1] = ((2 * k + 1 + order - u) * laguerre[k]
+                           - (k + order) * laguerre[k - 1]) / (k + 1)
     m, n = np.tril_indices(n_trunc)
-    ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
+    log_fact = _log_factorials(n_trunc)
+    ratio = np.exp(0.5 * (log_fact[n] - log_fact[m]))
     diff = (m - n)[:, None]
     lower = (((-1.0) ** n * ratio)[:, None] * alpha ** diff
-             * eval_genlaguerre(n[:, None], diff, 2.0 * rsq)
-             * (np.exp(-rsq) / np.pi))
+             * laguerre[n, m - n] * (np.exp(-rsq) / np.pi))
     table = np.zeros((n_trunc, n_trunc, x.size), dtype=complex)
     table[n, m] = lower.conj()
     table[m, n] = lower

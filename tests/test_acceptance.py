@@ -105,7 +105,7 @@ def test_criterion_6_wigner_negativity_and_fock_agreement():
 def test_criterion_7_triple_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(20260808)
-    worst_quad = worst_fock = worst_mc_z = 0.0
+    worst_quad = worst_fock = worst_fock_budget = worst_mc_z = 0.0
     ok = True
     for draw in range(10):
         lam = rng.uniform(0.3, 0.65)
@@ -124,8 +124,12 @@ def test_criterion_7_triple_oracle_equivalence():
 
         rho, _ = fock.lossy_click_conditioning(lam, t, eta, 40)
         e_fock = fock.fock_sign_correlation(rho, theta, phi, eta_bhd)
+        # rounding budget of the signed four-term sum
+        budget = 8 * np.abs(state.weights).sum() * np.finfo(float).eps + 1e-12
         worst_fock = max(worst_fock, abs(e_closed - e_fock))
-        ok &= abs(e_closed - e_fock) < 1e-4
+        worst_fock_budget = max(worst_fock_budget,
+                                abs(e_closed - e_fock) / budget)
+        ok &= abs(e_closed - e_fock) <= budget
 
         n = 1_000_000
         samples = montecarlo.sample_joint_quadratures(marginal, n,
@@ -138,7 +142,8 @@ def test_criterion_7_triple_oracle_equivalence():
     elapsed = time.perf_counter() - start
     ok &= elapsed < 600.0
     report(7, "triple-oracle equivalence", ok,
-           f"max |dE_quad|={worst_quad:.2e}, max |dE_fock|={worst_fock:.2e}, "
+           f"max |dE_quad|={worst_quad:.2e}, max |dE_fock|={worst_fock:.2e} "
+           f"({worst_fock_budget:.2f} of budget), "
            f"max MC z={worst_mc_z:.2f}, t={elapsed:.0f}s")
 
 

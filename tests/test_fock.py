@@ -1,3 +1,7 @@
+import functools
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
@@ -5,6 +9,51 @@ from scipy.special import eval_genlaguerre, gammaln
 from cvbell import bell, conditioning, fock
 from cvbell.errors import DomainError, InvalidRegimeError, TruncationError
 import symplectic_reference as ref
+from test_bell import exact_terms
+
+# ---------------------------------------------------------------------------
+# quadrature references: the Hermite functions on a glued Gauss-Legendre grid,
+# which the closed-form sign operator replaces
+
+#: (largest truncation, half-width, points) of the reference grids; a grid
+#: must reach past the outer turning point sqrt(2N + 1) of h_{N-1}
+REFERENCE_GRIDS = ((40, 12.0, 400), (60, 14.0, 400), (130, 20.0, 600))
+
+
+def hermite_functions(n_max, x):
+    """Oscillator eigenfunctions psi_n(x) for n < n_max, shape (n_max, len(x))."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((n_max, x.size))
+    out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
+    if n_max > 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    for n in range(2, n_max):
+        out[n] = np.sqrt(2.0 / n) * x * out[n - 1] \
+            - np.sqrt((n - 1) / n) * out[n - 2]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def reference_grid(n_trunc):
+    """Gauss-Legendre nodes and weights per half-axis, glued at zero, on
+    the narrowest reference grid that holds h_0 ... h_{N-1}.  Splitting at
+    zero keeps the sign function constant on each panel."""
+    halfwidth, n_points = next((width, points)
+                               for top, width, points in REFERENCE_GRIDS
+                               if n_trunc <= top)
+    nodes, wts = np.polynomial.legendre.leggauss(n_points // 2)
+    pos = (nodes + 1.0) * halfwidth / 2.0
+    w_pos = wts * halfwidth / 2.0
+    return (np.concatenate([-pos[::-1], pos]),
+            np.concatenate([w_pos[::-1], w_pos]))
+
+
+def grid_sign_operator(n_trunc):
+    """S = (h w sgn x) h^T on the reference grid."""
+    x, w = reference_grid(n_trunc)
+    h = hermite_functions(n_trunc, x)
+    return (h * w * np.sign(x)) @ h.T
+
 
 # ---------------------------------------------------------------------------
 # dense (n, n, n, n) references: the direct photon-number-basis computations
@@ -88,7 +137,7 @@ def dense_joint_quadrature_density(rho, theta, phi, x):
                * phase_a[:, None, None, None] * phase_b[None, :, None, None]
                * phase_a[None, None, :, None].conj()
                * phase_b[None, None, None, :].conj())
-    h = fock.hermite_functions(n, x)
+    h = hermite_functions(n, x)
     pair_x = np.einsum("ax,cx->acx", h, h).reshape(n * n, -1)
     pair_y = np.einsum("by,dy->bdy", h, h).reshape(n * n, -1)
     mat = rotated.transpose(0, 2, 1, 3).reshape(n * n, n * n)
@@ -100,7 +149,7 @@ def dense_sign_correlation(rho, theta, phi, homodyne_efficiency=1.0):
     if homodyne_efficiency < 1.0:
         rho = dense_apply_loss(dense_apply_loss(rho, homodyne_efficiency, 0),
                                homodyne_efficiency, 1)
-    x, w = fock.signed_quadrature_grid()
+    x, w = reference_grid(rho.shape[0])
     dens = dense_joint_quadrature_density(rho, theta, phi, x)
     signed = w * np.sign(x)
     return float(signed @ dens @ signed)
@@ -139,6 +188,52 @@ def dense_diag_sign_correlation(diag, angle_sum, x, w, h):
     dens = np.abs(wave) ** 2
     signed = w * np.sign(x)
     return float(signed @ dens @ signed)
+
+
+def exact_tap_amplitude_table(transmittance, n_trunc):
+    """Beam-splitter amplitudes (-1)^k sqrt(C(m, k) T^(m-k) (1-T)^k) at 40
+    digits."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(transmittance)
+        table = np.zeros((n_trunc, n_trunc))
+        for m in range(n_trunc):
+            for k in range(m + 1):
+                table[m, k] = (-1) ** k * mpmath.sqrt(
+                    mpmath.binomial(m, k) * t ** (m - k) * (1 - t) ** k)
+        return table
+
+
+def exact_sign_correlation(params, theta, phi):
+    """E at 50 digits: sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)), with
+    c_j = -R_j[0, 1] / sqrt(R_j[0, 0] R_j[1, 1]) the correlation of the
+    covariance R_j^-1 / 2."""
+    with mpmath.workdps(50):
+        success, det_x, terms = exact_terms(params)
+        total = 0
+        for q, det_b, reduced in terms:
+            mass = q / (mpmath.det(reduced) * det_b * det_x)
+            corr = -reduced[0, 1] / mpmath.sqrt(reduced[0, 0] * reduced[1, 1])
+            total += mass * mpmath.asin(corr * mpmath.cos(theta + phi))
+        return float(2 * total / (mpmath.pi * success))
+
+
+#: truncations tried by `fenced_conditioning`, in order
+TRUNCATION_STEPS = (40, 60, 90, 130, 160)
+
+
+def fenced_conditioning(squeezing, transmittance, apd_efficiency):
+    """Heralded state one step of TRUNCATION_STEPS above the smallest
+    truncation that passes the tail fence."""
+    for step, n_trunc in enumerate(TRUNCATION_STEPS):
+        try:
+            fock.lossy_click_conditioning(squeezing, transmittance,
+                                          apd_efficiency, n_trunc)
+        except TruncationError:
+            continue
+        return fock.lossy_click_conditioning(squeezing, transmittance,
+                                             apd_efficiency,
+                                             TRUNCATION_STEPS[step + 1])
+    raise TruncationError("no truncation step passes the fence")
 
 
 class TestStates:
@@ -181,6 +276,13 @@ class TestStates:
                                           op_b, psi)
                 expected[i, j] = val.real
         assert np.max(np.abs(fock.second_moments(state) - expected)) < 1e-13
+
+    def test_tap_amplitude_table_matches_forty_digits(self):
+        for n_trunc in (40, 60):
+            for t in (0.05, 0.3, 0.7, 0.95, 0.999):
+                table = fock.tap_amplitude_table(t, n_trunc)
+                exact = exact_tap_amplitude_table(t, n_trunc)
+                assert np.max(np.abs(table - exact)) < 1e-14
 
     def test_second_moments_match_covariance(self):
         for lam in (0.0, 0.3, 0.5):
@@ -298,7 +400,37 @@ class TestSignCorrelation:
         rho, _ = fock_realistic
         value = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 1.0)
         assert value == fock.fock_sign_correlation(rho, 0.0, -np.pi / 4)
-        assert value == pytest.approx(0.5077034482696573, abs=1e-12)
+        assert value == pytest.approx(0.5077034482709255, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.95])
+    def test_matches_fifty_digits(self, realistic_params, eta):
+        params = replace(realistic_params, homodyne_efficiency=eta)
+        rho, _ = fock.lossy_click_conditioning(
+            params.squeezing, params.transmittance, params.apd_efficiency, 60)
+        value = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
+        exact = exact_sign_correlation(params, 0.0, -np.pi / 4)
+        assert abs(value - exact) < 1e-14
+
+    def test_referee_over_the_domain(self):
+        # Fock E within the rounding budget of the signed four-term sum, and
+        # Fock P within 1e-7, one truncation step above the fence
+        rng = np.random.default_rng(20261018)
+        for _ in range(30):
+            lam = rng.uniform(0.05, 0.9)
+            t = rng.uniform(0.85, 0.999)
+            eta = rng.uniform(0.05, 1.0)
+            eta_bhd = rng.uniform(0.7, 1.0)
+            theta, phi = rng.uniform(-np.pi, np.pi, size=2)
+            params = bell.ExperimentParams(lam, t, eta, eta_bhd)
+            state = conditioning.conditional_state(params.output_covariance())
+            marginal = bell.rotated_marginal(state, theta, phi)
+            e_closed = bell.sign_correlation(marginal)
+            rho, p_click = fenced_conditioning(lam, t, eta)
+            e_fock = fock.fock_sign_correlation(rho, theta, phi, eta_bhd)
+            budget = 8 * np.abs(state.weights).sum() * np.finfo(float).eps
+            assert abs(e_fock - e_closed) <= budget + 1e-12
+            p_closed = state.success_prob
+            assert abs(p_click - p_closed) <= 1e-7 * p_closed
 
     def test_lossy_correlator_builds_no_state(self, monkeypatch,
                                               realistic_params,
@@ -349,8 +481,8 @@ class TestWigner:
         table = fock.wigner_pair_table(6, pts[:, 0], pts[:, 1])
         for x0, p0, closed in zip(pts[:, 0], pts[:, 1],
                                   np.moveaxis(table, -1, 0)):
-            left = fock.hermite_functions(6, x0 + y / 2.0)
-            right = fock.hermite_functions(6, x0 - y / 2.0)
+            left = hermite_functions(6, x0 + y / 2.0)
+            right = hermite_functions(6, x0 - y / 2.0)
             phase = np.exp(-1j * p0 * y)
             for m in range(6):
                 for n in range(6):
@@ -360,9 +492,10 @@ class TestWigner:
 
     def test_pair_table_matches_loop(self):
         pts = np.random.default_rng(6).normal(scale=1.5, size=(20, 2))
-        table = fock.wigner_pair_table(40, pts[:, 0], pts[:, 1])
-        direct = loop_wigner_pair_table(40, pts[:, 0], pts[:, 1])
-        assert np.max(np.abs(table - direct)) < 1e-12
+        for n_trunc in (40, 60):
+            table = fock.wigner_pair_table(n_trunc, pts[:, 0], pts[:, 1])
+            direct = loop_wigner_pair_table(n_trunc, pts[:, 0], pts[:, 1])
+            assert np.max(np.abs(table - direct)) < 1e-14
 
     def test_vacuum_wigner(self):
         pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, -0.2, 0.1, 0.3]])
@@ -410,17 +543,15 @@ class TestDensityBlocks:
         with pytest.raises(DomainError, match="partner"):
             fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
 
-    def test_quadrature_grid_is_cached_and_read_only(self):
-        x, w = fock.signed_quadrature_grid()
-        again = fock.signed_quadrature_grid()
-        assert again[0] is x and again[1] is w
+    def test_sign_operator_is_cached_and_read_only(self):
+        sign = fock._sign_operator(40)
+        kernel = fock._sign_kernel(40, 0.9)
+        assert fock._sign_operator(40) is sign
+        assert fock._sign_kernel(40, 0.9) is kernel
         with pytest.raises(ValueError):
-            x[0] = 0.0
-
-    def test_narrow_grid_warns_about_mass(self, fock_realistic):
-        rho, _ = fock_realistic
-        with pytest.warns(UserWarning, match="quadrature mass"):
-            fock.fock_sign_correlation(rho, 0.0, 0.0, halfwidth=2.0)
+            sign[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            kernel[0, 0, 0] = 0.0
 
 
 SMALL_POINTS = [(0.4, 0.95, 0.3), (0.35, 0.9, 1.0)]
@@ -502,10 +633,9 @@ class TestDenseReferences:
                    - expected) < 1e-12
 
     def test_diag_correlator_matches_wavefunction(self):
-        x, w = fock.signed_quadrature_grid()
-        h = fock.hermite_functions(60, x)
-        sign_op, _ = fock._quadrature_matrices(60, fock.GRID_POINTS,
-                                               fock.GRID_HALFWIDTH)
+        x, w = reference_grid(60)
+        h = hermite_functions(60, x)
+        sign_op = fock._sign_operator(60)
         state = fock.pair_projected_state(0.58, 0.99, 60)
         diag = np.diag(state.amplitudes)
         for angle_sum in (-np.pi / 4, np.pi / 4, 3 * np.pi / 4, 0.3):
@@ -513,6 +643,14 @@ class TestDenseReferences:
                                                sign_op * sign_op)
             direct = dense_diag_sign_correlation(diag, angle_sum, x, w, h)
             assert abs(fast - direct) < 1e-12
+
+    @pytest.mark.parametrize("n_trunc", [40, 60, 130])
+    def test_sign_operator_matches_wide_grid(self, n_trunc):
+        sign = fock._sign_operator(n_trunc)
+        assert np.max(np.abs(sign - grid_sign_operator(n_trunc))) < 1e-13
+        assert np.array_equal(sign, sign.T)
+        idx = np.arange(n_trunc)
+        assert not np.any(sign[np.add.outer(idx, idx) % 2 == 0])
 
     def test_optimal_product_unchanged(self):
         # lambda*T found with the wavefunction-grid correlator at T = 0.99
