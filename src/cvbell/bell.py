@@ -21,6 +21,7 @@ form in the tests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,10 @@ class ExperimentParams:
             gaussian.check_domain(name, getattr(self, name))
         if len(self.angles) != 4:
             raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        angles = tuple(float(a) for a in self.angles)
+        if not all(map(math.isfinite, angles)):
+            raise DomainError(f"angles must be finite, got {angles}")
+        object.__setattr__(self, "angles", angles)
 
     def output_covariance(self) -> np.ndarray:
         return gaussian.output_covariance(self.squeezing, self.transmittance,

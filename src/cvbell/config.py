@@ -1,6 +1,7 @@
 """Run configuration: a flat INI-style key-value file with one section
-per concern.  Parsing is strict (unknown values fail loudly) and the
-effective configuration round-trips through its text form unchanged.
+per concern.  Parsing is strict (unknown values fail loudly; every number
+must be finite and every integer field integral) and the effective
+configuration round-trips through its text form unchanged.
 """
 
 from __future__ import annotations
@@ -72,21 +73,28 @@ class RunConfig:
 _ANGLE_KEYS = ("theta1", "theta2", "phi1", "phi2")
 
 
-def _get_float(section, key: str, section_name: str, integer=False):
-    """section[key] as a float, or truncated to an int when integer."""
+def _get_float(section, key: str, section_name: str) -> float:
+    """section[key] as a finite float."""
     try:
         value = float(section[key])
-        return int(value) if integer else value
     except KeyError:
         raise ConfigError(f"missing required field {key!r} in [{section_name}]")
     except ValueError:
-        raise ConfigError(
-            f"field {key!r} in [{section_name}] is not "
-            f"{'an integer' if integer else 'a number'}: {section[key]!r}")
+        raise ConfigError(f"field {key!r} in [{section_name}] is not a "
+                          f"number: {section[key]!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"field {key!r} in [{section_name}] is not "
+                          f"finite: {section[key]!r}")
+    return value
 
 
 def _get_int(section, key: str, section_name: str) -> int:
-    return _get_float(section, key, section_name, integer=True)
+    """section[key] as an int; the number must be integral."""
+    value = _get_float(section, key, section_name)
+    if not value.is_integer():
+        raise ConfigError(f"field {key!r} in [{section_name}] is not an "
+                          f"integer: {section[key]!r}")
+    return int(value)
 
 
 def parse_config(text: str) -> RunConfig:

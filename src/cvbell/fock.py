@@ -9,15 +9,25 @@ equal, so a mixed state is stored as its Delta-blocks: an array of shape
 
     blocks[Delta + N - 1, a, c] = <a, a - Delta| rho |c, c - Delta>,
 
-O(N^3) numbers instead of the dense O(N^4) array.  Click conditioning
-builds each block with one product over the tap photon counts.  Homodyne
+O(N^3) numbers instead of the dense O(N^4) array, kept real when the
+state is real.  Click conditioning builds each block with one product
+over the tap photon counts.  Every two-mode quantity is a pairing
+sum rho[(a, b), (c, d)] O_A[a, c] O_B[b, d], read off the blocks with one
+block reduction
+
+    M[a, c] = sum_Delta R[Delta, a, c] O_B[a - Delta, c - Delta]
+
+as sum_{a,c} O_A[a, c] M[a, c].  For symmetric O_A, O_B the pairing is
+Tr rho (O_A (x) O_B); for single-mode Wigner tables it is W.  Homodyne
 statistics come from the sign operator S[a, c] = int sgn(x) h_a h_c dx of
 the Hermite functions h, in closed form from the oscillator equation: no
 quadrature grid.  Homodyne loss acts on S, not on the state: its dual map
 L^dagger S[a, c] = sum_l t(a, l) t(c, l) S[a - l, c - l], with t the
-beam-splitter amplitudes, is one N x N matrix, and the correlator is
-E = sum R[Delta, a, c] e^{i(theta+phi)(a-c)} L^dagger S[a, c]
-L^dagger S[a-Delta, c-Delta], one contraction over the blocks.
+beam-splitter amplitudes, is one N x N matrix L.  Rotations multiply
+entry (a, c) by e^{i(theta+phi)(a-c)}, so the correlator is the phase form
+E = sum_{a,c} L[a, c] M_L[a, c] e^{i(theta+phi)(a-c)} of one reduction.
+The Wigner function reduces the stack of single-mode Wigner tables of
+mode B the same way.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
 vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
@@ -84,42 +94,23 @@ class FockState:
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(n_trunc: int):
-    """In-range mask and the gather from Delta-blocks to pair blocks.
-
-    The pair layout of mode A, pairs[k + N - 1, a, b] = <a, b| rho |a - k,
-    b - k>, holds the same entries as the Delta-blocks, grouped by the
-    ket-bra offset k that phase-space transforms of mode A leave fixed.
-    Returns the mask of entries whose partner indices lie in [0, N) (the
-    same for blocks and pairs), their flat positions, and the flat
-    positions in the blocks that the pair entries are read from.
-    """
+def _in_range(n_trunc: int) -> np.ndarray:
+    """Mask of block entries [u, i, j] whose partners i - u and j - u lie in
+    [0, N)."""
     n = n_trunc
     u = np.arange(1 - n, n)[:, None, None]
     i = np.arange(n)[None, :, None]
     j = np.arange(n)[None, None, :]
-    valid = (i >= u) & (i - u < n) & (j >= u) & (j - u < n)
-    dest = np.flatnonzero(valid)
-    # pair entry [u, i, j] is block entry [i - j, i, i - u]
-    source = np.broadcast_to(((i - j + n - 1) * n + i) * n + i - u, valid.shape)
-    return _readonly(valid), _readonly(dest), _readonly(source.ravel()[dest])
+    return _readonly((i >= u) & (i - u < n) & (j >= u) & (j - u < n))
 
 
 @functools.lru_cache(maxsize=8)
 def _mirror_positions(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of in-range block entries [u, i, j], i <= j, and [u, j, i]."""
-    valid = _layout(n_trunc)[0]
+    valid = _in_range(n_trunc)
     u, i, j = np.nonzero(valid & np.triu(np.ones(valid.shape[1:], bool)))
     return (_readonly(np.ravel_multi_index((u, i, j), valid.shape)),
             _readonly(np.ravel_multi_index((u, j, i), valid.shape)))
-
-
-def _relayout(blocks: np.ndarray) -> np.ndarray:
-    """Delta-blocks to the pair layout of mode A."""
-    _, dest, source = _layout(blocks.shape[1])
-    out = np.zeros(blocks.shape, dtype=blocks.dtype)
-    out.reshape(-1)[dest] = blocks.reshape(-1)[source]
-    return out
 
 
 def _photon_numbers(blocks: np.ndarray, n_trunc: int) -> np.ndarray:
@@ -135,18 +126,22 @@ class FockDensityMatrix:
 
     blocks[Delta + n_trunc - 1, a, c] = <a, a - Delta| rho |c, c - Delta>;
     an entry whose partner index a - Delta or c - Delta leaves the
-    truncation must be zero.
+    truncation must be zero.  The blocks keep their dtype: real blocks stay
+    real float64 (half the memory of complex ones), complex blocks stay
+    complex, and integer blocks become float64.
     """
 
     blocks: np.ndarray
     n_trunc: int
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
+        blocks = np.asarray(self.blocks)
+        blocks = blocks.astype(np.promote_types(blocks.dtype, float),
+                               copy=False)
         n = self.n_trunc
         if blocks.shape != (2 * n - 1, n, n):
             raise DomainError("density blocks do not match the truncation")
-        if np.any(blocks[~_layout(n)[0]]):
+        if np.any(blocks[~_in_range(n)]):
             raise DomainError("density block has an entry whose partner "
                               "photon number lies outside the truncation")
         upper, lower = _mirror_positions(n)
@@ -358,8 +353,7 @@ def lossy_click_conditioning(squeezing: float, transmittance: float,
         raise InvalidRegimeError(
             f"double-click probability {p_click} vanishes; "
             "no conditional state exists")
-    state = FockDensityMatrix(blocks=(blocks / p_click).astype(complex),
-                              n_trunc=n_trunc)
+    state = FockDensityMatrix(blocks=blocks / p_click, n_trunc=n_trunc)
     return state, p_click
 
 
@@ -393,19 +387,37 @@ def _sign_operator(n_trunc: int) -> np.ndarray:
     return _readonly(sign)
 
 
-def _block_kernel(op: np.ndarray) -> np.ndarray:
-    """K[Delta, a, c] = O[a, c] O[a - Delta, c - Delta] of an N x N operator O.
+def _block_reduce(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...].
 
-    The kernel of O (x) O on the Delta-blocks, zero where a partner index
-    leaves [0, N).
+    Pairs O with mode B of the block-stored state, so that
+    sum rho[(a, b), (c, d)] O_A[a, c] O[b, d] = sum_{a,c} O_A[a, c] M[a, c].
+    Terms whose partner index leaves [0, N) are left out.  Trailing axes
+    of op are a stack of operators, reduced at once.
     """
-    n = op.shape[0]
-    kernel = np.zeros((2 * n - 1, n, n))
+    n = blocks.shape[1]
+    blocks = blocks.reshape(blocks.shape + (1,) * (op.ndim - 2))
+    out = np.zeros(op.shape, dtype=np.result_type(blocks, op))
     for delta in range(1 - n, n):
         lo, hi = max(delta, 0), min(n + delta, n)
-        kernel[delta + n - 1, lo:hi, lo:hi] = (
-            op[lo:hi, lo:hi] * op[lo - delta:hi - delta, lo - delta:hi - delta])
-    return kernel
+        out[lo:hi, lo:hi] += (blocks[delta + n - 1, lo:hi, lo:hi]
+                              * op[lo - delta:hi - delta, lo - delta:hi - delta])
+    return out
+
+
+def _phase_form(reduced: np.ndarray, angle_sum: float) -> float:
+    """sum_{a,c} M[a, c] e^{i angle_sum (a - c)}, real for a hermitian M."""
+    phase = np.exp(1j * angle_sum * np.arange(reduced.shape[0]))
+    return float((phase @ reduced @ phase.conj()).real)
+
+
+def _phase_chsh(reduced: np.ndarray,
+                angles: tuple[float, float, float, float]) -> float:
+    """CHSH combination of the phase forms of M at the four angle sums."""
+    theta1, theta2, phi1, phi2 = angles
+    return float(chsh_value(np.array(
+        [[_phase_form(reduced, theta + phi) for phi in (phi1, phi2)]
+         for theta in (theta1, theta2)])))
 
 
 def _loss_dual(op: np.ndarray, transmittance: float) -> np.ndarray:
@@ -424,26 +436,19 @@ def _loss_dual(op: np.ndarray, transmittance: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=2)
-def _sign_kernel(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
-    """Block kernel of L^dagger S, what a pair of lossy homodynes measures.
+def _sign_reduced(rho: FockDensityMatrix,
+                  homodyne_efficiency: float) -> np.ndarray:
+    """L o M_L with L = L^dagger S, what a pair of lossy homodynes measures.
 
-    No state check is needed for L(rho): L is trace preserving, keeps
+    Its phase form at theta + phi is the correlator E(theta, phi).  No
+    state check is needed for L(rho): L is trace preserving, keeps
     hermiticity and never raises a photon number, so the checks
     FockDensityMatrix ran on rho also cover it.  homodyne_efficiency must
-    lie in (0, 1] (DomainError, with the text ExperimentParams uses).  The
-    kernel is cached and read-only.
+    lie in (0, 1] (DomainError, with the text ExperimentParams uses).
     """
     check_domain("homodyne_efficiency", homodyne_efficiency)
-    return _readonly(_block_kernel(
-        _loss_dual(_sign_operator(n_trunc), homodyne_efficiency)))
-
-
-def _contract(blocks: np.ndarray, kernel: np.ndarray, angle_sum: float) -> float:
-    """sum R[Delta, a, c] K[Delta, a, c] e^{i angle_sum (a - c)}."""
-    phase = np.exp(1j * angle_sum * np.arange(blocks.shape[1]))
-    summed = np.einsum("uac,uac->ac", blocks, kernel)
-    return float((phase @ summed @ phase.conj()).real)
+    lossy = _loss_dual(_sign_operator(rho.n_trunc), homodyne_efficiency)
+    return lossy * _block_reduce(rho.blocks, lossy)
 
 
 def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
@@ -452,31 +457,20 @@ def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
 
     E = Tr rho (L^dagger S (x) L^dagger S), with S the closed-form sign
     operator and L the homodyne loss, applied to the measured operator
-    rather than the state: one contraction of the blocks with the kernel
-    of `_sign_kernel`.  A rotation by theta on mode A and phi on mode B
-    multiplies entry (a, c) of every block by e^{i(theta+phi)(a-c)}, and
-    rotations commute with pure loss.
+    rather than the state: one block reduction, then its phase form.  A
+    rotation by theta on mode A and phi on mode B multiplies entry (a, c)
+    of every block by e^{i(theta+phi)(a-c)}, and rotations commute with
+    pure loss.
     """
-    kernel = _sign_kernel(rho.n_trunc, homodyne_efficiency)
-    return _contract(rho.blocks, kernel, theta + phi)
+    return _phase_form(_sign_reduced(rho, homodyne_efficiency), theta + phi)
 
 
 def fock_chsh(rho: FockDensityMatrix,
               angles: tuple[float, float, float, float],
               homodyne_efficiency: float = 1.0) -> float:
-    """CHSH combination of four sign correlators for a given heralded state."""
-    theta1, theta2, phi1, phi2 = angles
-    kernel = _sign_kernel(rho.n_trunc, homodyne_efficiency)
-    corr = [[_contract(rho.blocks, kernel, theta + phi)
-             for phi in (phi1, phi2)] for theta in (theta1, theta2)]
-    return float(chsh_value(np.array(corr)))
-
-
-def _diag_sign_correlation(diag: np.ndarray, angle_sum: float,
-                           sign_squared: np.ndarray) -> float:
-    """Sign correlator g^dagger (S o S) g of a pure sum_n g_n |n,n> state."""
-    phased = diag * np.exp(1j * angle_sum * np.arange(diag.size))
-    return float((phased.conj() @ sign_squared @ phased).real)
+    """CHSH combination of four sign correlators for a given heralded state:
+    one block reduction and four phase forms."""
+    return _phase_chsh(_sign_reduced(rho, homodyne_efficiency), angles)
 
 
 def fock_optimal_product(transmittance: float,
@@ -485,21 +479,17 @@ def fock_optimal_product(transmittance: float,
 
     Uses photon-pair projection (perfect photon-resolving detectors) and
     ideal homodynes, which keeps the heralded state pure and the scan
-    cheap.  Returns (lambda_opt * T, S_max).
+    cheap.  The Schmidt state sum_n g_n |n,n> reduces to M = (g g*) o S o S.
+    Returns (lambda_opt * T, S_max).
     """
     sign_op = _sign_operator(PRODUCT_TRUNCATION)
     sign_squared = sign_op * sign_op
-    theta1, theta2, phi1, phi2 = DEFAULT_ANGLES
 
     def s_value(lam: float) -> float:
         state = pair_projected_state(lam, transmittance, PRODUCT_TRUNCATION)
         diag = np.diag(state.amplitudes)
-        e = {}
-        for s in {theta1 + phi1, theta1 + phi2, theta2 + phi1, theta2 + phi2}:
-            e[s] = _diag_sign_correlation(diag, s, sign_squared)
-        return float(chsh_value(np.array(
-            [[e[theta1 + phi1], e[theta1 + phi2]],
-             [e[theta2 + phi1], e[theta2 + phi2]]])))
+        return _phase_chsh(np.outer(diag, diag.conj()) * sign_squared,
+                           DEFAULT_ANGLES)
 
     grid = np.linspace(*PRODUCT_LAMBDA_RANGE, 16)
     values = [s_value(lam) for lam in grid]
@@ -549,29 +539,21 @@ def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return table
 
 
-def _offset_diagonals(table: np.ndarray) -> np.ndarray:
-    """diagonals[k + N - 1, a] = table[a, a - k], zero where a - k leaves [0, N)."""
-    n = table.shape[0]
-    a = np.arange(n)[None, :]
-    bra = a - np.arange(1 - n, n)[:, None]
-    inside = (bra >= 0) & (bra < n)
-    return np.where(inside[..., None], table[a, np.clip(bra, 0, n - 1)], 0.0)
-
-
 def wigner_values(rho: FockDensityMatrix, points: np.ndarray) -> np.ndarray:
     """Two-mode Wigner function at phase-space points (..., 4).
 
     Point components are ordered (x_A, p_A, x_B, p_B) to match the
-    covariance-matrix modules.  Each pair block, one ket-bra offset k,
-    contracts with the k-th diagonals of the two single-mode tables.
+    covariance-matrix modules.  With T_A and T_B the single-mode tables of
+    `wigner_pair_table`, W_i = sum_{a,c} T_A[a, c, i] M[a, c, i], where M
+    is the block reduction of the stack T_B: the state is read in place.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 4:
         raise DomainError("phase-space points must have 4 components")
     flat = pts.reshape(-1, 4)
     n = rho.n_trunc
-    diag_a = _offset_diagonals(wigner_pair_table(n, flat[:, 0], flat[:, 1]))
-    diag_b = _offset_diagonals(wigner_pair_table(n, flat[:, 2], flat[:, 3]))
-    pairs = _relayout(rho.blocks)
-    values = np.einsum("kai,kai->i", diag_a, pairs @ diag_b)
+    table_a = wigner_pair_table(n, flat[:, 0], flat[:, 1])
+    reduced = _block_reduce(rho.blocks,
+                            wigner_pair_table(n, flat[:, 2], flat[:, 3]))
+    values = np.einsum("aci,aci->i", table_a, reduced)
     return values.real.reshape(pts.shape[:-1])

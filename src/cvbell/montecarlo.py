@@ -58,8 +58,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_target_events < 1:
             raise DomainError("n_target_events must be >= 1")
-        if self.rep_rate <= 0:
-            raise DomainError("rep_rate must be positive")
+        if not (np.isfinite(self.rep_rate) and self.rep_rate > 0):
+            raise DomainError(f"rep_rate must be finite and positive, "
+                              f"got {self.rep_rate}")
         p1, p2 = self.angle_choice_probs
         if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-12:
             raise DomainError("angle_choice_probs must be non-negative and sum to 1")

@@ -133,6 +133,12 @@ class TestExperimentParams:
         with pytest.raises(DomainError):
             bell.ExperimentParams(**kwargs)
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_raises(self, angle):
+        with pytest.raises(DomainError, match="angles must be finite"):
+            bell.ExperimentParams(0.5, 0.95, 0.3, 1.0,
+                                  angles=(angle, np.pi / 2, 0.0, 0.0))
+
 
 class TestRotatedMarginal:
     def test_vanishing_squeezing_gives_no_correlation(self):

@@ -56,6 +56,32 @@ class TestConfig:
             parse_config(BASE_CONFIG + "\n[sweep]\naxis = T\n"
                          "min = 0.1\nmax = 0.5\nsteps = 5\n")
 
+    @pytest.mark.parametrize("extra, field", [
+        ("theta1 = nan\n", "theta1"),
+        ("\n[mc]\nn_target_events = inf\n", "n_target_events"),
+        ("\n[mc]\nseed = 1.7\n", "seed"),
+        ("\n[mc]\nrep_rate = nan\n", "rep_rate"),
+        ("\n[fock]\nn_trunc = 40.9\n", "n_trunc"),
+        ("\n[sweep]\naxis = eta\nmin = 0.1\nmax = 0.5\nsteps = 2.9\n",
+         "steps"),
+        ("\n[sweep]\naxis = eta\nmin = 0.1\nmax = inf\nsteps = 5\n", "max"),
+    ], ids=["theta1", "n_target_events", "seed", "rep_rate", "n_trunc",
+            "steps", "max"])
+    def test_non_finite_or_fractional_number_exits_usage(self, tmp_path,
+                                                         capsys, extra,
+                                                         field):
+        cfg = write_config(tmp_path, BASE_CONFIG + extra)
+        with pytest.raises(ConfigError, match=repr(field)):
+            parse_config(BASE_CONFIG + extra)
+        assert cli.main(["chsh", "--config", cfg]) == cli.EXIT_USAGE
+        assert repr(field) in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self):
+        cfg = parse_config(BASE_CONFIG + "\n[mc]\nseed = 7.0\n"
+                           "n_target_events = 1e3\n")
+        assert (cfg.seed, cfg.n_target_events) == (7, 1000)
+        assert isinstance(cfg.seed, int)
+
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(squeezing=0.5, transmittance=0.95, apd_efficiency=0.3,

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -545,13 +546,35 @@ class TestDensityBlocks:
 
     def test_sign_operator_is_cached_and_read_only(self):
         sign = fock._sign_operator(40)
-        kernel = fock._sign_kernel(40, 0.9)
         assert fock._sign_operator(40) is sign
-        assert fock._sign_kernel(40, 0.9) is kernel
         with pytest.raises(ValueError):
             sign[0, 1] = 0.0
-        with pytest.raises(ValueError):
-            kernel[0, 0, 0] = 0.0
+
+    def test_blocks_keep_their_dtype(self):
+        rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
+        assert rho.blocks.dtype == np.float64
+        complex_blocks = vacuum_density().blocks
+        assert complex_blocks.dtype == np.complex128
+        assert fock.FockDensityMatrix(complex_blocks, 16).blocks.dtype \
+            == np.complex128
+        integer_blocks = complex_blocks.real.astype(int)
+        assert fock.FockDensityMatrix(integer_blocks, 16).blocks.dtype \
+            == np.float64
+
+    def test_correlator_allocates_less_than_a_block_array(self):
+        # the correlator reduces the real blocks in place; it builds no
+        # (2N-1, N, N) kernel, which at N = 60 is 3.43 MB of floats.  The
+        # warm-up runs at another homodyne efficiency, as a fresh draw does.
+        n_trunc = 60
+        rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, n_trunc)
+        fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 1.0)
+        tracemalloc.start()
+        try:
+            fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n_trunc - 1) * n_trunc * n_trunc * 8
 
 
 SMALL_POINTS = [(0.4, 0.95, 0.3), (0.35, 0.9, 1.0)]
@@ -621,6 +644,43 @@ class TestDenseReferences:
         assert np.max(np.abs(fock.wigner_values(rho, pts)
                              - dense_wigner_values(dense, pts))) < 1e-12
 
+    def test_complex_blocks_match_dense_references(self, small_pair):
+        # the heralded state rotated by e^{i theta n_A}: block entry (a, c)
+        # picks up e^{i theta (a - c)}, which makes every block complex
+        rho, _, _, _ = small_pair
+        theta = 0.7
+        idx = np.arange(rho.n_trunc)
+        rotated = fock.FockDensityMatrix(
+            rho.blocks * np.exp(1j * theta * np.subtract.outer(idx, idx)),
+            rho.n_trunc)
+        assert rotated.blocks.dtype == np.complex128
+        dense = to_dense(rotated)
+        for phi in (0.0, -np.pi / 4, 1.1):
+            for eta in (1.0, 0.9):
+                e_rotated = fock.fock_sign_correlation(rotated, 0.0, phi, eta)
+                e_dense = dense_sign_correlation(dense, 0.0, phi, eta)
+                assert abs(e_rotated - e_dense) < 1e-12
+                e_plain = fock.fock_sign_correlation(rho, theta, phi, eta)
+                assert abs(e_rotated - e_plain) < 1e-14
+        pts = np.random.default_rng(14).normal(size=(12, 4))
+        assert np.max(np.abs(fock.wigner_values(rotated, pts)
+                             - dense_wigner_values(dense, pts))) < 1e-12
+
+    def test_chsh_makes_one_reduction(self, monkeypatch, realistic_params,
+                                      fock_realistic):
+        rho, _ = fock_realistic
+        calls = []
+        reduce = fock._block_reduce
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return reduce(*args)
+
+        monkeypatch.setattr(fock, "_block_reduce", counting)
+        fock.fock_chsh(rho, realistic_params.angles,
+                       realistic_params.homodyne_efficiency)
+        assert calls == [(40, 40)]
+
     def test_chsh_is_four_correlators(self, realistic_params, fock_realistic):
         rho, _ = fock_realistic
         theta1, theta2, phi1, phi2 = realistic_params.angles
@@ -638,9 +698,9 @@ class TestDenseReferences:
         sign_op = fock._sign_operator(60)
         state = fock.pair_projected_state(0.58, 0.99, 60)
         diag = np.diag(state.amplitudes)
+        reduced = np.outer(diag, diag.conj()) * sign_op * sign_op
         for angle_sum in (-np.pi / 4, np.pi / 4, 3 * np.pi / 4, 0.3):
-            fast = fock._diag_sign_correlation(diag, angle_sum,
-                                               sign_op * sign_op)
+            fast = fock._phase_form(reduced, angle_sum)
             direct = dense_diag_sign_correlation(diag, angle_sum, x, w, h)
             assert abs(fast - direct) < 1e-12
 

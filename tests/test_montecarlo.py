@@ -263,6 +263,13 @@ class TestRunProtocol:
             ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
                            angle_choice_probs=(0.7, 0.7))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    def test_rep_rate_must_be_finite_and_positive(self, realistic_params,
+                                                  rate):
+        with pytest.raises(DomainError, match="rep_rate"):
+            ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
+                           rep_rate=rate)
+
 
 class TestAcquisitionTime:
     def test_realistic_point_under_an_hour(self, realistic_params):
