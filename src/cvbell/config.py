@@ -1,7 +1,7 @@
 """Run configuration: a flat INI-style key-value file with one section
-per concern.  Parsing is strict (unknown values fail loudly; every number
-must be finite and every integer field integral) and the effective
-configuration round-trips through its text form unchanged.
+per concern.  Parsing is strict (unknown sections, keys and values fail
+loudly; every number must be finite and every integer field integral) and
+the effective configuration round-trips through its text form unchanged.
 """
 
 from __future__ import annotations
@@ -72,25 +72,48 @@ class RunConfig:
 
 _ANGLE_KEYS = ("theta1", "theta2", "phi1", "phi2")
 
+#: the RunConfig field of every key the parser reads, by section, in
+#: reading and writing order
+_FIELDS = {
+    "params": {**{param.key: name for name, param in PARAMS.items()},
+               **{key: key for key in _ANGLE_KEYS}},
+    "output": {"path": "output_path", "format": "output_format"},
+    "mc": {key: key for key in ("n_target_events", "seed", "rep_rate")},
+    "fock": {"n_trunc": "n_trunc"},
+    "sweep": {"axis": "sweep_axis", "min": "sweep_min", "max": "sweep_max",
+              "steps": "sweep_steps"},
+}
+
+
+def _get_text(section, key: str, section_name: str) -> str:
+    """section[key], which must be present."""
+    try:
+        return section[key]
+    except KeyError:
+        raise ConfigError(f"missing required field {key!r} in [{section_name}]")
+
 
 def _get_float(section, key: str, section_name: str) -> float:
     """section[key] as a finite float."""
+    text = _get_text(section, key, section_name)
     try:
-        value = float(section[key])
-    except KeyError:
-        raise ConfigError(f"missing required field {key!r} in [{section_name}]")
+        value = float(text)
     except ValueError:
         raise ConfigError(f"field {key!r} in [{section_name}] is not a "
-                          f"number: {section[key]!r}")
+                          f"number: {text!r}")
     if not np.isfinite(value):
         raise ConfigError(f"field {key!r} in [{section_name}] is not "
-                          f"finite: {section[key]!r}")
+                          f"finite: {text!r}")
     return value
 
 
 def _get_int(section, key: str, section_name: str) -> int:
-    """section[key] as an int; the number must be integral."""
-    value = _get_float(section, key, section_name)
+    """section[key] as an int: integer text exactly, else an integral number
+    such as 7.0 or 1e3."""
+    try:
+        return int(_get_text(section, key, section_name))
+    except ValueError:
+        value = _get_float(section, key, section_name)
     if not value.is_integer():
         raise ConfigError(f"field {key!r} in [{section_name}] is not an "
                           f"integer: {section[key]!r}")
@@ -105,40 +128,29 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}")
+    if parser.defaults():  # configparser would copy them into every section
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _FIELDS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:
+            if key not in _FIELDS[name]:
+                raise ConfigError(f"unknown field {key!r} in [{name}]")
     if "params" not in parser:
         raise ConfigError("missing required section [params]")
-    sec = parser["params"]
+    readers = {"float": _get_float, "int": _get_int, "str": _get_text}
     values = {}
-    for name, param in PARAMS.items():
-        values[name] = _get_float(sec, param.key, "params")
-    for key in _ANGLE_KEYS:
-        if key in sec:
-            values[key] = _get_float(sec, key, "params")
-    if "output" in parser:
-        out = parser["output"]
-        if "path" in out:
-            values["output_path"] = out["path"]
-        if "format" in out:
-            values["output_format"] = out["format"]
-    if "mc" in parser:
-        mc = parser["mc"]
-        if "n_target_events" in mc:
-            values["n_target_events"] = _get_int(mc, "n_target_events", "mc")
-        if "seed" in mc:
-            values["seed"] = _get_int(mc, "seed", "mc")
-        if "rep_rate" in mc:
-            values["rep_rate"] = _get_float(mc, "rep_rate", "mc")
-    if "fock" in parser:
-        if "n_trunc" in parser["fock"]:
-            values["n_trunc"] = _get_int(parser["fock"], "n_trunc", "fock")
-    if "sweep" in parser:
-        sw = parser["sweep"]
-        values["sweep_axis"] = sw.get("axis", "")
-        if not values["sweep_axis"]:
+    for name, fields in _FIELDS.items():
+        if name not in parser:
+            continue
+        section = parser[name]
+        for key, field in fields.items():
+            # every [sweep] key and every experiment parameter is required
+            if key in section or name == "sweep" or field in PARAMS:
+                read = readers[RunConfig.__annotations__[field]]
+                values[field] = read(section, key, name)
+        if name == "sweep" and not values["sweep_axis"]:
             raise ConfigError("missing required field 'axis' in [sweep]")
-        values["sweep_min"] = _get_float(sw, "min", "sweep")
-        values["sweep_max"] = _get_float(sw, "max", "sweep")
-        values["sweep_steps"] = _get_int(sw, "steps", "sweep")
     return RunConfig(**values)
 
 
@@ -151,28 +163,20 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
+def _to_text(value) -> str:
+    """Text that reads back to the same value: repr of numbers keeps every
+    float digit."""
+    return value if isinstance(value, str) else repr(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    params = {param.key: repr(getattr(cfg, name))
-              for name, param in PARAMS.items()}
-    params.update((key, repr(getattr(cfg, key))) for key in _ANGLE_KEYS)
-    parser["params"] = params
-    parser["output"] = {"path": cfg.output_path, "format": cfg.output_format}
-    parser["mc"] = {
-        "n_target_events": str(cfg.n_target_events),
-        "seed": str(cfg.seed),
-        "rep_rate": repr(cfg.rep_rate),
-    }
-    parser["fock"] = {"n_trunc": str(cfg.n_trunc)}
-    if cfg.sweep_axis:
-        parser["sweep"] = {
-            "axis": cfg.sweep_axis,
-            "min": repr(cfg.sweep_min),
-            "max": repr(cfg.sweep_max),
-            "steps": str(cfg.sweep_steps),
-        }
+    for name, fields in _FIELDS.items():
+        if name != "sweep" or cfg.sweep_axis:
+            parser[name] = {key: _to_text(getattr(cfg, field))
+                            for key, field in fields.items()}
     buffer = io.StringIO()
     parser.write(buffer)
     return buffer.getvalue()

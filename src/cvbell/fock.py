@@ -18,14 +18,15 @@ block reduction
     M[a, c] = sum_Delta R[Delta, a, c] O_B[a - Delta, c - Delta]
 
 as sum_{a,c} O_A[a, c] M[a, c].  For symmetric O_A, O_B the pairing is
-Tr rho (O_A (x) O_B); for single-mode Wigner tables it is W.  Homodyne
-statistics come from the sign operator S[a, c] = int sgn(x) h_a h_c dx of
-the Hermite functions h, in closed form from the oscillator equation: no
-quadrature grid.  Homodyne loss acts on S, not on the state: its dual map
-L^dagger S[a, c] = sum_l t(a, l) t(c, l) S[a - l, c - l], with t the
-beam-splitter amplitudes, is one N x N matrix L.  Rotations multiply
+Tr rho (O_A (x) O_B); for single-mode Wigner tables it is W.  A homodyne
+of efficiency eta reads the sign of sqrt(eta) x + sqrt(1 - eta) v, with v
+vacuum noise, so it measures the erf-smoothed sign operator
+S[a, c] = int erf(k x) h_a h_c dx of the Hermite functions h, with
+k^2 = eta / (1 - eta).  The oscillator equation turns S into Gaussian
+overlaps of the h, which one recurrence gives exactly: no quadrature
+grid, and no loss map on the state or the operator.  Rotations multiply
 entry (a, c) by e^{i(theta+phi)(a-c)}, so the correlator is the phase form
-E = sum_{a,c} L[a, c] M_L[a, c] e^{i(theta+phi)(a-c)} of one reduction.
+E = sum_{a,c} S[a, c] M_S[a, c] e^{i(theta+phi)(a-c)} of one reduction.
 The Wigner function reduces the stack of single-mode Wigner tables of
 mode B the same way.
 
@@ -361,30 +362,38 @@ def lossy_click_conditioning(squeezing: float, transmittance: float,
 # homodyne statistics
 
 
-@functools.lru_cache(maxsize=8)
-def _sign_operator(n_trunc: int) -> np.ndarray:
-    """S[a, c] = int sgn(x) h_a(x) h_c(x) dx of the Hermite functions h.
+def _sign_operator(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
+    """S[a, c] = int erf(k x) h_a(x) h_c(x) dx, k^2 = eta / (1 - eta).
 
-    h_a h_c is even when a + c is even, so S is zero there.  Otherwise S
-    is twice the half-axis integral, which the oscillator equation
-    h_n'' = (x^2 - 2n - 1) h_n turns into a boundary term at x = 0:
-    S[a, c] = (h_c(0) h_a'(0) - h_a(0) h_c'(0)) / (a - c), with
-    h_n(0) = -sqrt((n-1)/n) h_{n-2}(0) and h_n'(0) = sqrt(2n) h_{n-1}(0).
-    The matrix is cached and read-only.
+    A homodyne of efficiency eta reads sgn(x) smoothed by its vacuum noise,
+    erf(k x); at eta = 1 that is sgn(x).  The oscillator equation
+    h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c the derivative of
+    h_c h_a' - h_a h_c', so integrating by parts against erf(k x) gives
+    S[a, c] = (D[a, c] - D[c, a]) / (a - c) with
+    D[a, c] = int nu h_a' h_c = sqrt(a/2) G[a-1, c] - sqrt((a+1)/2) G[a+1, c],
+    where nu is the normal density of variance (1 - eta) / (2 eta) and
+    G[m, n] = int nu h_m h_n.  G is exact from G[0, 0] = sqrt(eta / pi) and
+    sqrt(m+1) G[m+1, n] = (1 - eta) sqrt(n) G[m, n-1] - eta sqrt(m) G[m-1, n];
+    G is symmetric, so the same recurrence in n gives its first row.  At
+    eta = 1, G = h(0) h(0)^T.  D, and so S, vanishes for even a + c.
     """
-    n = np.arange(n_trunc)
-    value = np.zeros(n_trunc)
-    value[0] = np.pi ** -0.25
-    for k in range(2, n_trunc, 2):
-        value[k] = -np.sqrt((k - 1) / k) * value[k - 2]
-    slope = np.zeros(n_trunc)
-    slope[1:] = np.sqrt(2.0 * n[1:]) * value[:-1]
-    diff = np.subtract.outer(n, n)
-    odd = diff % 2 == 1
-    sign = np.zeros((n_trunc, n_trunc))
-    sign[odd] = ((np.outer(slope, value) - np.outer(value, slope))[odd]
-                 / diff[odd])
-    return _readonly(sign)
+    eta = homodyne_efficiency
+    idx = np.arange(n_trunc + 1)
+    root = np.sqrt(idx)
+    overlap = np.zeros((n_trunc + 1, n_trunc))
+    ratio = -eta * root[1:n_trunc - 1:2] / root[2:n_trunc:2]
+    overlap[0, ::2] = np.sqrt(eta / np.pi) * np.cumprod(np.r_[1.0, ratio])
+    for m in range(n_trunc):
+        below = overlap[m - 1] if m else 0.0
+        overlap[m + 1, 1:] = (1.0 - eta) * root[1:n_trunc] * overlap[m, :-1]
+        overlap[m + 1] = ((overlap[m + 1] - eta * root[m] * below)
+                          / root[m + 1])
+    half = np.sqrt(idx / 2.0)[:, None]
+    deriv = -half[1:] * overlap[1:]
+    deriv[1:] += half[1:-1] * overlap[:-2]
+    diff = np.subtract.outer(idx[:-1], idx[:-1])
+    return np.divide(deriv - deriv.T, diff, out=np.zeros(diff.shape),
+                     where=diff != 0)
 
 
 def _block_reduce(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -420,47 +429,28 @@ def _phase_chsh(reduced: np.ndarray,
          for theta in (theta1, theta2)])))
 
 
-def _loss_dual(op: np.ndarray, transmittance: float) -> np.ndarray:
-    """Dual of pure loss, L^dagger(O)[a, c] = sum_l t(a,l) t(c,l) O[a-l, c-l].
-
-    The Kraus operator that loses l photons maps |m> to t(m, l) |m - l>,
-    with t the beam-splitter amplitudes.  At transmittance 1 only t(m, 0)
-    = 1 survives, and the map is the identity.
-    """
-    n = op.shape[0]
-    tap = np.abs(tap_amplitude_table(transmittance, n))
-    out = np.zeros_like(op)
-    for lost in range(n):
-        kept = tap[lost:, lost]
-        out[lost:, lost:] += np.outer(kept, kept) * op[:n - lost, :n - lost]
-    return out
-
-
 def _sign_reduced(rho: FockDensityMatrix,
                   homodyne_efficiency: float) -> np.ndarray:
-    """L o M_L with L = L^dagger S, what a pair of lossy homodynes measures.
+    """S o M_S with S the erf-smoothed sign operator, what a pair of lossy
+    homodynes measures.
 
-    Its phase form at theta + phi is the correlator E(theta, phi).  No
-    state check is needed for L(rho): L is trace preserving, keeps
-    hermiticity and never raises a photon number, so the checks
-    FockDensityMatrix ran on rho also cover it.  homodyne_efficiency must
-    lie in (0, 1] (DomainError, with the text ExperimentParams uses).
+    Its phase form at theta + phi is the correlator E(theta, phi).
+    homodyne_efficiency must lie in (0, 1] (DomainError, with the text
+    ExperimentParams uses).
     """
     check_domain("homodyne_efficiency", homodyne_efficiency)
-    lossy = _loss_dual(_sign_operator(rho.n_trunc), homodyne_efficiency)
-    return lossy * _block_reduce(rho.blocks, lossy)
+    sign = _sign_operator(rho.n_trunc, homodyne_efficiency)
+    return sign * _block_reduce(rho.blocks, sign)
 
 
 def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
                           homodyne_efficiency: float = 1.0) -> float:
     """Sign-binned quadrature correlator evaluated in the photon-number basis.
 
-    E = Tr rho (L^dagger S (x) L^dagger S), with S the closed-form sign
-    operator and L the homodyne loss, applied to the measured operator
-    rather than the state: one block reduction, then its phase form.  A
-    rotation by theta on mode A and phi on mode B multiplies entry (a, c)
-    of every block by e^{i(theta+phi)(a-c)}, and rotations commute with
-    pure loss.
+    E = Tr rho (S (x) S), with S the erf-smoothed sign operator of the
+    lossy homodynes: one block reduction, then its phase form.  A rotation
+    by theta on mode A and phi on mode B multiplies entry (a, c) of every
+    block by e^{i(theta+phi)(a-c)}.
     """
     return _phase_form(_sign_reduced(rho, homodyne_efficiency), theta + phi)
 
@@ -478,11 +468,12 @@ def fock_optimal_product(transmittance: float,
     """Squeezing-transmittance product maximizing S in the Fock pipeline.
 
     Uses photon-pair projection (perfect photon-resolving detectors) and
-    ideal homodynes, which keeps the heralded state pure and the scan
-    cheap.  The Schmidt state sum_n g_n |n,n> reduces to M = (g g*) o S o S.
-    Returns (lambda_opt * T, S_max).
+    ideal homodynes, the sign operator S at efficiency 1, which keeps the
+    heralded state pure and the scan cheap.  The Schmidt state
+    sum_n g_n |n,n> has the one block g g*, so the correlators are the
+    phase forms of S o M_S = (g g*) o S o S.  Returns (lambda_opt * T, S_max).
     """
-    sign_op = _sign_operator(PRODUCT_TRUNCATION)
+    sign_op = _sign_operator(PRODUCT_TRUNCATION, 1.0)
     sign_squared = sign_op * sign_op
 
     def s_value(lam: float) -> float:

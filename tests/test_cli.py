@@ -30,8 +30,11 @@ def read_csv(path):
 
 class TestConfig:
     def test_round_trip_identity(self):
+        # a seed above 2^53 survives: integer text is parsed exactly
         cfg = parse_config(BASE_CONFIG + "\n[sweep]\naxis = eta_bhd\n"
-                           "min = 0.85\nmax = 1.0\nsteps = 7\n")
+                           "min = 0.85\nmax = 1.0\nsteps = 7\n"
+                           "\n[mc]\nseed = 9007199254740993\n")
+        assert cfg.seed == 9007199254740993
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_round_trip_preserves_defaults(self):
@@ -75,6 +78,20 @@ class TestConfig:
             parse_config(BASE_CONFIG + extra)
         assert cli.main(["chsh", "--config", cfg]) == cli.EXIT_USAGE
         assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ("\n[mc]\nsed = 5\n", "unknown field 'sed' in [mc]"),
+        ("\n[monte_carlo]\nseed = 5\n", "unknown section [monte_carlo]"),
+        ("\n[DEFAULT]\nseed = 5\n", "unknown section [DEFAULT]"),
+    ], ids=["field", "section", "default"])
+    def test_unknown_name_exits_usage(self, tmp_path, capsys, extra,
+                                      message):
+        cfg = write_config(tmp_path, BASE_CONFIG + extra)
+        with pytest.raises(ConfigError) as info:
+            parse_config(BASE_CONFIG + extra)
+        assert str(info.value) == message
+        assert cli.main(["chsh", "--config", cfg]) == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_integral_float_is_an_integer(self):
         cfg = parse_config(BASE_CONFIG + "\n[mc]\nseed = 7.0\n"

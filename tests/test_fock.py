@@ -5,7 +5,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre, gammaln
+from mpmath.calculus.quadrature import GaussLegendre
+from scipy.special import erf, eval_genlaguerre, gammaln
 
 from cvbell import bell, conditioning, fock
 from cvbell.errors import DomainError, InvalidRegimeError, TruncationError
@@ -14,7 +15,7 @@ from test_bell import exact_terms
 
 # ---------------------------------------------------------------------------
 # quadrature references: the Hermite functions on a glued Gauss-Legendre grid,
-# which the closed-form sign operator replaces
+# which the recurrence of the sign operator replaces
 
 #: (largest truncation, half-width, points) of the reference grids; a grid
 #: must reach past the outer turning point sqrt(2N + 1) of h_{N-1}
@@ -49,11 +50,42 @@ def reference_grid(n_trunc):
             np.concatenate([w_pos[::-1], w_pos]))
 
 
-def grid_sign_operator(n_trunc):
-    """S = (h w sgn x) h^T on the reference grid."""
+def grid_sign_operator(n_trunc, homodyne_efficiency=1.0):
+    """S = (h w f) h^T on the reference grid, with f = sgn x at efficiency 1
+    and erf(k x), k^2 = eta / (1 - eta), below it."""
     x, w = reference_grid(n_trunc)
     h = hermite_functions(n_trunc, x)
-    return (h * w * np.sign(x)) @ h.T
+    eta = homodyne_efficiency
+    smooth = np.sign(x) if eta == 1.0 else erf(np.sqrt(eta / (1 - eta)) * x)
+    return (h * w * smooth) @ h.T
+
+
+def exact_sign_entries(entries, efficiencies, n_trunc, halfwidth=22):
+    """S[a, c] = int erf(k x) h_a h_c dx at 40 digits, one row per
+    efficiency.  The integrand is even; 48-node Gauss-Legendre rules on
+    unit panels of [0, halfwidth] resolve h_{N-1}, whose tail past
+    halfwidth is below 1e-40, and the Hermite functions come from their
+    recurrence at every node."""
+    with mpmath.workdps(40):
+        rule = GaussLegendre(mpmath.mp).calc_nodes(5, mpmath.mp.prec)
+        up = [mpmath.sqrt(mpmath.mpf(2) / n) for n in range(1, n_trunc)]
+        back = [mpmath.sqrt(mpmath.mpf(n) / (n + 1)) for n in range(n_trunc)]
+        slopes = [mpmath.sqrt(mpmath.mpf(eta) / (1 - mpmath.mpf(eta)))
+                  for eta in efficiencies]
+        sums = [[0] * len(entries) for _ in efficiencies]
+        for left in range(halfwidth):
+            for node, weight in rule:
+                x = left + (node + 1) / 2
+                h = [mpmath.exp(-x * x / 2) / mpmath.pi ** 0.25]
+                h.append(up[0] * x * h[0])
+                for n in range(2, n_trunc):
+                    h.append(up[n - 1] * x * h[n - 1] - back[n - 1] * h[n - 2])
+                for row, slope in zip(sums, slopes):
+                    # the panel's Jacobian 1/2 and the even integrand's 2
+                    smooth = weight * mpmath.erf(slope * x)
+                    for i, (a, c) in enumerate(entries):
+                        row[i] += smooth * h[a] * h[c]
+        return np.array(sums, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +140,21 @@ def dense_click_conditioned(squeezing, transmittance, apd_efficiency, n_trunc):
             rho[a_idx[:, None], b_idx[:, None],
                 a_idx[None, :], b_idx[None, :]] += contribution
     return rho
+
+
+def kraus_loss_dual(op, transmittance):
+    """Dual of pure loss, L^dagger(O)[a, c] = sum_l t(a,l) t(c,l) O[a-l, c-l].
+
+    The Kraus operator that loses l photons maps |m> to t(m, l) |m - l>,
+    with t the beam-splitter amplitudes.
+    """
+    n = op.shape[0]
+    tap = np.abs(fock.tap_amplitude_table(transmittance, n))
+    out = np.zeros_like(op)
+    for lost in range(n):
+        kept = tap[lost:, lost]
+        out[lost:, lost:] += np.outer(kept, kept) * op[:n - lost, :n - lost]
+    return out
 
 
 def dense_apply_loss(rho, transmittance, mode):
@@ -403,7 +450,7 @@ class TestSignCorrelation:
         assert value == fock.fock_sign_correlation(rho, 0.0, -np.pi / 4)
         assert value == pytest.approx(0.5077034482709255, abs=1e-12)
 
-    @pytest.mark.parametrize("eta", [1.0, 0.95])
+    @pytest.mark.parametrize("eta", [1.0, 0.95, 0.7, 0.3])
     def test_matches_fifty_digits(self, realistic_params, eta):
         params = replace(realistic_params, homodyne_efficiency=eta)
         rho, _ = fock.lossy_click_conditioning(
@@ -544,12 +591,6 @@ class TestDensityBlocks:
         with pytest.raises(DomainError, match="partner"):
             fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
 
-    def test_sign_operator_is_cached_and_read_only(self):
-        sign = fock._sign_operator(40)
-        assert fock._sign_operator(40) is sign
-        with pytest.raises(ValueError):
-            sign[0, 1] = 0.0
-
     def test_blocks_keep_their_dtype(self):
         rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
         assert rho.blocks.dtype == np.float64
@@ -563,8 +604,9 @@ class TestDensityBlocks:
 
     def test_correlator_allocates_less_than_a_block_array(self):
         # the correlator reduces the real blocks in place; it builds no
-        # (2N-1, N, N) kernel, which at N = 60 is 3.43 MB of floats.  The
-        # warm-up runs at another homodyne efficiency, as a fresh draw does.
+        # (2N-1, N, N) kernel, which at N = 60 is 3.43 MB of floats.  Its
+        # sign operator is built afresh on every call, so the peak counts
+        # it; the warm-up only keeps numpy's one-time costs out.
         n_trunc = 60
         rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, n_trunc)
         fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 1.0)
@@ -600,7 +642,8 @@ class TestDenseReferences:
     @pytest.mark.parametrize("mode", [0, 1])
     def test_loss_dual_matches_kraus_operators(self, small_pair, mode):
         # Tr(L(rho) (O_A (x) O_B)) = Tr(rho (O_A (x) O_B)) with L^dagger
-        # applied to the operator of the lossy mode
+        # applied to the operator of the lossy mode; the sign operator at
+        # efficiency eta is the dual of the one at efficiency 1
         _, _, dense, _ = small_pair
         rng = np.random.default_rng(13 + mode)
         ops = []
@@ -608,11 +651,16 @@ class TestDenseReferences:
             z = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
             ops.append(z + z.conj().T)
         dual = list(ops)
-        dual[mode] = fock._loss_dual(ops[mode], 0.8)
+        dual[mode] = kraus_loss_dual(ops[mode], 0.8)
         lossy = dense_apply_loss(dense, 0.8, mode)
         schrodinger = np.einsum("abcd,ca,db->", lossy, *ops)
         heisenberg = np.einsum("abcd,ca,db->", dense, *dual)
         assert abs(schrodinger - heisenberg) < 1e-12
+        for n_trunc in (20, 60):
+            ideal = fock._sign_operator(n_trunc, 1.0)
+            for eta in (0.05, 0.3, 0.8, 0.95, 1.0 - 1e-6):
+                assert np.max(np.abs(fock._sign_operator(n_trunc, eta)
+                                     - kraus_loss_dual(ideal, eta))) < 1e-13
 
     @pytest.mark.parametrize("eta", [1.0, 0.9, 1.0 - 1e-6])
     def test_correlator_matches_grid_density(self, small_pair, eta):
@@ -695,7 +743,7 @@ class TestDenseReferences:
     def test_diag_correlator_matches_wavefunction(self):
         x, w = reference_grid(60)
         h = hermite_functions(60, x)
-        sign_op = fock._sign_operator(60)
+        sign_op = fock._sign_operator(60, 1.0)
         state = fock.pair_projected_state(0.58, 0.99, 60)
         diag = np.diag(state.amplitudes)
         reduced = np.outer(diag, diag.conj()) * sign_op * sign_op
@@ -706,11 +754,24 @@ class TestDenseReferences:
 
     @pytest.mark.parametrize("n_trunc", [40, 60, 130])
     def test_sign_operator_matches_wide_grid(self, n_trunc):
-        sign = fock._sign_operator(n_trunc)
-        assert np.max(np.abs(sign - grid_sign_operator(n_trunc))) < 1e-13
-        assert np.array_equal(sign, sign.T)
+        # near efficiency 1 the grid cannot resolve the steep erf, which the
+        # Kraus and dense references cover
         idx = np.arange(n_trunc)
-        assert not np.any(sign[np.add.outer(idx, idx) % 2 == 0])
+        for eta in (1.0, 0.95, 0.7, 0.3, 0.05):
+            sign = fock._sign_operator(n_trunc, eta)
+            assert np.max(np.abs(sign - grid_sign_operator(n_trunc, eta))) \
+                < 1e-13
+            assert np.array_equal(sign, sign.T)
+            assert not np.any(sign[np.add.outer(idx, idx) % 2 == 0])
+
+    def test_sign_operator_matches_forty_digits(self):
+        entries = [(129, 0), (128, 127), (100, 61), (64, 65), (3, 40)]
+        efficiencies = (0.95, 0.7)
+        exact = exact_sign_entries(entries, efficiencies, 130)
+        for eta, row in zip(efficiencies, exact):
+            sign = fock._sign_operator(130, eta)
+            for (a, c), value in zip(entries, row):
+                assert abs(sign[a, c] - value) < 2e-15
 
     def test_optimal_product_unchanged(self):
         # lambda*T found with the wavefunction-grid correlator at T = 0.99
