@@ -160,20 +160,19 @@ def _evaluate(rows: dict, angles):
         for i in np.flatnonzero(~ok):
             if errors[i] is None:
                 errors[i] = gaussian.domain_error(name, values[i])
-        # an out-of-domain row runs on a placeholder and keeps its error
         safe.append(np.where(ok, values, 0.5))
-    terms = conditioning.heralded_terms(gaussian.x_block(*safe))
+    # an out-of-domain row gets a NaN x-block, which the kernel refuses
+    x = gaussian.x_block(*safe)
+    x[[e is not None for e in errors]] = np.nan
+    terms = conditioning.heralded_terms(x)
     errors = [own or kernel for own, kernel in zip(errors, terms.errors)]
     theta1, theta2, phi1, phi2 = angles
     cosines = np.cos([[theta1 + phi1, theta1 + phi2],
                       [theta2 + phi1, theta2 + phi2]])
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    correlations = np.where(failed[:, None], np.nan, terms.correlations)
     corr = _arcsine_mean(terms.weights[:, None, None, :],
-                         correlations[:, None, None, :] * cosines[..., None])
-    success = np.where(failed, np.nan, terms.success_prob)
-    cancellation = np.where(failed, np.nan, terms.cancellation)
-    return corr, success, cancellation, errors
+                         terms.correlations[:, None, None, :]
+                         * cosines[..., None])
+    return corr, terms.success_prob, terms.cancellation, errors
 
 
 def _rows(fixed: dict, **varying) -> dict:
@@ -225,10 +224,13 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
 
     A 20-point pre-scan brackets the peak and errors out if two separated
     local maxima agree within 0.005 (the unimodality assumption behind
-    golden-section search would then be unsafe).
+    golden-section search would then be unsafe).  A fixed parameter
+    outside its domain raises its DomainError.
     """
     fixed = dict(transmittance=transmittance, apd_efficiency=apd_efficiency,
                  homodyne_efficiency=homodyne_efficiency)
+    for name, value in fixed.items():
+        gaussian.check_domain(name, value)
 
     def s_values(lams: np.ndarray) -> np.ndarray:
         corr, _, _, errors = _evaluate(_rows(fixed, squeezing=lams), angles)

@@ -39,10 +39,6 @@ CLICK_WEIGHTS = (1, -2, -2, 4)
 #: detector modes (C, D) each term projects onto vacuum, one row per term
 _VACUUM = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
-#: vacuum kernels K_j added to the x-part of the detector block; the
-#: p-part gets the same kernels
-_KERNELS = np.array([np.diag(k) for k in _VACUUM])
-
 #: heralding probabilities smaller than this are numerically zero
 MIN_SUCCESS_PROB = 64 * np.finfo(float).eps
 
@@ -142,13 +138,6 @@ class HeraldedTerms:
         return np.abs(self.weights).sum(axis=-1)
 
 
-def _refuse(errors: list, rows: np.ndarray, make) -> None:
-    """Give each flagged row that has no error yet the error make(row)."""
-    for i in np.flatnonzero(rows):
-        if errors[i] is None:
-            errors[i] = make(i)
-
-
 def spd_error(lowest, highest) -> SingularMatrixError | None:
     """Refusal of a symmetric matrix with extreme eigenvalues (lowest,
     highest): not positive definite, or eigenvalue condition number above
@@ -163,27 +152,19 @@ def spd_error(lowest, highest) -> SingularMatrixError | None:
     return None
 
 
-def spd_refused(lowest: np.ndarray, highest: np.ndarray) -> np.ndarray:
-    """Elementwise form of `spd_error`: True where it refuses."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ~((lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT))
-
-
-def _refuse_spd(errors: list, lowest: np.ndarray, highest: np.ndarray) -> None:
-    """Refuse the rows holding a matrix that `spd_error` refuses.
-
-    lowest and highest are the extreme eigenvalues, shape (n,) or (n, 4);
-    the first refused term of a row names its error.
-    """
-    if lowest.ndim == 1:
-        lowest, highest = lowest[:, None], highest[:, None]
-    refused = spd_refused(lowest, highest)
-
-    def make(i):
-        j = int(np.argmax(refused[i]))
-        return spd_error(lowest[i, j], highest[i, j])
-
-    _refuse(errors, refused.any(axis=1), make)
+def _refusal(symmetric, success, lowest, highest) -> CVBellError:
+    """Error of a refused row of `heralded_terms`: its first failing check,
+    in the order symmetry, X, P, Sigma_j.  lowest and highest are the
+    extreme eigenvalues of X, Sigma_0, ..., Sigma_3."""
+    if not symmetric:
+        return DomainError("matrix is not symmetric")
+    if error := spd_error(lowest[0], highest[0]):
+        return error
+    if not MIN_SUCCESS_PROB <= success < np.inf:
+        return InvalidRegimeError(
+            f"invalid-regime: heralding probability {success:.3e} is not "
+            "usable; the input state cannot trigger both detectors")
+    return next(filter(None, map(spd_error, lowest[1:], highest[1:])))
 
 
 def _det2(m: np.ndarray) -> np.ndarray:
@@ -224,63 +205,55 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
     Gamma_AB,CD B_j^-1 Gamma_CD,AB with Gamma = X^-1 and augmented detector
     block B_j = Gamma_CD + K_j) rewritten by the Woodbury identity and the
     matrix determinant lemma, det B_j det X = det A_j det 2 Sigma_j, so X
-    is never inverted.  A row is refused, with the error of its first
-    failing check, when:
+    is never inverted and the B_j, positive definite with X, are never
+    formed.  A row is refused, with the error of the first of
+    these checks that it fails, in this order:
 
-    * X is not symmetric (DomainError);
-    * X, a B_j or a Sigma_j is not positive definite or has an eigenvalue
-      condition number above CONDITION_LIMIT (SingularMatrixError); the
-      B_j are checked before P, the Sigma_j after.  A positive definite
-      Sigma_j makes every rotated marginal of the term proper;
-    * P is not finite or below MIN_SUCCESS_PROB (InvalidRegimeError).
+    * X is symmetric (DomainError);
+    * X is positive definite with an eigenvalue condition number at most
+      CONDITION_LIMIT (SingularMatrixError);
+    * P is finite and at least MIN_SUCCESS_PROB (InvalidRegimeError);
+    * every Sigma_j passes the check on X (SingularMatrixError, for the
+      first term that fails).  A positive definite Sigma_j makes every
+      rotated marginal of the term proper.
+
+    A refused row holds NaN in every output array, so a caller may refuse
+    a row of its own by setting its x-block to NaN.
     """
     x = np.asarray(x_blocks, dtype=float)
     if x.ndim != 3 or x.shape[1:] != (4, 4):
         raise DomainError(
             f"expected a stack of 4x4 x-blocks, got shape {x.shape}")
-    n = x.shape[0]
-    errors: list[CVBellError | None] = [None] * n
     with np.errstate(all="ignore"):
         symmetric = np.all(np.abs(x - np.swapaxes(x, 1, 2)) <= STRUCTURE_TOL,
                            axis=(1, 2))
-        _refuse(errors, ~symmetric,
-                lambda i: DomainError("matrix is not symmetric"))
+        # an asymmetric (or NaN) row runs on the identity and stays refused
         x = np.where(symmetric[:, None, None], _symmetrized(x), np.eye(4))
         eigs = np.linalg.eigvalsh(x)
-        _refuse_spd(errors, eigs[:, 0], eigs[:, -1])
         homodyne, cross, detector = x[:, :2, :2], x[:, :2, 2:], x[:, 2:, 2:]
-
-        # B_j = Gamma_CD + K_j, checked only; Gamma_CD is the inverse of the
-        # Schur complement of X_AB,AB in X
-        schur = detector - np.swapaxes(cross, 1, 2) @ _inv2(homodyne) @ cross
-        blocks = _inv2(_symmetrized(schur))[:, None] + _KERNELS
-        _refuse_spd(errors, *_eig2(blocks))
-
         a = np.eye(2) + detector[:, None] * (_VACUUM[:, :, None]
                                              * _VACUUM[:, None, :])
         masses = np.array(CLICK_WEIGHTS, dtype=float) / _det2(a)
         success = masses.sum(axis=-1)
-        _refuse(errors, ~(np.isfinite(success) & (success >= MIN_SUCCESS_PROB)),
-                lambda i: InvalidRegimeError(
-                    f"invalid-regime: heralding probability {success[i]:.3e} "
-                    "is not usable; the input state cannot trigger both "
-                    "detectors"))
-
         coupling = cross[:, None] * _VACUUM[:, None, :]
         covariances = 0.5 * _symmetrized(
             homodyne[:, None]
             - coupling @ _inv2(a) @ np.swapaxes(coupling, 2, 3))
-        _refuse_spd(errors, *_eig2(covariances))
         weights = masses / success[:, None]
 
-    failed = np.array([e is not None for e in errors], dtype=bool)
-
-    def clean(values):
-        return np.where(failed.reshape((n,) + (1,) * (values.ndim - 1)),
-                        np.nan, values)
-
-    return HeraldedTerms(success_prob=clean(success), weights=clean(weights),
-                         covariances=clean(covariances), errors=tuple(errors))
+        term_lowest, term_highest = _eig2(covariances)
+        lowest = np.column_stack([eigs[:, 0], term_lowest])
+        highest = np.column_stack([eigs[:, -1], term_highest])
+        usable = (lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT)
+        failed = ~(symmetric & usable.all(axis=1)
+                   & (success >= MIN_SUCCESS_PROB) & (success < np.inf))
+    errors: list[CVBellError | None] = [None] * len(x)
+    for i in np.flatnonzero(failed):
+        errors[i] = _refusal(symmetric[i], success[i], lowest[i], highest[i])
+    for values in (success, weights, covariances):
+        values[failed] = np.nan
+    return HeraldedTerms(success_prob=success, weights=weights,
+                         covariances=covariances, errors=tuple(errors))
 
 
 def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:

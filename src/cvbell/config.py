@@ -14,6 +14,7 @@ import numpy as np
 
 from .bell import DEFAULT_ANGLES, ExperimentParams
 from .errors import ConfigError
+from .fock import MIN_TRUNCATION
 from .gaussian import PARAMS, SWEEP_KEYS
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -56,8 +57,8 @@ class RunConfig:
                 raise ConfigError("sweep requires min < max")
             if self.sweep_steps < 2:
                 raise ConfigError("sweep requires steps >= 2")
-        if self.n_trunc < 16:
-            raise ConfigError("n_trunc must be >= 16")
+        if self.n_trunc < MIN_TRUNCATION:
+            raise ConfigError(f"n_trunc must be >= {MIN_TRUNCATION}")
 
     def params(self) -> ExperimentParams:
         return ExperimentParams(

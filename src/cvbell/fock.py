@@ -47,6 +47,9 @@ from .gaussian import check_domain
 
 DEFAULT_TRUNCATION = 40
 
+#: smallest truncation a Fock state or a run configuration accepts
+MIN_TRUNCATION = 16
+
 #: maximum probability allowed in the top four photon-number layers
 TAIL_TOLERANCE = 1e-8
 
@@ -79,8 +82,9 @@ class FockState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.n_trunc < 16:
-            raise DomainError(f"truncation must be >= 16, got {self.n_trunc}")
+        if self.n_trunc < MIN_TRUNCATION:
+            raise DomainError(f"truncation must be >= {MIN_TRUNCATION}, "
+                              f"got {self.n_trunc}")
         if amps.shape != (self.n_trunc, self.n_trunc):
             raise DomainError("amplitude array does not match the truncation")
         norm = float(np.sum(np.abs(amps) ** 2))
@@ -163,8 +167,7 @@ class FockDensityMatrix:
 
 def tmsv_amplitudes(squeezing: float, n_trunc: int) -> np.ndarray:
     """Schmidt coefficients of the two-mode squeezed vacuum, sqrt(1-l^2) l^n."""
-    if not 0.0 <= squeezing < 1.0:
-        raise DomainError(f"squeezing must lie in [0, 1), got {squeezing}")
+    check_domain("squeezing", squeezing)
     return np.sqrt(1.0 - squeezing ** 2) * squeezing ** np.arange(n_trunc)
 
 
@@ -226,8 +229,7 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     table[m, k] is the amplitude that k photons end up in the tap arm.
     Computed in log space to stay finite for large m.
     """
-    if not 0.0 < transmittance <= 1.0:
-        raise DomainError(f"transmittance must lie in (0, 1], got {transmittance}")
+    check_domain("transmittance", transmittance)
     m = np.arange(n_trunc)[:, None]
     k = np.arange(n_trunc)[None, :]
     log_fact = _log_factorials(n_trunc)
@@ -310,8 +312,7 @@ def _click_conditioned_unnormalized(squeezing: float, transmittance: float,
     pairs kd = kc + Delta: blocks[Delta] = U U^T with
     U[a, kc] = sqrt(w(kc) w(kd)) c(n) t(n, kc) t(n, kd) at n = a + kc.
     """
-    if not 0.0 < apd_efficiency <= 1.0:
-        raise DomainError(f"apd_efficiency must lie in (0, 1], got {apd_efficiency}")
+    check_domain("apd_efficiency", apd_efficiency)
     n = n_trunc
     # zero padding: totals reach 2n - 2, tap counts run from 1 - n to 2n - 2
     coeff = np.zeros(2 * n)

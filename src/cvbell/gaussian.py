@@ -134,8 +134,11 @@ def squeezing_to_db(squeezing: float) -> float:
 
 
 def db_to_squeezing(db: float) -> float:
-    """Inverse of squeezing_to_db."""
-    if db < 0.0:
-        raise DomainError(f"squeezing in dB must be non-negative, got {db}")
-    r = db * np.log(10.0) / 20.0
-    return float(np.tanh(r))
+    """Inverse of squeezing_to_db; DomainError where lambda rounds to 1
+    (from about 165 dB)."""
+    if not 0.0 <= db < np.inf:
+        raise DomainError(
+            f"squeezing in dB must be finite and non-negative, got {db}")
+    squeezing = float(np.tanh(db * np.log(10.0) / 20.0))
+    check_domain("squeezing", squeezing)
+    return squeezing

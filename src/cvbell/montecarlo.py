@@ -62,7 +62,7 @@ class ProtocolConfig:
             raise DomainError(f"rep_rate must be finite and positive, "
                               f"got {self.rep_rate}")
         p1, p2 = self.angle_choice_probs
-        if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-12:
+        if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):
             raise DomainError("angle_choice_probs must be non-negative and sum to 1")
 
 
@@ -298,11 +298,13 @@ def acquisition_time(success_prob: float, rep_rate: float,
     (1 - E^2) / p_cell, so the answer is
     (sigma0 / target)^2 / (success_prob * rep_rate).
     """
-    if success_prob <= 0 or rep_rate <= 0 or target_stderr_s <= 0:
-        raise DomainError("all acquisition-time inputs must be positive")
+    if not all(0 < v < np.inf for v in (success_prob, rep_rate,
+                                         target_stderr_s)):
+        raise DomainError(
+            "all acquisition-time inputs must be finite and positive")
     probs = np.asarray(angle_choice_probs)
     cell_probs = np.outer(probs, probs)
-    if np.any(cell_probs <= 0):
+    if not np.all(cell_probs > 0):
         raise DomainError("acquisition time needs all four cells reachable")
     sigma0_sq = float(((1.0 - bell.correlators ** 2) / cell_probs).sum())
     n_events = sigma0_sq / target_stderr_s ** 2

@@ -89,6 +89,20 @@ def exact_success_prob(params):
         return float(exact_terms(params)[0])
 
 
+def exact_sign_correlation(params, theta, phi):
+    """E at 50 digits: sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)), with
+    c_j = -R_j[0, 1] / sqrt(R_j[0, 0] R_j[1, 1]) the correlation of the
+    covariance R_j^-1 / 2."""
+    with mpmath.workdps(50):
+        success, det_x, terms = exact_terms(params)
+        total = 0
+        for q, det_b, reduced in terms:
+            mass = q / (mpmath.det(reduced) * det_b * det_x)
+            corr = -reduced[0, 1] / mpmath.sqrt(reduced[0, 0] * reduced[1, 1])
+            total += mass * mpmath.asin(corr * mpmath.cos(theta + phi))
+        return float(2 * total / (mpmath.pi * success))
+
+
 def exact_wigner(params, points):
     """W at 50 digits at each phase-space point (x_A, p_A, x_B, p_B):
     sum_j q_j / det B_j exp(-x^T R_j x - p^T D R_j D p) / (pi^2 P det X),
@@ -343,6 +357,19 @@ class TestAgainstReference:
 
 
 class TestOptimizeLambda:
+    @pytest.mark.parametrize("name, value, text", [
+        ("transmittance", 1.5, "transmittance must lie in (0, 1], got 1.5"),
+        ("apd_efficiency", 0.0, "apd_efficiency must lie in (0, 1], got 0.0"),
+        ("homodyne_efficiency", np.nan,
+         "homodyne_efficiency must lie in (0, 1], got nan"),
+    ], ids=["transmittance", "apd_efficiency", "homodyne_efficiency"])
+    def test_fixed_parameter_outside_domain_raises(self, name, value, text):
+        fixed = dict(transmittance=0.95, apd_efficiency=0.3,
+                     homodyne_efficiency=0.95)
+        with pytest.raises(DomainError) as info:
+            bell.optimize_lambda(**{**fixed, name: value})
+        assert str(info.value) == text
+
     def test_ideal_product_near_quoted_value(self):
         lam_opt, _ = bell.optimize_lambda(0.99, 1.0, 1.0)
         assert lam_opt * 0.99 == pytest.approx(0.57, abs=0.02)

@@ -254,6 +254,15 @@ class TestOptimizeCommand:
         assert float(row["S_max"]) == pytest.approx(2.046, abs=0.005)
 
 
+    def test_out_of_domain_transmittance_exits_domain_error(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("0.95\neta ",
+                                                         "1.5\neta "))
+        assert cli.main(["optimize", "--config", cfg]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain error: transmittance must lie in (0, 1], got 1.5\n")
+
+
 class TestValidateCommand:
     def test_default_point_passes(self, tmp_path):
         out = tmp_path / "validate.csv"

@@ -3,6 +3,7 @@ import pytest
 
 from cvbell import bell, conditioning, fock, gaussian
 from cvbell.errors import DomainError, InvalidRegimeError, SingularMatrixError
+from test_bell import exact_sign_correlation, exact_success_prob
 
 CUT_DIRECTION = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
 
@@ -104,6 +105,56 @@ class TestHeraldedTerms:
         single = conditioning.heralded_terms(good[None])
         assert np.array_equal(terms.weights[0], single.weights[0])
         assert terms.success_prob[0] == single.success_prob[0]
+
+    def test_refusal_names_the_first_failing_check(self):
+        # checks run in the order symmetry, X, P, Sigma_j; the last two rows
+        # fail X and P, and then symmetry too
+        good = gaussian.x_block(0.6, 0.95, 0.3, 0.95)
+        asymmetric = good.copy()
+        asymmetric[3, 0] += 1e-9
+        singular = good.copy()
+        singular[0, 0] = 0.0
+        singular_vacuum = np.diag([0.0, 1.0, 1.0, 1.0])
+        all_bad = singular_vacuum.copy()
+        all_bad[3, 0] = 1e-9
+        terms = conditioning.heralded_terms(np.stack(
+            [good, asymmetric, singular, np.eye(4), singular_vacuum, all_bad]))
+        not_pd = "matrix is not positive definite (condition estimate inf)"
+        expected = [
+            None,
+            (DomainError, "matrix is not symmetric"),
+            (SingularMatrixError, not_pd),
+            (InvalidRegimeError, "invalid-regime: heralding probability "
+             "0.000e+00 is not usable; the input state cannot trigger both "
+             "detectors"),
+            (SingularMatrixError, not_pd),
+            (DomainError, "matrix is not symmetric"),
+        ]
+        assert [e and (type(e), str(e)) for e in terms.errors] == expected
+        assert np.all(np.isnan(terms.covariances[1:]))
+        # an out-of-domain sweep row reports its parameter, not the kernel
+        fixed = bell.ExperimentParams(0.6, 0.95, 0.3, 0.95)
+        bad, ok = bell.sweep("homodyne_efficiency", [0.0, 0.95], fixed)
+        assert bad.error == "homodyne_efficiency must lie in (0, 1], got 0.0"
+        assert np.isnan(bad.S) and np.isnan(bad.success_prob)
+        assert ok.error is None and ok.S == bell.chsh(fixed).S
+
+    @pytest.mark.parametrize("gap, others", [(1e-9, (0.95, 0.3, 0.3)),
+                                             (1e-10, (0.95, 0.7, 0.01)),
+                                             (1e-11, (0.95, 0.01, 0.01))],
+                             ids=["1e-9", "1e-10", "1e-11"])
+    def test_extreme_squeezing_matches_fifty_digits(self, gap, others):
+        # beyond 80 dB of squeezing: X and every Sigma_j stay far inside
+        # CONDITION_LIMIT, and the kernel keeps P and E to 50 digits
+        params = bell.ExperimentParams(1.0 - gap, *others)
+        result = bell.chsh(params)
+        exact = exact_success_prob(params)
+        assert abs(result.success_prob - exact) <= 1e-14 * exact
+        assert result.cancellation < 1.01
+        for j, theta in enumerate(params.angles[:2]):
+            for k, phi in enumerate(params.angles[2:]):
+                assert abs(result.correlators[j, k] - exact_sign_correlation(
+                    params, theta, phi)) <= 1e-8
 
     def test_state_reads_the_kernel_row(self, realistic_params):
         cov = realistic_params.output_covariance()

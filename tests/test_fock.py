@@ -11,7 +11,7 @@ from scipy.special import erf, eval_genlaguerre, gammaln
 from cvbell import bell, conditioning, fock
 from cvbell.errors import DomainError, InvalidRegimeError, TruncationError
 import symplectic_reference as ref
-from test_bell import exact_terms
+from test_bell import exact_sign_correlation
 
 # ---------------------------------------------------------------------------
 # quadrature references: the Hermite functions on a glued Gauss-Legendre grid,
@@ -251,20 +251,6 @@ def exact_tap_amplitude_table(transmittance, n_trunc):
         return table
 
 
-def exact_sign_correlation(params, theta, phi):
-    """E at 50 digits: sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)), with
-    c_j = -R_j[0, 1] / sqrt(R_j[0, 0] R_j[1, 1]) the correlation of the
-    covariance R_j^-1 / 2."""
-    with mpmath.workdps(50):
-        success, det_x, terms = exact_terms(params)
-        total = 0
-        for q, det_b, reduced in terms:
-            mass = q / (mpmath.det(reduced) * det_b * det_x)
-            corr = -reduced[0, 1] / mpmath.sqrt(reduced[0, 0] * reduced[1, 1])
-            total += mass * mpmath.asin(corr * mpmath.cos(theta + phi))
-        return float(2 * total / (mpmath.pi * success))
-
-
 #: truncations tried by `fenced_conditioning`, in order
 TRUNCATION_STEPS = (40, 60, 90, 130, 160)
 
@@ -295,6 +281,19 @@ class TestStates:
     def test_heavy_tail_raises(self):
         with pytest.raises(TruncationError):
             fock.tmsv_state(0.85, 16)
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: fock.tmsv_amplitudes(1, 40),
+         "squeezing must lie in [0, 1), got 1.0"),
+        (lambda: fock.tap_amplitude_table(0, 40),
+         "transmittance must lie in (0, 1], got 0.0"),
+        (lambda: fock.lossy_click_conditioning(0.5, 0.95, 1.5, 40),
+         "apd_efficiency must lie in (0, 1], got 1.5"),
+    ], ids=["squeezing", "transmittance", "apd_efficiency"])
+    def test_parameter_domain_error_text(self, call, text):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == text
 
     def test_minimum_truncation(self):
         with pytest.raises(DomainError):

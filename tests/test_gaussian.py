@@ -237,6 +237,12 @@ class TestSqueezingConversions:
         # 5.6 dB of squeezing corresponds to lambda close to 0.57
         assert abs(gaussian.squeezing_to_db(0.57) - 5.6) < 0.05
 
+    @pytest.mark.parametrize("db", [-1.0, 164.95, 200.0, np.inf, np.nan])
+    def test_db_outside_squeezing_domain_raises(self, db):
+        # from about 165 dB, tanh rounds lambda to 1
+        with pytest.raises(DomainError):
+            gaussian.db_to_squeezing(db)
+
     @pytest.mark.parametrize("lam", [0.1, 0.57, 0.9])
     def test_round_trip(self, lam):
         assert gaussian.db_to_squeezing(gaussian.squeezing_to_db(lam)) == \

@@ -270,6 +270,15 @@ class TestRunProtocol:
             ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
                            rep_rate=rate)
 
+    @pytest.mark.parametrize("probs", [(np.nan, 0.5), (0.5, np.nan),
+                                       (np.nan, np.nan), (np.inf, 0.5)],
+                             ids=["nan-first", "nan-second", "nan-both",
+                                  "inf"])
+    def test_choice_probs_must_be_numbers(self, realistic_params, probs):
+        with pytest.raises(DomainError, match="angle_choice_probs"):
+            ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
+                           angle_choice_probs=probs)
+
 
 class TestAcquisitionTime:
     def test_realistic_point_under_an_hour(self, realistic_params):
@@ -291,6 +300,19 @@ class TestAcquisitionTime:
         t2 = montecarlo.acquisition_time(2.0 * result.success_prob, 1e6, 0.005,
                                          result)
         assert t2 == pytest.approx(t1 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("index, value", [
+        (0, np.nan), (0, np.inf), (1, np.nan), (1, np.inf), (2, np.nan),
+        (2, np.inf), (3, (np.nan, 0.5))],
+        ids=["P-nan", "P-inf", "rate-nan", "rate-inf", "target-nan",
+             "target-inf", "choice-nan"])
+    def test_non_finite_input_raises(self, realistic_params, index, value):
+        result = bell.chsh(realistic_params)
+        args = [result.success_prob, 1e6, 0.005, (0.5, 0.5)]
+        args[index] = value
+        with pytest.raises(DomainError):
+            montecarlo.acquisition_time(*args[:3], result,
+                                        angle_choice_probs=args[3])
 
     def test_positive_inputs_required(self, realistic_params):
         result = bell.chsh(realistic_params)
