@@ -38,7 +38,8 @@ class TruncationError(CVBellError):
 class EnvelopeError(CVBellError):
     """The rejection-sampling envelope is not usable: a positive mixture
     term is not below the widest term in the Loewner order, acceptance is
-    too low, or the target exceeds bound * envelope at a proposal."""
+    too low, or the whitened ratio r(z) of target to envelope exceeds the
+    bound at a proposal (the peak search missed a peak)."""
 
 
 class OptimizationError(CVBellError):

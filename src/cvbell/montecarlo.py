@@ -14,11 +14,19 @@ quadrature stream serves the four setting cells in turn, (theta1, phi1),
 (theta1, phi2), (theta2, phi1), (theta2, phi2): each cell draws exactly
 its event count from it by chunked rejection sampling (`_draw`) against
 one inflated Gaussian, the marginal's widest term (`build_envelope`).
+
+Both work in the envelope's whitened frame x = L z, with L the Cholesky
+factor of the envelope covariance, where target/envelope is a short sum
+of centred Gaussians in z, r(z) = sum_j a_j exp(-z^T B_j z / 2).  The
+envelope's bound is the peak of r, found by a coarse grid search and a
+Newton ascent, and a proposal z is accepted by comparing r(z) alone with
+the bound: drawing evaluates neither density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +47,14 @@ MIN_ACCEPTANCE = 0.01
 #: covariance inflation of the envelope relative to the widest mixture term
 ENVELOPE_INFLATION = 2.0
 
-#: points per axis of the square grid that bounds target/envelope
-ENVELOPE_GRID = 321
+#: points per axis of the coarse grid that seeds the peak search of r
+ENVELOPE_GRID = 41
+
+#: best grid points the Newton ascent of the peak search starts from
+ENVELOPE_STARTS = 4
+
+#: the envelope's bound over the peak of r that the search finds
+ENVELOPE_HEADROOM = 1.05
 
 _ROLE_SOPHIE, _ROLE_ALICE, _ROLE_BOB, _ROLE_QUAD = range(4)
 
@@ -56,14 +70,27 @@ class ProtocolConfig:
     angle_choice_probs: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
-        if self.n_target_events < 1:
-            raise DomainError("n_target_events must be >= 1")
+        _check_integer("n_target_events", self.n_target_events, 1)
+        _check_integer("seed", self.seed, 0)
         if not (np.isfinite(self.rep_rate) and self.rep_rate > 0):
             raise DomainError(f"rep_rate must be finite and positive, "
                               f"got {self.rep_rate}")
-        p1, p2 = self.angle_choice_probs
-        if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):
-            raise DomainError("angle_choice_probs must be non-negative and sum to 1")
+        _check_choice_probs(self.angle_choice_probs)
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """DomainError naming the field unless value is an integer >= least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
+
+
+def _check_choice_probs(probs: tuple[float, float]) -> None:
+    """DomainError unless the two angle-choice probabilities are
+    non-negative and sum to 1 (which NaN and infinity never do)."""
+    p1, p2 = probs
+    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):
+        raise DomainError("angle_choice_probs must be non-negative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -88,16 +115,100 @@ class MCResult:
 @dataclass(frozen=True)
 class Envelope(BivariateMixture):
     """One Gaussian (weights (1,), covariances (1, 2, 2)) that dominates a
-    signed marginal after scaling by `bound`; `chol` is its Cholesky factor
-    and `accept_rate` the exact expected acceptance 1/bound.
+    signed marginal after scaling by `bound`.
+
+    `chol` is its Cholesky factor L.  A proposal is x = L z with z
+    standard normal, and at x the target over the envelope is
+    r(z) = sum_j scales[j] exp(-z^T forms[j] z / 2), one term per mixture
+    term.  `accept_rate` is the exact expected acceptance 1/bound.
     """
 
     chol: np.ndarray         # (2, 2) lower Cholesky factor
+    scales: np.ndarray       # (terms,) a_j
+    forms: np.ndarray        # (terms, 2, 2) B_j
     bound: float
 
     @property
     def accept_rate(self) -> float:
         return 1.0 / self.bound
+
+
+def _ratio(scales: np.ndarray, forms: np.ndarray, z: np.ndarray,
+           work: np.ndarray | None = None) -> np.ndarray:
+    """r(z) = sum_j scales[j] exp(-z^T forms[j] z / 2) at the whitened
+    points z, shape (2, n).
+
+    work, if given, is a flat array of at least (4 + terms) n floats that
+    holds the temporaries and the result; `_draw` reuses one for every
+    chunk, because fresh chunk-sized arrays cost a page fault per page.
+    """
+    terms, n = len(scales), z.shape[1]
+    if work is None:
+        work = np.empty((4 + terms) * n)
+    moments = work[:3 * n].reshape(3, n)
+    values = work[3 * n:(3 + terms) * n].reshape(terms, n)
+    np.multiply(z[0], z[0], out=moments[0])
+    np.multiply(z[0], z[1], out=moments[1])
+    np.multiply(z[1], z[1], out=moments[2])
+    coeffs = -0.5 * np.stack([forms[:, 0, 0], 2.0 * forms[:, 0, 1],
+                              forms[:, 1, 1]], axis=-1)
+    np.einsum("jk,kn->jn", coeffs, moments, out=values)
+    np.exp(values, out=values)
+    return np.einsum("j,jn->n", scales, values,
+                     out=work[(3 + terms) * n:(4 + terms) * n])
+
+
+def _peak_ratio(scales: np.ndarray, forms: np.ndarray) -> float:
+    """The largest value of r(z) = sum_j scales[j] exp(-z^T forms[j] z / 2),
+    given forms[j] >= I for every positive scales[j].
+
+    Then r(z) <= sum_{scales > 0} scales * exp(-|z|^2 / 2), which is below
+    1 <= sup r (target and envelope both integrate to 1) outside the disc
+    |z|^2 <= 2 log sum_{scales > 0} scales, so the peak lies in the disc.
+    r is even, so a grid of ENVELOPE_GRID points per axis over the half
+    z_0 >= 0 of the disc's square finds its cells; a Newton ascent from
+    the ENVELOPE_STARTS best ones climbs to their peaks.  Where the
+    Hessian is not negative definite a Levenberg shift keeps the step
+    uphill; a start moves only where its step raises r, and a step that
+    does not is cut to a quarter next time.
+    """
+    radius = np.sqrt(2.0 * np.log(scales[scales > 0].sum()))
+    axis = np.linspace(-radius, radius, ENVELOPE_GRID)
+    z = np.stack(np.meshgrid(axis[ENVELOPE_GRID // 2:], axis,
+                             indexing="ij")).reshape(2, -1)
+    ratio = _ratio(scales, forms, z)
+    best = np.argsort(ratio)[-ENVELOPE_STARTS:]
+    (z0, z1), peak = z[:, best], ratio[best]
+    b00, b01, b11 = (forms[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
+
+    def terms_at(z0, z1):
+        """B_j z and the terms of r at the starts, each (terms, starts)."""
+        bz0, bz1 = b00 * z0 + b01 * z1, b01 * z0 + b11 * z1
+        return bz0, bz1, scales[:, None] * np.exp(-0.5 * (z0 * bz0 + z1 * bz1))
+
+    damping = np.ones(ENVELOPE_STARTS)
+    for _ in range(50):
+        bz0, bz1, terms = terms_at(z0, z1)
+        # gradient, and minus the Hessian shifted until its smallest
+        # eigenvalue is at least 1e-3 r
+        g0, g1 = -(terms * bz0).sum(axis=0), -(terms * bz1).sum(axis=0)
+        c00 = (terms * (b00 - bz0 * bz0)).sum(axis=0)
+        c01 = (terms * (b01 - bz0 * bz1)).sum(axis=0)
+        c11 = (terms * (b11 - bz1 * bz1)).sum(axis=0)
+        least = 0.5 * (c00 + c11) - np.hypot(0.5 * (c00 - c11), c01)
+        shift = np.maximum(0.0, 1e-3 * np.abs(peak) - least)
+        c00, c11 = c00 + shift, c11 + shift
+        det = (c00 * c11 - c01 * c01) / damping
+        s0, s1 = (c11 * g0 - c01 * g1) / det, (c00 * g1 - c01 * g0) / det
+        value = terms_at(z0 + s0, z1 + s1)[2].sum(axis=0)
+        up = value > peak
+        z0, z1 = np.where(up, z0 + s0, z0), np.where(up, z1 + s1, z1)
+        peak = np.where(up, value, peak)
+        damping = np.where(up, 1.0, 0.25 * damping)
+        # steps this short change r by about 1e-14: every start is on a peak
+        if np.all(np.abs(s0) + np.abs(s1) < 1e-7):
+            break
+    return float(peak.max())
 
 
 def build_envelope(marginal: BivariateMixture) -> Envelope:
@@ -106,11 +217,14 @@ def build_envelope(marginal: BivariateMixture) -> Envelope:
     Projecting tap modes onto vacuum only narrows a heralded term,
     Sigma_j <= Sigma_0 in the Loewner order, and a rotation scales every
     off-diagonal by one cos(theta + phi), which keeps the order.  So the
-    term of largest trace, inflated by ENVELOPE_INFLATION, has fatter tails
-    than every positive term; EnvelopeError if a positive term is not
-    below it.  The scaling constant is the grid maximum of target/envelope
-    (with 5% headroom) over a box large enough that an analytic tail bound
-    excludes a larger ratio outside.
+    term of largest trace, Sigma_w, inflated by ENVELOPE_INFLATION, has
+    fatter tails than every positive term; EnvelopeError if a positive
+    term is not below it.  In the whitened frame x = L z, L L^T the
+    envelope covariance 2 Sigma_w, target/envelope is
+    r(z) = sum_j a_j exp(-z^T B_j z / 2) with B_j = L^T Sigma_j^-1 L - I and
+    a_j = w_j sqrt(det(2 Sigma_w) / det Sigma_j), and the Loewner order
+    gives B_j >= I for every positive term.  The scaling constant is the
+    peak of r that `_peak_ratio` finds, with ENVELOPE_HEADROOM.
     """
     covs = marginal.covariances
     pos = np.flatnonzero(marginal.weights > 0)
@@ -121,76 +235,60 @@ def build_envelope(marginal: BivariateMixture) -> Envelope:
         raise EnvelopeError("a positive term is not below the widest term "
                             "in the Loewner order; the tail bound fails")
     env_cov = ENVELOPE_INFLATION * widest
-    env = Envelope(weights=np.ones(1), covariances=env_cov[None],
-                   chol=np.linalg.cholesky(env_cov), bound=1.0)
-
-    # each positive term over the envelope is at most
-    # inflation sqrt(det widest / det term) exp(-decay r^2 / 2); solve for
-    # the box radius where their sum provably drops below 1
-    lam_max = float(np.linalg.eigvalsh(widest)[-1])
-    decay = (1.0 - 1.0 / ENVELOPE_INFLATION) / lam_max
-    prefac = float(ENVELOPE_INFLATION * marginal.weights[pos].sum() * np.sqrt(
-        np.linalg.det(widest) / np.linalg.det(covs[pos]).min()))
-    radius = np.sqrt(max(2.0 * np.log(max(prefac, 2.0)) / decay, 25.0 * lam_max))
-
-    # the grid goes in slabs of about CHUNK points, which keeps every
-    # temporary small; fmax skips the 0/0 of points where both underflow
-    axis = np.linspace(-radius, radius, ENVELOPE_GRID)
-    rows = max(1, CHUNK // ENVELOPE_GRID)
-    peaks = []
-    for start in range(0, ENVELOPE_GRID, rows):
-        moments = conditioning.quadratic_moments(
-            axis[start:start + rows, None], axis)
-        ratio = marginal.moment_density(moments) / env.moment_density(moments)
-        peaks.append(np.fmax.reduce(ratio, axis=None))
-    bound = 1.05 * float(np.fmax.reduce(peaks))
+    chol = np.linalg.cholesky(env_cov)
+    forms = chol.T @ np.linalg.solve(covs, chol) - np.eye(2)
+    scales = marginal.weights * (chol[0, 0] * chol[1, 1]
+                                 / np.sqrt(np.linalg.det(covs)))
+    bound = ENVELOPE_HEADROOM * _peak_ratio(scales, forms)
     if not np.isfinite(bound) or bound <= 0:
         raise EnvelopeError("could not bound the target/envelope ratio")
     if 1.0 / bound < MIN_ACCEPTANCE:
         raise EnvelopeError(
             f"envelope acceptance rate 1/{bound:.1f} is below "
             f"{MIN_ACCEPTANCE:.0%}; the dominating constant is unusable")
-    return replace(env, bound=bound)
+    return Envelope(weights=np.ones(1), covariances=env_cov[None], chol=chol,
+                    scales=scales, forms=forms, bound=bound)
 
 
-def _draw(env: Envelope, marginal: BivariateMixture, n: int,
-          rng: np.random.Generator) -> np.ndarray:
-    """n samples of marginal by rejection against env, shape (n, 2).
+def _draw(env: Envelope, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n samples of the marginal that env dominates, by rejection, shape
+    (n, 2).
 
     Proposes in chunks of at most CHUNK points.  A chunk for m missing
     samples holds bound * (m + 3 sqrt(m)) proposals, which at the
     acceptance rate 1/bound yield them with three standard deviations to
     spare (bound >= 1 for any envelope `build_envelope` makes, so a chunk
-    is never empty).  It draws the accept uniform of each point, then a
-    (2, size) array of standard normals that `env.chol` maps to points.
+    is never empty).  It draws the accept uniform u of each point, then a
+    (2, size) array of standard normals z, and keeps z where
+    u * bound < r(z); only the kept points are mapped to x = L z.
 
-    Raises EnvelopeError when the target exceeds bound * envelope at a
-    proposal (the grid maximum of `build_envelope` missed a peak, and the
-    samples would be biased there) or when the observed acceptance falls
-    below MIN_ACCEPTANCE after 10,000 proposals.
+    Raises EnvelopeError when r(z) exceeds the bound at a proposal (the
+    peak search of `build_envelope` missed a peak, and the samples would
+    be biased there) or when the observed acceptance falls below
+    MIN_ACCEPTANCE after 10,000 proposals.
     """
     l00, l10, l11 = env.chol[(0, 1, 1), (0, 0, 1)]
     out = np.empty((n, 2))
+    # one chunk's accept uniforms, normals and `_ratio` temporaries
+    work = np.empty((7 + len(env.scales)) * CHUNK)
     filled = proposed = accepted = 0
     while filled < n:
         missing = n - filled
         size = min(CHUNK, int(env.bound * (missing + 3.0 * np.sqrt(missing))))
-        accept = rng.random(size)
-        z = rng.standard_normal((2, size))
-        x = l00 * z[0]
-        y = l10 * z[0] + l11 * z[1]
-        moments = conditioning.quadratic_moments(x, y)
-        target = marginal.moment_density(moments)
-        cap = env.bound * env.moment_density(moments)
-        if np.any(target > cap):
+        accept = rng.random(out=work[:size])
+        z = rng.standard_normal(out=work[size:3 * size]).reshape(2, size)
+        ratio = _ratio(env.scales, env.forms, z, work[3 * size:])
+        if np.any(ratio > env.bound):
             raise EnvelopeError(
-                f"target density exceeds the envelope bound {env.bound:.3f} "
-                f"at {int(np.count_nonzero(target > cap))} of {size} "
-                "proposals; the grid maximum missed a peak")
-        keep = np.flatnonzero(accept * cap < target)
+                f"target/envelope ratio exceeds the envelope bound "
+                f"{env.bound:.3f} at {int(np.count_nonzero(ratio > env.bound))}"
+                f" of {size} proposals; the peak search missed a peak")
+        accept *= env.bound
+        keep = np.flatnonzero(accept < ratio)
         take = keep[:missing]
-        out[filled:filled + len(take), 0] = x[take]
-        out[filled:filled + len(take), 1] = y[take]
+        z0, z1 = z[:, take]
+        out[filled:filled + len(take), 0] = l00 * z0
+        out[filled:filled + len(take), 1] = l10 * z0 + l11 * z1
         filled += len(take)
         proposed += size
         accepted += len(keep)
@@ -208,10 +306,10 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
     Chunked rejection sampling (`_draw`) against the Gaussian envelope;
     the stream is fully determined by the seed.
     """
-    if n < 1:
-        raise DomainError("sample count must be >= 1")
+    _check_integer("sample count", n, 1)
+    _check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return _draw(build_envelope(marginal), marginal, n, rng)
+    return _draw(build_envelope(marginal), n, rng)
 
 
 def _block_rng(seed: int, role: int, block: int) -> np.random.Generator:
@@ -221,8 +319,7 @@ def _block_rng(seed: int, role: int, block: int) -> np.random.Generator:
 
 def _simulate_block(seed: int, block: int, size: int, success_prob: float,
                     choice_probs: np.ndarray,
-                    envelopes: list[Envelope],
-                    marginals: list[BivariateMixture]):
+                    envelopes: list[Envelope]):
     """One block of heralded events: pulses burned, settings, sign products."""
     sophie = _block_rng(seed, _ROLE_SOPHIE, block)
     alice = _block_rng(seed, _ROLE_ALICE, block)
@@ -239,7 +336,7 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     counts = np.bincount(set_a * 2 + set_b, minlength=4)
     sums = np.zeros(4)
     for idx in range(4):
-        samples = _draw(envelopes[idx], marginals[idx], int(counts[idx]), quad)
+        samples = _draw(envelopes[idx], int(counts[idx]), quad)
         signs = np.where(samples >= 0.0, 1.0, -1.0)
         sums[idx] = float((signs[:, 0] * signs[:, 1]).sum())
     return int(gaps.sum()), counts.reshape(2, 2), sums.reshape(2, 2)
@@ -258,16 +355,14 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
     state = conditioning.conditional_state(params.output_covariance())
     theta = (params.angles[0], params.angles[1])
     phi = (params.angles[2], params.angles[3])
-    marginals = [rotated_marginal(state, theta[j], phi[k])
+    envelopes = [build_envelope(rotated_marginal(state, theta[j], phi[k]))
                  for j in range(2) for k in range(2)]
-    envelopes = [build_envelope(m) for m in marginals]
     choice_probs = np.asarray(config.angle_choice_probs)
 
     n = config.n_target_events
     results = [_simulate_block(config.seed, block,
                                min(BLOCK_EVENTS, n - block * BLOCK_EVENTS),
-                               state.success_prob, choice_probs, envelopes,
-                               marginals)
+                               state.success_prob, choice_probs, envelopes)
                for block in range((n + BLOCK_EVENTS - 1) // BLOCK_EVENTS)]
     total_pulses, counts, sums = (sum(parts) for parts in zip(*results))
 
@@ -302,6 +397,7 @@ def acquisition_time(success_prob: float, rep_rate: float,
                                          target_stderr_s)):
         raise DomainError(
             "all acquisition-time inputs must be finite and positive")
+    _check_choice_probs(angle_choice_probs)
     probs = np.asarray(angle_choice_probs)
     cell_probs = np.outer(probs, probs)
     if not np.all(cell_probs > 0):

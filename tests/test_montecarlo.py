@@ -27,6 +27,12 @@ def realistic_config(realistic_params):
                           seed=424242)
 
 
+def whitened_ratio(marginal, env, z):
+    """Target over envelope density at the points x = env.chol z."""
+    x, y = env.chol @ z
+    return marginal.density(x, y) / env.density(x, y)
+
+
 def mixture_rectangle_mass(marginal, x_edges, y_edges):
     """Exact bin masses of a signed bivariate Gaussian mixture."""
     nx, ny = len(x_edges) - 1, len(y_edges) - 1
@@ -52,16 +58,11 @@ class TestEnvelope:
         bound = env.bound * env.density(grid[:, None], grid[None, :])
         assert np.all(target <= bound * (1.0 + 1e-12))
 
-    def test_bound_holds_on_a_finer_grid_over_the_domain(self, monkeypatch):
-        axes = []
-        moments = conditioning.quadratic_moments
-
-        def record_axis(x, y):
-            axes.append(y)
-            return moments(x, y)
-
-        monkeypatch.setattr(conditioning, "quadratic_moments", record_axis)
+    def test_bound_holds_on_a_finer_grid_over_the_domain(self):
         rng = np.random.default_rng(1010)
+        # 10^4 seeded directions and distances beyond the tail disc
+        angle = np.random.default_rng(2020).uniform(0.0, 2.0 * np.pi, 10_000)
+        beyond = np.random.default_rng(2021).uniform(0.0, 4.0, 10_000)
         for _ in range(50):
             params = bell.ExperimentParams(
                 rng.uniform(0.02, 0.95), rng.uniform(0.85, 0.999),
@@ -69,19 +70,37 @@ class TestEnvelope:
             state = conditioning.conditional_state(params.output_covariance())
             marginal = bell.rotated_marginal(state,
                                              *rng.uniform(-np.pi, np.pi, 2))
-            axes.clear()
             env = montecarlo.build_envelope(marginal)
             assert env.accept_rate >= 1.0 / 3.0
-            # 5x finer than the envelope's grid over the same box; both
-            # densities are even, so the half x >= 0 covers every ratio
-            fine = np.linspace(axes[0][0], axes[0][-1],
-                               5 * (len(axes[0]) - 1) + 1)
-            half = fine[len(fine) // 2:]
-            peak = max(np.fmax.reduce(
-                marginal.density(x[:, None], fine)
-                / env.density(x[:, None], fine), axis=None)
-                for x in np.array_split(half, 80))
+            # target/envelope at x = L z is below A exp(-|z|^2 / 2), A the
+            # positive terms' sum of w_j sqrt(det envelope / det Sigma_j),
+            # so it is below 1 outside the disc |z|^2 <= 2 log A
+            covs = marginal.covariances
+            scales = marginal.weights * np.sqrt(
+                np.linalg.det(env.covariances[0]) / np.linalg.det(covs))
+            radius = np.sqrt(2.0 * np.log(scales[marginal.weights > 0].sum()))
+            outside = (radius + beyond) * np.stack([np.cos(angle),
+                                                    np.sin(angle)])
+            assert np.all(whitened_ratio(marginal, env, outside) < 1.0)
+            # 1601 points per axis over the disc's square, 5x finer than
+            # the 321-point grid the bound once came from; r is even, so
+            # the half z_0 >= 0 covers every ratio
+            axis = np.linspace(-radius, radius, 1601)
+            peak = max(np.fmax.reduce(montecarlo._ratio(
+                env.scales, env.forms,
+                np.stack(np.broadcast_arrays(z0[:, None], axis)).reshape(2, -1)))
+                for z0 in np.array_split(axis[800:], 80))
             assert peak <= env.bound
+            assert (env.bound / montecarlo.ENVELOPE_HEADROOM
+                    >= (1.0 - 1e-9) * peak)
+
+    def test_stored_ratio_is_target_over_envelope(self, realistic_marginal):
+        env = montecarlo.build_envelope(realistic_marginal)
+        z = np.random.default_rng(4).uniform(-4.0, 4.0, (2, 1000))
+        np.testing.assert_allclose(
+            montecarlo._ratio(env.scales, env.forms, z),
+            whitened_ratio(realistic_marginal, env, z),
+            rtol=0.0, atol=1e-12 * np.abs(env.scales).sum())
 
     def test_positive_term_not_below_the_widest_raises(self):
         mixture = bell.BivariateMixture(
@@ -94,8 +113,7 @@ class TestEnvelope:
         env = montecarlo.build_envelope(realistic_marginal)
         halved = dataclasses.replace(env, bound=env.bound / 2.0)
         with pytest.raises(EnvelopeError, match="exceeds the envelope bound"):
-            montecarlo._draw(halved, realistic_marginal, 10_000,
-                             np.random.default_rng(0))
+            montecarlo._draw(halved, 10_000, np.random.default_rng(0))
 
 
 class TestSampleJointQuadratures:
@@ -164,13 +182,22 @@ class TestSampleJointQuadratures:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the (n, 2) result is 16 MB; chunks of CHUNK proposals and the
-        # envelope grid's slabs add under 8 MB whatever n is
+        # the (n, 2) result is 16 MB; the scratch array of CHUNK proposals
+        # and the envelope's peak search add under 8 MB whatever n is
         assert peak < samples.nbytes + 8 * 2 ** 20
 
     def test_bad_count(self, realistic_marginal):
         with pytest.raises(DomainError):
             montecarlo.sample_joint_quadratures(realistic_marginal, 0, 1)
+
+    @pytest.mark.parametrize("n, seed, field", [
+        (2.5, 1, "sample count"), (np.nan, 1, "sample count"),
+        (10, -1, "seed"), (10, 1.5, "seed")],
+        ids=["count-fraction", "count-nan", "seed-negative", "seed-fraction"])
+    def test_non_integral_count_or_seed_raises(self, realistic_marginal, n,
+                                               seed, field):
+        with pytest.raises(DomainError, match=field):
+            montecarlo.sample_joint_quadratures(realistic_marginal, n, seed)
 
 
 class TestRunProtocol:
@@ -229,8 +256,8 @@ class TestRunProtocol:
         draws, block_counts = [], []
         draw, simulate = montecarlo._draw, montecarlo._simulate_block
 
-        def record_draw(env, marginal, n, rng):
-            samples = draw(env, marginal, n, rng)
+        def record_draw(env, n, rng):
+            samples = draw(env, n, rng)
             draws.append(len(samples))
             return samples
 
@@ -263,6 +290,18 @@ class TestRunProtocol:
             ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
                            angle_choice_probs=(0.7, 0.7))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_target_events", 1000.5), ("n_target_events", np.nan),
+        ("seed", -1), ("seed", 1.5)],
+        ids=["events-fraction", "events-nan", "seed-negative",
+             "seed-fraction"])
+    def test_counts_and_seeds_must_be_integers(self, realistic_params, field,
+                                               value):
+        kwargs = dict(params=realistic_params, n_target_events=10, seed=1)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=field):
+            ProtocolConfig(**kwargs)
+
     @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
     def test_rep_rate_must_be_finite_and_positive(self, realistic_params,
                                                   rate):
@@ -286,6 +325,21 @@ class TestAcquisitionTime:
         seconds = montecarlo.acquisition_time(result.success_prob, 1e6, 0.005,
                                               result)
         assert seconds < 3600.0
+
+    def test_realistic_point_value(self, realistic_params):
+        result = bell.chsh(realistic_params)
+        seconds = montecarlo.acquisition_time(result.success_prob, 1e6, 0.005,
+                                              result)
+        assert seconds == pytest.approx(1830.4995, rel=1e-7)
+
+    @pytest.mark.parametrize("probs", [(5.0, 5.0), (np.inf, 0.5)],
+                             ids=["sum-10", "inf"])
+    def test_choice_probs_must_sum_to_one(self, realistic_params, probs):
+        result = bell.chsh(realistic_params)
+        with pytest.raises(DomainError, match="angle_choice_probs must be "
+                           "non-negative and sum to 1"):
+            montecarlo.acquisition_time(result.success_prob, 1e6, 0.005,
+                                        result, angle_choice_probs=probs)
 
     def test_inverse_square_in_target(self, realistic_params):
         result = bell.chsh(realistic_params)
