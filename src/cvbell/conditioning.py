@@ -49,8 +49,8 @@ STRUCTURE_TOL = 1e-10
 
 def quadratic_moments(x, y) -> np.ndarray:
     """(x^2, xy, y^2) of broadcast quadrature values, stacked on a new
-    leading axis of length 3: the points at which `_term_densities` and
-    `BivariateMixture.moment_density` evaluate."""
+    leading axis of length 3: the points at which `_term_densities`
+    evaluates."""
     x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
     moments = np.empty((3,) + x.shape)
     np.multiply(x, x, out=moments[0])
@@ -92,12 +92,8 @@ class BivariateMixture:
 
     def density(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Joint density on a broadcastable grid of quadrature values."""
-        return self.moment_density(quadratic_moments(x, y))
-
-    def moment_density(self, moments: np.ndarray) -> np.ndarray:
-        """Joint density at the points of `quadratic_moments` moments."""
         return _term_densities(self.weights, self.covariances,
-                               moments).sum(axis=0)
+                               quadratic_moments(x, y)).sum(axis=0)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -18,9 +18,9 @@ one inflated Gaussian, the marginal's widest term (`build_envelope`).
 Both work in the envelope's whitened frame x = L z, with L the Cholesky
 factor of the envelope covariance, where target/envelope is a short sum
 of centred Gaussians in z, r(z) = sum_j a_j exp(-z^T B_j z / 2).  The
-envelope's bound is the peak of r, found by a coarse grid search and a
-Newton ascent, and a proposal z is accepted by comparing r(z) alone with
-the bound: drawing evaluates neither density.
+envelope's bound is the peak of r, found by a coarse grid search refined
+around its best points, and a proposal z is accepted by comparing r(z)
+alone with the bound: drawing evaluates neither density.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ ENVELOPE_INFLATION = 2.0
 #: points per axis of the coarse grid that seeds the peak search of r
 ENVELOPE_GRID = 41
 
-#: best grid points the Newton ascent of the peak search starts from
+#: best coarse-grid points the peak search refines
 ENVELOPE_STARTS = 4
 
 #: the envelope's bound over the peak of r that the search finds
@@ -166,49 +166,27 @@ def _peak_ratio(scales: np.ndarray, forms: np.ndarray) -> float:
     1 <= sup r (target and envelope both integrate to 1) outside the disc
     |z|^2 <= 2 log sum_{scales > 0} scales, so the peak lies in the disc.
     r is even, so a grid of ENVELOPE_GRID points per axis over the half
-    z_0 >= 0 of the disc's square finds its cells; a Newton ascent from
-    the ENVELOPE_STARTS best ones climbs to their peaks.  Where the
-    Hessian is not negative definite a Levenberg shift keeps the step
-    uphill; a start moves only where its step raises r, and a step that
-    does not is cut to a quarter next time.
+    z_0 >= 0 of the disc's square finds its cells.  Each of the
+    ENVELOPE_STARTS best points then moves to the best of a 5x5 grid
+    around it, of half the previous spacing, ten times over: the last grid
+    is 1024 times finer than the first.
     """
     radius = np.sqrt(2.0 * np.log(scales[scales > 0].sum()))
-    axis = np.linspace(-radius, radius, ENVELOPE_GRID)
+    axis, step = np.linspace(-radius, radius, ENVELOPE_GRID, retstep=True)
     z = np.stack(np.meshgrid(axis[ENVELOPE_GRID // 2:], axis,
                              indexing="ij")).reshape(2, -1)
-    ratio = _ratio(scales, forms, z)
-    best = np.argsort(ratio)[-ENVELOPE_STARTS:]
-    (z0, z1), peak = z[:, best], ratio[best]
-    b00, b01, b11 = (forms[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 1)))
-
-    def terms_at(z0, z1):
-        """B_j z and the terms of r at the starts, each (terms, starts)."""
-        bz0, bz1 = b00 * z0 + b01 * z1, b01 * z0 + b11 * z1
-        return bz0, bz1, scales[:, None] * np.exp(-0.5 * (z0 * bz0 + z1 * bz1))
-
-    damping = np.ones(ENVELOPE_STARTS)
-    for _ in range(50):
-        bz0, bz1, terms = terms_at(z0, z1)
-        # gradient, and minus the Hessian shifted until its smallest
-        # eigenvalue is at least 1e-3 r
-        g0, g1 = -(terms * bz0).sum(axis=0), -(terms * bz1).sum(axis=0)
-        c00 = (terms * (b00 - bz0 * bz0)).sum(axis=0)
-        c01 = (terms * (b01 - bz0 * bz1)).sum(axis=0)
-        c11 = (terms * (b11 - bz1 * bz1)).sum(axis=0)
-        least = 0.5 * (c00 + c11) - np.hypot(0.5 * (c00 - c11), c01)
-        shift = np.maximum(0.0, 1e-3 * np.abs(peak) - least)
-        c00, c11 = c00 + shift, c11 + shift
-        det = (c00 * c11 - c01 * c01) / damping
-        s0, s1 = (c11 * g0 - c01 * g1) / det, (c00 * g1 - c01 * g0) / det
-        value = terms_at(z0 + s0, z1 + s1)[2].sum(axis=0)
-        up = value > peak
-        z0, z1 = np.where(up, z0 + s0, z0), np.where(up, z1 + s1, z1)
-        peak = np.where(up, value, peak)
-        damping = np.where(up, 1.0, 0.25 * damping)
-        # steps this short change r by about 1e-14: every start is on a peak
-        if np.all(np.abs(s0) + np.abs(s1) < 1e-7):
-            break
-    return float(peak.max())
+    best = np.argsort(_ratio(scales, forms, z))[-ENVELOPE_STARTS:]
+    centres = z[:, best, None]
+    offsets = np.mgrid[-2:3, -2:3].reshape(2, 1, 25)
+    for _ in range(10):
+        step /= 2.0
+        points = centres + step * offsets                  # (2, starts, 25)
+        ratio = _ratio(scales, forms, points.reshape(2, -1))
+        ratio = ratio.reshape(ENVELOPE_STARTS, 25)
+        centres = np.take_along_axis(
+            points, ratio.argmax(axis=1)[None, :, None], axis=2)
+    # each grid holds its centre, so the last one holds the best value seen
+    return float(ratio.max())
 
 
 def build_envelope(marginal: BivariateMixture) -> Envelope:

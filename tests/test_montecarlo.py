@@ -82,17 +82,25 @@ class TestEnvelope:
             outside = (radius + beyond) * np.stack([np.cos(angle),
                                                     np.sin(angle)])
             assert np.all(whitened_ratio(marginal, env, outside) < 1.0)
-            # 1601 points per axis over the disc's square, 5x finer than
-            # the 321-point grid the bound once came from; r is even, so
-            # the half z_0 >= 0 covers every ratio
+            # 1601 points per axis over the disc's square, 40x finer than
+            # the search's coarse grid; r is even, so the half z_0 >= 0
+            # covers every ratio.  On it the densities' ratio stays below
+            # the bound, the r of the stored (a_j, B_j) that the search
+            # reads matches it, and the search finds r's peak
             axis = np.linspace(-radius, radius, 1601)
-            peak = max(np.fmax.reduce(montecarlo._ratio(
-                env.scales, env.forms,
-                np.stack(np.broadcast_arrays(z0[:, None], axis)).reshape(2, -1)))
-                for z0 in np.array_split(axis[800:], 80))
+            peak = stored_peak = gap = 0.0
+            for z0 in np.array_split(axis[800:], 80):
+                z = np.stack(np.broadcast_arrays(z0[:, None], axis))
+                z = z.reshape(2, -1)
+                ratio = whitened_ratio(marginal, env, z)
+                stored = montecarlo._ratio(env.scales, env.forms, z)
+                peak = max(peak, ratio.max())
+                stored_peak = max(stored_peak, stored.max())
+                gap = max(gap, np.abs(stored - ratio).max())
             assert peak <= env.bound
+            assert gap <= 1e-12 * np.abs(env.scales).sum()
             assert (env.bound / montecarlo.ENVELOPE_HEADROOM
-                    >= (1.0 - 1e-9) * peak)
+                    >= (1.0 - 1e-9) * stored_peak)
 
     def test_stored_ratio_is_target_over_envelope(self, realistic_marginal):
         env = montecarlo.build_envelope(realistic_marginal)
