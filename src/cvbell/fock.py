@@ -1,7 +1,8 @@
 """Truncated photon-number-basis implementation of the whole experiment.
 
 Everything here is computed independently of the covariance-matrix
-pipeline.  Pure states are amplitude arrays over photon numbers and beam
+pipeline.  Every pure state built here is Schmidt-diagonal,
+sum_n g_n |n,n>, and is stored as its real Schmidt coefficients g; beam
 splitters act through binomial amplitude tables.  The heralded state
 keeps the photon-number difference Delta = n_A - n_B of each ket and bra
 equal, so a mixed state is stored as its Delta-blocks: an array of shape
@@ -59,9 +60,14 @@ PRODUCT_LAMBDA_RANGE = (0.35, 0.80)
 
 
 def _check_truncation(probs: np.ndarray, n_trunc: int):
-    """Fail when too much probability sits near the truncation edge."""
+    """Fail when too much probability sits near the truncation edge.
+
+    probs is P(n_A, n_B), or the vector P(n, n) of a Schmidt state.
+    """
     cut = max(n_trunc - 4, 0)
-    tail = float(probs[cut:, :].sum() + probs[:cut, cut:].sum())
+    tail = float(probs[cut:].sum())
+    if probs.ndim == 2:
+        tail += float(probs[:cut, cut:].sum())
     if tail > TAIL_TOLERANCE:
         raise TruncationError(
             f"probability {tail:.3e} above photon number {cut} "
@@ -73,25 +79,24 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Pure two-mode state as a complex amplitude array over (n_A, n_B)."""
+def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients g of a pure state sum_n g_n |n,n>, checked.
 
-    amplitudes: np.ndarray
-    n_trunc: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.n_trunc < MIN_TRUNCATION:
-            raise DomainError(f"truncation must be >= {MIN_TRUNCATION}, "
-                              f"got {self.n_trunc}")
-        if amps.shape != (self.n_trunc, self.n_trunc):
-            raise DomainError("amplitude array does not match the truncation")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise DomainError(f"state norm {norm} differs from 1 beyond 1e-10")
-        _check_truncation(np.abs(amps) ** 2, self.n_trunc)
-        object.__setattr__(self, "amplitudes", amps)
+    DomainError unless g is a real vector of at least MIN_TRUNCATION
+    entries with unit norm within 1e-10; TruncationError when its tail
+    reaches the truncation edge.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1:
+        raise DomainError("Schmidt coefficients must form a vector")
+    if len(coeffs) < MIN_TRUNCATION:
+        raise DomainError(f"truncation must be >= {MIN_TRUNCATION}, "
+                          f"got {len(coeffs)}")
+    norm = float(coeffs @ coeffs)
+    if abs(norm - 1.0) > 1e-10:
+        raise DomainError(f"state norm {norm} differs from 1 beyond 1e-10")
+    _check_truncation(coeffs ** 2, len(coeffs))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +176,12 @@ def tmsv_amplitudes(squeezing: float, n_trunc: int) -> np.ndarray:
     return np.sqrt(1.0 - squeezing ** 2) * squeezing ** np.arange(n_trunc)
 
 
-def tmsv_state(squeezing: float, n_trunc: int = DEFAULT_TRUNCATION) -> FockState:
-    """Two-mode squeezed vacuum in the photon-number basis."""
-    diag = tmsv_amplitudes(squeezing, n_trunc)
-    amps = np.zeros((n_trunc, n_trunc), dtype=complex)
-    np.fill_diagonal(amps, diag)
-    norm = np.sqrt(np.sum(np.abs(amps) ** 2))
-    return FockState(amplitudes=amps / norm, n_trunc=n_trunc)
+def tmsv_state(squeezing: float,
+               n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
+    """Schmidt coefficients of the two-mode squeezed vacuum, renormalized
+    on the truncated basis and checked."""
+    coeffs = tmsv_amplitudes(squeezing, n_trunc)
+    return _check_schmidt(coeffs / np.linalg.norm(coeffs))
 
 
 def ladder(n_trunc: int) -> np.ndarray:
@@ -193,22 +197,23 @@ def quadrature_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     return x, p
 
 
-def second_moments(state: FockState) -> np.ndarray:
-    """Covariance matrix gamma_ij = <r_i r_j + r_j r_i> of a zero-mean state.
+def second_moments(coeffs: np.ndarray) -> np.ndarray:
+    """Covariance matrix gamma_ij = <r_i r_j + r_j r_i> of the zero-mean
+    pure state sum_n g_n |n,n>, given its Schmidt coefficients g.
 
     Brute-force moment evaluation used as the ground truth for the
-    covariance-matrix constructors.  Each quadrature is a pair of
-    operators (F on mode A, G on mode B), one of them the identity, and
-    <F (x) G> = sum conj(Psi[a,b]) F[a,c] G[b,d] Psi[c,d]
-    = Tr(Psi^dagger F Psi G^T), two matrix products.
+    covariance-matrix constructors; g is checked as the constructors
+    check it.  Each quadrature is a pair of operators (F on mode A, G on
+    mode B), one of them the identity, and
+    <F (x) G> = sum_{a,c} g_a F[a,c] G[a,c] g_c = g^T (F o G) g.
     """
-    x, p = quadrature_operators(state.n_trunc)
-    eye = np.eye(state.n_trunc)
+    coeffs = _check_schmidt(coeffs)
+    x, p = quadrature_operators(len(coeffs))
+    eye = np.eye(len(coeffs))
     ops = ((x, eye), (p, eye), (eye, x), (eye, p))
-    psi = state.amplitudes
 
     def expect(f, g):
-        return np.vdot(psi, f @ psi @ g.T)
+        return coeffs @ (f * g) @ coeffs
 
     gamma = np.zeros((4, 4))
     for i, (f_i, g_i) in enumerate(ops):
@@ -243,8 +248,9 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
 
 
 def pair_projected_state(squeezing: float, transmittance: float,
-                         n_trunc: int = DEFAULT_TRUNCATION) -> FockState:
-    """State heralded by exactly one photon in each tap arm.
+                         n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
+    """Schmidt coefficients of the state heralded by exactly one photon in
+    each tap arm.
 
     Projecting both taps onto the single-photon state leaves a pure
     two-mode state with amplitudes proportional to (n+1)(T*lambda)^n.
@@ -256,19 +262,20 @@ def pair_projected_state(squeezing: float, transmittance: float,
     norm = np.linalg.norm(diag)
     if norm == 0.0:
         raise InvalidRegimeError("no amplitude survives the photon-pair projection")
-    amps = np.zeros((n_trunc, n_trunc), dtype=complex)
-    amps[totals - 1, totals - 1] = diag / norm
-    return FockState(amplitudes=amps, n_trunc=n_trunc)
+    coeffs = np.zeros(n_trunc)
+    coeffs[totals - 1] = diag / norm
+    return _check_schmidt(coeffs)
 
 
 def ideal_subtracted_state(squeezing: float, transmittance: float,
                            n_trunc: int = DEFAULT_TRUNCATION
-                           ) -> tuple[FockState, float]:
+                           ) -> tuple[np.ndarray, float]:
     """Normalized (n+1)(T*lambda)^n |n,n> state and its projection fidelity.
 
-    Returns the closed-form photon-subtracted state together with its
-    overlap fidelity against the exact two-beam-splitter photon-pair
-    projection at the same finite transmittance.
+    Returns the Schmidt coefficients of the closed-form photon-subtracted
+    state together with its overlap fidelity (g_proj . g)^2 against the
+    exact two-beam-splitter photon-pair projection at the same finite
+    transmittance.
     """
     if squeezing * transmittance >= 0.95:
         raise DomainError("squeezing * transmittance must stay below 0.95 "
@@ -276,14 +283,10 @@ def ideal_subtracted_state(squeezing: float, transmittance: float,
     if squeezing * transmittance == 0.0:
         raise InvalidRegimeError("zero squeezing cannot herald a photon pair")
     n = np.arange(n_trunc)
-    diag = (n + 1.0) * (transmittance * squeezing) ** n
-    diag /= np.linalg.norm(diag)
-    amps = np.zeros((n_trunc, n_trunc), dtype=complex)
-    np.fill_diagonal(amps, diag)
-    state = FockState(amplitudes=amps, n_trunc=n_trunc)
+    coeffs = (n + 1.0) * (transmittance * squeezing) ** n
+    coeffs = _check_schmidt(coeffs / np.linalg.norm(coeffs))
     projected = pair_projected_state(squeezing, transmittance, n_trunc)
-    overlap = complex(np.vdot(projected.amplitudes, state.amplitudes))
-    return state, float(abs(overlap) ** 2)
+    return coeffs, float((projected @ coeffs) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +330,6 @@ def _click_conditioned_unnormalized(squeezing: float, transmittance: float,
     first = coeff[a + kc] * table[a + kc, n + kc] * root_w[n + kc]
     factor = first * table[a + kc, n + kd] * root_w[n + kd]
     return factor @ factor.transpose(0, 2, 1)
-
-
-def double_click_probability(squeezing: float, transmittance: float,
-                             apd_efficiency: float,
-                             n_trunc: int = DEFAULT_TRUNCATION) -> float:
-    """Probability that both tap detectors click on one pulse."""
-    blocks = _click_conditioned_unnormalized(squeezing, transmittance,
-                                             apd_efficiency, n_trunc)
-    return float(_photon_numbers(blocks, n_trunc).sum())
 
 
 def lossy_click_conditioning(squeezing: float, transmittance: float,
@@ -471,16 +465,15 @@ def fock_optimal_product(transmittance: float,
     Uses photon-pair projection (perfect photon-resolving detectors) and
     ideal homodynes, the sign operator S at efficiency 1, which keeps the
     heralded state pure and the scan cheap.  The Schmidt state
-    sum_n g_n |n,n> has the one block g g*, so the correlators are the
-    phase forms of S o M_S = (g g*) o S o S.  Returns (lambda_opt * T, S_max).
+    sum_n g_n |n,n> has the one block g g^T, so the correlators are the
+    phase forms of S o M_S = (g g^T) o S o S.  Returns (lambda_opt * T, S_max).
     """
     sign_op = _sign_operator(PRODUCT_TRUNCATION, 1.0)
     sign_squared = sign_op * sign_op
 
     def s_value(lam: float) -> float:
-        state = pair_projected_state(lam, transmittance, PRODUCT_TRUNCATION)
-        diag = np.diag(state.amplitudes)
-        return _phase_chsh(np.outer(diag, diag.conj()) * sign_squared,
+        coeffs = pair_projected_state(lam, transmittance, PRODUCT_TRUNCATION)
+        return _phase_chsh(np.outer(coeffs, coeffs) * sign_squared,
                            DEFAULT_ANGLES)
 
     grid = np.linspace(*PRODUCT_LAMBDA_RANGE, 16)

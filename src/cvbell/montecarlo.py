@@ -72,7 +72,8 @@ class ProtocolConfig:
     def __post_init__(self):
         _check_integer("n_target_events", self.n_target_events, 1)
         _check_integer("seed", self.seed, 0)
-        if not (np.isfinite(self.rep_rate) and self.rep_rate > 0):
+        if not (isinstance(self.rep_rate, numbers.Real)
+                and np.isfinite(self.rep_rate) and self.rep_rate > 0):
             raise DomainError(f"rep_rate must be finite and positive, "
                               f"got {self.rep_rate}")
         _check_choice_probs(self.angle_choice_probs)
@@ -86,8 +87,12 @@ def _check_integer(name: str, value, least: int) -> None:
 
 
 def _check_choice_probs(probs: tuple[float, float]) -> None:
-    """DomainError unless the two angle-choice probabilities are
-    non-negative and sum to 1 (which NaN and infinity never do)."""
+    """DomainError unless probs is a pair of real numbers, non-negative and
+    summing to 1 (which NaN and infinity never do)."""
+    if not (np.ndim(probs) == 1 and len(probs) == 2
+            and all(isinstance(p, numbers.Real) for p in probs)):
+        raise DomainError(f"angle_choice_probs must be a pair of real "
+                          f"numbers, got {probs!r}")
     p1, p2 = probs
     if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):
         raise DomainError("angle_choice_probs must be non-negative and sum to 1")

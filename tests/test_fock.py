@@ -272,11 +272,11 @@ def fenced_conditioning(squeezing, transmittance, apd_efficiency):
 
 class TestStates:
     def test_tmsv_norm_and_support(self):
-        state = fock.tmsv_state(0.5, 40)
-        probs = np.abs(state.amplitudes) ** 2
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        off_diag = probs - np.diag(np.diag(probs))
-        assert off_diag.max() == 0.0
+        coeffs = fock.tmsv_state(0.5, 40)
+        assert coeffs.shape == (40,) and coeffs.dtype == float
+        assert coeffs @ coeffs == pytest.approx(1.0, abs=1e-12)
+        law = np.sqrt(1.0 - 0.25) * 0.5 ** np.arange(40)
+        assert np.max(np.abs(coeffs - law)) < 1e-15
 
     def test_heavy_tail_raises(self):
         with pytest.raises(TruncationError):
@@ -300,14 +300,13 @@ class TestStates:
             fock.tmsv_state(0.1, 8)
 
     def test_second_moments_match_einsum_form(self):
-        # the four-operand einsum the matrix-product form replaces
+        # the four-operand einsum on the dense amplitudes diag(g)
         rng = np.random.default_rng(8)
         n = 20
-        decay = 0.5 ** np.add.outer(np.arange(n), np.arange(n))
-        amps = decay * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        state = fock.FockState(amps / np.linalg.norm(amps), n)
+        coeffs = 0.5 ** np.arange(n) * rng.normal(size=n)
+        coeffs /= np.linalg.norm(coeffs)
         x, p = fock.quadrature_operators(n)
-        quads, psi = (x, p), state.amplitudes
+        quads, psi = (x, p), np.diag(coeffs)
         expected = np.zeros((4, 4))
         for i in range(4):
             for j in range(4):
@@ -322,7 +321,17 @@ class TestStates:
                     val = 2.0 * np.einsum("ab,ac,bd,cd->", psi.conj(), op_a,
                                           op_b, psi)
                 expected[i, j] = val.real
-        assert np.max(np.abs(fock.second_moments(state) - expected)) < 1e-13
+        assert np.max(np.abs(fock.second_moments(coeffs) - expected)) < 1e-13
+
+    def test_second_moments_check_their_input(self):
+        coeffs = fock.tmsv_state(0.5, 40)
+        with pytest.raises(DomainError, match="norm"):
+            fock.second_moments(2.0 * coeffs)
+        with pytest.raises(DomainError, match="vector"):
+            fock.second_moments(np.diag(coeffs))
+        heavy = fock.tmsv_amplitudes(0.85, 16)
+        with pytest.raises(TruncationError):
+            fock.second_moments(heavy / np.linalg.norm(heavy))
 
     def test_tap_amplitude_table_matches_forty_digits(self):
         for n_trunc in (40, 60):
@@ -350,9 +359,7 @@ class TestIdealSubtractedState:
     def test_truncation_stability(self):
         state40, _ = fock.ideal_subtracted_state(0.5, 0.95, 40)
         state60, _ = fock.ideal_subtracted_state(0.5, 0.95, 60)
-        d40 = np.diag(state40.amplitudes).real
-        d60 = np.diag(state60.amplitudes).real[:40]
-        assert np.max(np.abs(d40 - d60)) < 1e-10
+        assert np.max(np.abs(state40 - state60[:40])) < 1e-10
 
     def test_convergence_guard(self):
         with pytest.raises(DomainError):
@@ -360,18 +367,21 @@ class TestIdealSubtractedState:
 
     def test_amplitude_law(self):
         state, _ = fock.ideal_subtracted_state(0.4, 0.9, 40)
-        diag = np.diag(state.amplitudes).real
         n = np.arange(40)
         expected = (n + 1.0) * (0.36) ** n
         expected /= np.linalg.norm(expected)
-        assert np.max(np.abs(diag - expected)) < 1e-12
+        assert np.max(np.abs(state - expected)) < 1e-12
+
+    def test_fidelity_pinned(self):
+        _, fidelity = fock.ideal_subtracted_state(0.5, 0.95, 40)
+        assert abs(fidelity - 0.9999999999999996) < 1e-12
 
 
 class TestClickConditioning:
     def test_limits_recover_ideal_state(self):
         rho, _ = fock.lossy_click_conditioning(0.5, 0.9999, 0.9999, 40)
         ideal, _ = fock.ideal_subtracted_state(0.5, 0.9999, 40)
-        psi = ideal.amplitudes
+        psi = np.diag(ideal)
         fidelity = np.einsum("ab,abcd,cd->", psi.conj(), to_dense(rho),
                              psi).real
         assert fidelity > 0.999
@@ -382,7 +392,6 @@ class TestClickConditioning:
         assert abs(p_click - realistic_state.success_prob) / p_click < 1e-3
 
     def test_vacuum_never_clicks(self):
-        assert fock.double_click_probability(0.0, 0.95, 0.3, 40) == 0.0
         with pytest.raises(InvalidRegimeError):
             fock.lossy_click_conditioning(0.0, 0.95, 0.3, 40)
 
@@ -396,11 +405,9 @@ class TestClickConditioning:
         assert eigs.min() > -1e-8
 
     def test_truncation_doubling_stability(self):
-        p32 = fock.double_click_probability(0.6, 0.95, 0.3, 32)
-        p64 = fock.double_click_probability(0.6, 0.95, 0.3, 64)
+        rho32, p32 = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 32)
+        rho64, p64 = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 64)
         assert abs(p32 - p64) < 1e-6
-        rho32, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 32)
-        rho64, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 64)
         e32 = fock.fock_sign_correlation(rho32, 0.0, -np.pi / 4)
         e64 = fock.fock_sign_correlation(rho64, 0.0, -np.pi / 4)
         assert abs(e32 - e64) < 1e-6
@@ -516,6 +523,11 @@ class TestOptimalProduct:
         p_90, _ = fock.fock_optimal_product(0.90)
         p_99, _ = fock.fock_optimal_product(0.99)
         assert abs(p_90 - p_99) < 0.01
+
+    def test_pinned_at_point_nine(self):
+        product, s_max = fock.fock_optimal_product(0.90)
+        assert abs(product - 0.5721166542490141) < 1e-12
+        assert abs(s_max - 2.0481774137218225) < 1e-12
 
 
 class TestWigner:
@@ -743,9 +755,8 @@ class TestDenseReferences:
         x, w = reference_grid(60)
         h = hermite_functions(60, x)
         sign_op = fock._sign_operator(60, 1.0)
-        state = fock.pair_projected_state(0.58, 0.99, 60)
-        diag = np.diag(state.amplitudes)
-        reduced = np.outer(diag, diag.conj()) * sign_op * sign_op
+        diag = fock.pair_projected_state(0.58, 0.99, 60)
+        reduced = np.outer(diag, diag) * sign_op * sign_op
         for angle_sum in (-np.pi / 4, np.pi / 4, 3 * np.pi / 4, 0.3):
             fast = fock._phase_form(reduced, angle_sum)
             direct = dense_diag_sign_correlation(diag, angle_sum, x, w, h)

@@ -310,7 +310,7 @@ class TestRunProtocol:
         with pytest.raises(DomainError, match=field):
             ProtocolConfig(**kwargs)
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0, "1e6"])
     def test_rep_rate_must_be_finite_and_positive(self, realistic_params,
                                                   rate):
         with pytest.raises(DomainError, match="rep_rate"):
@@ -318,9 +318,12 @@ class TestRunProtocol:
                            rep_rate=rate)
 
     @pytest.mark.parametrize("probs", [(np.nan, 0.5), (0.5, np.nan),
-                                       (np.nan, np.nan), (np.inf, 0.5)],
+                                       (np.nan, np.nan), (np.inf, 0.5),
+                                       (0.5,), (0.3, 0.3, 0.4),
+                                       ("0.5", "0.5"), 0.5],
                              ids=["nan-first", "nan-second", "nan-both",
-                                  "inf"])
+                                  "inf", "one", "three", "strings",
+                                  "scalar"])
     def test_choice_probs_must_be_numbers(self, realistic_params, probs):
         with pytest.raises(DomainError, match="angle_choice_probs"):
             ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
