@@ -147,13 +147,19 @@ def _fig2_panel_a() -> list[dict]:
             for offset, w in cut]
 
 
-def _fig2_sweep_rows(axis: str, grid, series_params) -> list[dict]:
-    rows = []
-    for label, params in series_params:
-        for point in bell.sweep(axis, grid, params):
-            rows.append({"axis": point.value, "series": label,
-                         "value": point.S})
-    return rows
+def _fig2_sweep_rows(axis: str, grid, series) -> list[dict]:
+    """Rows of a fig2 panel: S along one axis for every (label, fixed
+    parameters) series, all series stacked into one closed-form call.  A
+    point the closed form refuses holds NaN, as in `bell.sweep`."""
+    grid = np.asarray(grid, dtype=float)
+    stack = {name: np.concatenate([grid if name == axis
+                                   else np.full(len(grid), fixed[name])
+                                   for _, fixed in series])
+             for name in gaussian.PARAMS}
+    corr, _, _, _ = bell._evaluate(stack, bell.DEFAULT_ANGLES)
+    values = iter(bell.chsh_value(corr))
+    return [{"axis": float(v), "series": label, "value": float(next(values))}
+            for label, _ in series for v in grid]
 
 
 def cmd_fig2(cfg: RunConfig) -> int:
@@ -165,14 +171,13 @@ def cmd_fig2(cfg: RunConfig) -> int:
     ext = cfg.output_format
 
     def ideal(transmittance):
-        return bell.ExperimentParams(squeezing=0.5, transmittance=transmittance,
-                                     apd_efficiency=1.0, homodyne_efficiency=1.0)
+        return dict(squeezing=0.5, transmittance=transmittance,
+                    apd_efficiency=1.0, homodyne_efficiency=1.0)
 
     def sweet(transmittance, eta, eta_bhd):
-        return bell.ExperimentParams(squeezing=SWEET_PRODUCT / transmittance,
-                                     transmittance=transmittance,
-                                     apd_efficiency=eta,
-                                     homodyne_efficiency=eta_bhd)
+        return dict(squeezing=SWEET_PRODUCT / transmittance,
+                    transmittance=transmittance, apd_efficiency=eta,
+                    homodyne_efficiency=eta_bhd)
 
     series = [(f"T={t:.2f}", t) for t in FIG2_TRANSMITTANCES]
     panels = {

@@ -79,6 +79,13 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _check_floor(n_trunc: int):
+    """DomainError for a truncation below MIN_TRUNCATION."""
+    if n_trunc < MIN_TRUNCATION:
+        raise DomainError(f"truncation must be >= {MIN_TRUNCATION}, "
+                          f"got {n_trunc}")
+
+
 def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
     """Schmidt coefficients g of a pure state sum_n g_n |n,n>, checked.
 
@@ -89,9 +96,7 @@ def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1:
         raise DomainError("Schmidt coefficients must form a vector")
-    if len(coeffs) < MIN_TRUNCATION:
-        raise DomainError(f"truncation must be >= {MIN_TRUNCATION}, "
-                          f"got {len(coeffs)}")
+    _check_floor(len(coeffs))
     norm = float(coeffs @ coeffs)
     if abs(norm - 1.0) > 1e-10:
         raise DomainError(f"state norm {norm} differs from 1 beyond 1e-10")
@@ -136,9 +141,10 @@ class FockDensityMatrix:
 
     blocks[Delta + n_trunc - 1, a, c] = <a, a - Delta| rho |c, c - Delta>;
     an entry whose partner index a - Delta or c - Delta leaves the
-    truncation must be zero.  The blocks keep their dtype: real blocks stay
-    real float64 (half the memory of complex ones), complex blocks stay
-    complex, and integer blocks become float64.
+    truncation must be zero.  n_trunc must be at least MIN_TRUNCATION.
+    The blocks keep their dtype: real blocks stay real float64 (half the
+    memory of complex ones), complex blocks stay complex, and integer
+    blocks become float64.
     """
 
     blocks: np.ndarray
@@ -149,6 +155,7 @@ class FockDensityMatrix:
         blocks = blocks.astype(np.promote_types(blocks.dtype, float),
                                copy=False)
         n = self.n_trunc
+        _check_floor(n)
         if blocks.shape != (2 * n - 1, n, n):
             raise DomainError("density blocks do not match the truncation")
         if np.any(blocks[~_in_range(n)]):
@@ -481,8 +488,9 @@ def fock_optimal_product(transmittance: float,
     best = int(np.argmax(values))
     if best in (0, len(grid) - 1):
         raise DomainError("optimal squeezing fell on the scan boundary")
-    lam_opt, s_max = _golden_section_max(s_value, grid[best - 1],
-                                         grid[best + 1], tol)
+    lam_opt, s_max = _golden_section_max(
+        lambda lams: [s_value(lam) for lam in lams],
+        grid[best - 1], grid[best + 1], tol, lookahead=1)
     return float(lam_opt * transmittance), float(s_max)
 
 

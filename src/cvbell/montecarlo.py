@@ -72,8 +72,7 @@ class ProtocolConfig:
     def __post_init__(self):
         _check_integer("n_target_events", self.n_target_events, 1)
         _check_integer("seed", self.seed, 0)
-        if not (isinstance(self.rep_rate, numbers.Real)
-                and np.isfinite(self.rep_rate) and self.rep_rate > 0):
+        if not _positive_real(self.rep_rate):
             raise DomainError(f"rep_rate must be finite and positive, "
                               f"got {self.rep_rate}")
         _check_choice_probs(self.angle_choice_probs)
@@ -84,6 +83,12 @@ def _check_integer(name: str, value, least: int) -> None:
     if not (isinstance(value, numbers.Integral) and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, "
                           f"got {value!r}")
+
+
+def _positive_real(value) -> bool:
+    """True for a finite, positive real number."""
+    return (isinstance(value, numbers.Real) and np.isfinite(value)
+            and value > 0)
 
 
 def _check_choice_probs(probs: tuple[float, float]) -> None:
@@ -376,8 +381,8 @@ def acquisition_time(success_prob: float, rep_rate: float,
     (1 - E^2) / p_cell, so the answer is
     (sigma0 / target)^2 / (success_prob * rep_rate).
     """
-    if not all(0 < v < np.inf for v in (success_prob, rep_rate,
-                                         target_stderr_s)):
+    if not all(map(_positive_real, (success_prob, rep_rate,
+                                    target_stderr_s))):
         raise DomainError(
             "all acquisition-time inputs must be finite and positive")
     _check_choice_probs(angle_choice_probs)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cvbell import bell, cli, conditioning, gaussian
-from cvbell.errors import CVBellError, DomainError, InvalidRegimeError
+from cvbell.errors import (CVBellError, DomainError, InvalidRegimeError,
+                           OptimizationError)
 from conftest import integrate_mixture_2d
 import symplectic_reference as ref
 
@@ -356,7 +357,113 @@ class TestAgainstReference:
         assert bell.chsh(realistic_params).S == expected.S
 
 
+def sequential_golden_max(values, lo, hi, tol, lookahead):
+    """The one-point-at-a-time golden-section search, one call of values
+    per point, that the lookahead rounds of `bell._golden_section_max`
+    replay; lookahead is ignored."""
+    def fun(x):
+        return values(np.array([x]))[0]
+
+    c = hi - (hi - lo) / bell.GOLDEN_RATIO
+    d = lo + (hi - lo) / bell.GOLDEN_RATIO
+    fc, fd = fun(c), fun(d)
+    while abs(hi - lo) > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) / bell.GOLDEN_RATIO
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) / bell.GOLDEN_RATIO
+            fd = fun(d)
+    mid = 0.5 * (lo + hi)
+    return mid, fun(mid)
+
+
+def optimize_outcome(*args):
+    """optimize_lambda's result, or the text of its OptimizationError."""
+    try:
+        return bell.optimize_lambda(*args)
+    except OptimizationError as exc:
+        return str(exc)
+
+
+def optimize_rows(seed, n, homodyne_range):
+    """n seeded (T, eta, eta_BHD) rows of the scan box, T in [0.9, 0.99]
+    and eta in [0.1, 1]."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(0.9, 0.99), rng.uniform(0.1, 1.0),
+             rng.uniform(*homodyne_range)) for _ in range(n)]
+
+
 class TestOptimizeLambda:
+    #: the README configuration and the README's Python example
+    README_ROWS = [(0.95, 0.3, 0.95), (0.99, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("rows", [
+        optimize_rows(181, 30, (1.0, 1.0)),
+        optimize_rows(182, 30, (0.8, 1.0)),
+        README_ROWS], ids=["scan-box", "lossy-homodyne", "readme"])
+    def test_bitwise_equal_to_sequential_search(self, monkeypatch, rows):
+        lookahead = [optimize_outcome(*row) for row in rows]
+        monkeypatch.setattr(bell, "_golden_section_max",
+                            sequential_golden_max)
+        sequential = [optimize_outcome(*row) for row in rows]
+        assert lookahead == sequential
+        searched = sum(isinstance(out, tuple) for out in lookahead)
+        assert searched >= 2 * len(rows) // 3
+
+    def test_at_most_four_kernel_calls(self, monkeypatch):
+        # the one-point-at-a-time search makes 19: the pre-scan, c and d,
+        # 15 steps and the final midpoint
+        kernel, calls = conditioning.heralded_terms, []
+
+        def counted(x_blocks):
+            calls.append(len(x_blocks))
+            return kernel(x_blocks)
+
+        monkeypatch.setattr(conditioning, "heralded_terms", counted)
+        for row in [(0.95, 0.3, 1.0), *self.README_ROWS]:
+            calls.clear()
+            bell.optimize_lambda(*row)
+            assert len(calls) <= 4
+
+    def test_rows_bitwise_independent_of_batch(self):
+        rng = np.random.default_rng(183)
+        rows = {"squeezing": rng.uniform(0.05, 0.95, 31),
+                "transmittance": rng.uniform(0.5, 1.0, 31),
+                "apd_efficiency": rng.uniform(0.05, 1.0, 31),
+                "homodyne_efficiency": rng.uniform(0.5, 1.0, 31)}
+        corr, success, cancellation, errors = bell._evaluate(
+            rows, bell.DEFAULT_ANGLES)
+        assert not any(errors)
+        for i in range(31):
+            one = bell._evaluate({k: v[i:i + 1] for k, v in rows.items()},
+                                 bell.DEFAULT_ANGLES)
+            assert one[0][0].tobytes() == corr[i].tobytes()
+            assert one[1][0] == success[i] and one[2][0] == cancellation[i]
+
+    def test_no_interior_maximum_raises(self):
+        # at 80% homodyne efficiency S rises all along the pre-scan grid
+        with pytest.raises(OptimizationError) as info:
+            bell.optimize_lambda(0.95, 0.3, 0.8)
+        assert str(info.value) == "no interior maximum found in the pre-scan"
+
+    def test_two_separated_maxima_raise(self, monkeypatch):
+        # S(lambda) = -min(|lambda - 0.3|, |lambda - 0.7|): two peaks whose
+        # pre-scan values differ by 0.004
+        def two_peaks(rows, angles):
+            lams = np.asarray(rows["squeezing"])
+            corr = np.zeros((len(lams), 2, 2))
+            corr[:, 0, 0] = -np.minimum(abs(lams - 0.3), abs(lams - 0.7))
+            return corr, None, None, [None] * len(lams)
+
+        monkeypatch.setattr(bell, "_evaluate", two_peaks)
+        with pytest.raises(OptimizationError) as info:
+            bell.optimize_lambda(0.95, 0.3, 1.0)
+        assert str(info.value) == ("pre-scan found two comparable separated "
+                                   "maxima; refusing unimodal search")
+
     @pytest.mark.parametrize("name, value, text", [
         ("transmittance", 1.5, "transmittance must lie in (0, 1], got 1.5"),
         ("apd_efficiency", 0.0, "apd_efficiency must lie in (0, 1], got 0.0"),

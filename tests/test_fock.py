@@ -529,6 +529,21 @@ class TestOptimalProduct:
         assert abs(product - 0.5721166542490141) < 1e-12
         assert abs(s_max - 2.0481774137218225) < 1e-12
 
+    @pytest.mark.parametrize("transmittance, product, s_max", [
+        (0.90, "0x1.24ec795efe2f6p-1", "0x1.062aad702ba8dp+1"),
+        (0.95, "0x1.24eeff33c61fep-1", "0x1.062aad61ebf05p+1"),
+        (0.99, "0x1.24d9cc406ba76p-1", "0x1.062aad7302701p+1")])
+    def test_bitwise_pinned(self, transmittance, product, s_max):
+        # the values of the one-point-at-a-time golden-section search
+        assert fock.fock_optimal_product(transmittance) == (
+            float.fromhex(product), float.fromhex(s_max))
+
+    def test_optimum_on_scan_boundary_raises(self):
+        # at T = 0.5 the scan stops at lambda T = 0.4, below the optimum
+        with pytest.raises(DomainError) as info:
+            fock.fock_optimal_product(0.5)
+        assert str(info.value) == "optimal squeezing fell on the scan boundary"
+
 
 class TestWigner:
     def test_pair_table_matches_transform_definition(self):
@@ -579,6 +594,11 @@ class TestDensityBlocks:
         # four photon-number layers at this truncation
         with pytest.raises(TruncationError):
             fock.lossy_click_conditioning(0.6, 0.95, 0.3, 16)
+
+    def test_rejects_truncation_below_floor(self):
+        with pytest.raises(DomainError) as info:
+            fock.lossy_click_conditioning(0.5, 0.95, 0.3, 4)
+        assert str(info.value) == "truncation must be >= 16, got 4"
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError, match="truncation"):

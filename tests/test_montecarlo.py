@@ -379,6 +379,17 @@ class TestAcquisitionTime:
             montecarlo.acquisition_time(*args[:3], result,
                                         angle_choice_probs=args[3])
 
+    @pytest.mark.parametrize("index", [0, 1, 2],
+                             ids=["P", "rate", "target"])
+    def test_non_real_input_raises(self, realistic_params, index):
+        result = bell.chsh(realistic_params)
+        args = [result.success_prob, 1e6, 0.005]
+        args[index] = str(args[index])
+        with pytest.raises(DomainError) as info:
+            montecarlo.acquisition_time(*args, result)
+        assert str(info.value) == ("all acquisition-time inputs must be "
+                                   "finite and positive")
+
     def test_positive_inputs_required(self, realistic_params):
         result = bell.chsh(realistic_params)
         with pytest.raises(DomainError):
