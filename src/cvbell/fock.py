@@ -18,10 +18,14 @@ block reduction
 
     M[a, c] = sum_Delta R[Delta, a, c] O_B[a - Delta, c - Delta]
 
-as sum_{a,c} O_A[a, c] M[a, c].  For symmetric O_A, O_B the pairing is
-Tr rho (O_A (x) O_B); for single-mode Wigner tables it is W.  A homodyne
-of efficiency eta reads the sign of sqrt(eta) x + sqrt(1 - eta) v, with v
-vacuum noise, so it measures the erf-smoothed sign operator
+as sum_{a,c} O_A[a, c] M[a, c].  The reduction is one array contraction,
+not a loop over Delta: the blocks and a zero-padded copy of O_B are read
+through sliding-window views that line up, for each (a, c), the N terms
+whose partner a - Delta lies in [0, N), in ascending Delta.  For
+symmetric O_A, O_B the pairing is Tr rho (O_A (x) O_B); for single-mode
+Wigner tables it is W.  A homodyne of efficiency eta reads the sign of
+sqrt(eta) x + sqrt(1 - eta) v, with v vacuum noise, so it measures the
+erf-smoothed sign operator
 S[a, c] = int erf(k x) h_a h_c dx of the Hermite functions h, with
 k^2 = eta / (1 - eta).  The oscillator equation turns S into Gaussian
 overlaps of the h, which one recurrence gives exactly: no quadrature
@@ -41,6 +45,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bell import DEFAULT_ANGLES, _golden_section_max, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
@@ -54,9 +59,9 @@ MIN_TRUNCATION = 16
 #: maximum probability allowed in the top four photon-number layers
 TAIL_TOLERANCE = 1e-8
 
-#: truncation and squeezing scan range of `fock_optimal_product`
+#: truncation and lambda * T scan range of `fock_optimal_product`
 PRODUCT_TRUNCATION = 60
-PRODUCT_LAMBDA_RANGE = (0.35, 0.80)
+PRODUCT_RANGE = (0.35, 0.80)
 
 
 def _check_truncation(probs: np.ndarray, n_trunc: int):
@@ -385,11 +390,17 @@ def _sign_operator(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
     overlap = np.zeros((n_trunc + 1, n_trunc))
     ratio = -eta * root[1:n_trunc - 1:2] / root[2:n_trunc:2]
     overlap[0, ::2] = np.sqrt(eta / np.pi) * np.cumprod(np.r_[1.0, ratio])
+    # the coefficients (1 - eta) sqrt(n) and eta sqrt(m) of the recurrence
+    column_coeff = (1.0 - eta) * root[1:n_trunc]
+    row_coeff = eta * root[:n_trunc]
+    below = np.empty(n_trunc)
     for m in range(n_trunc):
-        below = overlap[m - 1] if m else 0.0
-        overlap[m + 1, 1:] = (1.0 - eta) * root[1:n_trunc] * overlap[m, :-1]
-        overlap[m + 1] = ((overlap[m + 1] - eta * root[m] * below)
-                          / root[m + 1])
+        row = overlap[m + 1]
+        np.multiply(column_coeff, overlap[m, :-1], out=row[1:])
+        if m:
+            np.multiply(row_coeff[m], overlap[m - 1], out=below)
+            np.subtract(row, below, out=row)
+        np.divide(row, root[m + 1], out=row)
     half = np.sqrt(idx / 2.0)[:, None]
     deriv = -half[1:] * overlap[1:]
     deriv[1:] += half[1:-1] * overlap[:-2]
@@ -398,22 +409,50 @@ def _sign_operator(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
                      where=diff != 0)
 
 
+def _partner_view(op: np.ndarray) -> np.ndarray:
+    """Read-only view V[..., a, w, c] = O[..., b, c - a + b] at b = N - 1 - w
+    of a stack of N x N operators, zero where c - a + b leaves [0, N).
+
+    op is zero-padded by N - 1 columns on each side.  The diagonals
+    E[..., k + N - 1, b] = O[b, b + k] of the padding, for the offsets
+    k = c - a in (-N, N), are read in windows of N consecutive offsets,
+    which makes V Toeplitz in (a, c).  Nothing is copied beyond the padding.
+    """
+    n = op.shape[-1]
+    pad = np.zeros(op.shape[:-1] + (3 * n - 2,), dtype=op.dtype)
+    pad[..., n - 1:2 * n - 1] = op
+    diagonals = sliding_window_view(pad, 2 * n - 1, axis=-1).diagonal(
+        axis1=-3, axis2=-2)
+    return sliding_window_view(diagonals, n, axis=-2)[..., ::-1, ::-1, :]
+
+
 def _block_reduce(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
     """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...].
 
     Pairs O with mode B of the block-stored state, so that
     sum rho[(a, b), (c, d)] O_A[a, c] O[b, d] = sum_{a,c} O_A[a, c] M[a, c].
-    Terms whose partner index leaves [0, N) are left out.  Trailing axes
-    of op are a stack of operators, reduced at once.
+    Row a only meets the N values Delta = a + w - N + 1, w in [0, N),
+    whose partner b = a - Delta = N - 1 - w lies in [0, N):
+    M[a, c] = sum_w R[a + w, a, c] O[b, c - a + b], summed in ascending w,
+    so in ascending Delta.  Both factors are read-only views, the blocks
+    through their windows of N consecutive Delta and O through
+    `_partner_view`, and one contraction sums them; a term whose
+    c - a + b leaves [0, N) is an exact zero.
+    Trailing axes of op are a stack of operators, reduced at once.  A
+    complex stack against real blocks is reduced as its real and imaginary
+    parts, so that the blocks are never cast to complex.
     """
+    if np.iscomplexobj(op) and not np.iscomplexobj(blocks):
+        out = np.empty(op.shape, dtype=complex)
+        out.real = _block_reduce(blocks, op.real)
+        out.imag = _block_reduce(blocks, op.imag)
+        return out
     n = blocks.shape[1]
-    blocks = blocks.reshape(blocks.shape + (1,) * (op.ndim - 2))
-    out = np.zeros(op.shape, dtype=np.result_type(blocks, op))
-    for delta in range(1 - n, n):
-        lo, hi = max(delta, 0), min(n + delta, n)
-        out[lo:hi, lo:hi] += (blocks[delta + n - 1, lo:hi, lo:hi]
-                              * op[lo - delta:hi - delta, lo - delta:hi - delta])
-    return out
+    # rows[c, w, a] = R[a + w, a, c]
+    rows = sliding_window_view(blocks, n, axis=0).diagonal(axis1=0, axis2=1)
+    # cast here, so that the contraction itself never casts
+    stack = np.moveaxis(op, (0, 1), (-2, -1)).astype(blocks.dtype, copy=False)
+    return np.einsum("cwa,...awc->ac...", rows, _partner_view(stack))
 
 
 def _phase_form(reduced: np.ndarray, angle_sum: float) -> float:
@@ -473,25 +512,33 @@ def fock_optimal_product(transmittance: float,
     ideal homodynes, the sign operator S at efficiency 1, which keeps the
     heralded state pure and the scan cheap.  The Schmidt state
     sum_n g_n |n,n> has the one block g g^T, so the correlators are the
-    phase forms of S o M_S = (g g^T) o S o S.  Returns (lambda_opt * T, S_max).
+    phase forms of S o M_S = (g g^T) o S o S.  The state depends on
+    lambda T alone, so the scan runs over lambda T in PRODUCT_RANGE, below
+    T so that lambda = (lambda T) / T stays below 1, and the golden-section
+    search refines lambda T to tol.  An optimum on the scan boundary raises
+    DomainError.  Returns (lambda_opt * T, S_max).
     """
+    check_domain("transmittance", transmittance)
     sign_op = _sign_operator(PRODUCT_TRUNCATION, 1.0)
     sign_squared = sign_op * sign_op
 
-    def s_value(lam: float) -> float:
-        coeffs = pair_projected_state(lam, transmittance, PRODUCT_TRUNCATION)
+    def s_value(product: float) -> float:
+        coeffs = pair_projected_state(product / transmittance, transmittance,
+                                      PRODUCT_TRUNCATION)
         return _phase_chsh(np.outer(coeffs, coeffs) * sign_squared,
                            DEFAULT_ANGLES)
 
-    grid = np.linspace(*PRODUCT_LAMBDA_RANGE, 16)
-    values = [s_value(lam) for lam in grid]
-    best = int(np.argmax(values))
+    low, high = PRODUCT_RANGE
+    grid = np.linspace(low, min(high, transmittance), 16)
+    grid = grid[grid < transmittance]
+    values = [s_value(product) for product in grid]
+    best = int(np.argmax(values)) if values else 0
     if best in (0, len(grid) - 1):
         raise DomainError("optimal squeezing fell on the scan boundary")
-    lam_opt, s_max = _golden_section_max(
-        lambda lams: [s_value(lam) for lam in lams],
+    product, s_max = _golden_section_max(
+        lambda products: [s_value(product) for product in products],
         grid[best - 1], grid[best + 1], tol, lookahead=1)
-    return float(lam_opt * transmittance), float(s_max)
+    return float(product), float(s_max)
 
 
 # ---------------------------------------------------------------------------

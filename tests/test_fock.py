@@ -60,6 +60,42 @@ def grid_sign_operator(n_trunc, homodyne_efficiency=1.0):
     return (h * w * smooth) @ h.T
 
 
+def loop_sign_operator(n_trunc, homodyne_efficiency):
+    """The sign-operator recurrence written out one full row at a time,
+    the arithmetic that `fock._sign_operator` must reproduce bitwise."""
+    eta = homodyne_efficiency
+    idx = np.arange(n_trunc + 1)
+    root = np.sqrt(idx)
+    overlap = np.zeros((n_trunc + 1, n_trunc))
+    ratio = -eta * root[1:n_trunc - 1:2] / root[2:n_trunc:2]
+    overlap[0, ::2] = np.sqrt(eta / np.pi) * np.cumprod(np.r_[1.0, ratio])
+    for m in range(n_trunc):
+        below = overlap[m - 1] if m else 0.0
+        overlap[m + 1, 1:] = (1.0 - eta) * root[1:n_trunc] * overlap[m, :-1]
+        overlap[m + 1] = ((overlap[m + 1] - eta * root[m] * below)
+                          / root[m + 1])
+    half = np.sqrt(idx / 2.0)[:, None]
+    deriv = -half[1:] * overlap[1:]
+    deriv[1:] += half[1:-1] * overlap[:-2]
+    diff = np.subtract.outer(idx[:-1], idx[:-1])
+    return np.divide(deriv - deriv.T, diff, out=np.zeros(diff.shape),
+                     where=diff != 0)
+
+
+def loop_block_reduce(blocks, op):
+    """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...]
+    as one slice update per Delta, in ascending Delta, the summation order
+    `fock._block_reduce` must keep."""
+    n = blocks.shape[1]
+    blocks = blocks.reshape(blocks.shape + (1,) * (op.ndim - 2))
+    out = np.zeros(op.shape, dtype=np.result_type(blocks, op))
+    for delta in range(1 - n, n):
+        lo, hi = max(delta, 0), min(n + delta, n)
+        out[lo:hi, lo:hi] += (blocks[delta + n - 1, lo:hi, lo:hi]
+                              * op[lo - delta:hi - delta, lo - delta:hi - delta])
+    return out
+
+
 def exact_sign_entries(entries, efficiencies, n_trunc, halfwidth=22):
     """S[a, c] = int erf(k x) h_a h_c dx at 40 digits, one row per
     efficiency.  The integrand is even; 48-node Gauss-Legendre rules on
@@ -526,23 +562,40 @@ class TestOptimalProduct:
 
     def test_pinned_at_point_nine(self):
         product, s_max = fock.fock_optimal_product(0.90)
-        assert abs(product - 0.5721166542490141) < 1e-12
-        assert abs(s_max - 2.0481774137218225) < 1e-12
+        assert abs(product - 0.5719468174628503) < 1e-12
+        assert abs(s_max - 2.0481774056568973) < 1e-12
 
-    @pytest.mark.parametrize("transmittance, product, s_max", [
-        (0.90, "0x1.24ec795efe2f6p-1", "0x1.062aad702ba8dp+1"),
-        (0.95, "0x1.24eeff33c61fep-1", "0x1.062aad61ebf05p+1"),
-        (0.99, "0x1.24d9cc406ba76p-1", "0x1.062aad7302701p+1")])
-    def test_bitwise_pinned(self, transmittance, product, s_max):
-        # the values of the one-point-at-a-time golden-section search
+    @pytest.mark.parametrize("transmittance", [0.90, 0.95, 0.99])
+    def test_bitwise_pinned(self, transmittance):
+        # the values of the one-point-at-a-time golden-section search over
+        # lambda T; for T above 0.8 the scan grid does not depend on T
         assert fock.fock_optimal_product(transmittance) == (
-            float.fromhex(product), float.fromhex(s_max))
+            float.fromhex("0x1.24d636981bc33p-1"),
+            float.fromhex("0x1.062aad5ed9eb8p+1"))
+
+    @pytest.mark.parametrize("transmittance", [0.75, 0.70, 0.65])
+    def test_low_transmittance_keeps_the_product(self, transmittance):
+        # the optimum lambda T = 0.572 needs lambda = 0.572 / T < 1 only
+        product, s_max = fock.fock_optimal_product(transmittance)
+        assert abs(product - 0.572) < 5e-4
+        assert abs(s_max - 2.0481774) < 1e-7
 
     def test_optimum_on_scan_boundary_raises(self):
-        # at T = 0.5 the scan stops at lambda T = 0.4, below the optimum
+        # at T = 0.5 the scan stops below lambda T = 0.5, under the optimum
         with pytest.raises(DomainError) as info:
             fock.fock_optimal_product(0.5)
         assert str(info.value) == "optimal squeezing fell on the scan boundary"
+
+    def test_empty_scan_raises(self):
+        # at T = 0.3 no lambda T of the scan range has lambda < 1
+        with pytest.raises(DomainError) as info:
+            fock.fock_optimal_product(0.3)
+        assert str(info.value) == "optimal squeezing fell on the scan boundary"
+
+    def test_transmittance_outside_domain_raises(self):
+        with pytest.raises(DomainError) as info:
+            fock.fock_optimal_product(0.0)
+        assert str(info.value) == "transmittance must lie in (0, 1], got 0.0"
 
 
 class TestWigner:
@@ -804,6 +857,132 @@ class TestDenseReferences:
                 assert abs(sign[a, c] - value) < 2e-15
 
     def test_optimal_product_unchanged(self):
-        # lambda*T found with the wavefunction-grid correlator at T = 0.99
+        # lambda T of the scan over lambda T at T = 0.99; the wavefunction-
+        # grid correlator's scan over lambda found 0.5719741657865842
         product, _ = fock.fock_optimal_product(0.99)
-        assert abs(product - 0.5719741657865842) < 1e-9
+        assert abs(product - 0.5719468174628503) < 1e-9
+
+
+def loop_wigner_values(rho, points):
+    """`fock.wigner_values` with the mode-B table stack reduced by
+    `loop_block_reduce`."""
+    n = rho.n_trunc
+    table_a = fock.wigner_pair_table(n, points[:, 0], points[:, 1])
+    reduced = loop_block_reduce(
+        rho.blocks, fock.wigner_pair_table(n, points[:, 2], points[:, 3]))
+    return np.einsum("aci,aci->i", table_a, reduced).real
+
+
+def seeded_heralded_states(n_trunc, count, seed):
+    """Heralded states at seeded criterion-7 draws; the squeezing box
+    shrinks with the truncation so that the tail fence passes."""
+    rng = np.random.default_rng([seed, n_trunc])
+    top = 0.65 if n_trunc >= 40 else 0.35
+    for _ in range(count):
+        rho, _ = fock.lossy_click_conditioning(
+            rng.uniform(0.2, top), rng.uniform(0.9, 0.99),
+            rng.uniform(0.1, 1.0), n_trunc)
+        yield rho, rng.uniform(0.85, 1.0), rng
+
+
+class TestBitwiseReductions:
+    """The Fock observables are bitwise those of the slice-per-Delta
+    reduction and the row-at-a-time sign-operator recurrence."""
+
+    @pytest.mark.parametrize("eta, correlation, s_value", [
+        (0.95, "0x1.01680d8108e67p-1", "0x1.01680d8108e66p+1"),
+        (1.0, "0x1.03f1b4d4c7b4ep-1", "0x1.03f1b4d4c7b4ep+1")])
+    def test_correlators_pinned(self, realistic_params, fock_realistic, eta,
+                                correlation, s_value):
+        rho, _ = fock_realistic
+        assert fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta) \
+            == float.fromhex(correlation)
+        assert fock.fock_chsh(rho, realistic_params.angles, eta) \
+            == float.fromhex(s_value)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.7, 0.95, 1.0])
+    def test_sign_operator_pinned(self, eta):
+        assert np.array_equal(fock._sign_operator(40, eta),
+                              loop_sign_operator(40, eta))
+
+    @pytest.mark.parametrize("n_trunc", [16, 17, 60])
+    def test_sign_operator_matches_recurrence(self, n_trunc):
+        for eta in np.r_[np.linspace(0.01, 0.99, 15), 1.0 - 1e-9, 1.0]:
+            assert np.array_equal(fock._sign_operator(n_trunc, eta),
+                                  loop_sign_operator(n_trunc, eta))
+
+    @pytest.mark.parametrize("n_trunc", [16, 17, 40])
+    def test_reduction_matches_loop_on_heralded_states(self, n_trunc):
+        for rho, eta, rng in seeded_heralded_states(n_trunc, 4, 19):
+            sign = fock._sign_operator(n_trunc, eta)
+            generic = rng.normal(size=(n_trunc, n_trunc))
+            for op in (sign, generic + generic.T):
+                assert np.array_equal(fock._block_reduce(rho.blocks, op),
+                                      loop_block_reduce(rho.blocks, op))
+
+    def test_correlators_match_loop_on_seeded_states(self):
+        angles = bell.DEFAULT_ANGLES
+        for rho, eta, rng in seeded_heralded_states(40, 4, 23):
+            sign = fock._sign_operator(40, eta)
+            reduced = sign * loop_block_reduce(rho.blocks, sign)
+            theta, phi = rng.uniform(-np.pi, np.pi, 2)
+            assert fock.fock_sign_correlation(rho, theta, phi, eta) \
+                == fock._phase_form(reduced, theta + phi)
+            assert fock.fock_chsh(rho, angles, eta) \
+                == fock._phase_chsh(reduced, angles)
+
+    def test_reduction_matches_loop_on_complex_blocks(self, small_pair):
+        rho, _, _, _ = small_pair
+        idx = np.arange(rho.n_trunc)
+        rotated = rho.blocks * np.exp(0.7j * np.subtract.outer(idx, idx))
+        sign = fock._sign_operator(20, 0.9)
+        assert np.array_equal(fock._block_reduce(rotated, sign),
+                              loop_block_reduce(rotated, sign))
+        rng = np.random.default_rng(29)
+        z = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+        assert np.array_equal(fock._block_reduce(rho.blocks, z),
+                              loop_block_reduce(rho.blocks, z))
+        # complex times complex: numpy's multiply loop may fuse the
+        # multiply-add of each product where the contraction rounds both
+        # products, so the two agree to rounding, not bitwise
+        op = z + z.conj().T
+        assert np.max(np.abs(fock._block_reduce(rotated, op)
+                             - loop_block_reduce(rotated, op))) < 1e-15
+
+    def test_reduction_matches_loop_on_table_stack(self, fock_realistic):
+        rho, _ = fock_realistic
+        pts = np.random.default_rng(31).normal(size=(7, 2))
+        tables = fock.wigner_pair_table(40, pts[:, 0], pts[:, 1])
+        assert np.array_equal(fock._block_reduce(rho.blocks, tables),
+                              loop_block_reduce(rho.blocks, tables))
+
+    def test_wigner_matches_loop(self, fock_realistic, fock_cut_state):
+        pts = np.random.default_rng(37).normal(size=(9, 4))
+        cut = np.linspace(-3.0, 3.0, 41)[:, None] \
+            * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+        for rho, _ in (fock_realistic, fock_cut_state):
+            for points in (pts, cut):
+                assert np.array_equal(fock.wigner_values(rho, points),
+                                      loop_wigner_values(rho, points))
+
+    def test_reduction_writes_no_input(self, fock_realistic):
+        rho, _ = fock_realistic
+        sign = fock._sign_operator(40, 0.9)
+        kept = sign.copy()
+        sign.setflags(write=False)
+        assert not fock._partner_view(sign).flags.writeable
+        assert np.array_equal(fock._block_reduce(rho.blocks, sign),
+                              loop_block_reduce(rho.blocks, kept))
+        assert np.array_equal(sign, kept)
+
+    def test_partner_view(self):
+        # V[a, w, c] = O[N - 1 - w, c - a + N - 1 - w], zero off the grid
+        n = 16
+        op = np.arange(n * n, dtype=float).reshape(n, n) + 1.0
+        view = fock._partner_view(op)
+        a, w, c = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
+        b, d = n - 1 - w, c - a + n - 1 - w
+        inside = (d >= 0) & (d < n)
+        assert view.shape == (n, n, n)
+        assert np.array_equal(view[inside], op[b[inside], d[inside]])
+        assert not np.any(view[~inside])
