@@ -3,37 +3,35 @@
 Everything here is computed independently of the covariance-matrix
 pipeline.  Every pure state built here is Schmidt-diagonal,
 sum_n g_n |n,n>, and is stored as its real Schmidt coefficients g; beam
-splitters act through binomial amplitude tables.  The heralded state
-keeps the photon-number difference Delta = n_A - n_B of each ket and bra
-equal, so a mixed state is stored as its Delta-blocks: an array of shape
-(2N-1, N, N) with
+splitters act through binomial amplitude tables t[n, k], the amplitude
+that k of n photons leave through the tap.
 
-    blocks[Delta + N - 1, a, c] = <a, a - Delta| rho |c, c - Delta>,
+The heralded state is never formed.  Each tap and its on/off detector act
+on one kept mode, so the state is stored as what makes it: g of the
+two-mode squeezed vacuum, t, the click weights w(k) = 1 - (1 - eta)^k and
+the double-click probability P.  A two-mode observable O_A (x) O_B is
+measured by pulling the tap-and-click measurement back onto each mode's
+operator,
 
-O(N^3) numbers instead of the dense O(N^4) array, kept real when the
-state is real.  Click conditioning builds each block with one product
-over the tap photon counts.  Every two-mode quantity is a pairing
-sum rho[(a, b), (c, d)] O_A[a, c] O_B[b, d], read off the blocks with one
-block reduction
+    Phi(O)[n, m] = sum_{k >= 1} w(k) t(n, k) t(m, k) O[n - k, m - k],
 
-    M[a, c] = sum_Delta R[Delta, a, c] O_B[a - Delta, c - Delta]
+one contraction over a read-only shifted view of O, after which
 
-as sum_{a,c} O_A[a, c] M[a, c].  The reduction is one array contraction,
-not a loop over Delta: the blocks and a zero-padded copy of O_B are read
-through sliding-window views that line up, for each (a, c), the N terms
-whose partner a - Delta lies in [0, N), in ascending Delta.  For
-symmetric O_A, O_B the pairing is Tr rho (O_A (x) O_B); for single-mode
-Wigner tables it is W.  A homodyne of efficiency eta reads the sign of
+    P Tr rho (O_A (x) O_B) = g^T (Phi(O_A) o Phi(O_B)) g.
+
+Phi(I) is diagonal with entries q_n = sum_k w(k) t(n, k)^2, so
+P = sum_n g_n^2 q_n^2.  A homodyne of efficiency eta reads the sign of
 sqrt(eta) x + sqrt(1 - eta) v, with v vacuum noise, so it measures the
 erf-smoothed sign operator
 S[a, c] = int erf(k x) h_a h_c dx of the Hermite functions h, with
 k^2 = eta / (1 - eta).  The oscillator equation turns S into Gaussian
 overlaps of the h, which one recurrence gives exactly: no quadrature
 grid, and no loss map on the state or the operator.  Rotations multiply
-entry (a, c) by e^{i(theta+phi)(a-c)}, so the correlator is the phase form
-E = sum_{a,c} S[a, c] M_S[a, c] e^{i(theta+phi)(a-c)} of one reduction.
-The Wigner function reduces the stack of single-mode Wigner tables of
-mode B the same way.
+entry (n, m) by e^{i(theta+phi)(n-m)} and commute with Phi, so the
+correlator is the phase form at theta + phi of (g g^T) o Phi(S) o Phi(S),
+divided by P.  A single-mode Wigner table is a real radial part times
+e^{-i(a-c) varphi}: the radial parts are pulled back, once per distinct
+radius, and the phases are put back afterwards.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
 vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
@@ -41,7 +39,6 @@ vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +76,6 @@ def _check_truncation(probs: np.ndarray, n_trunc: int):
             f"exceeds {TAIL_TOLERANCE:.1e}; increase the truncation")
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 def _check_floor(n_trunc: int):
     """DomainError for a truncation below MIN_TRUNCATION."""
     if n_trunc < MIN_TRUNCATION:
@@ -107,75 +99,6 @@ def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
         raise DomainError(f"state norm {norm} differs from 1 beyond 1e-10")
     _check_truncation(coeffs ** 2, len(coeffs))
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# Delta-block storage
-
-
-@functools.lru_cache(maxsize=8)
-def _in_range(n_trunc: int) -> np.ndarray:
-    """Mask of block entries [u, i, j] whose partners i - u and j - u lie in
-    [0, N)."""
-    n = n_trunc
-    u = np.arange(1 - n, n)[:, None, None]
-    i = np.arange(n)[None, :, None]
-    j = np.arange(n)[None, None, :]
-    return _readonly((i >= u) & (i - u < n) & (j >= u) & (j - u < n))
-
-
-@functools.lru_cache(maxsize=8)
-def _mirror_positions(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of in-range block entries [u, i, j], i <= j, and [u, j, i]."""
-    valid = _in_range(n_trunc)
-    u, i, j = np.nonzero(valid & np.triu(np.ones(valid.shape[1:], bool)))
-    return (_readonly(np.ravel_multi_index((u, i, j), valid.shape)),
-            _readonly(np.ravel_multi_index((u, j, i), valid.shape)))
-
-
-def _photon_numbers(blocks: np.ndarray, n_trunc: int) -> np.ndarray:
-    """Photon-number distribution P(n_A, n_B), read off the block diagonals."""
-    idx = np.arange(n_trunc)
-    return blocks[np.subtract.outer(idx, idx) + n_trunc - 1,
-                  idx[:, None], idx[:, None]].real
-
-
-@dataclass(frozen=True)
-class FockDensityMatrix:
-    """Mixed two-mode state stored as its photon-number-difference blocks.
-
-    blocks[Delta + n_trunc - 1, a, c] = <a, a - Delta| rho |c, c - Delta>;
-    an entry whose partner index a - Delta or c - Delta leaves the
-    truncation must be zero.  n_trunc must be at least MIN_TRUNCATION.
-    The blocks keep their dtype: real blocks stay real float64 (half the
-    memory of complex ones), complex blocks stay complex, and integer
-    blocks become float64.
-    """
-
-    blocks: np.ndarray
-    n_trunc: int
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks)
-        blocks = blocks.astype(np.promote_types(blocks.dtype, float),
-                               copy=False)
-        n = self.n_trunc
-        _check_floor(n)
-        if blocks.shape != (2 * n - 1, n, n):
-            raise DomainError("density blocks do not match the truncation")
-        if np.any(blocks[~_in_range(n)]):
-            raise DomainError("density block has an entry whose partner "
-                              "photon number lies outside the truncation")
-        upper, lower = _mirror_positions(n)
-        flat = blocks.reshape(-1)
-        if np.max(np.abs(flat[upper] - flat[lower].conj())) > 1e-10:
-            raise DomainError("density matrix is not hermitian within 1e-10")
-        probs = _photon_numbers(blocks, n)
-        trace = float(probs.sum())
-        if abs(trace - 1.0) > 1e-9:
-            raise DomainError(f"density matrix trace {trace} differs from 1")
-        _check_truncation(probs, n)
-        object.__setattr__(self, "blocks", blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -279,89 +202,72 @@ def pair_projected_state(squeezing: float, transmittance: float,
     return _check_schmidt(coeffs)
 
 
-def ideal_subtracted_state(squeezing: float, transmittance: float,
-                           n_trunc: int = DEFAULT_TRUNCATION
-                           ) -> tuple[np.ndarray, float]:
-    """Normalized (n+1)(T*lambda)^n |n,n> state and its projection fidelity.
-
-    Returns the Schmidt coefficients of the closed-form photon-subtracted
-    state together with its overlap fidelity (g_proj . g)^2 against the
-    exact two-beam-splitter photon-pair projection at the same finite
-    transmittance.
-    """
-    if squeezing * transmittance >= 0.95:
-        raise DomainError("squeezing * transmittance must stay below 0.95 "
-                          "for the truncated representation to converge")
-    if squeezing * transmittance == 0.0:
-        raise InvalidRegimeError("zero squeezing cannot herald a photon pair")
-    n = np.arange(n_trunc)
-    coeffs = (n + 1.0) * (transmittance * squeezing) ** n
-    coeffs = _check_schmidt(coeffs / np.linalg.norm(coeffs))
-    projected = pair_projected_state(squeezing, transmittance, n_trunc)
-    return coeffs, float((projected @ coeffs) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # click conditioning with lossy on/off detectors
 
 
 def click_weights(apd_efficiency: float, n_trunc: int) -> np.ndarray:
-    """Click probability of an on/off detector seeing k photons.
+    """Click probability w(k) = 1 - (1 - eta)^k of an on/off detector of
+    efficiency eta seeing k photons, for k < n_trunc.
 
-    Built from the dilation amplitudes of the efficiency beam splitter
-    (the detector keeps the transmitted arm): no click means all k
-    photons were tapped away into the traced arm.
-    """
-    table = tap_amplitude_table(apd_efficiency, n_trunc)
-    idx = np.arange(n_trunc)
-    no_click = table[idx, idx] ** 2
-    return 1.0 - no_click
-
-
-def _click_conditioned_unnormalized(squeezing: float, transmittance: float,
-                                    apd_efficiency: float,
-                                    n_trunc: int) -> np.ndarray:
-    """Unnormalized heralded blocks; their trace is the double-click probability.
-
-    Tap counts kc, kd leave |n - kc, n - kd>, so block Delta collects the
-    pairs kd = kc + Delta: blocks[Delta] = U U^T with
-    U[a, kc] = sqrt(w(kc) w(kd)) c(n) t(n, kc) t(n, kd) at n = a + kc.
+    Evaluated as -expm1(k log1p(-eta)), accurate to rounding also where
+    w(k) is small; w(0) = 0, and eta = 1 gives w(k) = 1 for every k >= 1.
     """
     check_domain("apd_efficiency", apd_efficiency)
-    n = n_trunc
-    # zero padding: totals reach 2n - 2, tap counts run from 1 - n to 2n - 2
-    coeff = np.zeros(2 * n)
-    coeff[:n] = tmsv_amplitudes(squeezing, n)
-    table = np.zeros((2 * n, 3 * n))
-    table[:n, n:2 * n] = tap_amplitude_table(transmittance, n)
-    root_w = np.zeros(3 * n)
-    root_w[n:2 * n] = np.sqrt(click_weights(apd_efficiency, n))
-    a = np.arange(n)[:, None]
-    kc = np.arange(n)[None, :]
-    kd = kc + np.arange(1 - n, n)[:, None, None]
-    first = coeff[a + kc] * table[a + kc, n + kc] * root_w[n + kc]
-    factor = first * table[a + kc, n + kd] * root_w[n + kd]
-    return factor @ factor.transpose(0, 2, 1)
+    weights = np.zeros(n_trunc)
+    with np.errstate(divide="ignore"):
+        weights[1:] = -np.expm1(np.arange(1, n_trunc)
+                                * np.log1p(-apd_efficiency))
+    return weights
+
+
+@dataclass(frozen=True)
+class HeraldedState:
+    """Heralded two-mode state, stored as what makes it.
+
+    The source sum_n g_n |n,n> (amplitudes g, not renormalized), the tap
+    amplitude table t and the detector weights w give the state
+    sum_{k,l} w(k) w(l) (K_k (x) K_l) |g><g| (K_k (x) K_l)^T / p_click,
+    with K_k |n> = t(n, k) |n - k>, so that
+    p_click Tr rho (O_A (x) O_B) = g^T (Phi(O_A) o Phi(O_B)) g for the
+    pull-back Phi of `_pull_back`.
+    """
+
+    amplitudes: np.ndarray
+    tap: np.ndarray
+    weights: np.ndarray
+    p_click: float
+    n_trunc: int
 
 
 def lossy_click_conditioning(squeezing: float, transmittance: float,
                              apd_efficiency: float,
                              n_trunc: int = DEFAULT_TRUNCATION
-                             ) -> tuple[FockDensityMatrix, float]:
+                             ) -> tuple[HeraldedState, float]:
     """Heralded state of the kept modes and the double-click probability.
 
-    The tap arms are measured by on/off detectors of the given efficiency;
-    conditioning on both clicking yields a mixed state block-diagonal in
-    the photon-number difference.
+    The tap arms are measured by on/off detectors of the given efficiency,
+    and both click.  With q = (t o t) w the click probability of a kept
+    mode holding n photons before its tap, P = sum_n g_n^2 q_n^2.  The tail
+    fence reads the kept-mode photon numbers P(n_A, n_B) = K^T diag(g^2) K
+    / P, K[n, a] = w(n - a) t(n, n - a)^2.
     """
-    blocks = _click_conditioned_unnormalized(squeezing, transmittance,
-                                             apd_efficiency, n_trunc)
-    p_click = float(_photon_numbers(blocks, n_trunc).sum())
+    weights = click_weights(apd_efficiency, n_trunc)
+    amplitudes = tmsv_amplitudes(squeezing, n_trunc)
+    tap = tap_amplitude_table(transmittance, n_trunc)
+    clicked = tap * tap * weights
+    p_click = float(amplitudes ** 2 @ clicked.sum(axis=1) ** 2)
     if p_click <= 0.0:
         raise InvalidRegimeError(
             f"double-click probability {p_click} vanishes; "
             "no conditional state exists")
-    state = FockDensityMatrix(blocks=blocks / p_click, n_trunc=n_trunc)
+    _check_floor(n_trunc)
+    total, kept = np.tril_indices(n_trunc)
+    kernel = np.zeros((n_trunc, n_trunc))
+    kernel[total, kept] = clicked[total, total - kept]
+    _check_truncation((kernel.T * amplitudes ** 2) @ kernel / p_click,
+                      n_trunc)
+    state = HeraldedState(amplitudes, tap, weights, p_click, n_trunc)
     return state, p_click
 
 
@@ -409,50 +315,33 @@ def _sign_operator(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
                      where=diff != 0)
 
 
-def _partner_view(op: np.ndarray) -> np.ndarray:
-    """Read-only view V[..., a, w, c] = O[..., b, c - a + b] at b = N - 1 - w
-    of a stack of N x N operators, zero where c - a + b leaves [0, N).
+def _shifted_view(op: np.ndarray) -> np.ndarray:
+    """Read-only view V[..., n, m, s] = O[n - k, m - k, ...] at
+    k = N - 1 - s of a stack of N x N operators, zero where n - k or m - k
+    is negative.
 
-    op is zero-padded by N - 1 columns on each side.  The diagonals
-    E[..., k + N - 1, b] = O[b, b + k] of the padding, for the offsets
-    k = c - a in (-N, N), are read in windows of N consecutive offsets,
-    which makes V Toeplitz in (a, c).  Nothing is copied beyond the padding.
+    op is zero-padded by N - 1 rows and columns in front; the N x N
+    windows of the padding that start on its diagonal are the shifts of O.
+    Nothing is copied beyond the padding.
     """
-    n = op.shape[-1]
-    pad = np.zeros(op.shape[:-1] + (3 * n - 2,), dtype=op.dtype)
-    pad[..., n - 1:2 * n - 1] = op
-    diagonals = sliding_window_view(pad, 2 * n - 1, axis=-1).diagonal(
-        axis1=-3, axis2=-2)
-    return sliding_window_view(diagonals, n, axis=-2)[..., ::-1, ::-1, :]
+    n = op.shape[0]
+    pad = np.zeros((2 * n - 1, 2 * n - 1) + op.shape[2:], dtype=op.dtype)
+    pad[n - 1:, n - 1:] = op
+    return sliding_window_view(pad, (n, n), axis=(0, 1)).diagonal(
+        axis1=0, axis2=1)
 
 
-def _block_reduce(blocks: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...].
+def _pull_back(state: HeraldedState, op: np.ndarray) -> np.ndarray:
+    """Phi(O)[n, m, ...] = sum_k w(k) t(n, k) t(m, k) O[n - k, m - k, ...].
 
-    Pairs O with mode B of the block-stored state, so that
-    sum rho[(a, b), (c, d)] O_A[a, c] O[b, d] = sum_{a,c} O_A[a, c] M[a, c].
-    Row a only meets the N values Delta = a + w - N + 1, w in [0, N),
-    whose partner b = a - Delta = N - 1 - w lies in [0, N):
-    M[a, c] = sum_w R[a + w, a, c] O[b, c - a + b], summed in ascending w,
-    so in ascending Delta.  Both factors are read-only views, the blocks
-    through their windows of N consecutive Delta and O through
-    `_partner_view`, and one contraction sums them; a term whose
-    c - a + b leaves [0, N) is an exact zero.
-    Trailing axes of op are a stack of operators, reduced at once.  A
-    complex stack against real blocks is reduced as its real and imaginary
-    parts, so that the blocks are never cast to complex.
+    The tap and click measurement of one mode in the Heisenberg picture,
+    as one contraction over `_shifted_view`; a term whose shifted index
+    leaves the truncation has t = 0.  Trailing axes of op are a stack of
+    operators, pulled back at once.
     """
-    if np.iscomplexobj(op) and not np.iscomplexobj(blocks):
-        out = np.empty(op.shape, dtype=complex)
-        out.real = _block_reduce(blocks, op.real)
-        out.imag = _block_reduce(blocks, op.imag)
-        return out
-    n = blocks.shape[1]
-    # rows[c, w, a] = R[a + w, a, c]
-    rows = sliding_window_view(blocks, n, axis=0).diagonal(axis1=0, axis2=1)
-    # cast here, so that the contraction itself never casts
-    stack = np.moveaxis(op, (0, 1), (-2, -1)).astype(blocks.dtype, copy=False)
-    return np.einsum("cwa,...awc->ac...", rows, _partner_view(stack))
+    tap = state.tap[:, ::-1]
+    return np.einsum("ns,ms,...nms->nm...", tap * state.weights[::-1], tap,
+                     _shifted_view(op))
 
 
 def _phase_form(reduced: np.ndarray, angle_sum: float) -> float:
@@ -470,37 +359,39 @@ def _phase_chsh(reduced: np.ndarray,
          for theta in (theta1, theta2)])))
 
 
-def _sign_reduced(rho: FockDensityMatrix,
+def _sign_reduced(state: HeraldedState,
                   homodyne_efficiency: float) -> np.ndarray:
-    """S o M_S with S the erf-smoothed sign operator, what a pair of lossy
-    homodynes measures.
+    """(g g^T) o Phi(S) o Phi(S) / P with S the erf-smoothed sign operator,
+    what a pair of lossy homodynes measures.
 
     Its phase form at theta + phi is the correlator E(theta, phi).
     homodyne_efficiency must lie in (0, 1] (DomainError, with the text
     ExperimentParams uses).
     """
     check_domain("homodyne_efficiency", homodyne_efficiency)
-    sign = _sign_operator(rho.n_trunc, homodyne_efficiency)
-    return sign * _block_reduce(rho.blocks, sign)
+    pulled = _pull_back(state, _sign_operator(state.n_trunc,
+                                              homodyne_efficiency))
+    coeffs = state.amplitudes
+    return np.outer(coeffs, coeffs) * pulled * pulled / state.p_click
 
 
-def fock_sign_correlation(rho: FockDensityMatrix, theta: float, phi: float,
+def fock_sign_correlation(rho: HeraldedState, theta: float, phi: float,
                           homodyne_efficiency: float = 1.0) -> float:
     """Sign-binned quadrature correlator evaluated in the photon-number basis.
 
     E = Tr rho (S (x) S), with S the erf-smoothed sign operator of the
-    lossy homodynes: one block reduction, then its phase form.  A rotation
-    by theta on mode A and phi on mode B multiplies entry (a, c) of every
-    block by e^{i(theta+phi)(a-c)}.
+    lossy homodynes: one pull-back, then its phase form.  A rotation by
+    theta on mode A and phi on mode B multiplies entry (n, m) by
+    e^{i theta (n-m)} and e^{i phi (n-m)}.
     """
     return _phase_form(_sign_reduced(rho, homodyne_efficiency), theta + phi)
 
 
-def fock_chsh(rho: FockDensityMatrix,
+def fock_chsh(rho: HeraldedState,
               angles: tuple[float, float, float, float],
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state:
-    one block reduction and four phase forms."""
+    one pull-back and four phase forms."""
     return _phase_chsh(_sign_reduced(rho, homodyne_efficiency), angles)
 
 
@@ -513,10 +404,11 @@ def fock_optimal_product(transmittance: float,
     heralded state pure and the scan cheap.  The Schmidt state
     sum_n g_n |n,n> has the one block g g^T, so the correlators are the
     phase forms of S o M_S = (g g^T) o S o S.  The state depends on
-    lambda T alone, so the scan runs over lambda T in PRODUCT_RANGE, below
-    T so that lambda = (lambda T) / T stays below 1, and the golden-section
-    search refines lambda T to tol.  An optimum on the scan boundary raises
-    DomainError.  Returns (lambda_opt * T, S_max).
+    lambda T alone, so the scan runs over lambda T in PRODUCT_RANGE, up to
+    just below T so that lambda = (lambda T) / T stays below 1, and the
+    golden-section search refines lambda T to tol around the best scan
+    point.  An optimum at the lower end of the scan, or within tol of its
+    upper end, raises DomainError.  Returns (lambda_opt * T, S_max).
     """
     check_domain("transmittance", transmittance)
     sign_op = _sign_operator(PRODUCT_TRUNCATION, 1.0)
@@ -529,15 +421,19 @@ def fock_optimal_product(transmittance: float,
                            DEFAULT_ANGLES)
 
     low, high = PRODUCT_RANGE
-    grid = np.linspace(low, min(high, transmittance), 16)
-    grid = grid[grid < transmittance]
-    values = [s_value(product) for product in grid]
-    best = int(np.argmax(values)) if values else 0
-    if best in (0, len(grid) - 1):
+    # lambda = (lambda T) / T stays below 1 up to the last float below T
+    top = min(high, float(np.nextafter(transmittance, 0.0)))
+    if top <= low:
+        raise DomainError("optimal squeezing fell on the scan boundary")
+    grid = np.linspace(low, top, 16)
+    best = int(np.argmax([s_value(product) for product in grid]))
+    if best == 0:
         raise DomainError("optimal squeezing fell on the scan boundary")
     product, s_max = _golden_section_max(
         lambda products: [s_value(product) for product in products],
-        grid[best - 1], grid[best + 1], tol, lookahead=1)
+        grid[best - 1], grid[min(best + 1, len(grid) - 1)], tol, lookahead=1)
+    if top - product < tol:
+        raise DomainError("optimal squeezing fell on the scan boundary")
     return float(product), float(s_max)
 
 
@@ -545,23 +441,19 @@ def fock_optimal_product(transmittance: float,
 # Wigner function
 
 
-def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Wigner transforms of |m><n| at phase-space points, shape (n, n, npts).
+def _radial_table(n_trunc: int, rsq: np.ndarray) -> np.ndarray:
+    """Real radial parts R[m, n, i] = R[n, m, i] of the Wigner transforms
+    of |m><n| at squared radii rsq, shape (n, n, npts).
 
-    Closed form in terms of the associated Laguerre polynomials
-    L_n^(m-n)(2 r^2), down-weighted by the usual factorial ratio, with the
-    conjugate filled in for m < n.  The polynomials come from the
-    three-term recurrence in the degree k,
+    For m >= n, R[m, n] = (-1)^n sqrt(n!/m!) (2 r^2)^((m-n)/2)
+    L_n^(m-n)(2 r^2) e^{-r^2} / pi, with the associated Laguerre polynomials
+    from the three-term recurrence in the degree k,
     L_{k+1} = ((2k + 1 + order - u) L_k - (k + order) L_{k-1}) / (k + 1),
     run for every order at once.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    rsq = x * x + p * p
-    alpha = np.sqrt(2.0) * (x - 1j * p)
     u = 2.0 * rsq
     order = np.arange(n_trunc)[:, None]
-    laguerre = np.empty((n_trunc, n_trunc, x.size))
+    laguerre = np.empty((n_trunc, n_trunc, rsq.size))
     laguerre[0] = 1.0
     laguerre[1] = 1.0 + order - u
     for k in range(1, n_trunc - 1):
@@ -570,30 +462,51 @@ def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     m, n = np.tril_indices(n_trunc)
     log_fact = _log_factorials(n_trunc)
     ratio = np.exp(0.5 * (log_fact[n] - log_fact[m]))
-    diff = (m - n)[:, None]
-    lower = (((-1.0) ** n * ratio)[:, None] * alpha ** diff
+    lower = (((-1.0) ** n * ratio)[:, None] * u ** ((m - n)[:, None] / 2.0)
              * laguerre[n, m - n] * (np.exp(-rsq) / np.pi))
-    table = np.zeros((n_trunc, n_trunc, x.size), dtype=complex)
-    table[n, m] = lower.conj()
+    table = np.empty((n_trunc, n_trunc, rsq.size))
+    table[n, m] = lower
     table[m, n] = lower
     return table
 
 
-def wigner_values(rho: FockDensityMatrix, points: np.ndarray) -> np.ndarray:
+def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Wigner transforms of |m><n| at phase-space points, shape (n, n, npts).
+
+    The radial part of `_radial_table` times e^{-i(m-n) varphi}, with
+    sqrt(2) (x - i p) = sqrt(2) r e^{-i varphi}.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    offset = np.subtract.outer(np.arange(n_trunc), np.arange(n_trunc))
+    return (_radial_table(n_trunc, x * x + p * p)
+            * np.exp(-1j * offset[..., None] * np.arctan2(p, x)))
+
+
+def wigner_values(rho: HeraldedState, points: np.ndarray) -> np.ndarray:
     """Two-mode Wigner function at phase-space points (..., 4).
 
     Point components are ordered (x_A, p_A, x_B, p_B) to match the
-    covariance-matrix modules.  With T_A and T_B the single-mode tables of
-    `wigner_pair_table`, W_i = sum_{a,c} T_A[a, c, i] M[a, c, i], where M
-    is the block reduction of the stack T_B: the state is read in place.
+    covariance-matrix modules.  The tables of both modes are R e^{-i(a-c)
+    varphi} with R real and depending on the radius alone, and rotations
+    commute with the pull-back, so the radial parts of every distinct
+    radius are pulled back once and W is the phase form of
+    (g g^T) o Phi(R_A) o Phi(R_B) / P at -(varphi_A + varphi_B).
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 4:
         raise DomainError("phase-space points must have 4 components")
     flat = pts.reshape(-1, 4)
-    n = rho.n_trunc
-    table_a = wigner_pair_table(n, flat[:, 0], flat[:, 1])
-    reduced = _block_reduce(rho.blocks,
-                            wigner_pair_table(n, flat[:, 2], flat[:, 3]))
-    values = np.einsum("aci,aci->i", table_a, reduced)
-    return values.real.reshape(pts.shape[:-1])
+    count = len(flat)
+    rsq, which = np.unique(np.r_[flat[:, 0] ** 2 + flat[:, 1] ** 2,
+                                 flat[:, 2] ** 2 + flat[:, 3] ** 2],
+                           return_inverse=True)
+    pulled = _pull_back(rho, _radial_table(rho.n_trunc, rsq))
+    coeffs = rho.amplitudes
+    reduced = (np.outer(coeffs, coeffs)[..., None] * pulled[..., which[:count]]
+               * pulled[..., which[count:]])
+    angle = (np.arctan2(flat[:, 1], flat[:, 0])
+             + np.arctan2(flat[:, 3], flat[:, 2]))
+    phase = np.exp(-1j * np.outer(np.arange(rho.n_trunc), angle))
+    values = np.einsum("ni,nmi,mi->i", phase, reduced, phase.conj()).real
+    return (values / rho.p_click).reshape(pts.shape[:-1])

@@ -1,11 +1,12 @@
 import functools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 import pytest
 from mpmath.calculus.quadrature import GaussLegendre
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf, eval_genlaguerre, gammaln
 
 from cvbell import bell, conditioning, fock
@@ -85,7 +86,7 @@ def loop_sign_operator(n_trunc, homodyne_efficiency):
 def loop_block_reduce(blocks, op):
     """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...]
     as one slice update per Delta, in ascending Delta, the summation order
-    `fock._block_reduce` must keep."""
+    `block_reduce` must keep."""
     n = blocks.shape[1]
     blocks = blocks.reshape(blocks.shape + (1,) * (op.ndim - 2))
     out = np.zeros(op.shape, dtype=np.result_type(blocks, op))
@@ -125,8 +126,180 @@ def exact_sign_entries(entries, efficiencies, n_trunc, halfwidth=22):
 
 
 # ---------------------------------------------------------------------------
+# Delta-block references: the heralded state stored as its photon-number-
+# difference blocks,
+#
+#     blocks[Delta + N - 1, a, c] = <a, a - Delta| rho |c, c - Delta>,
+#
+# and every two-mode quantity read off them with one block reduction.  This
+# is the route the pull-back replaced, kept here to check it.
+
+
+@functools.lru_cache(maxsize=8)
+def in_range(n_trunc):
+    """Mask of block entries [u, i, j] whose partners i - u and j - u lie in
+    [0, N)."""
+    n = n_trunc
+    u = np.arange(1 - n, n)[:, None, None]
+    i = np.arange(n)[None, :, None]
+    j = np.arange(n)[None, None, :]
+    return (i >= u) & (i - u < n) & (j >= u) & (j - u < n)
+
+
+@functools.lru_cache(maxsize=8)
+def mirror_positions(n_trunc):
+    """Flat positions of in-range block entries [u, i, j], i <= j, and [u, j, i]."""
+    valid = in_range(n_trunc)
+    u, i, j = np.nonzero(valid & np.triu(np.ones(valid.shape[1:], bool)))
+    return (np.ravel_multi_index((u, i, j), valid.shape),
+            np.ravel_multi_index((u, j, i), valid.shape))
+
+
+def photon_numbers(blocks, n_trunc):
+    """Photon-number distribution P(n_A, n_B), read off the block diagonals."""
+    idx = np.arange(n_trunc)
+    return blocks[np.subtract.outer(idx, idx) + n_trunc - 1,
+                  idx[:, None], idx[:, None]].real
+
+
+@dataclass(frozen=True)
+class FockDensityMatrix:
+    """Mixed two-mode state stored as its photon-number-difference blocks.
+
+    An entry whose partner index a - Delta or c - Delta leaves the
+    truncation must be zero, and n_trunc must be at least
+    `fock.MIN_TRUNCATION`.  The blocks keep their dtype: real blocks stay
+    real float64, complex blocks stay complex, and integer blocks become
+    float64.
+    """
+
+    blocks: np.ndarray
+    n_trunc: int
+
+    def __post_init__(self):
+        blocks = np.asarray(self.blocks)
+        blocks = blocks.astype(np.promote_types(blocks.dtype, float),
+                               copy=False)
+        n = self.n_trunc
+        fock._check_floor(n)
+        if blocks.shape != (2 * n - 1, n, n):
+            raise DomainError("density blocks do not match the truncation")
+        if np.any(blocks[~in_range(n)]):
+            raise DomainError("density block has an entry whose partner "
+                              "photon number lies outside the truncation")
+        upper, lower = mirror_positions(n)
+        flat = blocks.reshape(-1)
+        if np.max(np.abs(flat[upper] - flat[lower].conj())) > 1e-10:
+            raise DomainError("density matrix is not hermitian within 1e-10")
+        probs = photon_numbers(blocks, n)
+        trace = float(probs.sum())
+        if abs(trace - 1.0) > 1e-9:
+            raise DomainError(f"density matrix trace {trace} differs from 1")
+        fock._check_truncation(probs, n)
+        object.__setattr__(self, "blocks", blocks)
+
+
+def click_conditioned_blocks(squeezing, transmittance, weights):
+    """Unnormalized heralded blocks for click weights w of length N; their
+    trace is the double-click probability.
+
+    Tap counts kc, kd leave |n - kc, n - kd>, so block Delta collects the
+    pairs kd = kc + Delta: blocks[Delta] = U U^T with
+    U[a, kc] = sqrt(w(kc) w(kd)) c(n) t(n, kc) t(n, kd) at n = a + kc.
+    """
+    n = len(weights)
+    # zero padding: totals reach 2n - 2, tap counts run from 1 - n to 2n - 2
+    coeff = np.zeros(2 * n)
+    coeff[:n] = fock.tmsv_amplitudes(squeezing, n)
+    table = np.zeros((2 * n, 3 * n))
+    table[:n, n:2 * n] = fock.tap_amplitude_table(transmittance, n)
+    root_w = np.zeros(3 * n)
+    root_w[n:2 * n] = np.sqrt(weights)
+    a = np.arange(n)[:, None]
+    kc = np.arange(n)[None, :]
+    kd = kc + np.arange(1 - n, n)[:, None, None]
+    first = coeff[a + kc] * table[a + kc, n + kc] * root_w[n + kc]
+    factor = first * table[a + kc, n + kd] * root_w[n + kd]
+    return factor @ factor.transpose(0, 2, 1)
+
+
+def block_conditioning(squeezing, transmittance, apd_efficiency, n_trunc):
+    """Block-stored heralded state and the double-click probability, the
+    trace of the unnormalized blocks."""
+    blocks = click_conditioned_blocks(
+        squeezing, transmittance, fock.click_weights(apd_efficiency, n_trunc))
+    p_click = float(photon_numbers(blocks, n_trunc).sum())
+    return FockDensityMatrix(blocks=blocks / p_click, n_trunc=n_trunc), p_click
+
+
+def partner_view(op):
+    """Read-only view V[..., a, w, c] = O[..., b, c - a + b] at b = N - 1 - w
+    of a stack of N x N operators, zero where c - a + b leaves [0, N).
+
+    op is zero-padded by N - 1 columns on each side.  The diagonals
+    E[..., k + N - 1, b] = O[b, b + k] of the padding, for the offsets
+    k = c - a in (-N, N), are read in windows of N consecutive offsets.
+    """
+    n = op.shape[-1]
+    pad = np.zeros(op.shape[:-1] + (3 * n - 2,), dtype=op.dtype)
+    pad[..., n - 1:2 * n - 1] = op
+    diagonals = sliding_window_view(pad, 2 * n - 1, axis=-1).diagonal(
+        axis1=-3, axis2=-2)
+    return sliding_window_view(diagonals, n, axis=-2)[..., ::-1, ::-1, :]
+
+
+def block_reduce(blocks, op):
+    """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...]
+    as one contraction of read-only views, in ascending Delta.
+
+    Pairs O with mode B of the block-stored state, so that
+    sum rho[(a, b), (c, d)] O_A[a, c] O[b, d] = sum_{a,c} O_A[a, c] M[a, c].
+    Row a only meets the N values Delta = a + w - N + 1, w in [0, N), whose
+    partner b = a - Delta = N - 1 - w lies in [0, N):
+    M[a, c] = sum_w R[a + w, a, c] O[b, c - a + b].  A complex stack against
+    real blocks is reduced as its real and imaginary parts.
+    """
+    if np.iscomplexobj(op) and not np.iscomplexobj(blocks):
+        out = np.empty(op.shape, dtype=complex)
+        out.real = block_reduce(blocks, op.real)
+        out.imag = block_reduce(blocks, op.imag)
+        return out
+    n = blocks.shape[1]
+    # rows[c, w, a] = R[a + w, a, c]
+    rows = sliding_window_view(blocks, n, axis=0).diagonal(axis1=0, axis2=1)
+    stack = np.moveaxis(op, (0, 1), (-2, -1)).astype(blocks.dtype, copy=False)
+    return np.einsum("cwa,...awc->ac...", rows, partner_view(stack))
+
+
+def block_sign_reduced(rho, homodyne_efficiency=1.0):
+    """S o M_S of the block route, whose phase forms are the correlators."""
+    sign = fock._sign_operator(rho.n_trunc, homodyne_efficiency)
+    return sign * block_reduce(rho.blocks, sign)
+
+
+def block_sign_correlation(rho, theta, phi, homodyne_efficiency=1.0):
+    return fock._phase_form(block_sign_reduced(rho, homodyne_efficiency),
+                            theta + phi)
+
+
+def block_chsh(rho, angles, homodyne_efficiency=1.0):
+    return fock._phase_chsh(block_sign_reduced(rho, homodyne_efficiency),
+                            angles)
+
+
+def block_wigner_values(rho, points, reduce=block_reduce):
+    """W_i = sum_{a,c} T_A[a, c, i] M[a, c, i], M the block reduction of the
+    mode-B table stack."""
+    n = rho.n_trunc
+    table_a = fock.wigner_pair_table(n, points[:, 0], points[:, 1])
+    reduced = reduce(rho.blocks,
+                     fock.wigner_pair_table(n, points[:, 2], points[:, 3]))
+    return np.einsum("aci,aci->i", table_a, reduced).real
+
+
+# ---------------------------------------------------------------------------
 # dense (n, n, n, n) references: the direct photon-number-basis computations
-# the Delta-block route replaces, kept here to check it
+# the Delta-block route replaced, kept here to check it
 
 
 def block_index(n_trunc):
@@ -158,14 +331,22 @@ def to_blocks(dense):
 def vacuum_density(n_trunc=16):
     rho = np.zeros((n_trunc,) * 4, dtype=complex)
     rho[0, 0, 0, 0] = 1.0
-    return fock.FockDensityMatrix(blocks=to_blocks(rho), n_trunc=n_trunc)
+    return FockDensityMatrix(blocks=to_blocks(rho), n_trunc=n_trunc)
 
 
-def dense_click_conditioned(squeezing, transmittance, apd_efficiency, n_trunc):
-    """Unnormalized heralded state, scattered term by term over tap counts."""
-    coeff = fock.tmsv_amplitudes(squeezing, n_trunc)
-    table = fock.tap_amplitude_table(transmittance, n_trunc)
-    weights = fock.click_weights(apd_efficiency, n_trunc)
+def vacuum_record(n_trunc=16):
+    """The vacuum as a `fock.HeraldedState`: source |0,0> and the weight
+    vector of zero tapped photons."""
+    unit = np.eye(n_trunc)[0]
+    return fock.HeraldedState(unit, fock.tap_amplitude_table(0.9, n_trunc),
+                              unit, 1.0, n_trunc)
+
+
+def scatter_heralded(coeff, table, weights):
+    """Unnormalized heralded state rho[n_A, n_B, m_A, m_B] of the source
+    amplitudes, tap table and click weights, scattered term by term over
+    the tap counts."""
+    n_trunc = len(coeff)
     rho = np.zeros((n_trunc, n_trunc, n_trunc, n_trunc))
     for kc in range(1, n_trunc):
         for kd in range(1, n_trunc):
@@ -176,6 +357,20 @@ def dense_click_conditioned(squeezing, transmittance, apd_efficiency, n_trunc):
             rho[a_idx[:, None], b_idx[:, None],
                 a_idx[None, :], b_idx[None, :]] += contribution
     return rho
+
+
+def expand_record(state):
+    """Dense normalized density rho[n_A, n_B, m_A, m_B] of a
+    `fock.HeraldedState`."""
+    return scatter_heralded(state.amplitudes, state.tap,
+                            state.weights) / state.p_click
+
+
+def dense_click_conditioned(squeezing, transmittance, apd_efficiency, n_trunc):
+    """Unnormalized heralded state, scattered term by term over tap counts."""
+    return scatter_heralded(fock.tmsv_amplitudes(squeezing, n_trunc),
+                            fock.tap_amplitude_table(transmittance, n_trunc),
+                            fock.click_weights(apd_efficiency, n_trunc))
 
 
 def kraus_loss_dual(op, transmittance):
@@ -383,42 +578,63 @@ class TestStates:
             assert np.max(np.abs(cov - moments)) < 1e-8
 
 
+def ideal_subtracted_state(squeezing, transmittance,
+                           n_trunc=fock.DEFAULT_TRUNCATION):
+    """Normalized (n+1)(T*lambda)^n |n,n> state and its projection fidelity.
+
+    Returns the Schmidt coefficients of the closed-form photon-subtracted
+    state together with its overlap fidelity (g_proj . g)^2 against the
+    exact two-beam-splitter photon-pair projection at the same finite
+    transmittance.
+    """
+    if squeezing * transmittance >= 0.95:
+        raise DomainError("squeezing * transmittance must stay below 0.95 "
+                          "for the truncated representation to converge")
+    if squeezing * transmittance == 0.0:
+        raise InvalidRegimeError("zero squeezing cannot herald a photon pair")
+    n = np.arange(n_trunc)
+    coeffs = (n + 1.0) * (transmittance * squeezing) ** n
+    coeffs = fock._check_schmidt(coeffs / np.linalg.norm(coeffs))
+    projected = fock.pair_projected_state(squeezing, transmittance, n_trunc)
+    return coeffs, float((projected @ coeffs) ** 2)
+
+
 class TestIdealSubtractedState:
     def test_projection_fidelity_high_transmittance(self):
-        _, fidelity = fock.ideal_subtracted_state(0.5, 0.999, 40)
+        _, fidelity = ideal_subtracted_state(0.5, 0.999, 40)
         assert fidelity > 0.999
 
     def test_zero_squeezing_degenerate(self):
         with pytest.raises(InvalidRegimeError):
-            fock.ideal_subtracted_state(0.0, 0.95, 40)
+            ideal_subtracted_state(0.0, 0.95, 40)
 
     def test_truncation_stability(self):
-        state40, _ = fock.ideal_subtracted_state(0.5, 0.95, 40)
-        state60, _ = fock.ideal_subtracted_state(0.5, 0.95, 60)
+        state40, _ = ideal_subtracted_state(0.5, 0.95, 40)
+        state60, _ = ideal_subtracted_state(0.5, 0.95, 60)
         assert np.max(np.abs(state40 - state60[:40])) < 1e-10
 
     def test_convergence_guard(self):
         with pytest.raises(DomainError):
-            fock.ideal_subtracted_state(0.97, 0.99, 40)
+            ideal_subtracted_state(0.97, 0.99, 40)
 
     def test_amplitude_law(self):
-        state, _ = fock.ideal_subtracted_state(0.4, 0.9, 40)
+        state, _ = ideal_subtracted_state(0.4, 0.9, 40)
         n = np.arange(40)
         expected = (n + 1.0) * (0.36) ** n
         expected /= np.linalg.norm(expected)
         assert np.max(np.abs(state - expected)) < 1e-12
 
     def test_fidelity_pinned(self):
-        _, fidelity = fock.ideal_subtracted_state(0.5, 0.95, 40)
+        _, fidelity = ideal_subtracted_state(0.5, 0.95, 40)
         assert abs(fidelity - 0.9999999999999996) < 1e-12
 
 
 class TestClickConditioning:
     def test_limits_recover_ideal_state(self):
         rho, _ = fock.lossy_click_conditioning(0.5, 0.9999, 0.9999, 40)
-        ideal, _ = fock.ideal_subtracted_state(0.5, 0.9999, 40)
+        ideal, _ = ideal_subtracted_state(0.5, 0.9999, 40)
         psi = np.diag(ideal)
-        fidelity = np.einsum("ab,abcd,cd->", psi.conj(), to_dense(rho),
+        fidelity = np.einsum("ab,abcd,cd->", psi.conj(), expand_record(rho),
                              psi).real
         assert fidelity > 0.999
 
@@ -432,8 +648,12 @@ class TestClickConditioning:
             fock.lossy_click_conditioning(0.0, 0.95, 0.3, 40)
 
     def test_density_matrix_is_physical(self, fock_realistic):
+        # the record expanded densely: hermitian, unit trace, no partner
+        # outside the truncation and a light tail, as the block reference
+        # checks them, and positive
         rho, _ = fock_realistic
-        dense = to_dense(rho)
+        dense = expand_record(rho)
+        FockDensityMatrix(to_blocks(dense), rho.n_trunc)
         flat = dense.reshape(rho.n_trunc ** 2, rho.n_trunc ** 2)
         assert np.max(np.abs(flat - flat.conj().T)) < 1e-10
         assert np.einsum("abab->", dense).real == pytest.approx(1.0, abs=1e-9)
@@ -451,7 +671,7 @@ class TestClickConditioning:
 
 class TestSignCorrelation:
     def test_vacuum_uncorrelated(self):
-        assert abs(fock.fock_sign_correlation(vacuum_density(), 0.3, 0.9)) < 1e-9
+        assert abs(fock.fock_sign_correlation(vacuum_record(), 0.3, 0.9)) < 1e-9
 
     def test_matches_closed_form(self, realistic_state, fock_realistic):
         rho, _ = fock_realistic
@@ -522,25 +742,6 @@ class TestSignCorrelation:
             p_closed = state.success_prob
             assert abs(p_click - p_closed) <= 1e-7 * p_closed
 
-    def test_lossy_correlator_builds_no_state(self, monkeypatch,
-                                              realistic_params,
-                                              fock_realistic):
-        rho, _ = fock_realistic
-        eta = realistic_params.homodyne_efficiency
-        expected = (fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta),
-                    fock.fock_chsh(rho, realistic_params.angles, eta))
-        built = []
-
-        class Counting(fock.FockDensityMatrix):
-            def __post_init__(self):
-                built.append(self.n_trunc)
-                super().__post_init__()
-
-        monkeypatch.setattr(fock, "FockDensityMatrix", Counting)
-        assert (fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta),
-                fock.fock_chsh(rho, realistic_params.angles, eta)) == expected
-        assert built == []
-
     def test_full_chsh_cross_check(self, realistic_params, fock_realistic):
         rho, _ = fock_realistic
         s_fock = fock.fock_chsh(rho, realistic_params.angles,
@@ -573,9 +774,11 @@ class TestOptimalProduct:
             float.fromhex("0x1.24d636981bc33p-1"),
             float.fromhex("0x1.062aad5ed9eb8p+1"))
 
-    @pytest.mark.parametrize("transmittance", [0.75, 0.70, 0.65])
+    @pytest.mark.parametrize("transmittance",
+                             [0.75, 0.70, 0.65, 0.59, 0.58, 0.575])
     def test_low_transmittance_keeps_the_product(self, transmittance):
-        # the optimum lambda T = 0.572 needs lambda = 0.572 / T < 1 only
+        # the optimum lambda T = 0.572 needs lambda = 0.572 / T < 1 only;
+        # below T = 0.59 it lies between the last two scan points
         product, s_max = fock.fock_optimal_product(transmittance)
         assert abs(product - 0.572) < 5e-4
         assert abs(s_max - 2.0481774) < 1e-7
@@ -626,7 +829,7 @@ class TestWigner:
 
     def test_vacuum_wigner(self):
         pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, -0.2, 0.1, 0.3]])
-        values = fock.wigner_values(vacuum_density(), pts)
+        values = fock.wigner_values(vacuum_record(), pts)
         expected = np.exp(-np.sum(pts ** 2, axis=1)) / np.pi ** 2
         assert np.max(np.abs(values - expected)) < 1e-12
 
@@ -642,6 +845,9 @@ class TestWigner:
 
 
 class TestDensityBlocks:
+    """The package's truncation refusals, and the checks of the block
+    reference that the pins and the dense comparisons rest on."""
+
     def test_heavy_density_tail_raises(self):
         # about 2e-4 of the heralded state's probability sits in the top
         # four photon-number layers at this truncation
@@ -655,40 +861,40 @@ class TestDensityBlocks:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError, match="truncation"):
-            fock.FockDensityMatrix(blocks=np.zeros((16, 16, 16)), n_trunc=16)
+            FockDensityMatrix(blocks=np.zeros((16, 16, 16)), n_trunc=16)
 
     def test_rejects_non_hermitian_block(self):
         blocks = vacuum_density().blocks.copy()
         blocks[15, 1, 2] = 1e-6
         with pytest.raises(DomainError, match="hermitian"):
-            fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
+            FockDensityMatrix(blocks=blocks, n_trunc=16)
 
     def test_rejects_wrong_trace(self):
         blocks = 1.5 * vacuum_density().blocks
         with pytest.raises(DomainError, match="trace"):
-            fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
+            FockDensityMatrix(blocks=blocks, n_trunc=16)
 
     def test_rejects_partner_outside_truncation(self):
         # block Delta = 3 at a = 1 would pair n_A = 1 with n_B = -2
         blocks = vacuum_density().blocks.copy()
         blocks[15 + 3, 1, 1] = 1e-12
         with pytest.raises(DomainError, match="partner"):
-            fock.FockDensityMatrix(blocks=blocks, n_trunc=16)
+            FockDensityMatrix(blocks=blocks, n_trunc=16)
 
     def test_blocks_keep_their_dtype(self):
-        rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
+        rho, _ = block_conditioning(0.6, 0.95, 0.3, 40)
         assert rho.blocks.dtype == np.float64
         complex_blocks = vacuum_density().blocks
         assert complex_blocks.dtype == np.complex128
-        assert fock.FockDensityMatrix(complex_blocks, 16).blocks.dtype \
+        assert FockDensityMatrix(complex_blocks, 16).blocks.dtype \
             == np.complex128
         integer_blocks = complex_blocks.real.astype(int)
-        assert fock.FockDensityMatrix(integer_blocks, 16).blocks.dtype \
+        assert FockDensityMatrix(integer_blocks, 16).blocks.dtype \
             == np.float64
 
     def test_correlator_allocates_less_than_a_block_array(self):
-        # the correlator reduces the real blocks in place; it builds no
-        # (2N-1, N, N) kernel, which at N = 60 is 3.43 MB of floats.  Its
+        # the correlator pulls the sign operator back through a view; it
+        # builds no (2N-1, N, N) array, which at N = 60 is 3.43 MB.  Its
         # sign operator is built afresh on every call, so the peak counts
         # it; the warm-up only keeps numpy's one-time costs out.
         n_trunc = 60
@@ -708,19 +914,34 @@ SMALL_POINTS = [(0.4, 0.95, 0.3), (0.35, 0.9, 1.0)]
 
 @pytest.fixture(scope="module", params=SMALL_POINTS)
 def small_pair(request):
-    """Block and dense heralded states at N=20."""
+    """Heralded state, its click probability, the normalized dense state and
+    its trace, and the block-stored state at N=20."""
     squeezing, transmittance, apd = request.param
     rho, p_click = fock.lossy_click_conditioning(squeezing, transmittance,
                                                  apd, 20)
     dense = dense_click_conditioned(squeezing, transmittance, apd, 20)
     p_dense = float(np.einsum("abab->", dense))
-    return rho, p_click, dense / p_dense, p_dense
+    block, _ = block_conditioning(squeezing, transmittance, apd, 20)
+    return rho, p_click, dense / p_dense, p_dense, block
+
+
+@pytest.fixture(scope="module")
+def block_realistic():
+    """Block-stored heralded state at the realistic operating point."""
+    return block_conditioning(0.6, 0.95, 0.3, 40)[0]
+
+
+@pytest.fixture(scope="module")
+def block_cut_state():
+    """Block-stored heralded state at the Wigner-cut operating point."""
+    return block_conditioning(0.5, 0.95, 0.3, 40)[0]
 
 
 class TestDenseReferences:
     def test_conditioning_matches_scatter_loop(self, small_pair):
-        rho, p_click, dense, p_dense = small_pair
-        assert np.max(np.abs(to_dense(rho) - dense)) < 1e-12
+        rho, p_click, dense, p_dense, block = small_pair
+        assert np.max(np.abs(to_dense(block) - dense)) < 1e-12
+        assert np.max(np.abs(expand_record(rho) - dense)) < 1e-12
         assert abs(p_click - p_dense) < 1e-12 * p_dense
 
     @pytest.mark.parametrize("mode", [0, 1])
@@ -728,7 +949,7 @@ class TestDenseReferences:
         # Tr(L(rho) (O_A (x) O_B)) = Tr(rho (O_A (x) O_B)) with L^dagger
         # applied to the operator of the lossy mode; the sign operator at
         # efficiency eta is the dual of the one at efficiency 1
-        _, _, dense, _ = small_pair
+        _, _, dense, _, _ = small_pair
         rng = np.random.default_rng(13 + mode)
         ops = []
         for _ in range(2):
@@ -748,25 +969,26 @@ class TestDenseReferences:
 
     @pytest.mark.parametrize("eta", [1.0, 0.9, 1.0 - 1e-6])
     def test_correlator_matches_grid_density(self, small_pair, eta):
-        rho, _, dense, _ = small_pair
+        rho, _, dense, _, _ = small_pair
         for theta, phi in [(0.0, -np.pi / 4), (0.7, 0.2), (-2.5, 1.1)]:
             e_blocks = fock.fock_sign_correlation(rho, theta, phi, eta)
             e_dense = dense_sign_correlation(dense, theta, phi, eta)
             assert abs(e_blocks - e_dense) < 1e-12
 
     def test_wigner_matches_dense_contraction(self, small_pair):
-        rho, _, dense, _ = small_pair
+        rho, _, dense, _, _ = small_pair
         pts = np.random.default_rng(11).normal(size=(12, 4))
         assert np.max(np.abs(fock.wigner_values(rho, pts)
                              - dense_wigner_values(dense, pts))) < 1e-12
 
     def test_realistic_point_at_full_truncation(self, realistic_params,
-                                                fock_realistic):
+                                                fock_realistic,
+                                                block_realistic):
         rho, p_click = fock_realistic
         dense = dense_click_conditioned(0.6, 0.95, 0.3, 40)
         p_dense = float(np.einsum("abab->", dense))
         dense /= p_dense
-        assert np.max(np.abs(to_dense(rho) - dense)) < 1e-12
+        assert np.max(np.abs(to_dense(block_realistic) - dense)) < 1e-12
         assert abs(p_click - p_dense) < 1e-12 * p_dense
         eta = realistic_params.homodyne_efficiency
         e_blocks = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
@@ -778,37 +1000,47 @@ class TestDenseReferences:
 
     def test_complex_blocks_match_dense_references(self, small_pair):
         # the heralded state rotated by e^{i theta n_A}: block entry (a, c)
-        # picks up e^{i theta (a - c)}, which makes every block complex
-        rho, _, _, _ = small_pair
+        # picks up e^{i theta (a - c)}, which makes every block complex.  The
+        # record stays real: the package rotates the measurement instead,
+        # the angle of mode A for E and the phase-space point of mode A by
+        # -theta for W
+        rho, _, _, _, block = small_pair
         theta = 0.7
-        idx = np.arange(rho.n_trunc)
-        rotated = fock.FockDensityMatrix(
-            rho.blocks * np.exp(1j * theta * np.subtract.outer(idx, idx)),
-            rho.n_trunc)
+        idx = np.arange(block.n_trunc)
+        rotated = FockDensityMatrix(
+            block.blocks * np.exp(1j * theta * np.subtract.outer(idx, idx)),
+            block.n_trunc)
         assert rotated.blocks.dtype == np.complex128
         dense = to_dense(rotated)
         for phi in (0.0, -np.pi / 4, 1.1):
             for eta in (1.0, 0.9):
-                e_rotated = fock.fock_sign_correlation(rotated, 0.0, phi, eta)
+                e_rotated = block_sign_correlation(rotated, 0.0, phi, eta)
                 e_dense = dense_sign_correlation(dense, 0.0, phi, eta)
                 assert abs(e_rotated - e_dense) < 1e-12
                 e_plain = fock.fock_sign_correlation(rho, theta, phi, eta)
                 assert abs(e_rotated - e_plain) < 1e-14
         pts = np.random.default_rng(14).normal(size=(12, 4))
-        assert np.max(np.abs(fock.wigner_values(rotated, pts)
-                             - dense_wigner_values(dense, pts))) < 1e-12
+        w_dense = dense_wigner_values(dense, pts)
+        assert np.max(np.abs(block_wigner_values(rotated, pts) - w_dense)) \
+            < 1e-12
+        turned = pts.copy()
+        turned[:, 0] = np.cos(theta) * pts[:, 0] + np.sin(theta) * pts[:, 1]
+        turned[:, 1] = np.cos(theta) * pts[:, 1] - np.sin(theta) * pts[:, 0]
+        assert np.max(np.abs(fock.wigner_values(rho, turned) - w_dense)) \
+            < 1e-12
 
     def test_chsh_makes_one_reduction(self, monkeypatch, realistic_params,
                                       fock_realistic):
+        # one pull-back of the sign operator serves all four correlators
         rho, _ = fock_realistic
         calls = []
-        reduce = fock._block_reduce
+        pull_back = fock._pull_back
 
         def counting(*args):
             calls.append(args[1].shape)
-            return reduce(*args)
+            return pull_back(*args)
 
-        monkeypatch.setattr(fock, "_block_reduce", counting)
+        monkeypatch.setattr(fock, "_pull_back", counting)
         fock.fock_chsh(rho, realistic_params.angles,
                        realistic_params.homodyne_efficiency)
         assert calls == [(40, 40)]
@@ -864,41 +1096,50 @@ class TestDenseReferences:
 
 
 def loop_wigner_values(rho, points):
-    """`fock.wigner_values` with the mode-B table stack reduced by
+    """`block_wigner_values` with the mode-B table stack reduced by
     `loop_block_reduce`."""
-    n = rho.n_trunc
-    table_a = fock.wigner_pair_table(n, points[:, 0], points[:, 1])
-    reduced = loop_block_reduce(
-        rho.blocks, fock.wigner_pair_table(n, points[:, 2], points[:, 3]))
-    return np.einsum("aci,aci->i", table_a, reduced).real
+    return block_wigner_values(rho, points, reduce=loop_block_reduce)
+
+
+#: (squeezing, transmittance, APD efficiency, homodyne efficiency) of the
+#: small-P corner, where P is about 2e-13
+SMALL_P_CORNER = (0.01, 0.999, 0.05, 0.9)
 
 
 def seeded_heralded_states(n_trunc, count, seed):
-    """Heralded states at seeded criterion-7 draws; the squeezing box
-    shrinks with the truncation so that the tail fence passes."""
+    """Heralded states at seeded criterion-7 draws, as the package's record
+    and as the block reference; the squeezing box shrinks with the
+    truncation so that the tail fence passes."""
     rng = np.random.default_rng([seed, n_trunc])
     top = 0.65 if n_trunc >= 40 else 0.35
     for _ in range(count):
-        rho, _ = fock.lossy_click_conditioning(
-            rng.uniform(0.2, top), rng.uniform(0.9, 0.99),
-            rng.uniform(0.1, 1.0), n_trunc)
-        yield rho, rng.uniform(0.85, 1.0), rng
+        draw = (rng.uniform(0.2, top), rng.uniform(0.9, 0.99),
+                rng.uniform(0.1, 1.0), n_trunc)
+        rho, p_click = fock.lossy_click_conditioning(*draw)
+        block, p_block = block_conditioning(*draw)
+        yield rho, p_click, block, p_block, rng.uniform(0.85, 1.0), rng
 
 
 class TestBitwiseReductions:
-    """The Fock observables are bitwise those of the slice-per-Delta
-    reduction and the row-at-a-time sign-operator recurrence."""
+    """The block reference is bitwise the slice-per-Delta reduction, and
+    reproduces the pinned correlators of the block route; the package's
+    observables agree with it within 1e-15.  The sign operator is bitwise
+    the row-at-a-time recurrence."""
 
     @pytest.mark.parametrize("eta, correlation, s_value", [
         (0.95, "0x1.01680d8108e67p-1", "0x1.01680d8108e66p+1"),
         (1.0, "0x1.03f1b4d4c7b4ep-1", "0x1.03f1b4d4c7b4ep+1")])
-    def test_correlators_pinned(self, realistic_params, fock_realistic, eta,
-                                correlation, s_value):
+    def test_correlators_pinned(self, realistic_params, fock_realistic,
+                                block_realistic, eta, correlation, s_value):
+        angles = realistic_params.angles
+        e_block = block_sign_correlation(block_realistic, 0.0, -np.pi / 4, eta)
+        s_block = block_chsh(block_realistic, angles, eta)
+        assert e_block == float.fromhex(correlation)
+        assert s_block == float.fromhex(s_value)
         rho, _ = fock_realistic
-        assert fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta) \
-            == float.fromhex(correlation)
-        assert fock.fock_chsh(rho, realistic_params.angles, eta) \
-            == float.fromhex(s_value)
+        assert abs(fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
+                   - e_block) <= 1e-15
+        assert abs(fock.fock_chsh(rho, angles, eta) - s_block) <= 1e-15
 
     @pytest.mark.parametrize("eta", [0.05, 0.7, 0.95, 1.0])
     def test_sign_operator_pinned(self, eta):
@@ -913,76 +1154,227 @@ class TestBitwiseReductions:
 
     @pytest.mark.parametrize("n_trunc", [16, 17, 40])
     def test_reduction_matches_loop_on_heralded_states(self, n_trunc):
-        for rho, eta, rng in seeded_heralded_states(n_trunc, 4, 19):
+        for _, _, block, _, eta, rng in seeded_heralded_states(n_trunc, 4, 19):
             sign = fock._sign_operator(n_trunc, eta)
             generic = rng.normal(size=(n_trunc, n_trunc))
             for op in (sign, generic + generic.T):
-                assert np.array_equal(fock._block_reduce(rho.blocks, op),
-                                      loop_block_reduce(rho.blocks, op))
+                assert np.array_equal(block_reduce(block.blocks, op),
+                                      loop_block_reduce(block.blocks, op))
 
     def test_correlators_match_loop_on_seeded_states(self):
         angles = bell.DEFAULT_ANGLES
-        for rho, eta, rng in seeded_heralded_states(40, 4, 23):
+        for rho, _, block, _, eta, rng in seeded_heralded_states(40, 4, 23):
             sign = fock._sign_operator(40, eta)
-            reduced = sign * loop_block_reduce(rho.blocks, sign)
+            reduced = sign * loop_block_reduce(block.blocks, sign)
             theta, phi = rng.uniform(-np.pi, np.pi, 2)
-            assert fock.fock_sign_correlation(rho, theta, phi, eta) \
-                == fock._phase_form(reduced, theta + phi)
-            assert fock.fock_chsh(rho, angles, eta) \
-                == fock._phase_chsh(reduced, angles)
+            assert abs(fock.fock_sign_correlation(rho, theta, phi, eta)
+                       - fock._phase_form(reduced, theta + phi)) <= 1e-15
+            assert abs(fock.fock_chsh(rho, angles, eta)
+                       - fock._phase_chsh(reduced, angles)) <= 2e-15
 
     def test_reduction_matches_loop_on_complex_blocks(self, small_pair):
-        rho, _, _, _ = small_pair
-        idx = np.arange(rho.n_trunc)
-        rotated = rho.blocks * np.exp(0.7j * np.subtract.outer(idx, idx))
+        _, _, _, _, block = small_pair
+        idx = np.arange(block.n_trunc)
+        rotated = block.blocks * np.exp(0.7j * np.subtract.outer(idx, idx))
         sign = fock._sign_operator(20, 0.9)
-        assert np.array_equal(fock._block_reduce(rotated, sign),
+        assert np.array_equal(block_reduce(rotated, sign),
                               loop_block_reduce(rotated, sign))
         rng = np.random.default_rng(29)
         z = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-        assert np.array_equal(fock._block_reduce(rho.blocks, z),
-                              loop_block_reduce(rho.blocks, z))
+        assert np.array_equal(block_reduce(block.blocks, z),
+                              loop_block_reduce(block.blocks, z))
         # complex times complex: numpy's multiply loop may fuse the
         # multiply-add of each product where the contraction rounds both
         # products, so the two agree to rounding, not bitwise
         op = z + z.conj().T
-        assert np.max(np.abs(fock._block_reduce(rotated, op)
+        assert np.max(np.abs(block_reduce(rotated, op)
                              - loop_block_reduce(rotated, op))) < 1e-15
 
-    def test_reduction_matches_loop_on_table_stack(self, fock_realistic):
-        rho, _ = fock_realistic
+    def test_reduction_matches_loop_on_table_stack(self, block_realistic):
         pts = np.random.default_rng(31).normal(size=(7, 2))
         tables = fock.wigner_pair_table(40, pts[:, 0], pts[:, 1])
-        assert np.array_equal(fock._block_reduce(rho.blocks, tables),
-                              loop_block_reduce(rho.blocks, tables))
+        assert np.array_equal(block_reduce(block_realistic.blocks, tables),
+                              loop_block_reduce(block_realistic.blocks, tables))
 
-    def test_wigner_matches_loop(self, fock_realistic, fock_cut_state):
+    def test_wigner_matches_loop(self, fock_realistic, fock_cut_state,
+                                 block_realistic, block_cut_state):
         pts = np.random.default_rng(37).normal(size=(9, 4))
         cut = np.linspace(-3.0, 3.0, 41)[:, None] \
             * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
-        for rho, _ in (fock_realistic, fock_cut_state):
+        for (rho, _), block in ((fock_realistic, block_realistic),
+                                (fock_cut_state, block_cut_state)):
             for points in (pts, cut):
-                assert np.array_equal(fock.wigner_values(rho, points),
-                                      loop_wigner_values(rho, points))
+                reference = loop_wigner_values(block, points)
+                assert np.array_equal(block_wigner_values(block, points),
+                                      reference)
+                assert np.max(np.abs(fock.wigner_values(rho, points)
+                                     - reference)) <= 1e-15
 
-    def test_reduction_writes_no_input(self, fock_realistic):
-        rho, _ = fock_realistic
+    def test_reduction_writes_no_input(self, block_realistic):
         sign = fock._sign_operator(40, 0.9)
         kept = sign.copy()
         sign.setflags(write=False)
-        assert not fock._partner_view(sign).flags.writeable
-        assert np.array_equal(fock._block_reduce(rho.blocks, sign),
-                              loop_block_reduce(rho.blocks, kept))
+        assert not partner_view(sign).flags.writeable
+        assert np.array_equal(block_reduce(block_realistic.blocks, sign),
+                              loop_block_reduce(block_realistic.blocks, kept))
         assert np.array_equal(sign, kept)
 
     def test_partner_view(self):
         # V[a, w, c] = O[N - 1 - w, c - a + N - 1 - w], zero off the grid
         n = 16
         op = np.arange(n * n, dtype=float).reshape(n, n) + 1.0
-        view = fock._partner_view(op)
+        view = partner_view(op)
         a, w, c = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
         b, d = n - 1 - w, c - a + n - 1 - w
         inside = (d >= 0) & (d < n)
         assert view.shape == (n, n, n)
         assert np.array_equal(view[inside], op[b[inside], d[inside]])
         assert not np.any(view[~inside])
+
+
+def exact_success_prob(squeezing, transmittance, apd_efficiency, n_trunc):
+    """sum_{n < N} g_n^2 q_n^2 at 40 digits, q_n = sum_k C(n, k) T^(n-k)
+    (1-T)^k (1 - (1 - eta)^k)."""
+    with mpmath.workdps(40):
+        lam, t, eta = (mpmath.mpf(v) for v in
+                       (squeezing, transmittance, apd_efficiency))
+        total = mpmath.mpf(0)
+        for n in range(n_trunc):
+            q = mpmath.fsum(mpmath.binomial(n, k) * t ** (n - k) * (1 - t) ** k
+                            * (1 - (1 - eta) ** k) for k in range(1, n + 1))
+            total += (1 - lam ** 2) * lam ** (2 * n) * q * q
+        return float(total)
+
+
+class TestPullBack:
+    """The heralded state as a record, measured through the pull-back
+    Phi(O)[n, m] = sum_k w(k) t(n, k) t(m, k) O[n - k, m - k]."""
+
+    def test_shifted_view(self):
+        # V[..., n, m, s] = O[n - k, m - k, ...] at k = N - 1 - s, zero off
+        # the grid, read-only, for one operator and for a stack
+        n = 16
+        op = np.arange(n * n * 3, dtype=float).reshape(n, n, 3) + 1.0
+        view = fock._shifted_view(op)
+        assert view.shape == (3, n, n, n)
+        assert not view.flags.writeable
+        rows, cols, s = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
+        b, d = rows - (n - 1 - s), cols - (n - 1 - s)
+        inside = (b >= 0) & (d >= 0)
+        for i in range(3):
+            assert np.array_equal(view[i][inside], op[b[inside], d[inside], i])
+            assert not np.any(view[i][~inside])
+        assert np.array_equal(fock._shifted_view(op[..., 1]), view[1])
+
+    def test_pull_back_matches_kraus_sum(self, small_pair):
+        # Phi(O) = sum_k w(k) K_k^T O K_k with K_k |n> = t(n, k) |n - k>, for
+        # one operator and for a stack of three
+        rho, _, _, _, _ = small_pair
+        n = rho.n_trunc
+        stack = np.random.default_rng(41).normal(size=(n, n, 3))
+        stack += stack.transpose(1, 0, 2)
+        expected = np.zeros_like(stack)
+        for k in range(n):
+            kraus = np.zeros((n, n))
+            kraus[np.arange(n - k), np.arange(k, n)] = rho.tap[k:, k]
+            expected += rho.weights[k] * np.einsum("an,acI,cm->nmI", kraus,
+                                                   stack, kraus)
+        pulled = fock._pull_back(rho, stack)
+        assert np.max(np.abs(pulled - expected)) < 1e-14
+        assert np.max(np.abs(fock._pull_back(rho, stack[..., 2])
+                             - expected[..., 2])) < 1e-14
+        # Phi(I) is diagonal with entries q_n, and P = sum_n g_n^2 q_n^2
+        click = fock._pull_back(rho, np.eye(n))
+        assert not np.any(click - np.diag(np.diag(click)))
+        assert abs(rho.amplitudes ** 2 @ np.diag(click) ** 2 - rho.p_click) \
+            <= 1e-15 * rho.p_click
+
+    def test_pull_back_writes_no_input(self, fock_realistic):
+        rho, _ = fock_realistic
+        sign = fock._sign_operator(40, 0.9)
+        kept = sign.copy()
+        sign.setflags(write=False)
+        assert np.array_equal(fock._pull_back(rho, sign),
+                              fock._pull_back(rho, kept))
+        assert np.array_equal(sign, kept)
+
+    @pytest.mark.parametrize("n_trunc", [20, 40])
+    def test_matches_block_reference(self, n_trunc):
+        # seeded draws and the small-P corner: E and W within 1e-15, P
+        # within 1e-15 relative of the block route
+        corner = SMALL_P_CORNER[:3] + (n_trunc,)
+        rho, p_click = fock.lossy_click_conditioning(*corner)
+        block, p_block = block_conditioning(*corner)
+        states = [(rho, p_click, block, p_block, SMALL_P_CORNER[3],
+                   np.random.default_rng([43, n_trunc]))]
+        states += seeded_heralded_states(n_trunc, 6, 47)
+        for rho, p_click, block, p_block, eta, rng in states:
+            assert abs(p_click - p_block) <= 1e-15 * p_block
+            for theta, phi in rng.uniform(-np.pi, np.pi, (3, 2)):
+                assert abs(fock.fock_sign_correlation(rho, theta, phi, eta)
+                           - block_sign_correlation(block, theta, phi, eta)) \
+                    <= 1e-15
+            pts = rng.normal(size=(9, 4))
+            assert np.max(np.abs(fock.wigner_values(rho, pts)
+                                 - block_wigner_values(block, pts))) <= 1e-15
+
+    @pytest.mark.parametrize("params", [(0.6, 0.95, 0.3), SMALL_P_CORNER[:3],
+                                        (0.45, 0.99, 0.9)],
+                             ids=["realistic", "small-P", "high-eta"])
+    def test_success_prob_matches_forty_digits(self, params):
+        # the block route's trace was 7.2e-15 off in the small-P corner
+        _, p_click = fock.lossy_click_conditioning(*params, 40)
+        exact = exact_success_prob(*params, 40)
+        assert abs(p_click - exact) <= 10 * np.finfo(float).eps * exact
+
+    def test_fence_reads_kept_mode_distribution(self, monkeypatch,
+                                                block_realistic):
+        # K^T diag(g^2) K / P is the photon-number distribution of the
+        # block reference
+        seen = []
+        monkeypatch.setattr(fock, "_check_truncation",
+                            lambda probs, n_trunc: seen.append(probs))
+        fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
+        assert np.max(np.abs(seen[0] - photon_numbers(
+            block_realistic.blocks, 40))) <= 1e-15
+
+    def test_large_truncation(self):
+        # lambda = 0.95 at N = 300, where the blocks would take 1.2 GB:
+        # conditioning and one correlator peak under 10 MB and agree with
+        # the closed form.  The warm-up keeps numpy's one-time costs out.
+        params = bell.ExperimentParams(0.95, 0.95, 0.3, 0.95)
+        theta, _, phi, _ = params.angles
+        rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
+        fock.fock_sign_correlation(rho, theta, phi, 0.95)
+        tracemalloc.start()
+        try:
+            rho, p_click = fock.lossy_click_conditioning(0.95, 0.95, 0.3, 300)
+            e_fock = fock.fock_sign_correlation(rho, theta, phi, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+        closed = bell.chsh(params)
+        assert abs(e_fock - closed.correlators[0, 0]) < 1e-4
+        assert abs(p_click - closed.success_prob) < 1e-3 * closed.success_prob
+
+
+class TestClickWeights:
+    @pytest.mark.parametrize("eta", [1e-3, 0.3, 0.95])
+    def test_match_forty_digits(self, eta):
+        weights = fock.click_weights(eta, 60)
+        with mpmath.workdps(40):
+            exact = np.array([float(1 - (1 - mpmath.mpf(eta)) ** k)
+                              for k in range(60)])
+        assert weights[0] == 0.0
+        assert np.all(np.abs(weights - exact)
+                      <= 2 * np.finfo(float).eps * exact)
+
+    def test_unit_efficiency_always_clicks(self):
+        assert np.array_equal(fock.click_weights(1.0, 16),
+                              np.r_[0.0, np.ones(15)])
+
+    def test_efficiency_outside_domain_raises(self):
+        with pytest.raises(DomainError) as info:
+            fock.click_weights(0.0, 16)
+        assert str(info.value) == "apd_efficiency must lie in (0, 1], got 0.0"
