@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,26 @@ LAMBDA_LOOKAHEAD = 5
 QUADRATURE_NODES, QUADRATURE_SIGMAS = 48, 6.0
 
 
+def check_angles(angles) -> tuple[float, float, float, float]:
+    """The CHSH angles (theta1, theta2, phi1, phi2) as floats.
+
+    DomainError unless angles holds four real numbers (a str, complex or
+    None entry is refused) that are all finite.
+    """
+    try:
+        count = len(angles)
+    except TypeError:
+        count = None
+    if count != 4:
+        raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
+    if not all(isinstance(a, numbers.Real) for a in angles):
+        raise DomainError(f"angles must be real numbers, got {angles!r}")
+    angles = tuple(float(a) for a in angles)
+    if not all(map(math.isfinite, angles)):
+        raise DomainError(f"angles must be finite, got {angles}")
+    return angles
+
+
 @dataclass(frozen=True)
 class ExperimentParams:
     """Source and analysis settings for one CHSH evaluation.
@@ -69,12 +90,7 @@ class ExperimentParams:
     def __post_init__(self):
         for name in gaussian.PARAMS:
             gaussian.check_domain(name, getattr(self, name))
-        if len(self.angles) != 4:
-            raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
-        angles = tuple(float(a) for a in self.angles)
-        if not all(map(math.isfinite, angles)):
-            raise DomainError(f"angles must be finite, got {angles}")
-        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "angles", check_angles(self.angles))
 
     def output_covariance(self) -> np.ndarray:
         return gaussian.output_covariance(self.squeezing, self.transmittance,
@@ -275,12 +291,14 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
     A 20-point pre-scan brackets the peak and errors out if two separated
     local maxima agree within 0.005 (the unimodality assumption behind
     golden-section search would then be unsafe).  A fixed parameter
-    outside its domain raises its DomainError.
+    outside its domain, or angles that `check_angles` refuses, raise
+    DomainError.
     """
     fixed = dict(transmittance=transmittance, apd_efficiency=apd_efficiency,
                  homodyne_efficiency=homodyne_efficiency)
     for name, value in fixed.items():
         gaussian.check_domain(name, value)
+    angles = check_angles(angles)
 
     def s_values(lams: np.ndarray) -> np.ndarray:
         corr, _, _, errors = _evaluate(_rows(fixed, squeezing=lams), angles)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bell import DEFAULT_ANGLES, ExperimentParams
 from .errors import ConfigError
-from .fock import MIN_TRUNCATION
+from .fock import DEFAULT_TRUNCATION, MIN_TRUNCATION
 from .gaussian import PARAMS, SWEEP_KEYS
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -37,7 +37,7 @@ class RunConfig:
     seed: int = 12345
     n_target_events: int = 100_000
     rep_rate: float = 1e6
-    n_trunc: int = 40
+    n_trunc: int = DEFAULT_TRUNCATION
     sweep_axis: str = ""
     sweep_min: float = 0.0
     sweep_max: float = 0.0

@@ -8,8 +8,12 @@ that k of n photons leave through the tap.
 
 The heralded state is never formed.  Each tap and its on/off detector act
 on one kept mode, so the state is stored as what makes it: g of the
-two-mode squeezed vacuum, t, the click weights w(k) = 1 - (1 - eta)^k and
-the double-click probability P.  A two-mode observable O_A (x) O_B is
+two-mode squeezed vacuum, t, the click weights w(k) and the double-click
+probability P.  Both detector models are one herald: on/off detectors of
+efficiency eta have w(k) = 1 - (1 - eta)^k, and photon-pair projection
+is w = e_1.  Its truncation fence reads the four rows of the per-mode
+click table c[n, k] = w(k) t(n, k)^2 that can reach the top photon
+numbers; no two-mode array is formed.  A two-mode observable O_A (x) O_B is
 measured by pulling the tap-and-click measurement back onto each mode's
 operator,
 
@@ -39,12 +43,13 @@ vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bell import DEFAULT_ANGLES, _golden_section_max, chsh_value
+from .bell import DEFAULT_ANGLES, _golden_section_max, check_angles, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
 from .gaussian import check_domain
 
@@ -61,18 +66,18 @@ PRODUCT_TRUNCATION = 60
 PRODUCT_RANGE = (0.35, 0.80)
 
 
-def _check_truncation(probs: np.ndarray, n_trunc: int):
+def _check_truncation(top: np.ndarray, n_trunc: int):
     """Fail when too much probability sits near the truncation edge.
 
-    probs is P(n_A, n_B), or the vector P(n, n) of a Schmidt state.
+    top holds the probability contributions that reach the top four
+    photon-number layers, n >= n_trunc - 4, of a kept mode: P(n, n) there
+    for a Schmidt state, one value per source photon number for a heralded
+    state (see `_herald`).  Their sum is the tail.
     """
-    cut = max(n_trunc - 4, 0)
-    tail = float(probs[cut:].sum())
-    if probs.ndim == 2:
-        tail += float(probs[:cut, cut:].sum())
+    tail = float(np.sum(top))
     if tail > TAIL_TOLERANCE:
         raise TruncationError(
-            f"probability {tail:.3e} above photon number {cut} "
+            f"probability {tail:.3e} above photon number {n_trunc - 4} "
             f"exceeds {TAIL_TOLERANCE:.1e}; increase the truncation")
 
 
@@ -97,7 +102,7 @@ def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
     norm = float(coeffs @ coeffs)
     if abs(norm - 1.0) > 1e-10:
         raise DomainError(f"state norm {norm} differs from 1 beyond 1e-10")
-    _check_truncation(coeffs ** 2, len(coeffs))
+    _check_truncation(coeffs[-4:] ** 2, len(coeffs))
     return coeffs
 
 
@@ -182,26 +187,6 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     return table * (-1.0) ** k
 
 
-def pair_projected_state(squeezing: float, transmittance: float,
-                         n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
-    """Schmidt coefficients of the state heralded by exactly one photon in
-    each tap arm.
-
-    Projecting both taps onto the single-photon state leaves a pure
-    two-mode state with amplitudes proportional to (n+1)(T*lambda)^n.
-    """
-    coeff = tmsv_amplitudes(squeezing, n_trunc)
-    table = tap_amplitude_table(transmittance, n_trunc)
-    totals = np.arange(1, n_trunc)
-    diag = coeff[totals] * table[totals, 1] ** 2
-    norm = np.linalg.norm(diag)
-    if norm == 0.0:
-        raise InvalidRegimeError("no amplitude survives the photon-pair projection")
-    coeffs = np.zeros(n_trunc)
-    coeffs[totals - 1] = diag / norm
-    return _check_schmidt(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # click conditioning with lossy on/off detectors
 
@@ -240,6 +225,42 @@ class HeraldedState:
     n_trunc: int
 
 
+def _herald(squeezing: float, transmittance: float,
+            weights: np.ndarray) -> tuple[HeraldedState, np.ndarray]:
+    """Source state heralded by a click in both tap arms, for detectors
+    that click on k tapped photons with probability w(k), and the click
+    probability q of a kept mode by its photon number before the tap.
+
+    The click table c[n, k] = w(k) t(n, k)^2 gives q_n = sum_k c[n, k] and
+    P = sum_n g_n^2 q_n^2.  A kept mode ends with n - k photons, so only
+    source numbers n >= N - 4 tapped of k <= n - (N - 4) photons reach its
+    top four layers.  With h_n that part of q_n, summed over the lower
+    triangle of the bottom-left 4 x 4 corner of c, the probability that n
+    photons reach the top layers of either kept mode is
+    g_n^2 h_n (2 q_n - h_n) / P, free of cancellation since h <= q.
+    Refuses, in this order, a squeezing or transmittance outside its
+    domain (DomainError), P <= 0 (InvalidRegimeError), a truncation below
+    MIN_TRUNCATION (DomainError) and a tail above TAIL_TOLERANCE
+    (TruncationError).
+    """
+    n_trunc = len(weights)
+    amplitudes = tmsv_amplitudes(squeezing, n_trunc)
+    tap = tap_amplitude_table(transmittance, n_trunc)
+    clicked = tap * tap * weights
+    clicks = clicked.sum(axis=1)
+    p_click = float(amplitudes ** 2 @ clicks ** 2)
+    if p_click <= 0.0:
+        raise InvalidRegimeError(
+            f"double-click probability {p_click} vanishes; "
+            "no conditional state exists")
+    _check_floor(n_trunc)
+    high = np.tril(clicked[-4:, :4]).sum(axis=1)
+    _check_truncation(amplitudes[-4:] ** 2 * high * (2.0 * clicks[-4:] - high)
+                      / p_click, n_trunc)
+    state = HeraldedState(amplitudes, tap, weights, p_click, n_trunc)
+    return state, clicks
+
+
 def lossy_click_conditioning(squeezing: float, transmittance: float,
                              apd_efficiency: float,
                              n_trunc: int = DEFAULT_TRUNCATION
@@ -247,28 +268,29 @@ def lossy_click_conditioning(squeezing: float, transmittance: float,
     """Heralded state of the kept modes and the double-click probability.
 
     The tap arms are measured by on/off detectors of the given efficiency,
-    and both click.  With q = (t o t) w the click probability of a kept
-    mode holding n photons before its tap, P = sum_n g_n^2 q_n^2.  The tail
-    fence reads the kept-mode photon numbers P(n_A, n_B) = K^T diag(g^2) K
-    / P, K[n, a] = w(n - a) t(n, n - a)^2.
+    and both click: the herald of `_herald` with the weights of
+    `click_weights`, whose domain is checked first.
     """
-    weights = click_weights(apd_efficiency, n_trunc)
-    amplitudes = tmsv_amplitudes(squeezing, n_trunc)
-    tap = tap_amplitude_table(transmittance, n_trunc)
-    clicked = tap * tap * weights
-    p_click = float(amplitudes ** 2 @ clicked.sum(axis=1) ** 2)
-    if p_click <= 0.0:
-        raise InvalidRegimeError(
-            f"double-click probability {p_click} vanishes; "
-            "no conditional state exists")
-    _check_floor(n_trunc)
-    total, kept = np.tril_indices(n_trunc)
-    kernel = np.zeros((n_trunc, n_trunc))
-    kernel[total, kept] = clicked[total, total - kept]
-    _check_truncation((kernel.T * amplitudes ** 2) @ kernel / p_click,
-                      n_trunc)
-    state = HeraldedState(amplitudes, tap, weights, p_click, n_trunc)
-    return state, p_click
+    state, _ = _herald(squeezing, transmittance,
+                       click_weights(apd_efficiency, n_trunc))
+    return state, state.p_click
+
+
+def pair_projected_state(squeezing: float, transmittance: float,
+                         n_trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
+    """Schmidt coefficients of the state heralded by exactly one photon in
+    each tap arm.
+
+    Photon-pair projection is the herald of `_herald` with the click
+    weights w = e_1, so q_n = t(n, 1)^2 and the kept modes hold n - 1
+    photons: the Schmidt vector is g_{n+1} q_{n+1} / sqrt(P), proportional
+    to (n+1)(T*lambda)^n.  It is normalized by construction, and the
+    herald's tail fence sums the same top entries as `_check_schmidt`.
+    """
+    state, clicks = _herald(squeezing, transmittance,
+                            (np.arange(n_trunc) == 1).astype(float))
+    return np.append(state.amplitudes[1:] * clicks[1:], 0.0) / np.sqrt(
+        state.p_click)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +413,9 @@ def fock_chsh(rho: HeraldedState,
               angles: tuple[float, float, float, float],
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state:
-    one pull-back and four phase forms."""
+    one pull-back and four phase forms.  Angles that `bell.check_angles`
+    refuses raise DomainError."""
+    angles = check_angles(angles)
     return _phase_chsh(_sign_reduced(rho, homodyne_efficiency), angles)
 
 
@@ -408,9 +432,12 @@ def fock_optimal_product(transmittance: float,
     just below T so that lambda = (lambda T) / T stays below 1, and the
     golden-section search refines lambda T to tol around the best scan
     point.  An optimum at the lower end of the scan, or within tol of its
-    upper end, raises DomainError.  Returns (lambda_opt * T, S_max).
+    upper end, raises DomainError, and so does a tol that is not a finite
+    positive real number.  Returns (lambda_opt * T, S_max).
     """
     check_domain("transmittance", transmittance)
+    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
     sign_op = _sign_operator(PRODUCT_TRUNCATION, 1.0)
     sign_squared = sign_op * sign_op
 

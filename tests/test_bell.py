@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvbell import bell, cli, conditioning, gaussian
+from cvbell import bell, cli, conditioning, fock, gaussian
 from cvbell.errors import (CVBellError, DomainError, InvalidRegimeError,
                            OptimizationError)
 from conftest import integrate_mixture_2d
@@ -153,6 +153,45 @@ class TestExperimentParams:
         with pytest.raises(DomainError, match="angles must be finite"):
             bell.ExperimentParams(0.5, 0.95, 0.3, 1.0,
                                   angles=(angle, np.pi / 2, 0.0, 0.0))
+
+
+SHAPE_TEXT = "angles must be (theta1, theta2, phi1, phi2)"
+
+#: malformed CHSH angles and the start of the DomainError text they raise
+BAD_ANGLES = {
+    "str": (("a", 0.0, 0.0, 0.0), "angles must be real numbers"),
+    "numeric-str": (("0.5", 0.0, 0.0, 0.0), "angles must be real numbers"),
+    "none": ((None, 0.0, 0.0, 0.0), "angles must be real numbers"),
+    "complex": ((1j, 0.0, 0.0, 0.0), "angles must be real numbers"),
+    "scalar": (0.0, SHAPE_TEXT),
+    "two": ((0.0, 1.0), SHAPE_TEXT),
+    "three": ((0.0, 1.0, 2.0), SHAPE_TEXT),
+    "nan": ((np.nan, 0.0, 0.0, 0.0), "angles must be finite"),
+}
+
+
+def heralded_chsh(angles):
+    rho, _ = fock.lossy_click_conditioning(0.3, 0.95, 0.3, 16)
+    return fock.fock_chsh(rho, angles)
+
+
+ANGLE_ENTRY_POINTS = {
+    "params": lambda angles: bell.ExperimentParams(0.5, 0.95, 0.3, 1.0,
+                                                   angles=angles),
+    "optimize": lambda angles: bell.optimize_lambda(0.95, 0.3, 1.0, angles),
+    "fock_chsh": heralded_chsh,
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ANGLE_ENTRY_POINTS for case in BAD_ANGLES
+    # ExperimentParams already refused these with the same texts
+    if not (entry == "params" and case in ("two", "three", "nan"))])
+def test_malformed_angles_raise_domain_error(entry, case):
+    angles, text = BAD_ANGLES[case]
+    with pytest.raises(DomainError) as info:
+        ANGLE_ENTRY_POINTS[entry](angles)
+    assert str(info.value).startswith(text)
 
 
 class TestRotatedMarginal:

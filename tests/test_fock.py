@@ -162,6 +162,13 @@ def photon_numbers(blocks, n_trunc):
                   idx[:, None], idx[:, None]].real
 
 
+def kept_mode_tail(probs, n_trunc):
+    """Probability that either mode of P(n_A, n_B) holds n_trunc - 4 or more
+    photons, summed over the two-mode array."""
+    cut = n_trunc - 4
+    return float(probs[cut:].sum()) + float(probs[:cut, cut:].sum())
+
+
 @dataclass(frozen=True)
 class FockDensityMatrix:
     """Mixed two-mode state stored as its photon-number-difference blocks.
@@ -195,7 +202,7 @@ class FockDensityMatrix:
         trace = float(probs.sum())
         if abs(trace - 1.0) > 1e-9:
             raise DomainError(f"density matrix trace {trace} differs from 1")
-        fock._check_truncation(probs, n)
+        fock._check_truncation([kept_mode_tail(probs, n)], n)
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -800,6 +807,15 @@ class TestOptimalProduct:
             fock.fock_optimal_product(0.0)
         assert str(info.value) == "transmittance must lie in (0, 1], got 0.0"
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, "1e-3"])
+    def test_tolerance_outside_domain_raises(self, tol):
+        # a tolerance the golden-section bracket can never reach would
+        # search forever
+        with pytest.raises(DomainError) as info:
+            fock.fock_optimal_product(0.95, tol=tol)
+        assert str(info.value) == \
+            f"tol must be a finite positive number, got {tol!r}"
+
 
 class TestWigner:
     def test_pair_table_matches_transform_definition(self):
@@ -1329,14 +1345,16 @@ class TestPullBack:
 
     def test_fence_reads_kept_mode_distribution(self, monkeypatch,
                                                 block_realistic):
-        # K^T diag(g^2) K / P is the photon-number distribution of the
-        # block reference
+        # the four values the herald hands the fence sum to the top-layer
+        # mass of the block reference's photon-number distribution
         seen = []
         monkeypatch.setattr(fock, "_check_truncation",
-                            lambda probs, n_trunc: seen.append(probs))
+                            lambda top, n_trunc: seen.append(top))
         fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
-        assert np.max(np.abs(seen[0] - photon_numbers(
-            block_realistic.blocks, 40))) <= 1e-15
+        assert len(seen) == 1 and len(seen[0]) == 4
+        expected = kept_mode_tail(photon_numbers(block_realistic.blocks, 40),
+                                  40)
+        assert abs(seen[0].sum() - expected) <= 1e-15 * expected
 
     def test_large_truncation(self):
         # lambda = 0.95 at N = 300, where the blocks would take 1.2 GB:
@@ -1357,6 +1375,100 @@ class TestPullBack:
         closed = bell.chsh(params)
         assert abs(e_fock - closed.correlators[0, 0]) < 1e-4
         assert abs(p_click - closed.success_prob) < 1e-3 * closed.success_prob
+
+
+#: rows whose block-reference tail lies within a factor of 2 of
+#: TAIL_TOLERANCE, at 0.7 and 1.4 times it
+NEAR_TOLERANCE_ROWS = (
+    (0.39172, 0.9, 0.5, 16), (0.403585, 0.9, 0.5, 16),
+    (0.727291, 0.95, 0.3, 40), (0.734911, 0.95, 0.3, 40),
+    (0.875112, 0.99, 0.9, 90), (0.879069, 0.99, 0.9, 90),
+    (0.911065, 0.999, 0.05, 130), (0.9139, 0.999, 0.05, 130))
+
+
+def block_tail(squeezing, transmittance, apd_efficiency, n_trunc):
+    """Top-layer mass of the block reference's normalized photon-number
+    distribution."""
+    blocks = click_conditioned_blocks(
+        squeezing, transmittance, fock.click_weights(apd_efficiency, n_trunc))
+    probs = photon_numbers(blocks, n_trunc)
+    return kept_mode_tail(probs / probs.sum(), n_trunc)
+
+
+def direct_pair_projection(squeezing, transmittance, n_trunc):
+    """Photon-pair projected Schmidt vector built from the k = 1 column of
+    the tap table and normalized by its own norm."""
+    coeff = fock.tmsv_amplitudes(squeezing, n_trunc)
+    table = fock.tap_amplitude_table(transmittance, n_trunc)
+    diag = coeff[1:] * table[1:, 1] ** 2
+    return np.r_[diag / np.linalg.norm(diag), 0.0]
+
+
+class TestHerald:
+    """One herald for both detector models: its fence reads four rows of
+    the click table, and photon-pair projection is the weight w = e_1."""
+
+    def test_fence_matches_block_tail(self, monkeypatch):
+        # seeded rows over the whole box, the small-P corner and rows near
+        # the tolerance: the tail agrees with the two-mode sum, and the
+        # refusal falls on exactly the rows whose reference tail is too big
+        rng = np.random.default_rng(2201)
+        rows = [(rng.uniform(0.01, 0.97), rng.uniform(0.5, 0.9999),
+                 rng.uniform(1e-3, 1.0), int(rng.integers(16, 131)))
+                for _ in range(24)]
+        rows += [SMALL_P_CORNER[:3] + (16,), SMALL_P_CORNER[:3] + (40,)]
+        rows += NEAR_TOLERANCE_ROWS
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "_check_truncation",
+                          lambda top, n_trunc: seen.append(np.sum(top)))
+            for row in rows:
+                fock.lossy_click_conditioning(*row)
+        refused = 0
+        for row, tail in zip(rows, seen, strict=True):
+            expected = block_tail(*row)
+            if expected > 1e-280:
+                assert abs(tail - expected) <= 1e-15 * expected, row
+            if expected > fock.TAIL_TOLERANCE:
+                refused += 1
+                with pytest.raises(TruncationError):
+                    fock.lossy_click_conditioning(*row)
+            else:
+                fock.lossy_click_conditioning(*row)
+        near = [block_tail(*row) / fock.TAIL_TOLERANCE
+                for row in NEAR_TOLERANCE_ROWS]
+        assert all(0.5 <= ratio <= 2.0 for ratio in near)
+        assert 0 < refused < len(rows)
+
+    def test_block_reference_refuses_like_the_package(self):
+        # the test-side density class fences its own two-mode tail and
+        # raises the package's TruncationError text
+        with pytest.raises(TruncationError) as package:
+            fock.lossy_click_conditioning(0.6, 0.95, 0.3, 16)
+        with pytest.raises(TruncationError) as block:
+            block_conditioning(0.6, 0.95, 0.3, 16)
+        assert str(block.value) == str(package.value)
+
+    def test_pair_projection_matches_direct_construction(self):
+        rng = np.random.default_rng(2202)
+        for _ in range(40):
+            squeezing = rng.uniform(0.01, 0.9)
+            transmittance = rng.uniform(0.5, 0.9999)
+            n_trunc = int(rng.integers(40, 91))
+            args = (squeezing, transmittance, n_trunc)
+            state = fock.pair_projected_state(*args)
+            assert state.shape == (n_trunc,) and state[-1] == 0.0
+            assert np.max(np.abs(state - direct_pair_projection(*args))) \
+                <= 1e-15
+
+    @pytest.mark.parametrize("args", [(0.0, 0.95, 40), (0.5, 1.0, 40),
+                                      (0.5, 0.95, 1)],
+                             ids=["no-squeezing", "no-tap", "one-level"])
+    def test_pair_projection_without_pairs_raises(self, args):
+        with pytest.raises(InvalidRegimeError) as info:
+            fock.pair_projected_state(*args)
+        assert str(info.value).startswith("double-click probability 0.0 "
+                                          "vanishes")
 
 
 class TestClickWeights:
