@@ -251,7 +251,10 @@ def _golden_section_max(values, lo: float, hi: float, tol: float,
     ties, so the result is bitwise that search's whenever the value of a
     point does not depend on the other points evaluated with it.  The
     one-point search's evaluation of the inner point its last step places
-    is skipped, because no comparison reads it.
+    is skipped, because no comparison reads it.  A tol below the float
+    spacing of the bracket would step forever; the search ends, at the
+    midpoint, once a step returns to a bracket and inner points it has
+    held before.  A search that never repeats a state is unchanged.
     """
     known: dict[float, float] = {}
 
@@ -269,12 +272,17 @@ def _golden_section_max(values, lo: float, hi: float, tol: float,
 
     state = (lo, hi, hi - (hi - lo) / GOLDEN_RATIO,
              lo + (hi - lo) / GOLDEN_RATIO)
+    seen = set()
     while True:
         lo, hi, c, d = state
-        done = abs(hi - lo) <= tol
+        # the steps are a function of the state, so a state seen before
+        # repeats forever: the bracket has stopped shrinking above tol
+        done = abs(hi - lo) <= tol or state in seen
+        seen.add(state)
         needs = [0.5 * (lo + hi)] if done else [c, d]
         if any(x not in known for x in needs):
-            points = [x for x in dict.fromkeys(wanted(state, 0))
+            points = [x for x in dict.fromkeys(needs if done
+                                               else wanted(state, 0))
                       if x not in known]
             known.update(zip(points, values(np.array(points))))
         if done:

@@ -24,18 +24,22 @@ one contraction over a read-only shifted view of O, after which
     P Tr rho (O_A (x) O_B) = g^T (Phi(O_A) o Phi(O_B)) g.
 
 Phi(I) is diagonal with entries q_n = sum_k w(k) t(n, k)^2, so
-P = sum_n g_n^2 q_n^2.  A homodyne of efficiency eta reads the sign of
-sqrt(eta) x + sqrt(1 - eta) v, with v vacuum noise, so it measures the
-erf-smoothed sign operator
-S[a, c] = int erf(k x) h_a h_c dx of the Hermite functions h, with
-k^2 = eta / (1 - eta).  The oscillator equation turns S into Gaussian
-overlaps of the h, which one recurrence gives exactly: no quadrature
-grid, and no loss map on the state or the operator.  Rotations multiply
-entry (n, m) by e^{i(theta+phi)(n-m)} and commute with Phi, so the
-correlator is the phase form at theta + phi of (g g^T) o Phi(S) o Phi(S),
-divided by P.  A single-mode Wigner table is a real radial part times
-e^{-i(a-c) varphi}: the radial parts are pulled back, once per distinct
-radius, and the phases are put back afterwards.
+P = sum_n g_n^2 q_n^2.  A homodyne of efficiency eta is a beam splitter of
+transmittance eta before an ideal homodyne, which measures the sign
+operator S[a, c] = int sgn(x) h_a h_c dx of the Hermite functions h.
+Beam-splitter losses compose, so the tap and the homodyne loss are one
+loss of T eta, whose lost photons the tap takes binomially: the lossy
+measurement is the ideal S pulled back through the tap table of T eta with
+thinned click weights.  The oscillator equation gives the rank-2
+commutator [N, S] = u v^T - v u^T, with u and v the derivatives and
+values of the h at 0, and each Kraus operator of Phi lowers both photon
+numbers alike, so [N, Phi(S)] = Phi(u v^T - v u^T) is one N x N product:
+no quadrature grid, no recurrence and no N^3 contraction.  Rotations
+multiply entry (n, m) by e^{i(theta+phi)(n-m)} and commute with Phi, so
+the correlator is the phase form at theta + phi of
+(g g^T) o Phi(S) o Phi(S), divided by P.  A single-mode Wigner table is a
+real radial part times e^{-i(a-c) varphi}: the radial parts are pulled
+back, once per distinct radius, and the phases are put back afterwards.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
 vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
@@ -171,20 +175,23 @@ def _log_factorials(n: int) -> np.ndarray:
 def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     """Beam-splitter amplitudes for |m>|0> -> sum_k table[m,k] |m-k>|k>.
 
-    table[m, k] is the amplitude that k photons end up in the tap arm.
-    Computed in log space to stay finite for large m.
+    table[m, k] = (-1)^k sqrt(C(m, k) T^(m-k) (1-T)^k) is the amplitude
+    that k photons end up in the tap arm.  Computed in log space to stay
+    finite for large m; log (m - k)! is +inf for k > m, where the table is
+    zero.
     """
     check_domain("transmittance", transmittance)
-    m = np.arange(n_trunc)[:, None]
-    k = np.arange(n_trunc)[None, :]
-    log_fact = _log_factorials(n_trunc)
+    idx = np.arange(n_trunc)
+    kept = idx[:, None] - idx
+    # a negative m - k wraps into the +inf tail
+    log_fact = np.concatenate((_log_factorials(n_trunc),
+                               np.full(n_trunc, np.inf)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_binom = log_fact[m] - log_fact[k] - log_fact[np.maximum(m - k, 0)]
-        log_kept = (m - k) / 2.0 * np.log(transmittance)
-        log_tapped = np.where(k > 0, k / 2.0 * np.log1p(-transmittance), 0.0)
-        table = np.exp(0.5 * log_binom + log_kept + log_tapped)
-    table[k > m] = 0.0
-    return table * (-1.0) ** k
+        log_binom = log_fact[idx, None] - log_fact[idx] - log_fact[kept]
+        log_kept, log_tapped = np.log(transmittance), np.log1p(-transmittance)
+        table = np.exp(0.5 * log_binom + kept / 2.0 * log_kept
+                       + np.where(idx > 0, idx / 2.0 * log_tapped, 0.0))
+    return table * (-1.0) ** idx
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +218,32 @@ class HeraldedState:
     """Heralded two-mode state, stored as what makes it.
 
     The source sum_n g_n |n,n> (amplitudes g, not renormalized), the tap
-    amplitude table t and the detector weights w give the state
+    amplitude table t of the transmittance T and the detector weights w
+    give the state
     sum_{k,l} w(k) w(l) (K_k (x) K_l) |g><g| (K_k (x) K_l)^T / p_click,
     with K_k |n> = t(n, k) |n - k>, so that
     p_click Tr rho (O_A (x) O_B) = g^T (Phi(O_A) o Phi(O_B)) g for the
-    pull-back Phi of `_pull_back`.
+    pull-back Phi of `_pull_back`.  T is kept because a lossy homodyne
+    behind the tap is read as one tap of transmittance T eta (see
+    `_sign_reduced`).
     """
 
     amplitudes: np.ndarray
     tap: np.ndarray
+    transmittance: float
     weights: np.ndarray
     p_click: float
     n_trunc: int
 
 
-def _herald(squeezing: float, transmittance: float,
-            weights: np.ndarray) -> tuple[HeraldedState, np.ndarray]:
+def _herald(squeezing: float, transmittance: float, weights: np.ndarray,
+            tap=None) -> tuple[HeraldedState, np.ndarray]:
     """Source state heralded by a click in both tap arms, for detectors
     that click on k tapped photons with probability w(k), and the click
     probability q of a kept mode by its photon number before the tap.
+
+    tap, when given, is `tap_amplitude_table(transmittance, len(weights))`,
+    built once by a caller that heralds many states behind the same tap.
 
     The click table c[n, k] = w(k) t(n, k)^2 gives q_n = sum_k c[n, k] and
     P = sum_n g_n^2 q_n^2.  A kept mode ends with n - k photons, so only
@@ -245,7 +259,8 @@ def _herald(squeezing: float, transmittance: float,
     """
     n_trunc = len(weights)
     amplitudes = tmsv_amplitudes(squeezing, n_trunc)
-    tap = tap_amplitude_table(transmittance, n_trunc)
+    if tap is None:
+        tap = tap_amplitude_table(transmittance, n_trunc)
     clicked = tap * tap * weights
     clicks = clicked.sum(axis=1)
     p_click = float(amplitudes ** 2 @ clicks ** 2)
@@ -257,8 +272,8 @@ def _herald(squeezing: float, transmittance: float,
     high = np.tril(clicked[-4:, :4]).sum(axis=1)
     _check_truncation(amplitudes[-4:] ** 2 * high * (2.0 * clicks[-4:] - high)
                       / p_click, n_trunc)
-    state = HeraldedState(amplitudes, tap, weights, p_click, n_trunc)
-    return state, clicks
+    return HeraldedState(amplitudes, tap, transmittance, weights, p_click,
+                         n_trunc), clicks
 
 
 def lossy_click_conditioning(squeezing: float, transmittance: float,
@@ -287,54 +302,21 @@ def pair_projected_state(squeezing: float, transmittance: float,
     to (n+1)(T*lambda)^n.  It is normalized by construction, and the
     herald's tail fence sums the same top entries as `_check_schmidt`.
     """
+    return _pair_projection(squeezing, transmittance, n_trunc)
+
+
+def _pair_projection(squeezing: float, transmittance: float, n_trunc: int,
+                     tap: np.ndarray | None = None) -> np.ndarray:
+    """`pair_projected_state`, behind a tap table the caller may have
+    built already (see `_herald`)."""
     state, clicks = _herald(squeezing, transmittance,
-                            (np.arange(n_trunc) == 1).astype(float))
+                            (np.arange(n_trunc) == 1).astype(float), tap)
     return np.append(state.amplitudes[1:] * clicks[1:], 0.0) / np.sqrt(
         state.p_click)
 
 
 # ---------------------------------------------------------------------------
 # homodyne statistics
-
-
-def _sign_operator(n_trunc: int, homodyne_efficiency: float) -> np.ndarray:
-    """S[a, c] = int erf(k x) h_a(x) h_c(x) dx, k^2 = eta / (1 - eta).
-
-    A homodyne of efficiency eta reads sgn(x) smoothed by its vacuum noise,
-    erf(k x); at eta = 1 that is sgn(x).  The oscillator equation
-    h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c the derivative of
-    h_c h_a' - h_a h_c', so integrating by parts against erf(k x) gives
-    S[a, c] = (D[a, c] - D[c, a]) / (a - c) with
-    D[a, c] = int nu h_a' h_c = sqrt(a/2) G[a-1, c] - sqrt((a+1)/2) G[a+1, c],
-    where nu is the normal density of variance (1 - eta) / (2 eta) and
-    G[m, n] = int nu h_m h_n.  G is exact from G[0, 0] = sqrt(eta / pi) and
-    sqrt(m+1) G[m+1, n] = (1 - eta) sqrt(n) G[m, n-1] - eta sqrt(m) G[m-1, n];
-    G is symmetric, so the same recurrence in n gives its first row.  At
-    eta = 1, G = h(0) h(0)^T.  D, and so S, vanishes for even a + c.
-    """
-    eta = homodyne_efficiency
-    idx = np.arange(n_trunc + 1)
-    root = np.sqrt(idx)
-    overlap = np.zeros((n_trunc + 1, n_trunc))
-    ratio = -eta * root[1:n_trunc - 1:2] / root[2:n_trunc:2]
-    overlap[0, ::2] = np.sqrt(eta / np.pi) * np.cumprod(np.r_[1.0, ratio])
-    # the coefficients (1 - eta) sqrt(n) and eta sqrt(m) of the recurrence
-    column_coeff = (1.0 - eta) * root[1:n_trunc]
-    row_coeff = eta * root[:n_trunc]
-    below = np.empty(n_trunc)
-    for m in range(n_trunc):
-        row = overlap[m + 1]
-        np.multiply(column_coeff, overlap[m, :-1], out=row[1:])
-        if m:
-            np.multiply(row_coeff[m], overlap[m - 1], out=below)
-            np.subtract(row, below, out=row)
-        np.divide(row, root[m + 1], out=row)
-    half = np.sqrt(idx / 2.0)[:, None]
-    deriv = -half[1:] * overlap[1:]
-    deriv[1:] += half[1:-1] * overlap[:-2]
-    diff = np.subtract.outer(idx[:-1], idx[:-1])
-    return np.divide(deriv - deriv.T, diff, out=np.zeros(diff.shape),
-                     where=diff != 0)
 
 
 def _shifted_view(op: np.ndarray) -> np.ndarray:
@@ -381,20 +363,69 @@ def _phase_chsh(reduced: np.ndarray,
          for theta in (theta1, theta2)])))
 
 
+def _pull_back_sign(tap: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Phi(S) of the sign operator S[a, c] = int sgn(x) h_a h_c dx of an
+    ideal homodyne, for the tap table t and click weights w.
+
+    The oscillator equation h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c
+    the derivative of h_c h_a' - h_a h_c', so integrating by parts against
+    sgn(x) gives the commutator [N, S] = u v^T - v u^T, with v = h(0) and
+    u = h'(0): v_0 = pi^(-1/4), v_{n+2} = -sqrt((n+1)/(n+2)) v_n, and
+    u_n = sqrt(2n) v_{n-1}, so S vanishes for even a + c.  Each Kraus
+    operator of the pull-back lowers both photon numbers by the same k, so
+    Phi commutes with [N, .] and [N, Phi(S)] = U V^T - V U^T with
+    U[n, k] = t(n, k) u_{n-k} and V[n, k] = w(k) t(n, k) v_{n-k}: one N x N
+    product, divided by n - m; the diagonal of Phi(S) is zero.
+    With w = e_0 and t(n, 0) = 1, a transparent tap that always heralds,
+    Phi is the identity and this is S itself.
+    """
+    idx = np.arange(len(weights))
+    v = np.zeros(len(weights))
+    v[::2] = np.cumprod(np.append(np.pi ** -0.25,
+                                  -np.sqrt(idx[1:-1:2] / idx[2::2])))
+    # u_0 meets the wrapped v_{N-1} with the factor sqrt(0)
+    u = np.sqrt(2.0 * idx) * np.roll(v, 1)
+    # kept[n, k] = n - k; its negative entries wrap, where t(n, k) = 0
+    kept = idx[:, None] - idx
+    pair = (tap * u[kept]) @ (tap * weights * v[kept]).T
+    return np.divide(pair - pair.T, kept, out=np.zeros(pair.shape),
+                     where=kept != 0)
+
+
 def _sign_reduced(state: HeraldedState,
                   homodyne_efficiency: float) -> np.ndarray:
     """(g g^T) o Phi(S) o Phi(S) / P with S the erf-smoothed sign operator,
     what a pair of lossy homodynes measures.
 
-    Its phase form at theta + phi is the correlator E(theta, phi).
+    Its phase form at theta + phi is the correlator E(theta, phi).  The
+    homodyne of efficiency eta is a beam splitter of transmittance eta
+    before an ideal one, so the tap of transmittance T and the homodyne
+    loss are one loss of T eta: Phi_{T,w}(S_eta) = Phi_{T eta,w~}(S) with
+    the ideal S of `_pull_back_sign`.  Of the j photons lost, the tap takes
+    each with probability p = (1 - T) / (1 - T eta), so
+    w~(j) = sum_k C(j, k) p^k (1-p)^(j-k) w(k), whose binomials are the
+    squared tap table of the homodyne's share 1 - p = T (1 - eta) /
+    (1 - T eta); T - T eta and 1 - T eta come from the one rounded
+    product T eta, exactly where it is at least half of T.  P is read
+    through the same folded tables: the loss map is unital, so their click
+    table has the record's row sums q_n, and the rounding errors of the
+    log-space tables cancel between Phi(S) and P.  At eta = 1 the record's
+    own tables are used, and that P is its p_click, bitwise.
     homodyne_efficiency must lie in (0, 1] (DomainError, with the text
     ExperimentParams uses).
     """
     check_domain("homodyne_efficiency", homodyne_efficiency)
-    pulled = _pull_back(state, _sign_operator(state.n_trunc,
-                                              homodyne_efficiency))
+    tap, weights = state.tap, state.weights
+    if homodyne_efficiency != 1.0:
+        product = state.transmittance * homodyne_efficiency
+        thinning = tap_amplitude_table(
+            (state.transmittance - product) / (1.0 - product), state.n_trunc)
+        tap = tap_amplitude_table(product, state.n_trunc)
+        weights = thinning * thinning @ weights
+    pulled = _pull_back_sign(tap, weights)
     coeffs = state.amplitudes
-    return np.outer(coeffs, coeffs) * pulled * pulled / state.p_click
+    p_click = float(coeffs ** 2 @ (tap * tap * weights).sum(axis=1) ** 2)
+    return np.outer(coeffs, coeffs) * pulled * pulled / p_click
 
 
 def fock_sign_correlation(rho: HeraldedState, theta: float, phi: float,
@@ -431,20 +462,23 @@ def fock_optimal_product(transmittance: float,
     lambda T alone, so the scan runs over lambda T in PRODUCT_RANGE, up to
     just below T so that lambda = (lambda T) / T stays below 1, and the
     golden-section search refines lambda T to tol around the best scan
-    point.  An optimum at the lower end of the scan, or within tol of its
-    upper end, raises DomainError, and so does a tol that is not a finite
-    positive real number.  Returns (lambda_opt * T, S_max).
+    point, or to where its bracket stops shrinking for a tol below the
+    float spacing.  Every point is heralded behind one tap table.  An
+    optimum at the lower end of the scan, or within tol of its upper end,
+    raises DomainError, and so does a tol that is not a finite positive
+    real number.  Returns (lambda_opt * T, S_max).
     """
     check_domain("transmittance", transmittance)
     if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be a finite positive number, got {tol!r}")
-    sign_op = _sign_operator(PRODUCT_TRUNCATION, 1.0)
-    sign_squared = sign_op * sign_op
+    # the ideal S: w = e_0 reads only t(n, 0), 1 for a transparent tap
+    sign_op = _pull_back_sign(1.0, np.eye(PRODUCT_TRUNCATION)[0])
+    tap = tap_amplitude_table(transmittance, PRODUCT_TRUNCATION)
 
     def s_value(product: float) -> float:
-        coeffs = pair_projected_state(product / transmittance, transmittance,
-                                      PRODUCT_TRUNCATION)
-        return _phase_chsh(np.outer(coeffs, coeffs) * sign_squared,
+        coeffs = _pair_projection(product / transmittance, transmittance,
+                                  PRODUCT_TRUNCATION, tap)
+        return _phase_chsh(np.outer(coeffs, coeffs) * sign_op * sign_op,
                            DEFAULT_ANGLES)
 
     low, high = PRODUCT_RANGE

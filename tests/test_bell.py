@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import replace
 
 import mpmath
@@ -438,6 +439,19 @@ def optimize_rows(seed, n, homodyne_range):
 class TestOptimizeLambda:
     #: the README configuration and the README's Python example
     README_ROWS = [(0.95, 0.3, 0.95), (0.99, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("lookahead", [1, bell.LAMBDA_LOOKAHEAD])
+    @pytest.mark.parametrize("tol", [1e-300, 1e-17])
+    def test_search_ends_where_the_bracket_stops_shrinking(self, lookahead,
+                                                           tol):
+        # a bracket a few float spacings wide cannot reach tol, and the
+        # one-point search would step through the same states forever; the
+        # peak of -(x - 0.3)^2 is flat to rounding within 1e-8 of 0.3
+        start = time.perf_counter()
+        point, value = bell._golden_section_max(
+            lambda xs: -(xs - 0.3) ** 2, 0.2, 0.45, tol, lookahead)
+        assert time.perf_counter() - start < 1.0
+        assert abs(point - 0.3) < 1e-7 and value == -(point - 0.3) ** 2
 
     @pytest.mark.parametrize("rows", [
         optimize_rows(181, 30, (1.0, 1.0)),

@@ -1,6 +1,10 @@
+import decimal
 import functools
+import math
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -15,8 +19,9 @@ import symplectic_reference as ref
 from test_bell import exact_sign_correlation
 
 # ---------------------------------------------------------------------------
-# quadrature references: the Hermite functions on a glued Gauss-Legendre grid,
-# which the recurrence of the sign operator replaces
+# sign-operator references: the Hermite functions on a glued Gauss-Legendre
+# grid, and the Gaussian-overlap recurrence of the erf-smoothed operator,
+# which the folded closed form of the package replaces
 
 #: (largest truncation, half-width, points) of the reference grids; a grid
 #: must reach past the outer turning point sqrt(2N + 1) of h_{N-1}
@@ -62,8 +67,22 @@ def grid_sign_operator(n_trunc, homodyne_efficiency=1.0):
 
 
 def loop_sign_operator(n_trunc, homodyne_efficiency):
-    """The sign-operator recurrence written out one full row at a time,
-    the arithmetic that `fock._sign_operator` must reproduce bitwise."""
+    """S[a, c] = int erf(k x) h_a(x) h_c(x) dx, k^2 = eta / (1 - eta), by
+    its Gaussian-overlap recurrence, one full row at a time.
+
+    A homodyne of efficiency eta reads sgn(x) smoothed by its vacuum noise,
+    erf(k x); at eta = 1 that is sgn(x).  The oscillator equation
+    h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c the derivative of
+    h_c h_a' - h_a h_c', so integrating by parts against erf(k x) gives
+    S[a, c] = (D[a, c] - D[c, a]) / (a - c) with
+    D[a, c] = int nu h_a' h_c = sqrt(a/2) G[a-1, c] - sqrt((a+1)/2) G[a+1, c],
+    where nu is the normal density of variance (1 - eta) / (2 eta) and
+    G[m, n] = int nu h_m h_n.  G is exact from G[0, 0] = sqrt(eta / pi) and
+    sqrt(m+1) G[m+1, n] = (1 - eta) sqrt(n) G[m, n-1] - eta sqrt(m) G[m-1, n];
+    G is symmetric, so the same recurrence in n gives its first row.  This
+    is the sign operator the package computed before the homodyne loss was
+    folded into the tap, kept as the reference route's operator.
+    """
     eta = homodyne_efficiency
     idx = np.arange(n_trunc + 1)
     root = np.sqrt(idx)
@@ -123,6 +142,121 @@ def exact_sign_entries(entries, efficiencies, n_trunc, halfwidth=22):
                     for i, (a, c) in enumerate(entries):
                         row[i] += smooth * h[a] * h[c]
         return np.array(sums, dtype=float)
+
+
+def reference_sign_reduced(state, homodyne_efficiency):
+    """(g g^T) o Phi(S) o Phi(S) / P with S from `loop_sign_operator` and
+    Phi the package's `_pull_back`: the route that the folded commutator
+    form replaced."""
+    pulled = fock._pull_back(state, loop_sign_operator(state.n_trunc,
+                                                       homodyne_efficiency))
+    coeffs = state.amplitudes
+    return np.outer(coeffs, coeffs) * pulled * pulled / state.p_click
+
+
+def reference_sign_correlation(state, theta, phi, homodyne_efficiency):
+    return fock._phase_form(reference_sign_reduced(state, homodyne_efficiency),
+                            theta + phi)
+
+
+def closed_sign_operator(n_trunc):
+    """The package's ideal sign operator S: its pull-back with w = e_0 and
+    t(n, 0) = 1, a transparent tap that always heralds, is S itself."""
+    return fock._pull_back_sign(1.0, np.eye(n_trunc)[0])
+
+
+def folded_record(state, homodyne_efficiency):
+    """The record with the homodyne loss folded into its tap: the tap table
+    of T eta, and click weights thinned by the share
+    p = (1 - T) / (1 - T eta) of the lost photons that the tap takes."""
+    t, eta = state.transmittance, homodyne_efficiency
+    thinning = fock.tap_amplitude_table(t * (1 - eta) / (1 - t * eta),
+                                        state.n_trunc) ** 2
+    return replace(state, tap=fock.tap_amplitude_table(t * eta, state.n_trunc),
+                   transmittance=t * eta, weights=thinning @ state.weights)
+
+
+#: pi to 50 significant digits
+PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def exact_fock_correlation(squeezing, transmittance, apd_efficiency, n_trunc,
+                           homodyne_efficiency, angle_sum):
+    """E of the heralded state on the truncated basis, at 45 digits.
+
+    The definition route, with none of the package's identities: the
+    recurrence of `loop_sign_operator` gives S at the homodyne efficiency,
+    which is pulled back through the tap amplitudes and click weights of
+    the transmittance T term by term, and P is the record's own sum.  The
+    float inputs are converted exactly, and the phase of each photon-number
+    difference comes from mpmath.
+    """
+    n = n_trunc
+    with decimal.localcontext(decimal.Context(prec=45)):
+        lam, t, eta_apd, eta = (Decimal(x) for x in (
+            squeezing, transmittance, apd_efficiency, homodyne_efficiency))
+        one = Decimal(1)
+        root = [Decimal(i).sqrt() for i in range(n + 1)]
+        half = [(Decimal(i) / 2).sqrt() for i in range(n + 1)]
+        g = [(one - lam * lam).sqrt() * lam ** i for i in range(n)]
+        # |t(m, k)|: the pull-back reads the tap amplitudes in pairs
+        tap = [[(math.comb(m, k) * t ** (m - k) * (one - t) ** k).sqrt()
+                for k in range(m + 1)] for m in range(n)]
+        w = [one - (one - eta_apd) ** k for k in range(n)]
+        q = [sum(w[k] * tap[m][k] ** 2 for k in range(m + 1))
+             for m in range(n)]
+        p_click = sum(g[m] ** 2 * q[m] ** 2 for m in range(n))
+        overlap = [[Decimal(0)] * n for _ in range(n + 1)]
+        overlap[0][0] = (eta / PI_50).sqrt()
+        for c in range(2, n, 2):
+            overlap[0][c] = -eta * root[c - 1] / root[c] * overlap[0][c - 2]
+        for m in range(n):
+            for c in range(n):
+                value = (one - eta) * root[c] * overlap[m][c - 1] if c else 0
+                if m:
+                    value -= eta * root[m] * overlap[m - 1][c]
+                overlap[m + 1][c] = value / root[m + 1]
+        deriv = [[(half[a] * overlap[a - 1][c] if a else 0)
+                  - half[a + 1] * overlap[a + 1][c] for c in range(n)]
+                 for a in range(n)]
+        sign = [[(deriv[a][c] - deriv[c][a]) / (a - c) if a != c else 0
+                 for c in range(n)] for a in range(n)]
+        with mpmath.workdps(50):
+            cosines = [Decimal(mpmath.nstr(
+                mpmath.cos(mpmath.mpf(angle_sum) * d), 50)) for d in range(n)]
+        # Phi(S) is symmetric and vanishes at even n - m, and the cosine is
+        # even: twice the sum over n > m
+        total = Decimal(0)
+        for a in range(n):
+            weighted = [w[k] * tap[a][k] for k in range(a + 1)]
+            for c in range(a - 1, -1, -2):
+                pulled = sum(weighted[k] * tap[c][k] * sign[a - k][c - k]
+                             for k in range(c + 1))
+                total += g[a] * g[c] * pulled * pulled * cosines[a - c]
+        return float(2 * total / p_click)
+
+
+def exact_ideal_sign_entries(n_trunc):
+    """S[a, c] = (u_a v_c - v_a u_c) / (a - c) at 45 digits, nested lists
+    of Decimals, with v_{2m} = (-1)^m pi^(-1/4) sqrt(C(2m, m) / 4^m) and
+    u_n = sqrt(2n) v_{n-1} from exact binomials."""
+    with decimal.localcontext(decimal.Context(prec=45)):
+        scale = 1 / PI_50.sqrt().sqrt()
+        v = [Decimal(0)] * n_trunc
+        for m in range(0, n_trunc, 2):
+            v[m] = (-1) ** (m // 2) * scale * (
+                Decimal(math.comb(m, m // 2)) / 2 ** m).sqrt()
+        u = [Decimal(2 * n).sqrt() * v[n - 1] if n else Decimal(0)
+             for n in range(n_trunc)]
+        return [[(u[a] * v[c] - v[a] * u[c]) / (a - c) if (a - c) % 2
+                 else Decimal(0) for c in range(n_trunc)]
+                for a in range(n_trunc)]
+
+
+def exact_ideal_sign_operator(n_trunc):
+    """`exact_ideal_sign_entries` rounded to floats."""
+    return np.array([[float(x) for x in row]
+                     for row in exact_ideal_sign_entries(n_trunc)])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +414,7 @@ def block_reduce(blocks, op):
 
 def block_sign_reduced(rho, homodyne_efficiency=1.0):
     """S o M_S of the block route, whose phase forms are the correlators."""
-    sign = fock._sign_operator(rho.n_trunc, homodyne_efficiency)
+    sign = loop_sign_operator(rho.n_trunc, homodyne_efficiency)
     return sign * block_reduce(rho.blocks, sign)
 
 
@@ -346,7 +480,7 @@ def vacuum_record(n_trunc=16):
     vector of zero tapped photons."""
     unit = np.eye(n_trunc)[0]
     return fock.HeraldedState(unit, fock.tap_amplitude_table(0.9, n_trunc),
-                              unit, 1.0, n_trunc)
+                              0.9, unit, 1.0, n_trunc)
 
 
 def scatter_heralded(coeff, table, weights):
@@ -757,6 +891,33 @@ class TestSignCorrelation:
         assert abs(s_fock - s_gauss) < 4e-4
 
 
+#: lambda T and S of `fock.fock_optimal_product` at T = 0.9, 0.95 and 0.99
+PINNED_PRODUCT = "0x1.24d636981bc33p-1"
+PINNED_S = "0x1.062aad5ed9ebap+1"
+
+
+def exact_pair_chsh(product, n_trunc):
+    """S at the paper's angles of the pair-projected state, whose Schmidt
+    vector is proportional to (n + 1)(lambda T)^n for n < N - 1, with the
+    ideal sign operator, at 45 digits.  The angle sums are -pi/4, pi/4
+    (twice) and 3 pi/4, whose cosines come from mpmath."""
+    sign = exact_ideal_sign_entries(n_trunc)
+    with decimal.localcontext(decimal.Context(prec=45)):
+        x = Decimal(product)
+        coeffs = [(n + 1) * x ** n for n in range(n_trunc - 1)] + [0]
+        norm = sum(c * c for c in coeffs)
+
+        def correlator(quarters):
+            with mpmath.workdps(50):
+                cosines = [Decimal(mpmath.nstr(mpmath.cos(
+                    quarters * mpmath.pi / 4 * d), 50)) for d in range(n_trunc)]
+            return sum(coeffs[a] * coeffs[c] * sign[a][c] ** 2
+                       * cosines[abs(a - c)] for a in range(n_trunc)
+                       for c in range(n_trunc) if (a - c) % 2) / norm
+
+        return correlator(-1) + 2 * correlator(1) - correlator(3)
+
+
 class TestOptimalProduct:
     def test_quoted_product(self):
         product, s_max = fock.fock_optimal_product(0.99)
@@ -776,10 +937,48 @@ class TestOptimalProduct:
     @pytest.mark.parametrize("transmittance", [0.90, 0.95, 0.99])
     def test_bitwise_pinned(self, transmittance):
         # the values of the one-point-at-a-time golden-section search over
-        # lambda T; for T above 0.8 the scan grid does not depend on T
+        # lambda T; for T above 0.8 the scan grid does not depend on T.  S
+        # is pinned where the closed-form sign operator puts it, which
+        # test_pinned_value_matches_forty_digits checks
         assert fock.fock_optimal_product(transmittance) == (
-            float.fromhex("0x1.24d636981bc33p-1"),
-            float.fromhex("0x1.062aad5ed9eb8p+1"))
+            float.fromhex(PINNED_PRODUCT), float.fromhex(PINNED_S))
+
+    def test_pinned_value_matches_forty_digits(self):
+        # S at the pinned lambda T from the 40-digit state (n + 1)(lambda T)^n
+        # and sign operator: the pin is within one ulp, closer than the
+        # recurrence's pin 0x1.062aad5ed9eb8p+1
+        exact = exact_pair_chsh(float.fromhex(PINNED_PRODUCT),
+                                fock.PRODUCT_TRUNCATION)
+        error = abs(Decimal(float.fromhex(PINNED_S)) - exact)
+        assert error <= Decimal(np.spacing(2.0))
+        assert error < abs(Decimal(float.fromhex("0x1.062aad5ed9eb8p+1"))
+                           - exact)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-17])
+    def test_tolerance_below_float_spacing_ends(self, tol):
+        # the bracket stops shrinking at the float spacing near 0.572, above
+        # tol; the search ends there, at the best lambda T found
+        start = time.perf_counter()
+        product, s_max = fock.fock_optimal_product(0.95, tol=tol)
+        assert time.perf_counter() - start < 1.0
+        default_product, default_s = fock.fock_optimal_product(0.95)
+        assert abs(product - default_product) < 5e-4
+        assert s_max >= default_s
+
+    def test_one_tap_table_per_call(self, monkeypatch):
+        # every scan and search point is heralded behind the same table,
+        # and the Schmidt vector is bitwise the public function's
+        built = []
+        table = fock.tap_amplitude_table
+        monkeypatch.setattr(fock, "tap_amplitude_table",
+                            lambda *args: built.append(args) or table(*args))
+        fock.fock_optimal_product(0.95)
+        assert built == [(0.95, fock.PRODUCT_TRUNCATION)]
+        tap = table(0.95, 60)
+        for product in (0.4, 0.572, 0.7):
+            assert np.array_equal(
+                fock._pair_projection(product / 0.95, 0.95, 60, tap),
+                fock.pair_projected_state(product / 0.95, 0.95, 60))
 
     @pytest.mark.parametrize("transmittance",
                              [0.75, 0.70, 0.65, 0.59, 0.58, 0.575])
@@ -978,9 +1177,9 @@ class TestDenseReferences:
         heisenberg = np.einsum("abcd,ca,db->", dense, *dual)
         assert abs(schrodinger - heisenberg) < 1e-12
         for n_trunc in (20, 60):
-            ideal = fock._sign_operator(n_trunc, 1.0)
+            ideal = closed_sign_operator(n_trunc)
             for eta in (0.05, 0.3, 0.8, 0.95, 1.0 - 1e-6):
-                assert np.max(np.abs(fock._sign_operator(n_trunc, eta)
+                assert np.max(np.abs(loop_sign_operator(n_trunc, eta)
                                      - kraus_loss_dual(ideal, eta))) < 1e-13
 
     @pytest.mark.parametrize("eta", [1.0, 0.9, 1.0 - 1e-6])
@@ -1050,13 +1249,13 @@ class TestDenseReferences:
         # one pull-back of the sign operator serves all four correlators
         rho, _ = fock_realistic
         calls = []
-        pull_back = fock._pull_back
+        pull_back = fock._pull_back_sign
 
         def counting(*args):
-            calls.append(args[1].shape)
+            calls.append(args[0].shape)
             return pull_back(*args)
 
-        monkeypatch.setattr(fock, "_pull_back", counting)
+        monkeypatch.setattr(fock, "_pull_back_sign", counting)
         fock.fock_chsh(rho, realistic_params.angles,
                        realistic_params.homodyne_efficiency)
         assert calls == [(40, 40)]
@@ -1075,7 +1274,7 @@ class TestDenseReferences:
     def test_diag_correlator_matches_wavefunction(self):
         x, w = reference_grid(60)
         h = hermite_functions(60, x)
-        sign_op = fock._sign_operator(60, 1.0)
+        sign_op = closed_sign_operator(60)
         diag = fock.pair_projected_state(0.58, 0.99, 60)
         reduced = np.outer(diag, diag) * sign_op * sign_op
         for angle_sum in (-np.pi / 4, np.pi / 4, 3 * np.pi / 4, 0.3):
@@ -1085,24 +1284,30 @@ class TestDenseReferences:
 
     @pytest.mark.parametrize("n_trunc", [40, 60, 130])
     def test_sign_operator_matches_wide_grid(self, n_trunc):
-        # near efficiency 1 the grid cannot resolve the steep erf, which the
-        # Kraus and dense references cover
+        # the package's closed form at efficiency 1 and the recurrence of
+        # the reference route below it; near efficiency 1 the grid cannot
+        # resolve the steep erf, which the Kraus and dense references cover
         idx = np.arange(n_trunc)
         for eta in (1.0, 0.95, 0.7, 0.3, 0.05):
-            sign = fock._sign_operator(n_trunc, eta)
+            sign = (closed_sign_operator(n_trunc) if eta == 1.0
+                    else loop_sign_operator(n_trunc, eta))
             assert np.max(np.abs(sign - grid_sign_operator(n_trunc, eta))) \
                 < 1e-13
             assert np.array_equal(sign, sign.T)
             assert not np.any(sign[np.add.outer(idx, idx) % 2 == 0])
 
     def test_sign_operator_matches_forty_digits(self):
+        # the recurrence of the reference route below efficiency 1, and
+        # every entry of the package's closed form at efficiency 1
         entries = [(129, 0), (128, 127), (100, 61), (64, 65), (3, 40)]
         efficiencies = (0.95, 0.7)
         exact = exact_sign_entries(entries, efficiencies, 130)
         for eta, row in zip(efficiencies, exact):
-            sign = fock._sign_operator(130, eta)
+            sign = loop_sign_operator(130, eta)
             for (a, c), value in zip(entries, row):
                 assert abs(sign[a, c] - value) < 2e-15
+        ideal = exact_ideal_sign_operator(130)
+        assert np.max(np.abs(closed_sign_operator(130) - ideal)) < 1e-15
 
     def test_optimal_product_unchanged(self):
         # lambda T of the scan over lambda T at T = 0.99; the wavefunction-
@@ -1139,8 +1344,9 @@ def seeded_heralded_states(n_trunc, count, seed):
 class TestBitwiseReductions:
     """The block reference is bitwise the slice-per-Delta reduction, and
     reproduces the pinned correlators of the block route; the package's
-    observables agree with it within 1e-15.  The sign operator is bitwise
-    the row-at-a-time recurrence."""
+    observables agree with it within 1e-15.  The package's pull-back of
+    the sign operator, folded and in commutator form, agrees with the
+    recurrence route of the reference."""
 
     @pytest.mark.parametrize("eta, correlation, s_value", [
         (0.95, "0x1.01680d8108e67p-1", "0x1.01680d8108e66p+1"),
@@ -1158,20 +1364,30 @@ class TestBitwiseReductions:
         assert abs(fock.fock_chsh(rho, angles, eta) - s_block) <= 1e-15
 
     @pytest.mark.parametrize("eta", [0.05, 0.7, 0.95, 1.0])
-    def test_sign_operator_pinned(self, eta):
-        assert np.array_equal(fock._sign_operator(40, eta),
-                              loop_sign_operator(40, eta))
+    def test_sign_operator_pinned(self, fock_realistic, eta):
+        # the reduced matrix whose phase forms are the correlators, against
+        # the recurrence pulled back by `_pull_back`
+        rho, _ = fock_realistic
+        assert np.max(np.abs(fock._sign_reduced(rho, eta)
+                             - reference_sign_reduced(rho, eta))) <= 1e-15
 
     @pytest.mark.parametrize("n_trunc", [16, 17, 60])
     def test_sign_operator_matches_recurrence(self, n_trunc):
-        for eta in np.r_[np.linspace(0.01, 0.99, 15), 1.0 - 1e-9, 1.0]:
-            assert np.array_equal(fock._sign_operator(n_trunc, eta),
-                                  loop_sign_operator(n_trunc, eta))
+        # the ideal closed form against the recurrence at efficiency 1, and
+        # the reduced matrix of the folded tables against the recurrence's
+        # over the efficiencies the recurrence was pinned on
+        assert np.max(np.abs(closed_sign_operator(n_trunc)
+                             - loop_sign_operator(n_trunc, 1.0))) <= 1e-15
+        for rho, *_ in seeded_heralded_states(n_trunc, 2, 53):
+            for eta in np.r_[np.linspace(0.01, 0.99, 15), 1.0 - 1e-9, 1.0]:
+                assert np.max(np.abs(fock._sign_reduced(rho, eta)
+                                     - reference_sign_reduced(rho, eta))) \
+                    <= 1e-15
 
     @pytest.mark.parametrize("n_trunc", [16, 17, 40])
     def test_reduction_matches_loop_on_heralded_states(self, n_trunc):
         for _, _, block, _, eta, rng in seeded_heralded_states(n_trunc, 4, 19):
-            sign = fock._sign_operator(n_trunc, eta)
+            sign = loop_sign_operator(n_trunc, eta)
             generic = rng.normal(size=(n_trunc, n_trunc))
             for op in (sign, generic + generic.T):
                 assert np.array_equal(block_reduce(block.blocks, op),
@@ -1180,7 +1396,7 @@ class TestBitwiseReductions:
     def test_correlators_match_loop_on_seeded_states(self):
         angles = bell.DEFAULT_ANGLES
         for rho, _, block, _, eta, rng in seeded_heralded_states(40, 4, 23):
-            sign = fock._sign_operator(40, eta)
+            sign = loop_sign_operator(40, eta)
             reduced = sign * loop_block_reduce(block.blocks, sign)
             theta, phi = rng.uniform(-np.pi, np.pi, 2)
             assert abs(fock.fock_sign_correlation(rho, theta, phi, eta)
@@ -1192,7 +1408,7 @@ class TestBitwiseReductions:
         _, _, _, _, block = small_pair
         idx = np.arange(block.n_trunc)
         rotated = block.blocks * np.exp(0.7j * np.subtract.outer(idx, idx))
-        sign = fock._sign_operator(20, 0.9)
+        sign = loop_sign_operator(20, 0.9)
         assert np.array_equal(block_reduce(rotated, sign),
                               loop_block_reduce(rotated, sign))
         rng = np.random.default_rng(29)
@@ -1227,7 +1443,7 @@ class TestBitwiseReductions:
                                      - reference)) <= 1e-15
 
     def test_reduction_writes_no_input(self, block_realistic):
-        sign = fock._sign_operator(40, 0.9)
+        sign = loop_sign_operator(40, 0.9)
         kept = sign.copy()
         sign.setflags(write=False)
         assert not partner_view(sign).flags.writeable
@@ -1307,7 +1523,7 @@ class TestPullBack:
 
     def test_pull_back_writes_no_input(self, fock_realistic):
         rho, _ = fock_realistic
-        sign = fock._sign_operator(40, 0.9)
+        sign = loop_sign_operator(40, 0.9)
         kept = sign.copy()
         sign.setflags(write=False)
         assert np.array_equal(fock._pull_back(rho, sign),
@@ -1375,6 +1591,138 @@ class TestPullBack:
         closed = bell.chsh(params)
         assert abs(e_fock - closed.correlators[0, 0]) < 1e-4
         assert abs(p_click - closed.success_prob) < 1e-3 * closed.success_prob
+        reference = reference_sign_correlation(rho, theta, phi, 0.95)
+        assert abs(e_fock - reference) <= 1e-15
+
+
+def weight_vectors(n_trunc, rng):
+    """Click weights of on/off detectors, photon-pair projection e_1,
+    zero tapped photons e_0 and random positive weights."""
+    unit = np.eye(n_trunc)
+    return [fock.click_weights(rng.uniform(0.05, 1.0), n_trunc), unit[1],
+            unit[0], rng.uniform(0.0, 1.0, n_trunc)]
+
+
+def correlator_rows(count, seed):
+    """Seeded rows (squeezing, T, APD efficiency, N, homodyne efficiency)
+    that pass the tail fence, over the whole box, with the homodyne
+    efficiency cycling through 0.01, 1 and a draw; then the small-P corner
+    at N = 16, 40 and 130 and efficiencies 0.01, 0.9 and 1."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < count:
+        row = (rng.uniform(0.01, 0.9), rng.uniform(0.5, 0.9999),
+               rng.uniform(1e-3, 1.0), int(rng.integers(16, 131)),
+               (0.01, 1.0, rng.uniform(0.01, 1.0))[len(rows) % 3])
+        try:
+            fock.lossy_click_conditioning(*row[:4])
+        except TruncationError:
+            continue
+        rows.append(row)
+    return rows + [SMALL_P_CORNER[:3] + (n_trunc, eta)
+                   for n_trunc in (16, 40, 130) for eta in (0.01, 0.9, 1.0)]
+
+
+class TestFoldedCorrelator:
+    """The homodyne loss folded into the tap, Phi_{T,w}(S_eta) =
+    Phi_{T eta,w~}(S_1), and the pull-back of S_1 from its rank-2
+    commutator."""
+
+    @pytest.mark.parametrize("n_trunc", [20, 40])
+    def test_fold_matches_loss_behind_tap(self, n_trunc):
+        # the folded tables pull a random operator back as the homodyne
+        # loss dual followed by the tap and click measurement does, for
+        # every kind of click weights, within the 1e-14 relative accuracy
+        # of log-space tap tables; on/off detectors of efficiency eta_apd
+        # fold into on/off detectors of efficiency p eta_apd
+        rng = np.random.default_rng([59, n_trunc])
+        for _ in range(3):
+            transmittance, eta = rng.uniform(0.5, 0.999, 2)
+            op = rng.normal(size=(n_trunc, n_trunc))
+            op += op.T
+            dual = kraus_loss_dual(op, eta)
+            for weights in weight_vectors(n_trunc, rng):
+                record = fock.HeraldedState(
+                    fock.tmsv_amplitudes(0.5, n_trunc),
+                    fock.tap_amplitude_table(transmittance, n_trunc),
+                    transmittance, weights, 1.0, n_trunc)
+                expected = fock._pull_back(record, dual)
+                pulled = fock._pull_back(folded_record(record, eta), op)
+                assert np.max(np.abs(pulled - expected)) \
+                    <= 1e-13 * np.max(np.abs(expected))
+            share = (1.0 - transmittance) / (1.0 - transmittance * eta)
+            apd = rng.uniform(0.05, 1.0)
+            record = replace(record, weights=fock.click_weights(apd, n_trunc))
+            assert np.allclose(folded_record(record, eta).weights,
+                               fock.click_weights(share * apd, n_trunc),
+                               rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n_trunc", [16, 40, 130])
+    def test_commutator_matches_pull_back(self, n_trunc):
+        # Phi(S_1) from U V^T - V U^T against the shifted-view contraction
+        # of the closed-form S_1, for every kind of click weights
+        rng = np.random.default_rng([61, n_trunc])
+        sign = closed_sign_operator(n_trunc)
+        for weights in weight_vectors(n_trunc, rng):
+            record = fock.HeraldedState(
+                fock.tmsv_amplitudes(0.5, n_trunc),
+                fock.tap_amplitude_table(rng.uniform(0.5, 0.999), n_trunc),
+                0.0, weights, 1.0, n_trunc)
+            expected = fock._pull_back(record, sign)
+            pulled = fock._pull_back_sign(record.tap, weights)
+            assert np.max(np.abs(pulled - expected)) \
+                <= 1e-15 * np.max(np.abs(expected))
+            assert not np.any(np.diag(pulled))
+
+    def test_matches_reference_route_on_seeded_rows(self):
+        # E of the fold and the commutator form against the recurrence
+        # pulled back by `_pull_back`, which normalizes by the record's P
+        rows = correlator_rows(500, 2301)
+        rng = np.random.default_rng(2302)
+        for row in rows:
+            rho, _ = fock.lossy_click_conditioning(*row[:4])
+            theta, phi = rng.uniform(-np.pi, np.pi, 2)
+            value = fock.fock_sign_correlation(rho, theta, phi, row[4])
+            assert abs(value - reference_sign_correlation(
+                rho, theta, phi, row[4])) <= 1e-15, row
+
+    @pytest.mark.parametrize("row", [
+        SMALL_P_CORNER[:3] + (20, 0.9), SMALL_P_CORNER[:3] + (20, 0.01),
+        (0.6, 0.95, 0.3, 40, 0.95), (0.6, 0.95, 0.3, 40, 1.0),
+        (0.85, 0.93, 0.34, 130, 0.61), (0.85, 0.6, 0.7, 130, 0.999999)],
+        ids=["small-P", "small-P-lossy", "realistic", "realistic-ideal",
+             "high-squeezing", "high-squeezing-near-ideal"])
+    def test_matches_forty_digits(self, row):
+        rng = np.random.default_rng(67)
+        rho, _ = fock.lossy_click_conditioning(*row[:4])
+        for angle in rng.uniform(-np.pi, np.pi, 2):
+            exact = exact_fock_correlation(*row, angle)
+            assert abs(fock.fock_sign_correlation(rho, angle, 0.0, row[4])
+                       - exact) <= 1e-15
+
+    def test_ideal_branch_reads_the_record(self, monkeypatch, fock_realistic):
+        # at efficiency 1 no tap table is built: the record's own tables
+        # are pulled back, and the record's p_click divides, bitwise
+        rho, _ = fock_realistic
+        monkeypatch.setattr(fock, "tap_amplitude_table", None)
+        pulled = fock._pull_back_sign(rho.tap, rho.weights)
+        coeffs = rho.amplitudes
+        assert np.array_equal(fock._sign_reduced(rho, 1.0),
+                              np.outer(coeffs, coeffs) * pulled * pulled
+                              / rho.p_click)
+
+    def test_lossy_branch_is_the_folded_record(self, fock_realistic):
+        # below efficiency 1 the correlator is the ideal one of the folded
+        # record, whose click probability is the record's
+        rho, _ = fock_realistic
+        for eta in (0.01, 0.7, 0.95, 1.0 - 1e-9):
+            folded = folded_record(rho, eta)
+            clicks = (folded.tap ** 2 * folded.weights).sum(axis=1)
+            folded = replace(folded, p_click=float(
+                folded.amplitudes ** 2 @ clicks ** 2))
+            assert abs(folded.p_click - rho.p_click) <= 1e-14 * rho.p_click
+            assert np.max(np.abs(fock._sign_reduced(rho, eta)
+                                 - fock._sign_reduced(folded, 1.0))) <= 1e-15
 
 
 #: rows whose block-reference tail lies within a factor of 2 of
