@@ -298,9 +298,10 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
 
     A 20-point pre-scan brackets the peak and errors out if two separated
     local maxima agree within 0.005 (the unimodality assumption behind
-    golden-section search would then be unsafe).  A fixed parameter
-    outside its domain, or angles that `check_angles` refuses, raise
-    DomainError.
+    golden-section search would then be unsafe).  When the pre-scan
+    refuses every row (nothing heralds, as at T = 1), the first row's
+    refusal is raised.  A fixed parameter outside its domain, or angles
+    that `check_angles` refuses, raise DomainError.
     """
     fixed = dict(transmittance=transmittance, apd_efficiency=apd_efficiency,
                  homodyne_efficiency=homodyne_efficiency)
@@ -308,14 +309,16 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
         gaussian.check_domain(name, value)
     angles = check_angles(angles)
 
-    def s_values(lams: np.ndarray) -> np.ndarray:
+    def scan(lams: np.ndarray) -> tuple[np.ndarray, list]:
         corr, _, _, errors = _evaluate(_rows(fixed, squeezing=lams), angles)
         values = chsh_value(corr)
         values[[e is not None for e in errors]] = -np.inf
-        return values
+        return values, errors
 
     grid = np.linspace(0.01, 0.95, 20)
-    values = s_values(grid)
+    values, errors = scan(grid)
+    if all(e is not None for e in errors):
+        raise errors[0]
     maxima = [i for i in range(1, len(grid) - 1)
               if values[i] >= values[i - 1] and values[i] >= values[i + 1]
               and np.isfinite(values[i])]
@@ -327,9 +330,9 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
             raise OptimizationError(
                 "pre-scan found two comparable separated maxima; "
                 "refusing unimodal search")
-    lam_opt, s_max = _golden_section_max(s_values, grid[best - 1],
-                                         grid[best + 1], LAMBDA_TOL,
-                                         LAMBDA_LOOKAHEAD)
+    lam_opt, s_max = _golden_section_max(lambda lams: scan(lams)[0],
+                                         grid[best - 1], grid[best + 1],
+                                         LAMBDA_TOL, LAMBDA_LOOKAHEAD)
     return float(lam_opt), float(s_max)
 
 

@@ -41,7 +41,10 @@ CUT_DIRECTION = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
 
 
 def fmt(value) -> str:
-    """Fixed 12-significant-digit rendering for floats."""
+    """Fixed 12-significant-digit rendering for floats; bools as JSON
+    spells them."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -125,7 +128,7 @@ def cmd_mc(cfg: RunConfig) -> int:
         "S_hat": result.S_hat, "stderr_S": result.stderr_S,
         "P_hat": result.P_hat, "total_pulses": result.total_pulses,
         "sim_seconds": result.wall_sim_time,
-        "s_available": str(result.s_available).lower(),
+        "s_available": result.s_available,
     }
     for j in range(2):
         for k in range(2):
@@ -201,8 +204,9 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     """Cross-formalism agreement checks between the three computations."""
     rows = []
 
-    def record(name, value, tolerance, passed):
-        rows.append({"check": name, "status": "PASS" if passed else "FAIL",
+    def record(name, value, tolerance):
+        rows.append({"check": name,
+                     "status": "PASS" if value < tolerance else "FAIL",
                      "value": float(value), "tolerance": float(tolerance)})
 
     params = cfg.params()
@@ -214,25 +218,23 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     moments = fock.second_moments(fock.tmsv_state(params.squeezing,
                                                   max(n_trunc, 60)))
     err = float(np.max(np.abs(cov - moments)))
-    record("tmsv_covariance_vs_fock_moments", err, 1e-8, err < 1e-8)
+    record("tmsv_covariance_vs_fock_moments", err, 1e-8)
 
     state = conditioning.conditional_state(params.output_covariance())
     rho, p_click = fock.lossy_click_conditioning(
         params.squeezing, params.transmittance, params.apd_efficiency, n_trunc)
     rel = abs(state.success_prob - p_click) / p_click
-    record("success_prob_vs_fock_click_rate", rel, 1e-3, rel < 1e-3)
+    record("success_prob_vs_fock_click_rate", rel, 1e-3)
 
     theta, phi = params.angles[0], params.angles[2]
     marginal = bell.rotated_marginal(state, theta, phi)
     e_closed = bell.sign_correlation(marginal)
     e_quad = bell.sign_correlation_quadrature(marginal)
-    record("closed_form_vs_quadrature_E", abs(e_closed - e_quad), 1e-6,
-           abs(e_closed - e_quad) < 1e-6)
+    record("closed_form_vs_quadrature_E", abs(e_closed - e_quad), 1e-6)
 
     e_fock = fock.fock_sign_correlation(rho, theta, phi,
                                         params.homodyne_efficiency)
-    record("closed_form_vs_fock_E", abs(e_closed - e_fock), 1e-4,
-           abs(e_closed - e_fock) < 1e-4)
+    record("closed_form_vs_fock_E", abs(e_closed - e_fock), 1e-4)
 
     # the Fock heralded state carries no homodyne loss, so compare against
     # the Gaussian pipeline with ideal homodynes
@@ -245,15 +247,14 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     mask = np.abs(w_gauss) > 1e-8
     rel_w = float(np.max(np.abs((w_gauss[mask] - w_fock[mask])
                                 / w_gauss[mask])))
-    record("wigner_gaussian_vs_fock", rel_w, 1e-6, rel_w < 1e-6)
+    record("wigner_gaussian_vs_fock", rel_w, 1e-6)
 
     n_mc = min(cfg.n_target_events, 200_000)
     samples = montecarlo.sample_joint_quadratures(marginal, n_mc, cfg.seed)
     signs = np.where(samples >= 0.0, 1.0, -1.0)
     e_mc = float(np.mean(signs[:, 0] * signs[:, 1]))
     stderr = float(np.sqrt(max(1.0 - e_mc ** 2, 1e-12) / n_mc))
-    record("mc_E_within_3_stderr", abs(e_mc - e_closed), 3 * stderr,
-           abs(e_mc - e_closed) < 3 * stderr)
+    record("mc_E_within_3_stderr", abs(e_mc - e_closed), 3 * stderr)
     return rows
 
 

@@ -1,9 +1,9 @@
 """Pulsed event-ready protocol simulation.
 
 Simulates the three-party experiment: heralding double clicks at the
-source, independent random angle choices at the two homodyne stations,
-quadrature sampling from the heralded joint distribution, sign binning,
-and CHSH estimation with propagated standard errors.
+source, a fair coin for the setting at each homodyne station, quadrature
+sampling from the heralded joint distribution, sign binning, and CHSH
+estimation with propagated standard errors.
 
 Randomness is organized around counter-based Philox streams, one per
 party per fixed-size event block, so the heralding, Alice and Bob
@@ -61,13 +61,15 @@ _ROLE_SOPHIE, _ROLE_ALICE, _ROLE_BOB, _ROLE_QUAD = range(4)
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Settings for one simulated data-taking campaign."""
+    """Settings for one simulated data-taking campaign.
+
+    Each station picks each of its two angles with probability 1/2.
+    """
 
     params: ExperimentParams
     n_target_events: int
     seed: int
     rep_rate: float = 1e6
-    angle_choice_probs: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
         _check_integer("n_target_events", self.n_target_events, 1)
@@ -75,7 +77,6 @@ class ProtocolConfig:
         if not _positive_real(self.rep_rate):
             raise DomainError(f"rep_rate must be finite and positive, "
                               f"got {self.rep_rate}")
-        _check_choice_probs(self.angle_choice_probs)
 
 
 def _check_integer(name: str, value, least: int) -> None:
@@ -91,25 +92,14 @@ def _positive_real(value) -> bool:
             and value > 0)
 
 
-def _check_choice_probs(probs: tuple[float, float]) -> None:
-    """DomainError unless probs is a pair of real numbers, non-negative and
-    summing to 1 (which NaN and infinity never do)."""
-    if not (np.ndim(probs) == 1 and len(probs) == 2
-            and all(isinstance(p, numbers.Real) for p in probs)):
-        raise DomainError(f"angle_choice_probs must be a pair of real "
-                          f"numbers, got {probs!r}")
-    p1, p2 = probs
-    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-12):
-        raise DomainError("angle_choice_probs must be non-negative and sum to 1")
-
-
 @dataclass(frozen=True)
 class MCResult:
     """Finite-statistics CHSH estimate from one simulated campaign.
 
     counts and product_sums hold, per angle-pair cell, the number of
     events and the sum of the +-1 outcome products.  s_available is False
-    when some cell collected no events (degenerate angle choices).
+    when some cell collected no events, which a short campaign can leave
+    empty; S_hat and stderr_S are then NaN.
     """
 
     S_hat: float
@@ -306,7 +296,6 @@ def _block_rng(seed: int, role: int, block: int) -> np.random.Generator:
 
 
 def _simulate_block(seed: int, block: int, size: int, success_prob: float,
-                    choice_probs: np.ndarray,
                     envelopes: list[Envelope]):
     """One block of heralded events: pulses burned, settings, sign products."""
     sophie = _block_rng(seed, _ROLE_SOPHIE, block)
@@ -317,8 +306,8 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     # pulses until each double click: inverse-CDF geometric, support >= 1
     u = sophie.random(size)
     gaps = np.floor(np.log1p(-u) / np.log1p(-success_prob)).astype(np.int64) + 1
-    set_a = (alice.random(size) >= choice_probs[0]).astype(np.int64)
-    set_b = (bob.random(size) >= choice_probs[0]).astype(np.int64)
+    set_a = (alice.random(size) >= 0.5).astype(np.int64)
+    set_b = (bob.random(size) >= 0.5).astype(np.int64)
 
     # settings cell j * 2 + k draws exactly its events' samples
     counts = np.bincount(set_a * 2 + set_b, minlength=4)
@@ -334,10 +323,10 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
     """Simulate pulses until the target number of heralded events.
 
     Each pulse heralds with the pipeline's double-click probability; on
-    success both parties draw a setting and a quadrature sample is taken
-    from the corresponding joint marginal.  Each block of BLOCK_EVENTS
-    events draws from its own streams, so the totals do not depend on the
-    order in which the blocks are simulated.
+    success both parties toss a fair coin for their setting and a
+    quadrature sample is taken from the corresponding joint marginal.
+    Each block of BLOCK_EVENTS events draws from its own streams, so the
+    totals do not depend on the order in which the blocks are simulated.
     """
     params = config.params
     state = conditioning.conditional_state(params.output_covariance())
@@ -345,12 +334,11 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
     phi = (params.angles[2], params.angles[3])
     envelopes = [build_envelope(rotated_marginal(state, theta[j], phi[k]))
                  for j in range(2) for k in range(2)]
-    choice_probs = np.asarray(config.angle_choice_probs)
 
     n = config.n_target_events
     results = [_simulate_block(config.seed, block,
                                min(BLOCK_EVENTS, n - block * BLOCK_EVENTS),
-                               state.success_prob, choice_probs, envelopes)
+                               state.success_prob, envelopes)
                for block in range((n + BLOCK_EVENTS - 1) // BLOCK_EVENTS)]
     total_pulses, counts, sums = (sum(parts) for parts in zip(*results))
 
@@ -371,25 +359,19 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
                     s_available=s_available)
 
 
-def acquisition_time(success_prob: float, rep_rate: float,
-                     target_stderr_s: float, bell: BellResult,
-                     angle_choice_probs: tuple[float, float] = (0.5, 0.5)
-                     ) -> float:
+def acquisition_time(bell: BellResult, rep_rate: float,
+                     target_stderr_s: float) -> float:
     """Seconds of data taking needed to reach a CHSH standard error.
 
-    Uses the per-event estimator variance sigma0^2 = sum over cells of
-    (1 - E^2) / p_cell, so the answer is
-    (sigma0 / target)^2 / (success_prob * rep_rate).
+    With fair setting coins each cell holds a quarter of the events, so
+    the per-event estimator variance is sigma0^2 = sum over cells of
+    (1 - E^2) / 0.25, and the answer is
+    (sigma0 / target)^2 / (P * rep_rate) with P = bell.success_prob.
     """
-    if not all(map(_positive_real, (success_prob, rep_rate,
+    if not all(map(_positive_real, (bell.success_prob, rep_rate,
                                     target_stderr_s))):
         raise DomainError(
             "all acquisition-time inputs must be finite and positive")
-    _check_choice_probs(angle_choice_probs)
-    probs = np.asarray(angle_choice_probs)
-    cell_probs = np.outer(probs, probs)
-    if not np.all(cell_probs > 0):
-        raise DomainError("acquisition time needs all four cells reachable")
-    sigma0_sq = float(((1.0 - bell.correlators ** 2) / cell_probs).sum())
+    sigma0_sq = float(((1.0 - bell.correlators ** 2) / 0.25).sum())
     n_events = sigma0_sq / target_stderr_s ** 2
-    return n_events / (success_prob * rep_rate)
+    return n_events / (bell.success_prob * rep_rate)

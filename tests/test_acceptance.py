@@ -153,8 +153,7 @@ def test_criterion_8_feasibility_numbers():
     result = montecarlo.run_protocol(config)
     events_per_second = result.P_hat * config.rep_rate
     chsh_result = bell.chsh(REALISTIC)
-    seconds = montecarlo.acquisition_time(chsh_result.success_prob, 1e6,
-                                          0.005, chsh_result)
+    seconds = montecarlo.acquisition_time(chsh_result, 1e6, 0.005)
     ok = 130.0 <= events_per_second <= 520.0 and seconds < 3600.0
     report(8, "feasibility numbers", ok,
            f"events/s={events_per_second:.0f}, "

@@ -502,6 +502,14 @@ class TestOptimizeLambda:
             bell.optimize_lambda(0.95, 0.3, 0.8)
         assert str(info.value) == "no interior maximum found in the pre-scan"
 
+    def test_nothing_heralds_raises_the_refusal(self):
+        # at T = 1 no photon reaches the taps: the pre-scan refuses every
+        # row, and the first row's refusal is raised
+        with pytest.raises(InvalidRegimeError) as info:
+            bell.optimize_lambda(1.0, 0.3, 0.95)
+        assert "heralding probability 0.000e+00 is not usable" in \
+            str(info.value)
+
     def test_two_separated_maxima_raise(self, monkeypatch):
         # S(lambda) = -min(|lambda - 0.3|, |lambda - 0.7|): two peaks whose
         # pre-scan values differ by 0.004

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cvbell import cli
-from cvbell.config import RunConfig, parse_config, serialize_config
+from cvbell.config import (RunConfig, load_config, parse_config,
+                           serialize_config)
 from cvbell.errors import ConfigError
 
 BASE_CONFIG = """\
@@ -93,6 +94,26 @@ class TestConfig:
         assert cli.main(["chsh", "--config", cfg]) == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (BASE_CONFIG + "\n[sweep]\naxis = eta\nmin = 0.1\nmax = 0.5\n"
+         "steps = 1\n", "sweep requires steps >= 2"),
+        (BASE_CONFIG + "\n[fock]\nn_trunc = 8\n", "n_trunc must be >= 16"),
+        ("[params\nlambda = 0.6\n", "malformed config: "),
+        ("[mc]\nseed = 5\n", "missing required section [params]"),
+        (BASE_CONFIG + "\n[sweep]\naxis =\nmin = 0.1\nmax = 0.5\n"
+         "steps = 5\n", "missing required field 'axis' in [sweep]"),
+        (None, "cannot read config file "),
+    ], ids=["steps", "n_trunc", "malformed", "no-params", "empty-axis",
+            "unreadable"])
+    def test_refusal_exits_usage(self, tmp_path, capsys, text, message):
+        # None stands for a path that names a directory, not a file
+        cfg = str(tmp_path) if text is None else write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert str(info.value).startswith(message)
+        assert cli.main(["chsh", "--config", cfg]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
+
     def test_integral_float_is_an_integer(self):
         cfg = parse_config(BASE_CONFIG + "\n[mc]\nseed = 7.0\n"
                            "n_target_events = 1e3\n")
@@ -131,6 +152,18 @@ class TestChshCommand:
         missing = tmp_path / "no_such_dir" / "x.csv"
         assert cli.main(["chsh", "--config", cfg, "--out", str(missing)]) == \
             cli.EXIT_IO
+
+    def test_csv_to_stdout_without_a_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "chsh.csv"
+        assert cli.main(["chsh", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["chsh", "--config", cfg]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+    def test_without_config_exits_usage(self, capsys):
+        assert cli.main(["chsh"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: subcommand 'chsh' requires --config\n")
 
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -193,6 +226,19 @@ class TestMcCommand:
         assert cli.main(["mc", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("events, available", [(100_000, True),
+                                                    (1, False)])
+    def test_json_s_available_is_a_boolean(self, tmp_path, events,
+                                           available):
+        # 100,000 events is the README point; one event leaves three of
+        # the four setting cells empty
+        text = BASE_CONFIG + f"\n[mc]\nn_target_events = {events}\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "mc.json"
+        assert cli.main(["mc", "--config", cfg, "--out", str(out),
+                         "--format", "json"]) == 0
+        assert json.loads(out.read_text())[0]["s_available"] is available
+
     def test_seed_flag_changes_stream(self, tmp_path):
         text = BASE_CONFIG + "\n[mc]\nn_target_events = 5000\nseed = 11\n"
         cfg = write_config(tmp_path, text)
@@ -235,6 +281,13 @@ class TestFig2Command:
         rows = read_csv(fig_dir / "fig2a.csv")
         assert min(float(r["value"]) for r in rows) < 0.0
 
+    def test_output_under_a_file_exits_io(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["fig2", "--out", str(blocker / "fig2")]) == \
+            cli.EXIT_IO
+        assert "cannot create output directory" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, fig_dir, tmp_path):
         again = tmp_path / "fig2_again"
         assert cli.main(["fig2", "--out", str(again)]) == 0
@@ -262,6 +315,15 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err == (
             "domain error: transmittance must lie in (0, 1], got 1.5\n")
 
+    def test_nothing_heralds_exits_domain_error(self, tmp_path, capsys):
+        # at T = 1 no photon reaches the taps, so every pre-scan row has P = 0
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("0.95\neta ",
+                                                         "1.0\neta "))
+        assert cli.main(["optimize", "--config", cfg]) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: invalid-regime: heralding "
+                              "probability 0.000e+00 is not usable")
+
 
 class TestValidateCommand:
     def test_default_point_passes(self, tmp_path):
@@ -269,6 +331,15 @@ class TestValidateCommand:
         assert cli.main(["validate", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows and all(r["status"] == "PASS" for r in rows)
+
+    def test_failed_check_exits_validation(self, tmp_path, monkeypatch):
+        failed = [{"check": "forced", "status": "FAIL", "value": 1.0,
+                   "tolerance": 0.5}]
+        monkeypatch.setattr(cli, "_validation_checks", lambda cfg: failed)
+        out = tmp_path / "validate.csv"
+        assert cli.main(["validate", "--out", str(out)]) == \
+            cli.EXIT_VALIDATION
+        assert read_csv(out)[0]["status"] == "FAIL"
 
     def test_short_truncation_exits_with_domain_code(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[fock]\nn_trunc = 16\n")
@@ -282,6 +353,9 @@ class TestFormatting:
     def test_twelve_significant_digits(self):
         assert cli.fmt(np.pi) == "3.14159265359"
         assert cli.fmt(2.6e-4) == "0.00026"
+
+    def test_booleans_as_json_spells_them(self):
+        assert (cli.fmt(True), cli.fmt(False)) == ("true", "false")
 
     def test_lf_line_endings(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

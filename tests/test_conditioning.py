@@ -233,6 +233,17 @@ class TestWignerCut:
             conditioning.wigner_cut(cut_state, np.array([1.0, 0, -1.0, 0]),
                                     [0.0])
 
+    def test_direction_must_be_a_four_vector(self, cut_state):
+        with pytest.raises(DomainError) as info:
+            conditioning.wigner_cut(cut_state, np.array([1.0, 0.0, 0.0]),
+                                    [0.0])
+        assert str(info.value) == "direction must be a 4-vector"
+
+    def test_points_must_have_four_components(self, cut_state):
+        with pytest.raises(DomainError) as info:
+            conditioning.wigner_value(cut_state, np.zeros((2, 3)))
+        assert str(info.value) == "phase-space points must have 4 components"
+
 
 def loop_density(marginal, x, y):
     """Per-term loop form of `BivariateMixture.density`, the reference for

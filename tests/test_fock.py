@@ -1048,6 +1048,11 @@ class TestWigner:
         expected = np.exp(-np.sum(pts ** 2, axis=1)) / np.pi ** 2
         assert np.max(np.abs(values - expected)) < 1e-12
 
+    def test_points_must_have_four_components(self):
+        with pytest.raises(DomainError) as info:
+            fock.wigner_values(vacuum_record(), np.zeros((2, 3)))
+        assert str(info.value) == "phase-space points must have 4 components"
+
     def test_matches_gaussian_mixture(self, cut_state, fock_cut_state):
         rho, _ = fock_cut_state
         rng = np.random.default_rng(8)

@@ -117,6 +117,21 @@ class TestEnvelope:
         with pytest.raises(EnvelopeError, match="Loewner order"):
             montecarlo.build_envelope(mixture)
 
+    # a term 1000 times narrower than the widest peaks the ratio at
+    # r(0) = 1 + 1000, so the acceptance is 1/(1.05 * 1001) < 1%
+    @pytest.mark.parametrize("weights, covariances, message", [
+        ([-1.0], [np.eye(2)], "signed mixture has no positive terms"),
+        ([0.5, 0.5], [np.eye(2), 1e-3 * np.eye(2)],
+         "envelope acceptance rate 1/1051.0 is below 1%; the dominating "
+         "constant is unusable")],
+        ids=["no-positive-term", "narrow-term"])
+    def test_unusable_mixture_raises(self, weights, covariances, message):
+        mixture = bell.BivariateMixture(weights=np.array(weights),
+                                        covariances=np.array(covariances))
+        with pytest.raises(EnvelopeError) as info:
+            montecarlo.build_envelope(mixture)
+        assert str(info.value) == message
+
     def test_bound_below_the_peak_ratio_raises(self, realistic_marginal):
         env = montecarlo.build_envelope(realistic_marginal)
         halved = dataclasses.replace(env, bound=env.bound / 2.0)
@@ -284,19 +299,18 @@ class TestRunProtocol:
         assert np.array_equal(sum(block_counts), result.counts)
 
     def test_degenerate_choice_flags_s(self, realistic_params):
-        config = ProtocolConfig(params=realistic_params, n_target_events=500,
-                                seed=3, angle_choice_probs=(1.0, 0.0))
+        # one event fills one cell and leaves the other three empty
+        config = ProtocolConfig(params=realistic_params, n_target_events=1,
+                                seed=3)
         result = montecarlo.run_protocol(config)
         assert not result.s_available
-        assert np.isnan(result.S_hat)
-        assert result.counts[0, 0] == 500
+        assert np.isnan(result.S_hat) and np.isnan(result.stderr_S)
+        assert result.counts.sum() == 1
+        assert np.count_nonzero(result.counts) == 1
 
     def test_config_validation(self, realistic_params):
         with pytest.raises(DomainError):
             ProtocolConfig(params=realistic_params, n_target_events=0, seed=1)
-        with pytest.raises(DomainError):
-            ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
-                           angle_choice_probs=(0.7, 0.7))
 
     @pytest.mark.parametrize("field, value", [
         ("n_target_events", 1000.5), ("n_target_events", np.nan),
@@ -317,80 +331,61 @@ class TestRunProtocol:
             ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
                            rep_rate=rate)
 
-    @pytest.mark.parametrize("probs", [(np.nan, 0.5), (0.5, np.nan),
-                                       (np.nan, np.nan), (np.inf, 0.5),
-                                       (0.5,), (0.3, 0.3, 0.4),
-                                       ("0.5", "0.5"), 0.5],
-                             ids=["nan-first", "nan-second", "nan-both",
-                                  "inf", "one", "three", "strings",
-                                  "scalar"])
-    def test_choice_probs_must_be_numbers(self, realistic_params, probs):
-        with pytest.raises(DomainError, match="angle_choice_probs"):
-            ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
-                           angle_choice_probs=probs)
-
 
 class TestAcquisitionTime:
     def test_realistic_point_under_an_hour(self, realistic_params):
         result = bell.chsh(realistic_params)
-        seconds = montecarlo.acquisition_time(result.success_prob, 1e6, 0.005,
-                                              result)
-        assert seconds < 3600.0
+        assert montecarlo.acquisition_time(result, 1e6, 0.005) < 3600.0
 
     def test_realistic_point_value(self, realistic_params):
         result = bell.chsh(realistic_params)
-        seconds = montecarlo.acquisition_time(result.success_prob, 1e6, 0.005,
-                                              result)
+        seconds = montecarlo.acquisition_time(result, 1e6, 0.005)
         assert seconds == pytest.approx(1830.4995, rel=1e-7)
-
-    @pytest.mark.parametrize("probs", [(5.0, 5.0), (np.inf, 0.5)],
-                             ids=["sum-10", "inf"])
-    def test_choice_probs_must_sum_to_one(self, realistic_params, probs):
-        result = bell.chsh(realistic_params)
-        with pytest.raises(DomainError, match="angle_choice_probs must be "
-                           "non-negative and sum to 1"):
-            montecarlo.acquisition_time(result.success_prob, 1e6, 0.005,
-                                        result, angle_choice_probs=probs)
 
     def test_inverse_square_in_target(self, realistic_params):
         result = bell.chsh(realistic_params)
-        t1 = montecarlo.acquisition_time(result.success_prob, 1e6, 0.005, result)
-        t2 = montecarlo.acquisition_time(result.success_prob, 1e6, 0.0025,
-                                         result)
+        t1 = montecarlo.acquisition_time(result, 1e6, 0.005)
+        t2 = montecarlo.acquisition_time(result, 1e6, 0.0025)
         assert t2 == pytest.approx(4.0 * t1, rel=1e-12)
 
     def test_linear_in_success_probability(self, realistic_params):
         result = bell.chsh(realistic_params)
-        t1 = montecarlo.acquisition_time(result.success_prob, 1e6, 0.005, result)
-        t2 = montecarlo.acquisition_time(2.0 * result.success_prob, 1e6, 0.005,
-                                         result)
+        doubled = dataclasses.replace(result,
+                                      success_prob=2.0 * result.success_prob)
+        t1 = montecarlo.acquisition_time(result, 1e6, 0.005)
+        t2 = montecarlo.acquisition_time(doubled, 1e6, 0.005)
         assert t2 == pytest.approx(t1 / 2.0, rel=1e-12)
+
+    @staticmethod
+    def call(result, index, value):
+        """acquisition_time with input index (0 P, 1 rate, 2 target) set
+        to value; P is set on the result."""
+        args = [result.success_prob, 1e6, 0.005]
+        args[index] = value
+        return montecarlo.acquisition_time(
+            dataclasses.replace(result, success_prob=args[0]), *args[1:])
 
     @pytest.mark.parametrize("index, value", [
         (0, np.nan), (0, np.inf), (1, np.nan), (1, np.inf), (2, np.nan),
-        (2, np.inf), (3, (np.nan, 0.5))],
+        (2, np.inf)],
         ids=["P-nan", "P-inf", "rate-nan", "rate-inf", "target-nan",
-             "target-inf", "choice-nan"])
+             "target-inf"])
     def test_non_finite_input_raises(self, realistic_params, index, value):
         result = bell.chsh(realistic_params)
-        args = [result.success_prob, 1e6, 0.005, (0.5, 0.5)]
-        args[index] = value
         with pytest.raises(DomainError):
-            montecarlo.acquisition_time(*args[:3], result,
-                                        angle_choice_probs=args[3])
+            self.call(result, index, value)
 
     @pytest.mark.parametrize("index", [0, 1, 2],
                              ids=["P", "rate", "target"])
     def test_non_real_input_raises(self, realistic_params, index):
         result = bell.chsh(realistic_params)
-        args = [result.success_prob, 1e6, 0.005]
-        args[index] = str(args[index])
+        value = str([result.success_prob, 1e6, 0.005][index])
         with pytest.raises(DomainError) as info:
-            montecarlo.acquisition_time(*args, result)
+            self.call(result, index, value)
         assert str(info.value) == ("all acquisition-time inputs must be "
                                    "finite and positive")
 
     def test_positive_inputs_required(self, realistic_params):
         result = bell.chsh(realistic_params)
         with pytest.raises(DomainError):
-            montecarlo.acquisition_time(0.0, 1e6, 0.005, result)
+            self.call(result, 0, 0.0)
