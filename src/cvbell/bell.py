@@ -43,9 +43,10 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 LAMBDA_TOL = 1e-4
 
 #: golden-section steps `optimize_lambda` looks ahead per closed-form call:
-#: a 31-row `_evaluate` costs about 1.4x a one-row call (315 against
-#: 230 us, best of 3000 on a 2-core Xeon), and a 63-row one 1.8x, so five
-#: steps per call make the search fastest
+#: a 31-row `_evaluate` costs 1.6-1.9x a one-row call (183 against 115 us
+#: at best, best of 2000 on a 2-core Xeon), and a 63-row one 2.2-2.3x, so
+#: five steps per call make the search fastest (four lost 7 of 8
+#: alternating rounds of 8 searches)
 LAMBDA_LOOKAHEAD = 5
 
 #: Gauss-Legendre nodes per quadrant axis of `sign_correlation_quadrature`
@@ -78,7 +79,11 @@ class ExperimentParams:
     """Source and analysis settings for one CHSH evaluation.
 
     squeezing is tanh of the squeeze parameter; angles are the two
-    quadrature phases per party, (theta1, theta2, phi1, phi2).
+    quadrature phases per party, (theta1, theta2, phi1, phi2).  Each
+    parameter is stored as a float.  DomainError, naming the field, for a
+    parameter that is not one real number (a str, complex, None or array
+    is refused) or lies outside its domain, and for angles that
+    `check_angles` refuses.
     """
 
     squeezing: float
@@ -89,7 +94,12 @@ class ExperimentParams:
 
     def __post_init__(self):
         for name in gaussian.PARAMS:
-            gaussian.check_domain(name, getattr(self, name))
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise DomainError(
+                    f"{name} must be a real number, got {value!r}")
+            gaussian.check_domain(name, value)
+            object.__setattr__(self, name, float(value))
         object.__setattr__(self, "angles", check_angles(self.angles))
 
     def output_covariance(self) -> np.ndarray:
@@ -174,22 +184,23 @@ def _evaluate(rows: dict, angles):
     rows maps each pipeline parameter (`gaussian.PARAMS`) to an
     array of n values.  Returns the correlators (n, 2, 2), P (n,), the
     cancellation factor (n,) and the per-row errors: the DomainError
-    ExperimentParams raises for a value outside its domain, else the
-    refusal of `conditioning.heralded_terms`.  Failed rows hold NaN.
+    ExperimentParams raises for the first of a row's values outside its
+    domain, in PARAMS order, else the refusal of
+    `conditioning.heralded_terms`.  Failed rows hold NaN.
     """
-    n = len(rows["squeezing"])
-    errors: list = [None] * n
-    safe = []
-    for name, param in gaussian.PARAMS.items():
-        values = np.asarray(rows[name], dtype=float)
-        ok = param.inside(values)
-        for i in np.flatnonzero(~ok):
-            if errors[i] is None:
-                errors[i] = gaussian.domain_error(name, values[i])
-        safe.append(np.where(ok, values, 0.5))
+    values = np.array([rows[name] for name in gaussian.PARAMS], dtype=float)
+    ok = gaussian.inside_domains(values)
+    errors: list = [None] * values.shape[1]
+    outside = np.flatnonzero(~ok.all(axis=0))
+    if outside.size:
+        names = tuple(gaussian.PARAMS)
+        for i in outside:
+            k = int(np.argmin(ok[:, i]))
+            errors[i] = gaussian.domain_error(names[k], values[k, i])
+        values = np.where(ok, values, 0.5)
+    x = gaussian.x_block_formula(*values)
     # an out-of-domain row gets a NaN x-block, which the kernel refuses
-    x = gaussian.x_block(*safe)
-    x[[e is not None for e in errors]] = np.nan
+    x[outside] = np.nan
     terms = conditioning.heralded_terms(x)
     errors = [own or kernel for own, kernel in zip(errors, terms.errors)]
     theta1, theta2, phi1, phi2 = angles
@@ -205,7 +216,7 @@ def _rows(fixed: dict, **varying) -> dict:
     """Parameter rows for `_evaluate`: the values in fixed, repeated, and
     the arrays in varying; one row when nothing varies."""
     n = len(next(iter(varying.values()))) if varying else 1
-    return {name: varying[name] if name in varying else np.full(n, fixed[name])
+    return {name: varying[name] if name in varying else [fixed[name]] * n
             for name in gaussian.PARAMS}
 
 
@@ -349,13 +360,16 @@ class SweepPoint:
 def sweep(axis: str, grid, fixed: ExperimentParams) -> list[SweepPoint]:
     """Evaluate the CHSH pipeline along one parameter axis in one array call.
 
-    Rows are ordered by axis value.  A point that fails records the error
-    text its own `chsh` call would raise, and the sweep continues.
+    Rows are ordered by axis value, NaN last.  A point that fails records
+    the error text its own `chsh` call would raise, and the sweep
+    continues.
     """
     axes = tuple(gaussian.SWEEP_KEYS.values())
     if axis not in axes:
         raise DomainError(f"sweep axis must be one of {axes}, got {axis!r}")
-    values = np.array(sorted(float(v) for v in grid))
+    # np.sort, not sorted(): NaN compares false, so sorted() would leave it
+    # and its neighbours in place; np.sort puts it last
+    values = np.sort([float(v) for v in grid])
     corr, success, _, errors = _evaluate(_rows(vars(fixed), **{axis: values}),
                                          fixed.angles)
     s_values = chsh_value(corr)

@@ -17,7 +17,9 @@ x-blocks in one array call and returns, per row, the heralding
 probability P and four (w_j, Sigma_j) terms, Sigma_j the (x_A, x_B)
 covariance of term j, which fix the correlators, the Wigner function and
 the Monte Carlo marginals; `conditional_state` reads one row as a
-`SignedGaussianMixture`.
+`SignedGaussianMixture`.  A call makes the same numpy calls whatever the
+number of rows, refusals aside, so its cost grows slowly with them;
+`bell` batches its rows for that reason.
 """
 
 from __future__ import annotations
@@ -36,8 +38,12 @@ CONDITION_LIMIT = 1e12
 #: inclusion-exclusion weights of (no kernel, C vacuum, D vacuum, CD vacuum)
 CLICK_WEIGHTS = (1, -2, -2, 4)
 
-#: detector modes (C, D) each term projects onto vacuum, one row per term
+#: detector modes (C, D) each term projects onto vacuum, one row per term,
+#: and the diagonal 0/1 projectors onto them, shape (4, 2, 2)
 _VACUUM = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_PROJECTORS = _VACUUM[:, :, None] * _VACUUM[:, None, :]
+_CLICK_WEIGHTS = np.array(CLICK_WEIGHTS, dtype=float)
+_EYE2, _EYE4 = np.eye(2), np.eye(4)
 
 #: heralding probabilities smaller than this are numerically zero
 MIN_SUCCESS_PROB = 64 * np.finfo(float).eps
@@ -173,10 +179,10 @@ _ADJ_ROWS, _ADJ_COLS = np.array([[1, 0], [1, 0]]), np.array([[1, 1], [0, 0]])
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _inv2(m: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 2x2 matrices (adjugate over determinant)."""
-    adj = m[..., _ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGNS
-    return adj / _det2(m)[..., None, None]
+def _inv2(m: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2x2 matrices of determinants det (adjugate
+    over determinant)."""
+    return m[..., _ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGNS / det[..., None, None]
 
 
 def _eig2(m: np.ndarray):
@@ -187,7 +193,7 @@ def _eig2(m: np.ndarray):
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
@@ -214,40 +220,45 @@ def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
       rotated marginal of the term proper.
 
     A refused row holds NaN in every output array, so a caller may refuse
-    a row of its own by setting its x-block to NaN.
+    a row of its own by setting its x-block to NaN.  Each det A_j is
+    formed once, for the mass and the inverse; the refusals are built and
+    the NaN written only when some row fails.
     """
     x = np.asarray(x_blocks, dtype=float)
     if x.ndim != 3 or x.shape[1:] != (4, 4):
         raise DomainError(
             f"expected a stack of 4x4 x-blocks, got shape {x.shape}")
     with np.errstate(all="ignore"):
-        symmetric = np.all(np.abs(x - np.swapaxes(x, 1, 2)) <= STRUCTURE_TOL,
-                           axis=(1, 2))
+        symmetric = (np.abs(x - x.swapaxes(1, 2))
+                     <= STRUCTURE_TOL).all(axis=(1, 2))
         # an asymmetric (or NaN) row runs on the identity and stays refused
-        x = np.where(symmetric[:, None, None], _symmetrized(x), np.eye(4))
+        x = np.where(symmetric[:, None, None], _symmetrized(x), _EYE4)
+        # extreme eigenvalues of X, Sigma_0, ..., Sigma_3, one row per block
+        lowest, highest = np.empty((2, len(x), 5))
         eigs = np.linalg.eigvalsh(x)
+        lowest[:, 0], highest[:, 0] = eigs[:, 0], eigs[:, -1]
         homodyne, cross, detector = x[:, :2, :2], x[:, :2, 2:], x[:, 2:, 2:]
-        a = np.eye(2) + detector[:, None] * (_VACUUM[:, :, None]
-                                             * _VACUUM[:, None, :])
-        masses = np.array(CLICK_WEIGHTS, dtype=float) / _det2(a)
+        a = _EYE2 + detector[:, None] * _PROJECTORS
+        det_a = _det2(a)
+        masses = _CLICK_WEIGHTS / det_a
         success = masses.sum(axis=-1)
         coupling = cross[:, None] * _VACUUM[:, None, :]
         covariances = 0.5 * _symmetrized(
             homodyne[:, None]
-            - coupling @ _inv2(a) @ np.swapaxes(coupling, 2, 3))
+            - coupling @ _inv2(a, det_a) @ coupling.swapaxes(2, 3))
         weights = masses / success[:, None]
 
-        term_lowest, term_highest = _eig2(covariances)
-        lowest = np.column_stack([eigs[:, 0], term_lowest])
-        highest = np.column_stack([eigs[:, -1], term_highest])
+        lowest[:, 1:], highest[:, 1:] = _eig2(covariances)
         usable = (lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT)
         failed = ~(symmetric & usable.all(axis=1)
                    & (success >= MIN_SUCCESS_PROB) & (success < np.inf))
     errors: list[CVBellError | None] = [None] * len(x)
-    for i in np.flatnonzero(failed):
-        errors[i] = _refusal(symmetric[i], success[i], lowest[i], highest[i])
-    for values in (success, weights, covariances):
-        values[failed] = np.nan
+    if failed.any():
+        for i in np.flatnonzero(failed):
+            errors[i] = _refusal(symmetric[i], success[i], lowest[i],
+                                 highest[i])
+        for values in (success, weights, covariances):
+            values[failed] = np.nan
     return HeraldedTerms(success_prob=success, weights=weights,
                          covariances=covariances, errors=tuple(errors))
 

@@ -10,8 +10,13 @@ Conventions used throughout the package:
 
 In every state of the pipeline x and p decouple and the p-block is D X D
 with D = diag(1, -1, 1, -1), so the package represents a state by its 4x4
-x-quadrature covariance X of (x_A, x_B, x_C, x_D).  `x_block` builds X in
-closed form for whole arrays of parameters at once.  `from_x_block` and
+x-quadrature covariance X of (x_A, x_B, x_C, x_D).  `x_block` checks the
+parameters and builds X in closed form for whole arrays of them at once,
+gathering its 16 entries from the six distinct ones.  Each parameter's
+domain is the unit interval with one end left out (`PARAMS`);
+`inside_domains` checks a (4, n) stack of parameter rows in one pass, and
+`x_block_formula` is the closed form without the check, for rows checked
+that way.  `from_x_block` and
 `output_covariance` restore the full covariance with quadratures ordered
 (x_A, p_A, x_B, p_B, x_C, p_C, x_D, p_D), the format that
 `conditioning.conditional_state` takes.
@@ -19,7 +24,7 @@ closed form for whole arrays of parameters at once.  `from_x_block` and
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,27 +32,35 @@ from .errors import DomainError
 
 
 class Param(NamedTuple):
-    """A pipeline parameter's config key and domain, and whether a sweep
-    may vary it."""
+    """A pipeline parameter's config key, the end its domain leaves out of
+    the unit interval, and whether a sweep may vary it."""
 
     key: str
-    interval: str                                # domain, as error text
-    inside: Callable[[np.ndarray], np.ndarray]   # elementwise membership
+    open_end: float
     sweep: bool
 
+    @property
+    def interval(self) -> str:
+        """The domain, as error text."""
+        return "[0, 1)" if self.open_end else "(0, 1]"
 
-def _unit(v):
-    return (0.0 < v) & (v <= 1.0)
+
+def _in_unit_interval(values, open_end):
+    """Elementwise membership of values in the unit interval without
+    open_end; open_end broadcasts against values."""
+    return (0.0 <= values) & (values <= 1.0) & (values != open_end)
 
 
 #: ExperimentParams field -> Param, in config and x_block argument order
 PARAMS = {
-    "squeezing": Param("lambda", "[0, 1)", lambda v: (0.0 <= v) & (v < 1.0),
-                       True),
-    "transmittance": Param("T", "(0, 1]", _unit, False),
-    "apd_efficiency": Param("eta", "(0, 1]", _unit, True),
-    "homodyne_efficiency": Param("eta_bhd", "(0, 1]", _unit, True),
+    "squeezing": Param("lambda", 1.0, True),
+    "transmittance": Param("T", 0.0, False),
+    "apd_efficiency": Param("eta", 0.0, True),
+    "homodyne_efficiency": Param("eta_bhd", 0.0, True),
 }
+
+#: the open end of each domain, one row per parameter in PARAMS order
+_OPEN_ENDS = np.array([[p.open_end] for p in PARAMS.values()])
 
 #: config key -> field name of each parameter a sweep may vary
 SWEEP_KEYS = {p.key: name for name, p in PARAMS.items() if p.sweep}
@@ -59,10 +72,16 @@ def domain_error(name: str, value) -> DomainError:
                        f"got {float(value)}")
 
 
+def inside_domains(rows: np.ndarray) -> np.ndarray:
+    """Elementwise domain membership of a (4, n) stack of parameter rows,
+    one row per parameter in PARAMS order."""
+    return _in_unit_interval(rows, _OPEN_ENDS)
+
+
 def check_domain(name: str, values) -> None:
     """Raise `domain_error` for the first of values outside name's domain."""
     values = np.asarray(values, dtype=float)
-    inside = PARAMS[name].inside(values)
+    inside = _in_unit_interval(values, PARAMS[name].open_end)
     if not np.all(inside):
         raise domain_error(name, values[~inside].flat[0])
 
@@ -74,7 +93,8 @@ def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency
     Squeezer, both tap beam splitters and detector loss in closed form.
     The arguments broadcast against each other and the result has shape
     (..., 4, 4), one block per parameter row.  Every entry must lie in its
-    domain: squeezing in [0, 1), the rest in (0, 1].
+    domain: squeezing in [0, 1), the rest in (0, 1].  The block is that of
+    `x_block_formula` after this check.
     """
     lam, trans, eta, eta_h = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (squeezing, transmittance,
@@ -82,19 +102,32 @@ def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency
                                                homodyne_efficiency)))
     for name, val in zip(PARAMS, (lam, trans, eta, eta_h)):
         check_domain(name, val)
-    r = np.arctanh(lam)
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    return x_block_formula(lam, trans, eta, eta_h)
+
+
+#: place of each of the 16 entries of X among its six distinct ones
+#: (aa, ab, ac, ad, cc, cd): X is symmetric and invariant under the swap
+#: of A with B together with C with D
+_LAYOUT = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 4, 5, 3, 2, 5, 4])
+
+
+def x_block_formula(lam, trans, eta, eta_h) -> np.ndarray:
+    """The closed form of `x_block` for float arrays of one shape whose
+    entries lie in their domains, which it does not check."""
+    r2 = 2.0 * np.arctanh(lam)
+    ch, sh = np.cosh(r2), np.sinh(r2)
     t, rfl = np.sqrt(trans), np.sqrt(1.0 - trans)
-    gain = np.sqrt(eta_h * eta)
-    aa = eta_h * (t * t * ch + rfl * rfl) + (1.0 - eta_h)
-    ab = eta_h * t * t * sh
-    cc = eta * (rfl * rfl * ch + t * t) + (1.0 - eta)
-    cd = eta * rfl * rfl * sh
-    ac = gain * t * rfl * (1.0 - ch)
-    ad = -gain * t * rfl * sh
-    entries = (aa, ab, ac, ad, ab, aa, ad, ac,
-               ac, ad, cc, cd, ad, ac, cd, cc)
-    return np.stack(entries, axis=-1).reshape(lam.shape + (4, 4))
+    tt, rr = t * t, rfl * rfl
+    gtr = np.sqrt(eta_h * eta) * t * rfl
+    # products run left to right as written: eta_h * t * t rounds
+    # differently from eta_h * tt
+    entries = np.array([eta_h * (tt * ch + rr) + (1.0 - eta_h),   # aa
+                        eta_h * t * t * sh,                        # ab
+                        gtr * (1.0 - ch),                          # ac
+                        -gtr * sh,                                 # ad
+                        eta * (rr * ch + tt) + (1.0 - eta),        # cc
+                        eta * rfl * rfl * sh])                     # cd
+    return entries.reshape(6, -1)[_LAYOUT].T.reshape(np.shape(lam) + (4, 4))
 
 
 def from_x_block(x: np.ndarray) -> np.ndarray:

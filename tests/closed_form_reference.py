@@ -1,0 +1,171 @@
+"""The closed form with one numpy call per entry and per check: `x_block`
+with its 16-way stack and a domain check per parameter, `heralded_terms`
+with det A_j taken twice and the eigenvalue table stacked, and
+`_evaluate` with a domain pass per parameter.  The package's route makes
+fewer numpy calls on the same arithmetic; the tests hold it to this
+route bitwise, refusals included.
+"""
+
+import numpy as np
+
+from cvbell import conditioning
+from cvbell.bell import _arcsine_mean
+from cvbell.conditioning import (CLICK_WEIGHTS, CONDITION_LIMIT,
+                                 MIN_SUCCESS_PROB, STRUCTURE_TOL,
+                                 HeraldedTerms)
+from cvbell.errors import (DomainError, InvalidRegimeError,
+                           SingularMatrixError)
+
+
+def _unit(v):
+    return (0.0 < v) & (v <= 1.0)
+
+
+#: pipeline parameter -> (domain as error text, elementwise membership)
+DOMAINS = {
+    "squeezing": ("[0, 1)", lambda v: (0.0 <= v) & (v < 1.0)),
+    "transmittance": ("(0, 1]", _unit),
+    "apd_efficiency": ("(0, 1]", _unit),
+    "homodyne_efficiency": ("(0, 1]", _unit),
+}
+
+
+def domain_error(name, value):
+    return DomainError(f"{name} must lie in {DOMAINS[name][0]}, "
+                       f"got {float(value)}")
+
+
+def check_domain(name, values):
+    values = np.asarray(values, dtype=float)
+    inside = DOMAINS[name][1](values)
+    if not np.all(inside):
+        raise domain_error(name, values[~inside].flat[0])
+
+
+def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency):
+    lam, trans, eta, eta_h = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (squeezing, transmittance,
+                                               apd_efficiency,
+                                               homodyne_efficiency)))
+    for name, val in zip(DOMAINS, (lam, trans, eta, eta_h)):
+        check_domain(name, val)
+    r = np.arctanh(lam)
+    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    t, rfl = np.sqrt(trans), np.sqrt(1.0 - trans)
+    gain = np.sqrt(eta_h * eta)
+    aa = eta_h * (t * t * ch + rfl * rfl) + (1.0 - eta_h)
+    ab = eta_h * t * t * sh
+    cc = eta * (rfl * rfl * ch + t * t) + (1.0 - eta)
+    cd = eta * rfl * rfl * sh
+    ac = gain * t * rfl * (1.0 - ch)
+    ad = -gain * t * rfl * sh
+    entries = (aa, ab, ac, ad, ab, aa, ad, ac,
+               ac, ad, cc, cd, ad, ac, cd, cc)
+    return np.stack(entries, axis=-1).reshape(lam.shape + (4, 4))
+
+
+_VACUUM = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def spd_error(lowest, highest):
+    if not lowest > 0.0:
+        return SingularMatrixError("matrix is not positive definite",
+                                   condition_estimate=float("inf"))
+    cond = highest / lowest
+    if not cond <= CONDITION_LIMIT:
+        return SingularMatrixError("matrix too ill-conditioned to invert",
+                                   condition_estimate=float(cond))
+    return None
+
+
+def _refusal(symmetric, success, lowest, highest):
+    if not symmetric:
+        return DomainError("matrix is not symmetric")
+    if error := spd_error(lowest[0], highest[0]):
+        return error
+    if not MIN_SUCCESS_PROB <= success < np.inf:
+        return InvalidRegimeError(
+            f"invalid-regime: heralding probability {success:.3e} is not "
+            "usable; the input state cannot trigger both detectors")
+    return next(filter(None, map(spd_error, lowest[1:], highest[1:])))
+
+
+def _det2(m):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _inv2(m):
+    adj = (m[..., [[1, 0], [1, 0]], [[1, 1], [0, 0]]]
+           * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    return adj / _det2(m)[..., None, None]
+
+
+def _eig2(m):
+    mean = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    radius = np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1])
+    return mean - radius, mean + radius
+
+
+def _symmetrized(m):
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def heralded_terms(x_blocks):
+    x = np.asarray(x_blocks, dtype=float)
+    if x.ndim != 3 or x.shape[1:] != (4, 4):
+        raise DomainError(
+            f"expected a stack of 4x4 x-blocks, got shape {x.shape}")
+    with np.errstate(all="ignore"):
+        symmetric = np.all(np.abs(x - np.swapaxes(x, 1, 2)) <= STRUCTURE_TOL,
+                           axis=(1, 2))
+        x = np.where(symmetric[:, None, None], _symmetrized(x), np.eye(4))
+        eigs = np.linalg.eigvalsh(x)
+        homodyne, cross, detector = x[:, :2, :2], x[:, :2, 2:], x[:, 2:, 2:]
+        a = np.eye(2) + detector[:, None] * (_VACUUM[:, :, None]
+                                             * _VACUUM[:, None, :])
+        masses = np.array(CLICK_WEIGHTS, dtype=float) / _det2(a)
+        success = masses.sum(axis=-1)
+        coupling = cross[:, None] * _VACUUM[:, None, :]
+        covariances = 0.5 * _symmetrized(
+            homodyne[:, None]
+            - coupling @ _inv2(a) @ np.swapaxes(coupling, 2, 3))
+        weights = masses / success[:, None]
+        term_lowest, term_highest = _eig2(covariances)
+        lowest = np.column_stack([eigs[:, 0], term_lowest])
+        highest = np.column_stack([eigs[:, -1], term_highest])
+        usable = (lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT)
+        failed = ~(symmetric & usable.all(axis=1)
+                   & (success >= MIN_SUCCESS_PROB) & (success < np.inf))
+    errors = [None] * len(x)
+    for i in np.flatnonzero(failed):
+        errors[i] = _refusal(symmetric[i], success[i], lowest[i], highest[i])
+    for values in (success, weights, covariances):
+        values[failed] = np.nan
+    return HeraldedTerms(success_prob=success, weights=weights,
+                         covariances=covariances, errors=tuple(errors))
+
+
+def evaluate(rows, angles):
+    """(correlators, P, cancellation, errors) of `bell._evaluate`."""
+    n = len(rows["squeezing"])
+    errors = [None] * n
+    safe = []
+    for name, (_, inside) in DOMAINS.items():
+        values = np.asarray(rows[name], dtype=float)
+        ok = inside(values)
+        for i in np.flatnonzero(~ok):
+            if errors[i] is None:
+                errors[i] = domain_error(name, values[i])
+        safe.append(np.where(ok, values, 0.5))
+    x = x_block(*safe)
+    x[[e is not None for e in errors]] = np.nan
+    terms = heralded_terms(x)
+    errors = [own or kernel for own, kernel in zip(errors, terms.errors)]
+    theta1, theta2, phi1, phi2 = angles
+    cosines = np.cos([[theta1 + phi1, theta1 + phi2],
+                      [theta2 + phi1, theta2 + phi2]])
+    corr = _arcsine_mean(terms.weights[:, None, None, :],
+                         conditioning.correlation_coefficients(
+                             terms.covariances)[:, None, None, :]
+                         * cosines[..., None])
+    return corr, terms.success_prob, terms.cancellation, errors

@@ -8,8 +8,9 @@ import pytest
 
 from cvbell import bell, cli, conditioning, fock, gaussian
 from cvbell.errors import (CVBellError, DomainError, InvalidRegimeError,
-                           OptimizationError)
+                           OptimizationError, SingularMatrixError)
 from conftest import integrate_mixture_2d
+import closed_form_reference as per_call
 import symplectic_reference as ref
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,25 @@ class TestExperimentParams:
     def test_range_validation(self, kwargs):
         with pytest.raises(DomainError):
             bell.ExperimentParams(**kwargs)
+
+    @pytest.mark.parametrize("value", ["0.6", 0.6 + 0j, None,
+                                       np.array([0.6, 0.5])],
+                             ids=["str", "complex", "none", "two-element"])
+    def test_parameter_must_be_one_real_number(self, value):
+        fields = dict(squeezing=0.5, transmittance=0.95, apd_efficiency=0.3,
+                      homodyne_efficiency=1.0)
+        for name in gaussian.PARAMS:
+            with pytest.raises(DomainError) as info:
+                bell.ExperimentParams(**{**fields, name: value})
+            assert str(info.value) == \
+                f"{name} must be a real number, got {value!r}"
+
+    def test_parameters_stored_as_floats(self):
+        p = bell.ExperimentParams(np.float32(0.5), 1, np.float64(0.3), True)
+        assert [type(getattr(p, name)) for name in gaussian.PARAMS] == \
+            [float] * 4
+        assert (p.squeezing, p.transmittance, p.homodyne_efficiency) == \
+            (0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_angle_raises(self, angle):
@@ -397,6 +417,91 @@ class TestAgainstReference:
         assert bell.chsh(realistic_params).S == expected.S
 
 
+def domain_sweep_rows(n, seed):
+    """n seeded parameter rows over the whole domain.  Half the squeezings
+    are 1 - 10^U(-12, 0), the rest uniform in [0, 1), and the other
+    parameters uniform in (0, 1]; 1 row in 10 is from the small-P corner
+    (lambda 10^U(-4, -1), T in [0.99, 0.9999]), and 1 row in 50 holds
+    -0.5, 0, 1, 1.5 or NaN in one or two parameters."""
+    rng = np.random.default_rng(seed)
+    lam = np.where(rng.random(n) < 0.5, 1.0 - 10.0 ** rng.uniform(-12, 0, n),
+                   rng.random(n))
+    rows = {"squeezing": lam, "transmittance": 1.0 - rng.random(n),
+            "apd_efficiency": 1.0 - rng.random(n),
+            "homodyne_efficiency": 1.0 - rng.random(n)}
+    corner = rng.random(n) < 0.1
+    rows["squeezing"][corner] = 10.0 ** rng.uniform(-4, -1, corner.sum())
+    rows["transmittance"][corner] = rng.uniform(0.99, 0.9999, corner.sum())
+    for i in np.flatnonzero(rng.random(n) < 1 / 50):
+        for name in rng.choice(list(gaussian.PARAMS), rng.integers(1, 3),
+                               replace=False):
+            rows[name][i] = rng.choice([-0.5, 0.0, 1.0, 1.5, np.nan])
+    return rows
+
+
+def error_texts(errors):
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+class TestAgainstPerCallRoute:
+    """The closed form bitwise against `closed_form_reference`, the same
+    arithmetic with one numpy call per entry and per check."""
+
+    def test_evaluate_bitwise(self):
+        rows = domain_sweep_rows(4000, 2501)
+        angles = tuple(np.random.default_rng(2502).uniform(-np.pi, np.pi, 4))
+        *arrays, errors = bell._evaluate(rows, angles)
+        *expected, expected_errors = per_call.evaluate(rows, angles)
+        for value, reference in zip(arrays, expected):
+            assert value.tobytes() == reference.tobytes()
+        assert error_texts(errors) == error_texts(expected_errors)
+        # the sweep reaches every kind of row: usable, out of domain,
+        # unheralded and singular
+        kinds = {type(e) for e in errors}
+        assert kinds == {type(None), DomainError, InvalidRegimeError,
+                         SingularMatrixError}
+
+    def test_kernel_bitwise(self):
+        rows = domain_sweep_rows(2000, 2503)
+        x = per_call.x_block(*(np.nan_to_num(np.clip(rows[name], 1e-3, 0.999),
+                                             nan=0.5)
+                               for name in gaussian.PARAMS))
+        rng = np.random.default_rng(2504)
+        # asymmetric, indefinite, NaN and ill-conditioned blocks
+        x[rng.random(len(x)) < 0.02, 0, 1] += 1e-9
+        x[rng.random(len(x)) < 0.02, 2, 2] *= -1.0
+        x[rng.random(len(x)) < 0.02, 3, 1] = np.nan
+        x[rng.random(len(x)) < 0.02] = np.diag([1.0, 1.0, 1.0, 1e-13])
+        terms = conditioning.heralded_terms(x)
+        expected = per_call.heralded_terms(x)
+        for field in ("success_prob", "weights", "covariances",
+                      "cancellation", "correlations"):
+            assert getattr(terms, field).tobytes() == \
+                getattr(expected, field).tobytes()
+        assert error_texts(terms.errors) == error_texts(expected.errors)
+        assert "matrix is not symmetric" in map(str, terms.errors)
+
+    def test_x_block_bitwise(self):
+        rows = domain_sweep_rows(1000, 2505)
+        ok = np.all([np.isfinite(v) & (v > 0) & (v < 1)
+                     for v in rows.values()], axis=0)
+        args = [rows[name][ok] for name in gaussian.PARAMS]
+        assert gaussian.x_block(*args).tobytes() == \
+            per_call.x_block(*args).tobytes()
+        grid = (np.linspace(0.0, 0.9, 5), 0.95, np.array([[0.3], [1.0]]), 1.0)
+        for case in (grid, (0.6, 0.95, 0.3, 0.95)):
+            block = gaussian.x_block(*case)
+            assert block.shape == per_call.x_block(*case).shape
+            assert block.tobytes() == per_call.x_block(*case).tobytes()
+        for case in ((1.0, 0.95, 0.3, 0.95), ([0.5, -0.5], 0.0, 0.3, 0.95),
+                     (0.5, 0.95, [0.3, np.nan], 1.5)):
+            with pytest.raises(DomainError) as info:
+                gaussian.x_block(*case)
+            with pytest.raises(DomainError) as expected:
+                per_call.x_block(*case)
+            assert str(info.value) == str(expected.value)
+
+
 def sequential_golden_max(values, lo, hi, tol, lookahead):
     """The one-point-at-a-time golden-section search, one call of values
     per point, that the lookahead rounds of `bell._golden_section_max`
@@ -584,6 +689,13 @@ class TestSweep:
         grid = [0.6, 0.3, 0.5, 0.4]
         seq = bell.sweep("squeezing", grid, fixed)
         assert [p.value for p in seq] == sorted(grid)
+
+    def test_nan_row_ordered_last(self):
+        fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
+        points = bell.sweep("squeezing", [0.99, np.nan, 0.9, 0.95], fixed)
+        assert [p.value for p in points[:3]] == [0.9, 0.95, 0.99]
+        assert np.isnan(points[3].value)
+        assert points[3].error == "squeezing must lie in [0, 1), got nan"
 
     def test_batched_rows_equal_single_chsh_calls(self):
         rng = np.random.default_rng(31)

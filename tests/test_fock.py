@@ -995,6 +995,14 @@ class TestOptimalProduct:
             fock.fock_optimal_product(0.5)
         assert str(info.value) == "optimal squeezing fell on the scan boundary"
 
+    def test_optimum_below_the_scan_raises(self, monkeypatch):
+        # S peaks at lambda T = 0.572, so over a scan from 0.6 it falls
+        # from the first point on
+        monkeypatch.setattr(fock, "PRODUCT_RANGE", (0.6, 0.8))
+        with pytest.raises(DomainError) as info:
+            fock.fock_optimal_product(0.95)
+        assert str(info.value) == "optimal squeezing fell on the scan boundary"
+
     def test_empty_scan_raises(self):
         # at T = 0.3 no lambda T of the scan range has lambda < 1
         with pytest.raises(DomainError) as info:

@@ -118,19 +118,33 @@ class TestEnvelope:
             montecarlo.build_envelope(mixture)
 
     # a term 1000 times narrower than the widest peaks the ratio at
-    # r(0) = 1 + 1000, so the acceptance is 1/(1.05 * 1001) < 1%
+    # r(0) = 1 + 1000, so the acceptance is 1/(1.05 * 1001) < 1%; an
+    # infinite weight leaves the peak search nothing finite to find
     @pytest.mark.parametrize("weights, covariances, message", [
         ([-1.0], [np.eye(2)], "signed mixture has no positive terms"),
         ([0.5, 0.5], [np.eye(2), 1e-3 * np.eye(2)],
          "envelope acceptance rate 1/1051.0 is below 1%; the dominating "
-         "constant is unusable")],
-        ids=["no-positive-term", "narrow-term"])
+         "constant is unusable"),
+        ([np.inf], [np.eye(2)], "could not bound the target/envelope ratio")],
+        ids=["no-positive-term", "narrow-term", "infinite-weight"])
     def test_unusable_mixture_raises(self, weights, covariances, message):
         mixture = bell.BivariateMixture(weights=np.array(weights),
                                         covariances=np.array(covariances))
-        with pytest.raises(EnvelopeError) as info:
+        with pytest.raises(EnvelopeError) as info, \
+                np.errstate(invalid="ignore"):
             montecarlo.build_envelope(mixture)
         assert str(info.value) == message
+
+    def test_low_observed_acceptance_raises(self):
+        # r(z) = 1e-3 everywhere under a bound of 1: every proposal passes
+        # the bound check, but only 1 in 1000 is accepted
+        env = montecarlo.Envelope(
+            weights=np.ones(1), covariances=np.eye(2)[None], chol=np.eye(2),
+            scales=np.array([1e-3]), forms=np.zeros((1, 2, 2)), bound=1.0)
+        with pytest.raises(EnvelopeError) as info:
+            montecarlo._draw(env, 10_000, np.random.default_rng(0))
+        assert str(info.value) == ("observed acceptance 0.12% below 1% "
+                                   "after 10300 proposals")
 
     def test_bound_below_the_peak_ratio_raises(self, realistic_marginal):
         env = montecarlo.build_envelope(realistic_marginal)
