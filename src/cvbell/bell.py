@@ -1,25 +1,24 @@
 """CHSH correlators from sign-binned homodyne outcomes.
 
 The heralded state is a signed mixture of four Gaussians, the (w_j,
-Sigma_j) terms that `conditioning.heralded_terms` conditions from the 4x4
-x-quadrature block of the source (see `gaussian`).  Measured at phase
-theta on A and phi on B, term j is a bivariate Gaussian with correlation
-coefficient c_j cos(theta + phi), c_j the correlation of Sigma_j, and its
-sign-binned correlator follows from the Gaussian orthant probability, so
-the full correlator is the weight-averaged arcsine
+Sigma_j) terms of `conditioning.herald`.  Measured at phase theta on A
+and phi on B, term j is a bivariate Gaussian with correlation c_j
+cos(theta + phi), c_j the correlation of Sigma_j, and its sign-binned
+correlator follows from the Gaussian orthant probability, so
 
     E(theta, phi) = sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)).
 
 `chsh`, `sweep` and the pre-scan of `optimize_lambda` evaluate whole
-arrays of parameter rows with one call of `conditioning.heralded_terms`;
-a single point is a batch of one.  The golden-section search of
+arrays of parameter rows with one kernel call, on the entries of
+`gaussian.x_entries` and the P of `conditioning.success_probability`; a
+single point is a batch of one.  The golden-section search of
 `optimize_lambda` evaluates, per call, every point that its next
-`LAMBDA_LOOKAHEAD` steps could need, so the optimisation makes at most
-four calls.  A row's values do not depend on the batch it is evaluated
-in, so the result is bitwise that of the one-point-at-a-time search.
-`rotated_marginal` gives the same terms at one setting as a
-`conditioning.BivariateMixture`, for the Monte Carlo sampler and for the
-2D quadrature fallback that guards the closed form in the tests.
+`LAMBDA_LOOKAHEAD` steps could need, so it makes at most four calls; a
+row's values do not depend on its batch, so the result is bitwise that
+of the one-point-at-a-time search.  `rotated_marginal` gives the terms at
+one setting as a `conditioning.BivariateMixture`, for the Monte Carlo
+sampler and for the 2D quadrature fallback that guards the closed form
+in the tests.
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 LAMBDA_TOL = 1e-4
 
 #: golden-section steps `optimize_lambda` looks ahead per closed-form call:
-#: a 31-row `_evaluate` costs 1.6-1.9x a one-row call (183 against 115 us
-#: at best, best of 2000 on a 2-core Xeon), and a 63-row one 2.2-2.3x, so
-#: five steps per call make the search fastest (four lost 7 of 8
-#: alternating rounds of 8 searches)
+#: 31 and 63 rows cost 1.1x and 1.15-1.2x one row (best of 2000 on a
+#: 2-core Xeon), and five steps won 4 of 6 alternating rounds of 8
+#: searches against four and all 6 against three and six
 LAMBDA_LOOKAHEAD = 5
 
 #: Gauss-Legendre nodes per quadrant axis of `sign_correlation_quadrature`
@@ -94,12 +92,8 @@ class ExperimentParams:
 
     def __post_init__(self):
         for name in gaussian.PARAMS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise DomainError(
-                    f"{name} must be a real number, got {value!r}")
-            gaussian.check_domain(name, value)
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, gaussian.check_parameter(
+                name, getattr(self, name)))
         object.__setattr__(self, "angles", check_angles(self.angles))
 
     def output_covariance(self) -> np.ndarray:
@@ -128,7 +122,7 @@ def chsh_value(correlators):
 
 def _arcsine_mean(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_j w_j (2/pi) arcsin(rho_j) over the last axis; the terms
-    `conditioning.heralded_terms` accepts have |rho_j| <= 1 - 2 / (1 +
+    `conditioning.herald` accepts have |rho_j| <= 1 - 2 / (1 +
     CONDITION_LIMIT), so no clamp is needed."""
     return (weights * (2.0 / np.pi) * np.arcsin(rho)).sum(axis=-1)
 
@@ -150,7 +144,8 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
 def sign_correlation(marginal: BivariateMixture) -> float:
     """Closed-form sign-binned correlator of a signed Gaussian mixture;
     DomainError for a term with |correlation| > 1."""
-    rho = conditioning.correlation_coefficients(marginal.covariances)
+    covs = marginal.covariances
+    rho = covs[:, 0, 1] / np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
     if np.any(np.abs(rho) > 1.0):
         raise DomainError("a mixture term has a correlation coefficient "
                           "outside [-1, 1]")
@@ -185,8 +180,8 @@ def _evaluate(rows: dict, angles):
     array of n values.  Returns the correlators (n, 2, 2), P (n,), the
     cancellation factor (n,) and the per-row errors: the DomainError
     ExperimentParams raises for the first of a row's values outside its
-    domain, in PARAMS order, else the refusal of
-    `conditioning.heralded_terms`.  Failed rows hold NaN.
+    domain, in PARAMS order, else the refusal of `conditioning.herald`.
+    Failed rows hold NaN.
     """
     values = np.array([rows[name] for name in gaussian.PARAMS], dtype=float)
     ok = gaussian.inside_domains(values)
@@ -198,10 +193,10 @@ def _evaluate(rows: dict, angles):
             k = int(np.argmin(ok[:, i]))
             errors[i] = gaussian.domain_error(names[k], values[k, i])
         values = np.where(ok, values, 0.5)
-    x = gaussian.x_block_formula(*values)
-    # an out-of-domain row gets a NaN x-block, which the kernel refuses
-    x[outside] = np.nan
-    terms = conditioning.heralded_terms(x)
+    success = conditioning.success_probability(*values[:3])
+    # an out-of-domain row gets a NaN P, which the kernel refuses
+    success[outside] = np.nan
+    terms = conditioning.herald(gaussian.x_entries(*values), success)
     errors = [own or kernel for own, kernel in zip(errors, terms.errors)]
     theta1, theta2, phi1, phi2 = angles
     cosines = np.cos([[theta1 + phi1, theta1 + phi2],
@@ -311,13 +306,14 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
     local maxima agree within 0.005 (the unimodality assumption behind
     golden-section search would then be unsafe).  When the pre-scan
     refuses every row (nothing heralds, as at T = 1), the first row's
-    refusal is raised.  A fixed parameter outside its domain, or angles
-    that `check_angles` refuses, raise DomainError.
+    refusal is raised.  A fixed parameter that is not one real number or
+    lies outside its domain, or angles that `check_angles` refuses, raise
+    DomainError.
     """
-    fixed = dict(transmittance=transmittance, apd_efficiency=apd_efficiency,
-                 homodyne_efficiency=homodyne_efficiency)
-    for name, value in fixed.items():
-        gaussian.check_domain(name, value)
+    fixed = {name: gaussian.check_parameter(name, value) for name, value in
+             (("transmittance", transmittance),
+              ("apd_efficiency", apd_efficiency),
+              ("homodyne_efficiency", homodyne_efficiency))}
     angles = check_angles(angles)
 
     def scan(lams: np.ndarray) -> tuple[np.ndarray, list]:

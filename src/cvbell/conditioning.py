@@ -6,20 +6,17 @@ on the homodyne modes: the inclusion-exclusion expansion of the two
 click projectors contributes one term per vacuum-kernel combination,
 with integer weights (1, -2, -2, 4).
 
-The conditioning runs on the 4x4 x-quadrature covariance
-X = (x_A, x_B, x_C, x_D) of `gaussian.x_block`, the package's
-representation of the source.  The p-part of every matrix involved is
-the D-flip of its x-part, D = diag(1, -1, 1, -1), with the same spectrum
-and determinant: each 8x8 or 4x4 determinant is the square of its
-x-part's, and each positive-definiteness or condition check on it is the
-same check on the x-part.  `heralded_terms` conditions a stack of
-x-blocks in one array call and returns, per row, the heralding
-probability P and four (w_j, Sigma_j) terms, Sigma_j the (x_A, x_B)
-covariance of term j, which fix the correlators, the Wigner function and
-the Monte Carlo marginals; `conditional_state` reads one row as a
-`SignedGaussianMixture`.  A call makes the same numpy calls whatever the
-number of rows, refusals aside, so its cost grows slowly with them;
-`bell` batches its rows for that reason.
+The conditioning runs on the 4x4 x-quadrature covariance X of
+`gaussian.x_block`; the p-part of every matrix involved is the D-flip of
+its x-part, D = diag(1, -1, 1, -1), so every check on it is the same
+check on the x-part.  X is invariant under the joint swap of A with B and
+C with D, so its six distinct entries (aa, ab, ac, ad, cc, cd) give each
+term in a scalar closed form, and in the basis (x_A +- x_B, x_C +- x_D) /
+sqrt 2 it splits into X+- = [[aa +- ab, ac +- ad], [ac +- ad, cc +- cd]].
+`herald` conditions arrays of the entries elementwise into P and four
+(w_j, Sigma_j) terms, Sigma_j the (x_A, x_B) covariance of term j;
+`success_probability` gives P free of cancellation, and
+`conditional_state` reads one 8x8 covariance as a `SignedGaussianMixture`.
 """
 
 from __future__ import annotations
@@ -38,12 +35,11 @@ CONDITION_LIMIT = 1e12
 #: inclusion-exclusion weights of (no kernel, C vacuum, D vacuum, CD vacuum)
 CLICK_WEIGHTS = (1, -2, -2, 4)
 
-#: detector modes (C, D) each term projects onto vacuum, one row per term,
-#: and the diagonal 0/1 projectors onto them, shape (4, 2, 2)
-_VACUUM = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-_PROJECTORS = _VACUUM[:, :, None] * _VACUUM[:, None, :]
-_CLICK_WEIGHTS = np.array(CLICK_WEIGHTS, dtype=float)
-_EYE2, _EYE4 = np.eye(2), np.eye(4)
+#: the signs of the blocks X+ and X-, as a column
+_SIGNS = np.array([[1.0], [-1.0]])
+
+#: CLICK_WEIGHTS as a column
+_CLICK_WEIGHTS = np.array(CLICK_WEIGHTS, dtype=float)[:, None]
 
 #: heralding probabilities smaller than this are numerically zero
 MIN_SUCCESS_PROB = 64 * np.finfo(float).eps
@@ -74,7 +70,7 @@ def _term_densities(weights: np.ndarray, covs: np.ndarray,
     The exponent of term j, -(c11 x^2 - 2 c01 xy + c00 y^2) / (2 det), is
     row j of one (terms, 3) by (3, points) product.
     """
-    det = _det2(covs)
+    det = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] * covs[:, 1, 0]
     coeffs = np.stack([-0.5 * covs[:, 1, 1], covs[:, 0, 1],
                        -0.5 * covs[:, 0, 0]], axis=-1) / det[:, None]
     scale = weights / (2.0 * np.pi * np.sqrt(det))
@@ -82,11 +78,6 @@ def _term_densities(weights: np.ndarray, covs: np.ndarray,
     np.exp(values, out=values)
     values *= scale.reshape((-1,) + (1,) * (moments.ndim - 1))
     return values
-
-
-def correlation_coefficients(cov: np.ndarray) -> np.ndarray:
-    """Correlation coefficient of each of a stack of 2x2 covariances."""
-    return cov[..., 0, 1] / np.sqrt(cov[..., 0, 0] * cov[..., 1, 1])
 
 
 @dataclass(frozen=True)
@@ -112,27 +103,17 @@ class SignedGaussianMixture(BivariateMixture):
 
 @dataclass(frozen=True)
 class HeraldedTerms:
-    """Heralded state of every row of a stack of x-blocks.
-
-    Term j of row i is a normalized Gaussian of signed mass weights[i, j];
-    covariances[i, j] is its covariance of (x_A, x_B), and its (p_A, p_B)
-    covariance is the same with the off-diagonal negated.  A row that
-    fails a check holds its refusal in `errors` and NaN in every array.
-    """
+    """Heralded state of every row of a stack of x-blocks: term j of row
+    i is a normalized Gaussian of signed mass weights[i, j] and (x_A, x_B)
+    covariance covariances[i, j], of correlation correlations[i, j]; its
+    (p_A, p_B) covariance has the off-diagonal negated.  A refused row
+    holds its error in `errors` and NaN in every array."""
 
     success_prob: np.ndarray        # (n,)
-    weights: np.ndarray             # (n, 4), rows sum to 1
+    weights: np.ndarray             # (n, 4), rows sum to 1 up to rounding
+    correlations: np.ndarray        # (n, 4)
     covariances: np.ndarray         # (n, 4, 2, 2)
     errors: tuple[CVBellError | None, ...]
-
-    @property
-    def correlations(self) -> np.ndarray:
-        """Correlation coefficient c_j of (x_A, x_B) per term, shape (n, 4).
-
-        Measured at phases theta on A and phi on B, term j has correlation
-        c_j cos(theta + phi).
-        """
-        return correlation_coefficients(self.covariances)
 
     @property
     def cancellation(self) -> np.ndarray:
@@ -154,12 +135,10 @@ def spd_error(lowest, highest) -> SingularMatrixError | None:
     return None
 
 
-def _refusal(symmetric, success, lowest, highest) -> CVBellError:
-    """Error of a refused row of `heralded_terms`: its first failing check,
-    in the order symmetry, X, P, Sigma_j.  lowest and highest are the
-    extreme eigenvalues of X, Sigma_0, ..., Sigma_3."""
-    if not symmetric:
-        return DomainError("matrix is not symmetric")
+def _refusal(success, lowest, highest) -> CVBellError:
+    """Error of a refused row of `herald`: its first failing check, in the
+    order X, P, Sigma_j, from the extreme eigenvalues lowest and highest
+    of X, Sigma_0, ..., Sigma_3."""
     if error := spd_error(lowest[0], highest[0]):
         return error
     if not MIN_SUCCESS_PROB <= success < np.inf:
@@ -169,108 +148,108 @@ def _refusal(symmetric, success, lowest, highest) -> CVBellError:
     return next(filter(None, map(spd_error, lowest[1:], highest[1:])))
 
 
-def _det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 2x2 matrices."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-#: gather indices and signs of the adjugate [[m11, -m01], [-m10, m00]]
-_ADJ_ROWS, _ADJ_COLS = np.array([[1, 0], [1, 0]]), np.array([[1, 1], [0, 0]])
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _inv2(m: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 2x2 matrices of determinants det (adjugate
-    over determinant)."""
-    return m[..., _ADJ_ROWS, _ADJ_COLS] * _ADJ_SIGNS / det[..., None, None]
-
-
-def _eig2(m: np.ndarray):
-    """Lowest and highest eigenvalues of a stack of symmetric 2x2 matrices."""
-    mean = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    radius = np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1])
+def _eig2(p, q, r):
+    """Lowest and highest eigenvalues of the symmetric 2x2 matrices
+    [[p, r], [r, q]], elementwise."""
+    mean = 0.5 * (p + q)
+    radius = np.hypot(0.5 * (p - q), r)
     return mean - radius, mean + radius
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.swapaxes(-1, -2))
+def success_probability(squeezing, transmittance, apd_efficiency):
+    """Heralding probability of parameter arrays inside their domains
+    (unchecked): with s = eta (1 - T) and omega = (1 - lambda)(1 + lambda),
 
+        P = lambda^2 s^2 (1 + lambda^2 (1 - s))
+            / ((omega + lambda^2 s)(omega + lambda^2 s (2 - s))),
 
-def heralded_terms(x_blocks: np.ndarray) -> HeraldedTerms:
-    """Condition a stack of x-blocks X, shape (n, 4, 4), on a double click.
-
-    Term j projects the detector modes S_j (none, C, D, both) onto vacuum.
-    With A_j = I + X_SS, its (x_A, x_B) covariance is
-    Sigma_j = (X_AB,AB - X_AB,S A_j^-1 X_S,AB) / 2 and its unnormalized
-    mass is q_j / det A_j, so P = sum_j q_j / det A_j.  This is the
-    inverse-form conditioning (precision (2 Sigma_j)^-1 = Gamma_AB -
-    Gamma_AB,CD B_j^-1 Gamma_CD,AB with Gamma = X^-1 and augmented detector
-    block B_j = Gamma_CD + K_j) rewritten by the Woodbury identity and the
-    matrix determinant lemma, det B_j det X = det A_j det 2 Sigma_j, so X
-    is never inverted and the B_j, positive definite with X, are never
-    formed.  A row is refused, with the error of the first of
-    these checks that it fails, in this order:
-
-    * X is symmetric (DomainError);
-    * X is positive definite with an eigenvalue condition number at most
-      CONDITION_LIMIT (SingularMatrixError);
-    * P is finite and at least MIN_SUCCESS_PROB (InvalidRegimeError);
-    * every Sigma_j passes the check on X (SingularMatrixError, for the
-      first term that fails).  A positive definite Sigma_j makes every
-      rotated marginal of the term proper.
-
-    A refused row holds NaN in every output array, so a caller may refuse
-    a row of its own by setting its x-block to NaN.  Each det A_j is
-    formed once, for the mass and the inverse; the refusals are built and
-    the NaN written only when some row fails.
+    the sum over n of (1 - lambda^2) lambda^(2n) (1 - (1 - s)^n)^2.  Its
+    factors are sums of positive terms, so it keeps its relative accuracy
+    where the four signed masses cancel.
     """
-    x = np.asarray(x_blocks, dtype=float)
-    if x.ndim != 3 or x.shape[1:] != (4, 4):
-        raise DomainError(
-            f"expected a stack of 4x4 x-blocks, got shape {x.shape}")
-    with np.errstate(all="ignore"):
-        symmetric = (np.abs(x - x.swapaxes(1, 2))
-                     <= STRUCTURE_TOL).all(axis=(1, 2))
-        # an asymmetric (or NaN) row runs on the identity and stays refused
-        x = np.where(symmetric[:, None, None], _symmetrized(x), _EYE4)
-        # extreme eigenvalues of X, Sigma_0, ..., Sigma_3, one row per block
-        lowest, highest = np.empty((2, len(x), 5))
-        eigs = np.linalg.eigvalsh(x)
-        lowest[:, 0], highest[:, 0] = eigs[:, 0], eigs[:, -1]
-        homodyne, cross, detector = x[:, :2, :2], x[:, :2, 2:], x[:, 2:, 2:]
-        a = _EYE2 + detector[:, None] * _PROJECTORS
-        det_a = _det2(a)
-        masses = _CLICK_WEIGHTS / det_a
-        success = masses.sum(axis=-1)
-        coupling = cross[:, None] * _VACUUM[:, None, :]
-        covariances = 0.5 * _symmetrized(
-            homodyne[:, None]
-            - coupling @ _inv2(a, det_a) @ coupling.swapaxes(2, 3))
-        weights = masses / success[:, None]
+    lam2 = squeezing * squeezing
+    s = apd_efficiency * (1.0 - transmittance)
+    omega = (1.0 - squeezing) * (1.0 + squeezing)
+    lam2s = lam2 * s
+    return (lam2s * s * (1.0 + lam2 * (1.0 - s))
+            / ((omega + lam2s) * (omega + lam2s * (2.0 - s))))
 
-        lowest[:, 1:], highest[:, 1:] = _eig2(covariances)
+
+def herald(entries: np.ndarray, success_prob=None) -> HeraldedTerms:
+    """Condition x-blocks, given by their entries (aa, ab, ac, ad, cc, cd)
+    in an array of shape (6, n), on a double click.
+
+    Term j projects the detector modes S_j (none, C, D, both) onto vacuum:
+    Sigma_j = (X_AB,AB - X_AB,S A_j^-1 X_S,AB) / 2 with A_j = I + X_SS, of
+    mass q_j / det A_j.  With k = 1 / (1 + cc): Sigma_0 = [[aa, ab], [ab,
+    aa]] / 2, of mass 1; Sigma_C = [[aa - ac^2 k, ab - ac ad k], [., aa -
+    ad^2 k]] / 2, of mass -2 k, and Sigma_D its mirror image; Sigma_CD has
+    eigenvalues sigma+- / 2 on (1, +-1) / sqrt 2, sigma+- = (aa +- ab) -
+    (ac +- ad)^2 / (1 + (cc +- cd)), so correlation (sigma+ - sigma-) /
+    (sigma+ + sigma-), and mass 4 / ((1 + (cc + cd))(1 + (cc - cd))).
+
+    P is success_prob (n values) when given, else the sum of the masses;
+    the weights are the masses over P.  A row is refused with the error of
+    its first failing check: X, from the eigenvalues of X+ and X-, is
+    positive definite with an eigenvalue condition number at most
+    CONDITION_LIMIT (SingularMatrixError); P is finite and at least
+    MIN_SUCCESS_PROB (InvalidRegimeError); every Sigma_j passes the check
+    on X (SingularMatrixError), so every rotated marginal is proper.  A
+    refused row holds NaN in every array; a caller refuses a row of its
+    own with a NaN P.  A row's values do not depend on its batch.
+    """
+    entries = np.asarray(entries, dtype=float)
+    if entries.ndim != 2 or len(entries) != 6:
+        raise DomainError("expected the six entries of n x-blocks, shape "
+                          f"(6, n), got shape {entries.shape}")
+    aa, ab, ac, ad, cc, cd = entries
+    with np.errstate(all="ignore"):
+        # X+ and X-, rows of [[p, r], [r, q]]
+        p_pm, r_pm, q_pm = aa + _SIGNS * ab, ac + _SIGNS * ad, cc + _SIGNS * cd
+        a_pm, a_c = 1.0 + q_pm, 1.0 + cc
+        sigma = p_pm - r_pm * r_pm / a_pm
+        p_c, q_c = aa - ac * ac / a_c, aa - ad * ad / a_c
+        r_c = ab - ac * ad / a_c
+        mean, half = 0.5 * (sigma[0] + sigma[1]), 0.5 * (sigma[0] - sigma[1])
+        # X+, X-, then twice Sigma_0, Sigma_C, Sigma_D and Sigma_CD
+        p, q, r = np.array([[p_pm[0], p_pm[1], aa, p_c, q_c, mean],
+                            [q_pm[0], q_pm[1], aa, q_c, p_c, mean],
+                            [r_pm[0], r_pm[1], ab, r_c, r_c, half]])
+        lowest, highest = _eig2(p, q, r)
+        # row 1 becomes the extreme eigenvalues of X; rows 1-5 are checked
+        np.minimum(lowest[0], lowest[1], out=lowest[1])
+        np.maximum(highest[0], highest[1], out=highest[1])
+        lowest, highest = lowest[1:], highest[1:]
+        correlations = r[2:] / np.sqrt(p[2:] * q[2:])
+        masses = _CLICK_WEIGHTS / np.array([np.ones_like(a_c), a_c, a_c,
+                                            a_pm[0] * a_pm[1]])
+        success = (masses.sum(axis=0) if success_prob is None
+                   else np.array(success_prob, dtype=float))
+        weights = masses / success
+        covariances = 0.5 * np.array([p[2:], r[2:], r[2:], q[2:]])
         usable = (lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT)
-        failed = ~(symmetric & usable.all(axis=1)
-                   & (success >= MIN_SUCCESS_PROB) & (success < np.inf))
-    errors: list[CVBellError | None] = [None] * len(x)
+        failed = ~(usable.all(axis=0) & (success >= MIN_SUCCESS_PROB)
+                   & (success < np.inf))
+    errors: list[CVBellError | None] = [None] * len(aa)
     if failed.any():
         for i in np.flatnonzero(failed):
-            errors[i] = _refusal(symmetric[i], success[i], lowest[i],
-                                 highest[i])
-        for values in (success, weights, covariances):
-            values[failed] = np.nan
-    return HeraldedTerms(success_prob=success, weights=weights,
-                         covariances=covariances, errors=tuple(errors))
+            errors[i] = _refusal(success[i], lowest[:, i], highest[:, i])
+        for values in (success, weights, correlations, covariances):
+            values[..., failed] = np.nan
+    return HeraldedTerms(success_prob=success, weights=weights.T,
+                         correlations=correlations.T,
+                         covariances=covariances.T.reshape(-1, 4, 2, 2),
+                         errors=tuple(errors))
 
 
 def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
     """Signed four-Gaussian mixture of the double-click conditional state.
 
-    cov_out is the 8x8 output covariance; it must have a zero x-p cross
-    block and p-block D x D (DomainError otherwise).  Raises the refusal
-    of `heralded_terms`, e.g. InvalidRegimeError when the heralding
-    probability is zero or numerically indistinguishable from zero
-    (vacuum input).
+    cov_out is the 8x8 output covariance: a zero x-p cross block, p-block
+    D X D and an x-block X symmetric under transposition and under the
+    joint swap of A with B and C with D, each within STRUCTURE_TOL
+    (DomainError otherwise).  P is the sum of the masses of `herald`,
+    whose refusal it raises, e.g. InvalidRegimeError for vacuum input.
     """
     cov = np.asarray(cov_out, dtype=float)
     if cov.shape != (8, 8):
@@ -279,7 +258,14 @@ def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
     if not np.all(np.abs(cov - gaussian.from_x_block(x)) <= STRUCTURE_TOL):
         raise DomainError("covariance must have a zero x-p cross block "
                           "and p-block D x D, D = diag(1, -1, 1, -1)")
-    terms = heralded_terms(x[None])
+    if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
+        raise DomainError("matrix is not symmetric")
+    entries = x[0, :4].tolist() + x[2, 2:].tolist()
+    if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
+                  <= STRUCTURE_TOL):
+        raise DomainError("x-block must be invariant under the joint swap "
+                          "of A with B and C with D")
+    terms = herald(np.array(entries)[:, None])
     if terms.errors[0] is not None:
         raise terms.errors[0]
     return SignedGaussianMixture(weights=terms.weights[0],

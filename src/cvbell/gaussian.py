@@ -10,20 +10,20 @@ Conventions used throughout the package:
 
 In every state of the pipeline x and p decouple and the p-block is D X D
 with D = diag(1, -1, 1, -1), so the package represents a state by its 4x4
-x-quadrature covariance X of (x_A, x_B, x_C, x_D).  `x_block` checks the
-parameters and builds X in closed form for whole arrays of them at once,
-gathering its 16 entries from the six distinct ones.  Each parameter's
-domain is the unit interval with one end left out (`PARAMS`);
-`inside_domains` checks a (4, n) stack of parameter rows in one pass, and
-`x_block_formula` is the closed form without the check, for rows checked
-that way.  `from_x_block` and
+x-quadrature covariance X of (x_A, x_B, x_C, x_D).  X is symmetric and
+invariant under the joint swap of A with B and C with D, so it has six
+distinct entries (aa, ab, ac, ad, cc, cd): `x_entries` gives them for
+arrays of parameters, `x_block_of_entries` lays them out, and `x_block`
+checks the parameters and does both.  Each parameter's domain is the unit
+interval with one end left out (`PARAMS`); `inside_domains` checks a
+(4, n) stack of parameter rows in one pass.  `from_x_block` and
 `output_covariance` restore the full covariance with quadratures ordered
-(x_A, p_A, x_B, p_B, x_C, p_C, x_D, p_D), the format that
-`conditioning.conditional_state` takes.
+(x_A, p_A, x_B, p_B, x_C, p_C, x_D, p_D).
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -79,11 +79,23 @@ def inside_domains(rows: np.ndarray) -> np.ndarray:
 
 
 def check_domain(name: str, values) -> None:
-    """Raise `domain_error` for the first of values outside name's domain."""
-    values = np.asarray(values, dtype=float)
-    inside = _in_unit_interval(values, PARAMS[name].open_end)
+    """Raise DomainError, naming the parameter, unless values are real
+    numbers (`domain_error` for the first outside name's domain)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be a real number, got {values!r}")
+    inside = _in_unit_interval(array, PARAMS[name].open_end)
     if not np.all(inside):
-        raise domain_error(name, values[~inside].flat[0])
+        raise domain_error(name, array[~inside].flat[0])
+
+
+def check_parameter(name: str, value) -> float:
+    """value as a float, if it is one real number inside name's domain;
+    else DomainError, naming the parameter."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    check_domain(name, value)
+    return float(value)
 
 
 def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency
@@ -92,28 +104,19 @@ def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency
 
     Squeezer, both tap beam splitters and detector loss in closed form.
     The arguments broadcast against each other and the result has shape
-    (..., 4, 4), one block per parameter row.  Every entry must lie in its
-    domain: squeezing in [0, 1), the rest in (0, 1].  The block is that of
-    `x_block_formula` after this check.
+    (..., 4, 4), one block per parameter row; `check_domain` checks each.
     """
-    lam, trans, eta, eta_h = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (squeezing, transmittance,
-                                               apd_efficiency,
-                                               homodyne_efficiency)))
-    for name, val in zip(PARAMS, (lam, trans, eta, eta_h)):
-        check_domain(name, val)
-    return x_block_formula(lam, trans, eta, eta_h)
+    args = (squeezing, transmittance, apd_efficiency, homodyne_efficiency)
+    for name, value in zip(PARAMS, args):
+        check_domain(name, value)
+    return x_block_of_entries(x_entries(*np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in args))))
 
 
-#: place of each of the 16 entries of X among its six distinct ones
-#: (aa, ab, ac, ad, cc, cd): X is symmetric and invariant under the swap
-#: of A with B together with C with D
-_LAYOUT = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 4, 5, 3, 2, 5, 4])
-
-
-def x_block_formula(lam, trans, eta, eta_h) -> np.ndarray:
-    """The closed form of `x_block` for float arrays of one shape whose
-    entries lie in their domains, which it does not check."""
+def x_entries(lam, trans, eta, eta_h) -> np.ndarray:
+    """The entries (aa, ab, ac, ad, cc, cd) of `x_block`, stacked on a new
+    leading axis, of float arrays of one shape inside their domains
+    (unchecked)."""
     r2 = 2.0 * np.arctanh(lam)
     ch, sh = np.cosh(r2), np.sinh(r2)
     t, rfl = np.sqrt(trans), np.sqrt(1.0 - trans)
@@ -121,13 +124,24 @@ def x_block_formula(lam, trans, eta, eta_h) -> np.ndarray:
     gtr = np.sqrt(eta_h * eta) * t * rfl
     # products run left to right as written: eta_h * t * t rounds
     # differently from eta_h * tt
-    entries = np.array([eta_h * (tt * ch + rr) + (1.0 - eta_h),   # aa
-                        eta_h * t * t * sh,                        # ab
-                        gtr * (1.0 - ch),                          # ac
-                        -gtr * sh,                                 # ad
-                        eta * (rr * ch + tt) + (1.0 - eta),        # cc
-                        eta * rfl * rfl * sh])                     # cd
-    return entries.reshape(6, -1)[_LAYOUT].T.reshape(np.shape(lam) + (4, 4))
+    return np.array([eta_h * (tt * ch + rr) + (1.0 - eta_h),   # aa
+                     eta_h * t * t * sh,                        # ab
+                     gtr * (1.0 - ch),                          # ac
+                     -gtr * sh,                                 # ad
+                     eta * (rr * ch + tt) + (1.0 - eta),        # cc
+                     eta * rfl * rfl * sh])                     # cd
+
+
+#: place of each of the 16 entries of X among its six distinct ones
+#: (aa, ab, ac, ad, cc, cd)
+_LAYOUT = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 4, 5, 3, 2, 5, 4])
+
+
+def x_block_of_entries(entries) -> np.ndarray:
+    """X, shape (..., 4, 4), of its entries, shape (6, ...)."""
+    entries = np.asarray(entries, dtype=float)
+    return entries.reshape(6, -1)[_LAYOUT].T.reshape(entries.shape[1:]
+                                                     + (4, 4))
 
 
 def from_x_block(x: np.ndarray) -> np.ndarray:

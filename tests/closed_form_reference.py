@@ -1,19 +1,21 @@
-"""The closed form with one numpy call per entry and per check: `x_block`
-with its 16-way stack and a domain check per parameter, `heralded_terms`
-with det A_j taken twice and the eigenvalue table stacked, and
-`_evaluate` with a domain pass per parameter.  The package's route makes
-fewer numpy calls on the same arithmetic; the tests hold it to this
-route bitwise, refusals included.
+"""The closed form on the 16 entries of X, with one numpy call per entry
+and per check: `x_block` with its 16-way stack and a domain check per
+parameter, the generic conditioning kernel `heralded_terms` on a stack of
+(n, 4, 4) x-blocks (4x4 `eigvalsh`, batched 2x2 inverses, P the sum of
+the four masses), and `evaluate`, the CHSH correlators of parameter rows
+through both.  The tests hold `gaussian.x_block` to this route bitwise,
+and the package's six-entry kernel to its refusals and, where both are
+accurate, its values.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from cvbell import conditioning
 from cvbell.bell import _arcsine_mean
 from cvbell.conditioning import (CLICK_WEIGHTS, CONDITION_LIMIT,
-                                 MIN_SUCCESS_PROB, STRUCTURE_TOL,
-                                 HeraldedTerms)
-from cvbell.errors import (DomainError, InvalidRegimeError,
+                                 MIN_SUCCESS_PROB, STRUCTURE_TOL)
+from cvbell.errors import (CVBellError, DomainError, InvalidRegimeError,
                            SingularMatrixError)
 
 
@@ -65,6 +67,26 @@ def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency):
 
 
 _VACUUM = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@dataclass(frozen=True)
+class HeraldedTerms:
+    """P (n,), weights (n, 4) and (x_A, x_B) covariances (n, 4, 2, 2) of a
+    stack of x-blocks, and the per-row refusals; refused rows hold NaN."""
+
+    success_prob: np.ndarray
+    weights: np.ndarray
+    covariances: np.ndarray
+    errors: tuple[CVBellError | None, ...]
+
+    @property
+    def correlations(self):
+        covs = self.covariances
+        return covs[..., 0, 1] / np.sqrt(covs[..., 0, 0] * covs[..., 1, 1])
+
+    @property
+    def cancellation(self):
+        return np.abs(self.weights).sum(axis=-1)
 
 
 def spd_error(lowest, highest):
@@ -165,7 +187,6 @@ def evaluate(rows, angles):
     cosines = np.cos([[theta1 + phi1, theta1 + phi2],
                       [theta2 + phi1, theta2 + phi2]])
     corr = _arcsine_mean(terms.weights[:, None, None, :],
-                         conditioning.correlation_coefficients(
-                             terms.covariances)[:, None, None, :]
+                         terms.correlations[:, None, None, :]
                          * cosines[..., None])
     return corr, terms.success_prob, terms.cancellation, errors

@@ -92,18 +92,32 @@ def exact_success_prob(params):
         return float(exact_terms(params)[0])
 
 
+def _exact_correlation(success, det_x, terms, theta, phi):
+    total = 0
+    for q, det_b, reduced in terms:
+        mass = q / (mpmath.det(reduced) * det_b * det_x)
+        corr = -reduced[0, 1] / mpmath.sqrt(reduced[0, 0] * reduced[1, 1])
+        total += mass * mpmath.asin(corr * mpmath.cos(theta + phi))
+    return float(2 * total / (mpmath.pi * success))
+
+
 def exact_sign_correlation(params, theta, phi):
     """E at 50 digits: sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)), with
     c_j = -R_j[0, 1] / sqrt(R_j[0, 0] R_j[1, 1]) the correlation of the
     covariance R_j^-1 / 2."""
     with mpmath.workdps(50):
-        success, det_x, terms = exact_terms(params)
-        total = 0
-        for q, det_b, reduced in terms:
-            mass = q / (mpmath.det(reduced) * det_b * det_x)
-            corr = -reduced[0, 1] / mpmath.sqrt(reduced[0, 0] * reduced[1, 1])
-            total += mass * mpmath.asin(corr * mpmath.cos(theta + phi))
-        return float(2 * total / (mpmath.pi * success))
+        return _exact_correlation(*exact_terms(params), theta, phi)
+
+
+def exact_chsh(params):
+    """The four correlators (2, 2) at the angles of params and P, each at
+    50 digits, from one conditioning."""
+    with mpmath.workdps(50):
+        terms = exact_terms(params)
+        theta1, theta2, phi1, phi2 = params.angles
+        corr = np.array([[_exact_correlation(*terms, theta, phi)
+                          for phi in (phi1, phi2)] for theta in (theta1, theta2)])
+        return corr, float(terms[0])
 
 
 def exact_wigner(params, points):
@@ -261,7 +275,10 @@ class TestSignCorrelation:
         grid = np.array(list(itertools.product(
             1.0 - 10.0 ** -np.arange(1, 15), (0.85, 0.99, 0.999999),
             (0.01, 1.0), (0.01, 1.0))))
-        terms = conditioning.heralded_terms(gaussian.x_block(*grid.T))
+        lam, trans, eta, _ = grid.T
+        terms = conditioning.herald(
+            gaussian.x_entries(*grid.T),
+            conditioning.success_probability(lam, trans, eta))
         accepted = np.array([e is None for e in terms.errors])
         assert accepted.any()
         assert np.all(np.abs(terms.correlations[accepted]) < 1.0)
@@ -443,43 +460,127 @@ def error_texts(errors):
     return [None if e is None else (type(e), str(e)) for e in errors]
 
 
-class TestAgainstPerCallRoute:
-    """The closed form bitwise against `closed_form_reference`, the same
-    arithmetic with one numpy call per entry and per check."""
+def x_condition_number(params):
+    """Eigenvalue condition number of the float x-block of params, at 50
+    digits."""
+    x = gaussian.x_block(params.squeezing, params.transmittance,
+                         params.apd_efficiency, params.homodyne_efficiency)
+    with mpmath.workdps(50):
+        eigs = mpmath.eigsy(mpmath.matrix(x.tolist()), eigvals_only=True)
+        return float(max(eigs) / min(eigs))
 
-    def test_evaluate_bitwise(self):
+
+def params_of(rows, i, angles=bell.DEFAULT_ANGLES):
+    return bell.ExperimentParams(*(rows[name][i] for name in gaussian.PARAMS),
+                                 angles=angles)
+
+
+def closed_form_budget(cancellation):
+    """Rounding budget of a closed-form correlator: 8 sum|w_j| eps + 4 eps."""
+    eps = np.finfo(float).eps
+    return 8.0 * cancellation * eps + 4.0 * eps
+
+
+class TestAgainstPerCallRoute:
+    """The closed form against `closed_form_reference`, the route on the 16
+    entries of X: the generic (n, 4, 4) kernel with P the sum of the four
+    masses.  Domain refusals are bitwise; the kernel's refusals keep their
+    types except where the 50-digit values decide otherwise; where the
+    reference is accurate, the values agree within the closed-form budget.
+    `TestFiftyDigits` holds the values to 50 digits."""
+
+    def test_evaluate_refusals(self):
         rows = domain_sweep_rows(4000, 2501)
         angles = tuple(np.random.default_rng(2502).uniform(-np.pi, np.pi, 4))
-        *arrays, errors = bell._evaluate(rows, angles)
-        *expected, expected_errors = per_call.evaluate(rows, angles)
-        for value, reference in zip(arrays, expected):
-            assert value.tobytes() == reference.tobytes()
-        assert error_texts(errors) == error_texts(expected_errors)
+        corr, success, cancellation, errors = bell._evaluate(rows, angles)
+        ref_corr, ref_success, ref_cancellation, ref_errors = \
+            per_call.evaluate(rows, angles)
+        floor = conditioning.MIN_SUCCESS_PROB
+        regained = 0
+        for i, (error, ref) in enumerate(zip(errors, ref_errors)):
+            if isinstance(ref, DomainError):
+                assert error_texts([error]) == error_texts([ref])
+            elif InvalidRegimeError in (type(error), type(ref)):
+                # the 50-digit P decides the floor, and the text quotes it
+                exact = exact_success_prob(params_of(rows, i))
+                assert isinstance(error, InvalidRegimeError) == (exact < floor)
+                if error is not None:
+                    assert str(error) == (
+                        f"invalid-regime: heralding probability {exact:.3e} "
+                        "is not usable; the input state cannot trigger both "
+                        "detectors")
+            elif isinstance(error, SingularMatrixError):
+                # X is refused by both, its condition estimate within
+                # 4 eps kappa relative of the 50-digit one
+                assert type(ref) is SingularMatrixError
+                kappa = x_condition_number(params_of(rows, i))
+                assert kappa > conditioning.CONDITION_LIMIT
+                estimate = error.condition_estimate
+                assert estimate == np.inf or abs(estimate - kappa) <= \
+                    4.0 * np.finfo(float).eps * kappa * kappa
+            elif ref is not None:
+                # the 4x4 Woodbury route lost terms near lambda -> 1 that
+                # the six-entry forms keep (`TestFiftyDigits`)
+                assert type(ref) is SingularMatrixError and error is None
+                assert rows["squeezing"][i] > 1.0 - 1e-8
+                regained += 1
+            elif rows["squeezing"][i] < 0.95:
+                bound = closed_form_budget(cancellation[i])
+                assert np.max(np.abs(corr[i] - ref_corr[i])) <= bound
+                assert abs(success[i] - ref_success[i]) <= \
+                    bound * success[i]
+                assert abs(cancellation[i] - ref_cancellation[i]) <= \
+                    bound * cancellation[i]
+        assert regained > 0
         # the sweep reaches every kind of row: usable, out of domain,
         # unheralded and singular
         kinds = {type(e) for e in errors}
         assert kinds == {type(None), DomainError, InvalidRegimeError,
                          SingularMatrixError}
 
-    def test_kernel_bitwise(self):
+    def test_kernel_against_generic_reference(self):
+        # the kernel with P the sum of the masses, as `conditional_state`
+        # runs it, against the generic kernel on the laid-out blocks of
+        # squeezing at most 0.999; indefinite, ill-conditioned and NaN
+        # blocks included.  The generic kernel calls a NaN block
+        # asymmetric, this one not positive definite.
         rows = domain_sweep_rows(2000, 2503)
-        x = per_call.x_block(*(np.nan_to_num(np.clip(rows[name], 1e-3, 0.999),
-                                             nan=0.5)
-                               for name in gaussian.PARAMS))
+        args = [np.nan_to_num(np.clip(rows[name], 1e-3, 0.999), nan=0.5)
+                for name in gaussian.PARAMS]
+        entries = gaussian.x_entries(*args)
         rng = np.random.default_rng(2504)
-        # asymmetric, indefinite, NaN and ill-conditioned blocks
-        x[rng.random(len(x)) < 0.02, 0, 1] += 1e-9
-        x[rng.random(len(x)) < 0.02, 2, 2] *= -1.0
-        x[rng.random(len(x)) < 0.02, 3, 1] = np.nan
-        x[rng.random(len(x)) < 0.02] = np.diag([1.0, 1.0, 1.0, 1e-13])
-        terms = conditioning.heralded_terms(x)
-        expected = per_call.heralded_terms(x)
-        for field in ("success_prob", "weights", "covariances",
-                      "cancellation", "correlations"):
-            assert getattr(terms, field).tobytes() == \
-                getattr(expected, field).tobytes()
-        assert error_texts(terms.errors) == error_texts(expected.errors)
-        assert "matrix is not symmetric" in map(str, terms.errors)
+        entries[4, rng.random(entries.shape[1]) < 0.02] *= -1.0
+        entries[:, rng.random(entries.shape[1]) < 0.02] = \
+            np.array([[1.0, 0.0, 0.0, 0.0, 1e-13, 0.0]]).T
+        nan = rng.random(entries.shape[1]) < 0.02
+        entries[3, nan] = np.nan
+        terms = conditioning.herald(entries)
+        expected = per_call.heralded_terms(
+            gaussian.x_block_of_entries(entries).reshape(-1, 4, 4))
+        assert all(str(terms.errors[i]) == "matrix is not positive definite "
+                   "(condition estimate inf)" and
+                   str(expected.errors[i]) == "matrix is not symmetric"
+                   for i in np.flatnonzero(nan))
+        assert [type(e) for e, bad in zip(terms.errors, nan) if not bad] == \
+            [type(e) for e, bad in zip(expected.errors, nan) if not bad]
+        # the texts agree where they quote no rounded number
+        for error, ref, bad in zip(terms.errors, expected.errors, nan):
+            if getattr(error, "condition_estimate", 0.0) == np.inf \
+                    and not bad:
+                assert str(error) == str(ref)
+        # the generic kernel's 4x4 Woodbury route exceeds the budget
+        # from about lambda = 0.998 (3 sum|w_j| eps at 0.999)
+        ok = np.array([e is None for e in terms.errors]) & (args[0] < 0.95)
+        assert ok.sum() > 1000
+        bound = closed_form_budget(terms.cancellation[ok])
+        assert np.all(np.abs(terms.success_prob[ok]
+                             - expected.success_prob[ok])
+                      <= bound * terms.success_prob[ok])
+        for cosine in (1.0, 0.7, -0.3):
+            values = [bell._arcsine_mean(t.weights[ok],
+                                         t.correlations[ok] * cosine)
+                      for t in (terms, expected)]
+            assert np.all(np.abs(values[0] - values[1]) <= bound)
 
     def test_x_block_bitwise(self):
         rows = domain_sweep_rows(1000, 2505)
@@ -500,6 +601,95 @@ class TestAgainstPerCallRoute:
             with pytest.raises(DomainError) as expected:
                 per_call.x_block(*case)
             assert str(info.value) == str(expected.value)
+
+
+class TestFiftyDigits:
+    """The closed form against its 50-digit evaluation: P within 4 eps
+    relative, E within 8 sum|w_j| eps + 4 eps, on the whole domain."""
+
+    def test_whole_domain_sweep(self):
+        # 1 - lambda down to 1e-12 for half the rows, the small-P corner
+        # for 1 in 10; out-of-domain rows are dropped by _evaluate
+        eps = np.finfo(float).eps
+        rows = domain_sweep_rows(240, 2601)
+        angles = tuple(np.random.default_rng(2602).uniform(-np.pi, np.pi, 4))
+        corr, success, cancellation, errors = bell._evaluate(rows, angles)
+        accepted = [i for i, e in enumerate(errors) if e is None]
+        assert len(accepted) > 200
+        assert sum(rows["squeezing"][i] > 1.0 - 1e-6 for i in accepted) > 30
+        assert sum(cancellation[i] > 1e6 for i in accepted) > 5
+        for i in accepted:
+            exact_corr, exact_p = exact_chsh(params_of(rows, i, angles))
+            assert abs(success[i] - exact_p) <= 4.0 * eps * exact_p
+            assert np.max(np.abs(corr[i] - exact_corr)) <= \
+                closed_form_budget(cancellation[i])
+
+    def test_squeezing_limit_row(self):
+        # 1 - lambda = 1e-10 and 1% homodyne efficiency: sum|w_j| is
+        # 1.00000002, and E keeps every digit
+        params = bell.ExperimentParams(1.0 - 1e-10, 0.95, 0.7, 0.01)
+        result = bell.chsh(params)
+        exact_corr, _ = exact_chsh(params)
+        assert result.cancellation < 1.0 + 1e-7
+        assert np.max(np.abs(result.correlators - exact_corr)) <= 1e-15
+
+    @pytest.mark.parametrize("params", [
+        (0.01, 0.999, 0.05, 0.9),
+        (0.0012185254812659549, 0.999369947482258, 0.15539339112362388,
+         0.8867954410898521)], ids=["corner", "near-floor"])
+    def test_small_p_corner_rows(self, params):
+        # sum|w_j| = 1.6e13 and 2.8e14: E inside the budget, and inside
+        # the bounds the benchmark checks on every accepted row
+        params = bell.ExperimentParams(*params)
+        result = bell.chsh(params)
+        exact_corr, _ = exact_chsh(params)
+        assert result.cancellation > 1e13
+        assert np.max(np.abs(result.correlators - exact_corr)) <= \
+            closed_form_budget(result.cancellation)
+        assert np.all(np.abs(result.correlators) <= 1.0 + 1e-12)
+        assert abs(result.S) <= 2.0 * np.sqrt(2.0)
+
+    @pytest.mark.parametrize("params", [
+        (0.0001388749894337854, 0.9983564117360526, 0.522215309595589,
+         0.9698863717351676),
+        (0.0012185254812659549, 0.999369947482258, 0.15539339112362388,
+         0.8867954410898521)], ids=["below", "above"])
+    def test_refusal_floor_follows_fifty_digit_p(self, params):
+        # two rows whose 50-digit P lies within 0.2% of MIN_SUCCESS_PROB
+        # (1.4208e-14 and 1.4233e-14 against 1.4211e-14); the sum of the
+        # four masses put each on either side of the floor
+        params = bell.ExperimentParams(*params)
+        exact = exact_success_prob(params)
+        assert abs(exact / conditioning.MIN_SUCCESS_PROB - 1.0) < 2e-3
+        if exact < conditioning.MIN_SUCCESS_PROB:
+            with pytest.raises(InvalidRegimeError) as info:
+                bell.chsh(params)
+            assert f"heralding probability {exact:.3e}" in str(info.value)
+        else:
+            assert bell.chsh(params).success_prob == pytest.approx(
+                exact, rel=4.0 * np.finfo(float).eps)
+
+    def test_point_corner_rows_bounded(self):
+        # the benchmark's small-P box: every row is accepted inside the
+        # correlator and Tsirelson bounds, or refused for its P
+        rng = np.random.default_rng(2603)
+        n = 2000
+        rows = {"squeezing": 10.0 ** rng.uniform(-4.0, -1.0, n),
+                "transmittance": rng.uniform(0.99, 0.9999, n),
+                "apd_efficiency": rng.uniform(0.1, 1.0, n),
+                "homodyne_efficiency": rng.uniform(0.85, 1.0, n)}
+        accepted = 0
+        for _ in range(4):
+            angles = tuple(rng.uniform(-np.pi, np.pi, 4))
+            corr, _, _, errors = bell._evaluate(rows, angles)
+            ok = np.array([e is None for e in errors])
+            assert all(isinstance(e, InvalidRegimeError)
+                       for e in errors if e is not None)
+            assert np.all(np.abs(corr[ok]) <= 1.0 + 1e-12)
+            assert np.all(np.abs(bell.chsh_value(corr[ok]))
+                          <= 2.0 * np.sqrt(2.0))
+            accepted += ok.sum()
+        assert 0 < accepted < 4 * n
 
 
 def sequential_golden_max(values, lo, hi, tol, lookahead):
@@ -574,13 +764,13 @@ class TestOptimizeLambda:
     def test_at_most_four_kernel_calls(self, monkeypatch):
         # the one-point-at-a-time search makes 19: the pre-scan, c and d,
         # 15 steps and the final midpoint
-        kernel, calls = conditioning.heralded_terms, []
+        kernel, calls = conditioning.herald, []
 
-        def counted(x_blocks):
-            calls.append(len(x_blocks))
-            return kernel(x_blocks)
+        def counted(entries, success_prob=None):
+            calls.append(entries.shape[1])
+            return kernel(entries, success_prob)
 
-        monkeypatch.setattr(conditioning, "heralded_terms", counted)
+        monkeypatch.setattr(conditioning, "herald", counted)
         for row in [(0.95, 0.3, 1.0), *self.README_ROWS]:
             calls.clear()
             bell.optimize_lambda(*row)
@@ -642,6 +832,18 @@ class TestOptimizeLambda:
         with pytest.raises(DomainError) as info:
             bell.optimize_lambda(**{**fixed, name: value})
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("value", ["0.95", 0.95 + 0j, None,
+                                       np.array([0.95, 0.9])],
+                             ids=["str", "complex", "none", "two-element"])
+    def test_fixed_parameter_must_be_one_real_number(self, value):
+        fixed = dict(transmittance=0.95, apd_efficiency=0.3,
+                     homodyne_efficiency=1.0)
+        for name in fixed:
+            with pytest.raises(DomainError) as info:
+                bell.optimize_lambda(**{**fixed, name: value})
+            assert str(info.value) == \
+                f"{name} must be a real number, got {value!r}"
 
     def test_ideal_product_near_quoted_value(self):
         lam_opt, _ = bell.optimize_lambda(0.99, 1.0, 1.0)

@@ -76,59 +76,69 @@ class TestConditionalState:
         assert rel.max() < 1e-6
 
 
+def entries_of(*params):
+    """The (6, 1) entries of one parameter row."""
+    return gaussian.x_entries(*(np.array([float(v)]) for v in params))
+
+
+#: the six entries of X = I
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+
+
 class TestHeraldedTerms:
     def test_ill_conditioned_x_block_refused(self):
-        x = np.eye(4)
-        x[0, 0] = 1e-14
-        error = conditioning.heralded_terms(x[None]).errors[0]
+        # X = diag(1e-14, 1e-14, 1, 1), invariant under the joint swap
+        entries = IDENTITY.copy()
+        entries[0] = 1e-14
+        error = conditioning.herald(entries[:, None]).errors[0]
         assert isinstance(error, SingularMatrixError)
         assert error.condition_estimate > 1e12
+        x = gaussian.x_block_of_entries(entries)
         with pytest.raises(SingularMatrixError) as info:
             conditioning.conditional_state(gaussian.from_x_block(x))
         assert str(info.value) == str(error)
 
     def test_bad_rows_do_not_touch_good_rows(self):
-        good = gaussian.x_block(0.6, 0.95, 0.3, 0.95)
-        singular = np.eye(4)
-        singular[3, 3] = 0.0
-        vacuum = gaussian.x_block(0.0, 0.95, 0.3, 0.95)
-        asymmetric = good.copy()
-        asymmetric[3, 0] += 1e-9
-        stack = np.stack([good, singular, vacuum, asymmetric])
-        terms = conditioning.heralded_terms(stack)
+        good = entries_of(0.6, 0.95, 0.3, 0.95)[:, 0]
+        singular = IDENTITY.copy()
+        singular[4] = 0.0
+        vacuum = entries_of(0.0, 0.95, 0.3, 0.95)[:, 0]
+        stack = np.column_stack([good, singular, vacuum, good])
+        # the caller refuses the last row by its NaN P
+        success = conditioning.success_probability(
+            np.array([0.6, 0.5, 0.0, 0.6]), 0.95, 0.3)
+        success[3] = np.nan
+        terms = conditioning.herald(stack, success)
         assert terms.errors[0] is None
         assert isinstance(terms.errors[1], SingularMatrixError)
         assert isinstance(terms.errors[2], InvalidRegimeError)
-        assert isinstance(terms.errors[3], DomainError)
-        assert np.all(np.isnan(terms.success_prob[1:]))
-        assert np.all(np.isnan(terms.weights[1:]))
-        single = conditioning.heralded_terms(good[None])
+        assert isinstance(terms.errors[3], InvalidRegimeError)
+        for values in (terms.success_prob, terms.weights, terms.correlations,
+                       terms.covariances):
+            assert np.all(np.isnan(values[1:]))
+        single = conditioning.herald(good[:, None], success[:1])
         assert np.array_equal(terms.weights[0], single.weights[0])
+        assert np.array_equal(terms.covariances[0], single.covariances[0])
         assert terms.success_prob[0] == single.success_prob[0]
 
     def test_refusal_names_the_first_failing_check(self):
-        # checks run in the order symmetry, X, P, Sigma_j; the last two rows
-        # fail X and P, and then symmetry too
-        good = gaussian.x_block(0.6, 0.95, 0.3, 0.95)
-        asymmetric = good.copy()
-        asymmetric[3, 0] += 1e-9
+        # checks run in the order X, P, Sigma_j; the last row fails X and
+        # P, and reports X
+        good = entries_of(0.6, 0.95, 0.3, 0.95)[:, 0]
         singular = good.copy()
-        singular[0, 0] = 0.0
-        singular_vacuum = np.diag([0.0, 1.0, 1.0, 1.0])
-        all_bad = singular_vacuum.copy()
-        all_bad[3, 0] = 1e-9
-        terms = conditioning.heralded_terms(np.stack(
-            [good, asymmetric, singular, np.eye(4), singular_vacuum, all_bad]))
+        singular[0] = 0.0
+        singular_vacuum = IDENTITY.copy()
+        singular_vacuum[0] = 0.0
+        terms = conditioning.herald(np.column_stack(
+            [good, singular, IDENTITY, singular_vacuum]))
         not_pd = "matrix is not positive definite (condition estimate inf)"
         expected = [
             None,
-            (DomainError, "matrix is not symmetric"),
             (SingularMatrixError, not_pd),
             (InvalidRegimeError, "invalid-regime: heralding probability "
              "0.000e+00 is not usable; the input state cannot trigger both "
              "detectors"),
             (SingularMatrixError, not_pd),
-            (DomainError, "matrix is not symmetric"),
         ]
         assert [e and (type(e), str(e)) for e in terms.errors] == expected
         assert np.all(np.isnan(terms.covariances[1:]))
@@ -159,7 +169,9 @@ class TestHeraldedTerms:
     def test_state_reads_the_kernel_row(self, realistic_params):
         cov = realistic_params.output_covariance()
         state = conditioning.conditional_state(cov)
-        terms = conditioning.heralded_terms(cov[None, 0::2, 0::2])
+        x = cov[0::2, 0::2]
+        terms = conditioning.herald(np.array(
+            [x[0, 0], x[0, 1], x[0, 2], x[0, 3], x[2, 2], x[2, 3]])[:, None])
         assert state.success_prob == terms.success_prob[0]
         assert np.array_equal(state.weights, terms.weights[0])
         assert np.array_equal(state.covariances, terms.covariances[0])
@@ -183,9 +195,29 @@ class TestHeraldedTerms:
         with pytest.raises(DomainError):
             conditioning.conditional_state(unflipped)
 
+    @pytest.mark.parametrize("entries, message", [
+        ([(3, 0)], "matrix is not symmetric"),
+        ([(1, 1)], "x-block must be invariant under the joint swap of A "
+         "with B and C with D"),
+        ([(3, 1), (1, 3)], "x-block must be invariant under the joint swap "
+         "of A with B and C with D")],
+        ids=["asymmetric", "swap-diagonal", "swap-cross"])
+    def test_structure_of_the_x_block_checked(self, entries, message):
+        def state(offset):
+            x = gaussian.x_block(0.6, 0.95, 0.3, 0.95)
+            for entry in entries:
+                x[entry] += offset
+            return conditioning.conditional_state(gaussian.from_x_block(x))
+
+        with pytest.raises(DomainError) as info:
+            state(1e-9)
+        assert str(info.value) == message
+        # within STRUCTURE_TOL the input is accepted
+        assert state(1e-11).success_prob > 0.0
+
     def test_shape_checked(self):
         with pytest.raises(DomainError):
-            conditioning.heralded_terms(np.eye(4))
+            conditioning.herald(np.ones((4, 3)))
         with pytest.raises(DomainError):
             conditioning.conditional_state(np.eye(4))
 

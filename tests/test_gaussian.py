@@ -201,6 +201,28 @@ class TestXBlock:
             gaussian.x_block(*args)
 
 
+    @pytest.mark.parametrize("value", ["0.3", 0.3 + 0j, None, [0.3, None]],
+                             ids=["str", "complex", "none", "list-with-none"])
+    def test_parameter_must_be_real(self, value):
+        fields = dict(squeezing=0.5, transmittance=0.95, apd_efficiency=0.3,
+                      homodyne_efficiency=1.0)
+        for name in gaussian.PARAMS:
+            with pytest.raises(DomainError) as info:
+                gaussian.x_block(**{**fields, name: value})
+            assert str(info.value) == \
+                f"{name} must be a real number, got {value!r}"
+
+    def test_entries_lay_out_the_block(self):
+        lams = np.array([0.1, 0.4, 0.7])
+        entries = gaussian.x_entries(lams, np.full(3, 0.95), np.full(3, 0.3),
+                                     np.full(3, 1.0))
+        blocks = gaussian.x_block(lams, 0.95, 0.3, 1.0)
+        assert entries.shape == (6, 3)
+        assert np.array_equal(gaussian.x_block_of_entries(entries), blocks)
+        assert np.array_equal(blocks[:, [0, 0, 0, 0, 2, 2], [0, 1, 2, 3, 2, 3]],
+                              entries.T)
+
+
 class TestSpdInverse:
     def test_inverts(self):
         cov = pipeline_cov(0.6, 0.9, 0.4, 0.9)

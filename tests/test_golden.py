@@ -5,9 +5,11 @@ the output of `chsh`, `sweep`, `optimize` and `mc` at it, and the four
 `fig2` panels.  `validate` is left out: its smallest gaps (about 1e-13)
 depend on the summation order of the BLAS build.  After a change that is
 meant to move printed digits, regenerate the files with
-`PYTHONPATH=src python tests/test_golden.py` and list the moved digits.
+`PYTHONPATH=src python tests/test_golden.py`, which prints each line it
+rewrites as "file:line: old -> new", and list the moved digits.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -40,5 +42,18 @@ def test_output_matches_golden(tmp_path, name):
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
+def rewrite_golden() -> None:
+    """Regenerate every golden file and print each line that changed."""
+    before = {name: (GOLDEN / name).read_text().splitlines()
+              for name in COMMANDS}
     write_outputs(GOLDEN)
+    for name, old_lines in before.items():
+        new_lines = (GOLDEN / name).read_text().splitlines()
+        for number, (old, new) in enumerate(
+                itertools.zip_longest(old_lines, new_lines), start=1):
+            if old != new:
+                print(f"{name}:{number}: {old} -> {new}")
+
+
+if __name__ == "__main__":
+    rewrite_golden()
