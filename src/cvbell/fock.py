@@ -42,7 +42,10 @@ real radial part times e^{-i(a-c) varphi}: the radial parts are pulled
 back, once per distinct radius, and the phases are put back afterwards.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
-vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).
+vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).  Every public function
+that takes a truncation refuses one that is not an integer (DomainError,
+`gaussian.check_integer`); the MIN_TRUNCATION floor applies where a state
+is formed.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .bell import DEFAULT_ANGLES, _golden_section_max, check_angles, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
-from .gaussian import check_domain
+from .gaussian import check_domain, check_integer
 
 DEFAULT_TRUNCATION = 40
 
@@ -116,6 +119,7 @@ def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
 
 def tmsv_amplitudes(squeezing: float, n_trunc: int) -> np.ndarray:
     """Schmidt coefficients of the two-mode squeezed vacuum, sqrt(1-l^2) l^n."""
+    check_integer("truncation", n_trunc, 0)
     check_domain("squeezing", squeezing)
     return np.sqrt(1.0 - squeezing ** 2) * squeezing ** np.arange(n_trunc)
 
@@ -130,6 +134,7 @@ def tmsv_state(squeezing: float,
 
 def ladder(n_trunc: int) -> np.ndarray:
     """Annihilation operator on the truncated basis."""
+    check_integer("truncation", n_trunc, 0)
     return np.diag(np.sqrt(np.arange(1, n_trunc)), k=1)
 
 
@@ -180,6 +185,7 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     finite for large m; log (m - k)! is +inf for k > m, where the table is
     zero.
     """
+    check_integer("truncation", n_trunc, 0)
     check_domain("transmittance", transmittance)
     idx = np.arange(n_trunc)
     kept = idx[:, None] - idx
@@ -205,6 +211,7 @@ def click_weights(apd_efficiency: float, n_trunc: int) -> np.ndarray:
     Evaluated as -expm1(k log1p(-eta)), accurate to rounding also where
     w(k) is small; w(0) = 0, and eta = 1 gives w(k) = 1 for every k >= 1.
     """
+    check_integer("truncation", n_trunc, 0)
     check_domain("apd_efficiency", apd_efficiency)
     weights = np.zeros(n_trunc)
     with np.errstate(divide="ignore"):
@@ -302,6 +309,7 @@ def pair_projected_state(squeezing: float, transmittance: float,
     to (n+1)(T*lambda)^n.  It is normalized by construction, and the
     herald's tail fence sums the same top entries as `_check_schmidt`.
     """
+    check_integer("truncation", n_trunc, 0)
     return _pair_projection(squeezing, transmittance, n_trunc)
 
 
@@ -537,6 +545,7 @@ def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     The radial part of `_radial_table` times e^{-i(m-n) varphi}, with
     sqrt(2) (x - i p) = sqrt(2) r e^{-i varphi}.
     """
+    check_integer("truncation", n_trunc, 0)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     offset = np.subtract.outer(np.arange(n_trunc), np.arange(n_trunc))

@@ -98,6 +98,13 @@ def check_parameter(name: str, value) -> float:
     return float(value)
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """DomainError naming the field unless value is an integer >= least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
+
+
 def x_block(squeezing, transmittance, apd_efficiency, homodyne_efficiency
             ) -> np.ndarray:
     """x-quadrature covariance (x_A, x_B, x_C, x_D) of the source pipeline.
@@ -181,9 +188,10 @@ def squeezing_to_db(squeezing: float) -> float:
 
 
 def db_to_squeezing(db: float) -> float:
-    """Inverse of squeezing_to_db; DomainError where lambda rounds to 1
-    (from about 165 dB)."""
-    if not 0.0 <= db < np.inf:
+    """Inverse of squeezing_to_db; DomainError unless db is one finite,
+    non-negative real number, and where lambda rounds to 1 (from about
+    165 dB)."""
+    if not (isinstance(db, numbers.Real) and 0.0 <= db < np.inf):
         raise DomainError(
             f"squeezing in dB must be finite and non-negative, got {db}")
     squeezing = float(np.tanh(db * np.log(10.0) / 20.0))

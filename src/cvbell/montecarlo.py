@@ -34,6 +34,7 @@ from . import conditioning
 from .bell import (BellResult, BivariateMixture, ExperimentParams, chsh_value,
                    rotated_marginal)
 from .errors import DomainError, EnvelopeError
+from .gaussian import check_integer
 
 #: events processed per RNG block; the block is the reproducibility atom
 BLOCK_EVENTS = 4096
@@ -72,18 +73,11 @@ class ProtocolConfig:
     rep_rate: float = 1e6
 
     def __post_init__(self):
-        _check_integer("n_target_events", self.n_target_events, 1)
-        _check_integer("seed", self.seed, 0)
+        check_integer("n_target_events", self.n_target_events, 1)
+        check_integer("seed", self.seed, 0)
         if not _positive_real(self.rep_rate):
             raise DomainError(f"rep_rate must be finite and positive, "
                               f"got {self.rep_rate}")
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    """DomainError naming the field unless value is an integer >= least."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, "
-                          f"got {value!r}")
 
 
 def _positive_real(value) -> bool:
@@ -284,8 +278,8 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
     Chunked rejection sampling (`_draw`) against the Gaussian envelope;
     the stream is fully determined by the seed.
     """
-    _check_integer("sample count", n, 1)
-    _check_integer("seed", seed, 0)
+    check_integer("sample count", n, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     return _draw(build_envelope(marginal), n, rng)
 

@@ -5,11 +5,14 @@ parameter, the generic conditioning kernel `heralded_terms` on a stack of
 the four masses), and `evaluate`, the CHSH correlators of parameter rows
 through both.  The tests hold `gaussian.x_block` to this route bitwise,
 and the package's six-entry kernel to its refusals and, where both are
-accurate, its values.
+accurate, its values.  The oracles `exact_*` evaluate the inverse-form
+conditioning of the same x-block at 50 digits in mpmath: P, the
+correlators and the Wigner function.
 """
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from cvbell.bell import _arcsine_mean
@@ -190,3 +193,90 @@ def evaluate(rows, angles):
                          terms.correlations[:, None, None, :]
                          * cosines[..., None])
     return corr, terms.success_prob, terms.cancellation, errors
+
+
+# ---------------------------------------------------------------------------
+# oracles at 50 digits
+
+
+def exact_terms(params):
+    """Inverse-form conditioning on the x-block, at the working precision
+    of mpmath: P, det X and, per term, (q_j, det B_j, R_j) with B_j the
+    augmented detector block and R_j the (x_A, x_B) precision.  The x-block
+    entries are the closed form of `gaussian.x_block` in exact arithmetic."""
+    lam, t, eta, eta_h = (mpmath.mpf(v) for v in (
+        params.squeezing, params.transmittance, params.apd_efficiency,
+        params.homodyne_efficiency))
+    ch = mpmath.cosh(2 * mpmath.atanh(lam))
+    sh = mpmath.sinh(2 * mpmath.atanh(lam))
+    rfl, gain = mpmath.sqrt(1 - t), mpmath.sqrt(eta_h * eta)
+    aa = eta_h * (t * ch + 1 - t) + 1 - eta_h
+    cc = eta * ((1 - t) * ch + t) + 1 - eta
+    ac = gain * mpmath.sqrt(t) * rfl * (1 - ch)
+    ad = -gain * mpmath.sqrt(t) * rfl * sh
+    ab, cd = eta_h * t * sh, eta * (1 - t) * sh
+    x = mpmath.matrix([[aa, ab, ac, ad], [ab, aa, ad, ac],
+                       [ac, ad, cc, cd], [ad, ac, cd, cc]])
+    gamma = x ** -1
+    terms = []
+    for q, kernel in zip(CLICK_WEIGHTS, ((0, 0), (1, 0), (0, 1), (1, 1))):
+        block = gamma[2:4, 2:4] + mpmath.diag(kernel)
+        reduced = gamma[0:2, 0:2] \
+            - gamma[0:2, 2:4] * block ** -1 * gamma[2:4, 0:2]
+        terms.append((q, mpmath.det(block), reduced))
+    det_x = mpmath.det(x)
+    success = sum(q / (mpmath.det(reduced) * det_b)
+                  for q, det_b, reduced in terms) / det_x
+    return success, det_x, terms
+
+
+def exact_success_prob(params):
+    """P at 50 digits."""
+    with mpmath.workdps(50):
+        return float(exact_terms(params)[0])
+
+
+def _exact_correlation(success, det_x, terms, theta, phi):
+    total = 0
+    for q, det_b, reduced in terms:
+        mass = q / (mpmath.det(reduced) * det_b * det_x)
+        corr = -reduced[0, 1] / mpmath.sqrt(reduced[0, 0] * reduced[1, 1])
+        total += mass * mpmath.asin(corr * mpmath.cos(theta + phi))
+    return float(2 * total / (mpmath.pi * success))
+
+
+def exact_sign_correlation(params, theta, phi):
+    """E at 50 digits: sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)), with
+    c_j = -R_j[0, 1] / sqrt(R_j[0, 0] R_j[1, 1]) the correlation of the
+    covariance R_j^-1 / 2."""
+    with mpmath.workdps(50):
+        return _exact_correlation(*exact_terms(params), theta, phi)
+
+
+def exact_chsh(params):
+    """The four correlators (2, 2) at the angles of params and P, each at
+    50 digits, from one conditioning."""
+    with mpmath.workdps(50):
+        terms = exact_terms(params)
+        theta1, theta2, phi1, phi2 = params.angles
+        corr = np.array([[_exact_correlation(*terms, theta, phi)
+                          for phi in (phi1, phi2)] for theta in (theta1, theta2)])
+        return corr, float(terms[0])
+
+
+def exact_wigner(params, points):
+    """W at 50 digits at each phase-space point (x_A, p_A, x_B, p_B):
+    sum_j q_j / det B_j exp(-x^T R_j x - p^T D R_j D p) / (pi^2 P det X),
+    with x = (x_A, x_B), p = (p_A, p_B) and D = diag(1, -1)."""
+    with mpmath.workdps(50):
+        success, det_x, terms = exact_terms(params)
+        scale = mpmath.pi ** 2 * success * det_x
+        values = []
+        for x_a, p_a, x_b, p_b in np.asarray(points, dtype=float):
+            x = mpmath.matrix([x_a, x_b])
+            p = mpmath.matrix([p_a, -p_b])
+            total = sum(q / det_b * mpmath.exp(-(x.T * reduced * x)[0]
+                                               - (p.T * reduced * p)[0])
+                        for q, det_b, reduced in terms)
+            values.append(float(total / scale))
+        return np.array(values)

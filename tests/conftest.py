@@ -57,6 +57,20 @@ def integrate_mixture_2d(marginal, sigma_range=8.0, nodes=128):
     return float((ws * sx) @ dens @ (ws * sy))
 
 
+def integrate_wigner_4d(state, halfwidth=6.0, nodes=48):
+    """Tensor Gauss-Legendre integral of W over the given box."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    x = xs * halfwidth
+    w = ws * halfwidth
+    pts = np.stack(np.meshgrid(x, x, x, x, indexing="ij"), axis=-1).reshape(-1, 4)
+    wts = (w[:, None, None, None] * w[None, :, None, None]
+           * w[None, None, :, None] * w[None, None, None, :]).ravel()
+    total = 0.0
+    for i in range(0, len(pts), 500_000):
+        total += float(np.dot(wts[i:i + 500_000],
+                              conditioning.wigner_value(state, pts[i:i + 500_000])))
+    return total
+
 
 def reversed_block_totals(config):
     """run_protocol(config) and the (pulses, counts, product sums) of its

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from cvbell import bell, conditioning, fock, gaussian, montecarlo
-from conftest import reversed_block_totals
+from conftest import integrate_wigner_4d, reversed_block_totals
 import symplectic_reference as ref
 
 REALISTIC = bell.ExperimentParams(squeezing=0.6, transmittance=0.95,
@@ -175,7 +175,6 @@ def test_criterion_9_structural_invariants():
     checks.append(("covariance physicality", physical))
 
     # mixture normalization over [-6, 6]^4 within 1e-3
-    from test_conditioning import integrate_wigner_4d
     norm_ok = True
     for params in (REALISTIC,
                    bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)):

@@ -3,24 +3,10 @@ import pytest
 
 from cvbell import bell, conditioning, fock, gaussian
 from cvbell.errors import DomainError, InvalidRegimeError, SingularMatrixError
-from test_bell import exact_sign_correlation, exact_success_prob
+from closed_form_reference import exact_sign_correlation, exact_success_prob
+from conftest import integrate_wigner_4d
 
 CUT_DIRECTION = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
-
-
-def integrate_wigner_4d(state, halfwidth=6.0, nodes=48):
-    """Tensor Gauss-Legendre integral of W over the given box."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    x = xs * halfwidth
-    w = ws * halfwidth
-    pts = np.stack(np.meshgrid(x, x, x, x, indexing="ij"), axis=-1).reshape(-1, 4)
-    wts = (w[:, None, None, None] * w[None, :, None, None]
-           * w[None, None, :, None] * w[None, None, None, :]).ravel()
-    total = 0.0
-    for i in range(0, len(pts), 500_000):
-        total += float(np.dot(wts[i:i + 500_000],
-                              conditioning.wigner_value(state, pts[i:i + 500_000])))
-    return total
 
 
 class TestConditionalState:

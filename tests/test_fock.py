@@ -1,478 +1,27 @@
-import decimal
-import functools
-import math
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
-from mpmath.calculus.quadrature import GaussLegendre
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf, eval_genlaguerre, gammaln
+from scipy.integrate import trapezoid
 
 from cvbell import bell, conditioning, fock
 from cvbell.errors import DomainError, InvalidRegimeError, TruncationError
+from closed_form_reference import exact_sign_correlation
+from fock_reference import (
+    closed_sign_operator, dense_apply_loss, dense_click_conditioned,
+    dense_diag_sign_correlation, dense_sign_correlation, dense_wigner_values,
+    exact_fock_correlation, exact_ideal_sign_operator, exact_pair_chsh,
+    exact_pair_projection, exact_sign_entries, exact_success_prob,
+    exact_tap_amplitude_table, expand_record, folded_record,
+    grid_sign_operator, hermite_functions, ideal_subtracted_state,
+    kept_mode_distribution, kept_mode_tail, kraus_loss_dual,
+    loop_sign_operator, loop_wigner_pair_table, reference_grid,
+    reference_sign_correlation, reference_sign_reduced)
 import symplectic_reference as ref
-from test_bell import exact_sign_correlation
-
-# ---------------------------------------------------------------------------
-# sign-operator references: the Hermite functions on a glued Gauss-Legendre
-# grid, and the Gaussian-overlap recurrence of the erf-smoothed operator,
-# which the folded closed form of the package replaces
-
-#: (largest truncation, half-width, points) of the reference grids; a grid
-#: must reach past the outer turning point sqrt(2N + 1) of h_{N-1}
-REFERENCE_GRIDS = ((40, 12.0, 400), (60, 14.0, 400), (130, 20.0, 600))
-
-
-def hermite_functions(n_max, x):
-    """Oscillator eigenfunctions psi_n(x) for n < n_max, shape (n_max, len(x))."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n_max, x.size))
-    out[0] = np.pi ** -0.25 * np.exp(-x * x / 2.0)
-    if n_max > 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(2, n_max):
-        out[n] = np.sqrt(2.0 / n) * x * out[n - 1] \
-            - np.sqrt((n - 1) / n) * out[n - 2]
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def reference_grid(n_trunc):
-    """Gauss-Legendre nodes and weights per half-axis, glued at zero, on
-    the narrowest reference grid that holds h_0 ... h_{N-1}.  Splitting at
-    zero keeps the sign function constant on each panel."""
-    halfwidth, n_points = next((width, points)
-                               for top, width, points in REFERENCE_GRIDS
-                               if n_trunc <= top)
-    nodes, wts = np.polynomial.legendre.leggauss(n_points // 2)
-    pos = (nodes + 1.0) * halfwidth / 2.0
-    w_pos = wts * halfwidth / 2.0
-    return (np.concatenate([-pos[::-1], pos]),
-            np.concatenate([w_pos[::-1], w_pos]))
-
-
-def grid_sign_operator(n_trunc, homodyne_efficiency=1.0):
-    """S = (h w f) h^T on the reference grid, with f = sgn x at efficiency 1
-    and erf(k x), k^2 = eta / (1 - eta), below it."""
-    x, w = reference_grid(n_trunc)
-    h = hermite_functions(n_trunc, x)
-    eta = homodyne_efficiency
-    smooth = np.sign(x) if eta == 1.0 else erf(np.sqrt(eta / (1 - eta)) * x)
-    return (h * w * smooth) @ h.T
-
-
-def loop_sign_operator(n_trunc, homodyne_efficiency):
-    """S[a, c] = int erf(k x) h_a(x) h_c(x) dx, k^2 = eta / (1 - eta), by
-    its Gaussian-overlap recurrence, one full row at a time.
-
-    A homodyne of efficiency eta reads sgn(x) smoothed by its vacuum noise,
-    erf(k x); at eta = 1 that is sgn(x).  The oscillator equation
-    h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c the derivative of
-    h_c h_a' - h_a h_c', so integrating by parts against erf(k x) gives
-    S[a, c] = (D[a, c] - D[c, a]) / (a - c) with
-    D[a, c] = int nu h_a' h_c = sqrt(a/2) G[a-1, c] - sqrt((a+1)/2) G[a+1, c],
-    where nu is the normal density of variance (1 - eta) / (2 eta) and
-    G[m, n] = int nu h_m h_n.  G is exact from G[0, 0] = sqrt(eta / pi) and
-    sqrt(m+1) G[m+1, n] = (1 - eta) sqrt(n) G[m, n-1] - eta sqrt(m) G[m-1, n];
-    G is symmetric, so the same recurrence in n gives its first row.  This
-    is the sign operator the package computed before the homodyne loss was
-    folded into the tap, kept as the reference route's operator.
-    """
-    eta = homodyne_efficiency
-    idx = np.arange(n_trunc + 1)
-    root = np.sqrt(idx)
-    overlap = np.zeros((n_trunc + 1, n_trunc))
-    ratio = -eta * root[1:n_trunc - 1:2] / root[2:n_trunc:2]
-    overlap[0, ::2] = np.sqrt(eta / np.pi) * np.cumprod(np.r_[1.0, ratio])
-    for m in range(n_trunc):
-        below = overlap[m - 1] if m else 0.0
-        overlap[m + 1, 1:] = (1.0 - eta) * root[1:n_trunc] * overlap[m, :-1]
-        overlap[m + 1] = ((overlap[m + 1] - eta * root[m] * below)
-                          / root[m + 1])
-    half = np.sqrt(idx / 2.0)[:, None]
-    deriv = -half[1:] * overlap[1:]
-    deriv[1:] += half[1:-1] * overlap[:-2]
-    diff = np.subtract.outer(idx[:-1], idx[:-1])
-    return np.divide(deriv - deriv.T, diff, out=np.zeros(diff.shape),
-                     where=diff != 0)
-
-
-def loop_block_reduce(blocks, op):
-    """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...]
-    as one slice update per Delta, in ascending Delta, the summation order
-    `block_reduce` must keep."""
-    n = blocks.shape[1]
-    blocks = blocks.reshape(blocks.shape + (1,) * (op.ndim - 2))
-    out = np.zeros(op.shape, dtype=np.result_type(blocks, op))
-    for delta in range(1 - n, n):
-        lo, hi = max(delta, 0), min(n + delta, n)
-        out[lo:hi, lo:hi] += (blocks[delta + n - 1, lo:hi, lo:hi]
-                              * op[lo - delta:hi - delta, lo - delta:hi - delta])
-    return out
-
-
-def exact_sign_entries(entries, efficiencies, n_trunc, halfwidth=22):
-    """S[a, c] = int erf(k x) h_a h_c dx at 40 digits, one row per
-    efficiency.  The integrand is even; 48-node Gauss-Legendre rules on
-    unit panels of [0, halfwidth] resolve h_{N-1}, whose tail past
-    halfwidth is below 1e-40, and the Hermite functions come from their
-    recurrence at every node."""
-    with mpmath.workdps(40):
-        rule = GaussLegendre(mpmath.mp).calc_nodes(5, mpmath.mp.prec)
-        up = [mpmath.sqrt(mpmath.mpf(2) / n) for n in range(1, n_trunc)]
-        back = [mpmath.sqrt(mpmath.mpf(n) / (n + 1)) for n in range(n_trunc)]
-        slopes = [mpmath.sqrt(mpmath.mpf(eta) / (1 - mpmath.mpf(eta)))
-                  for eta in efficiencies]
-        sums = [[0] * len(entries) for _ in efficiencies]
-        for left in range(halfwidth):
-            for node, weight in rule:
-                x = left + (node + 1) / 2
-                h = [mpmath.exp(-x * x / 2) / mpmath.pi ** 0.25]
-                h.append(up[0] * x * h[0])
-                for n in range(2, n_trunc):
-                    h.append(up[n - 1] * x * h[n - 1] - back[n - 1] * h[n - 2])
-                for row, slope in zip(sums, slopes):
-                    # the panel's Jacobian 1/2 and the even integrand's 2
-                    smooth = weight * mpmath.erf(slope * x)
-                    for i, (a, c) in enumerate(entries):
-                        row[i] += smooth * h[a] * h[c]
-        return np.array(sums, dtype=float)
-
-
-def reference_sign_reduced(state, homodyne_efficiency):
-    """(g g^T) o Phi(S) o Phi(S) / P with S from `loop_sign_operator` and
-    Phi the package's `_pull_back`: the route that the folded commutator
-    form replaced."""
-    pulled = fock._pull_back(state, loop_sign_operator(state.n_trunc,
-                                                       homodyne_efficiency))
-    coeffs = state.amplitudes
-    return np.outer(coeffs, coeffs) * pulled * pulled / state.p_click
-
-
-def reference_sign_correlation(state, theta, phi, homodyne_efficiency):
-    return fock._phase_form(reference_sign_reduced(state, homodyne_efficiency),
-                            theta + phi)
-
-
-def closed_sign_operator(n_trunc):
-    """The package's ideal sign operator S: its pull-back with w = e_0 and
-    t(n, 0) = 1, a transparent tap that always heralds, is S itself."""
-    return fock._pull_back_sign(1.0, np.eye(n_trunc)[0])
-
-
-def folded_record(state, homodyne_efficiency):
-    """The record with the homodyne loss folded into its tap: the tap table
-    of T eta, and click weights thinned by the share
-    p = (1 - T) / (1 - T eta) of the lost photons that the tap takes."""
-    t, eta = state.transmittance, homodyne_efficiency
-    thinning = fock.tap_amplitude_table(t * (1 - eta) / (1 - t * eta),
-                                        state.n_trunc) ** 2
-    return replace(state, tap=fock.tap_amplitude_table(t * eta, state.n_trunc),
-                   transmittance=t * eta, weights=thinning @ state.weights)
-
-
-#: pi to 50 significant digits
-PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
-
-
-def exact_fock_correlation(squeezing, transmittance, apd_efficiency, n_trunc,
-                           homodyne_efficiency, angle_sum):
-    """E of the heralded state on the truncated basis, at 45 digits.
-
-    The definition route, with none of the package's identities: the
-    recurrence of `loop_sign_operator` gives S at the homodyne efficiency,
-    which is pulled back through the tap amplitudes and click weights of
-    the transmittance T term by term, and P is the record's own sum.  The
-    float inputs are converted exactly, and the phase of each photon-number
-    difference comes from mpmath.
-    """
-    n = n_trunc
-    with decimal.localcontext(decimal.Context(prec=45)):
-        lam, t, eta_apd, eta = (Decimal(x) for x in (
-            squeezing, transmittance, apd_efficiency, homodyne_efficiency))
-        one = Decimal(1)
-        root = [Decimal(i).sqrt() for i in range(n + 1)]
-        half = [(Decimal(i) / 2).sqrt() for i in range(n + 1)]
-        g = [(one - lam * lam).sqrt() * lam ** i for i in range(n)]
-        # |t(m, k)|: the pull-back reads the tap amplitudes in pairs
-        tap = [[(math.comb(m, k) * t ** (m - k) * (one - t) ** k).sqrt()
-                for k in range(m + 1)] for m in range(n)]
-        w = [one - (one - eta_apd) ** k for k in range(n)]
-        q = [sum(w[k] * tap[m][k] ** 2 for k in range(m + 1))
-             for m in range(n)]
-        p_click = sum(g[m] ** 2 * q[m] ** 2 for m in range(n))
-        overlap = [[Decimal(0)] * n for _ in range(n + 1)]
-        overlap[0][0] = (eta / PI_50).sqrt()
-        for c in range(2, n, 2):
-            overlap[0][c] = -eta * root[c - 1] / root[c] * overlap[0][c - 2]
-        for m in range(n):
-            for c in range(n):
-                value = (one - eta) * root[c] * overlap[m][c - 1] if c else 0
-                if m:
-                    value -= eta * root[m] * overlap[m - 1][c]
-                overlap[m + 1][c] = value / root[m + 1]
-        deriv = [[(half[a] * overlap[a - 1][c] if a else 0)
-                  - half[a + 1] * overlap[a + 1][c] for c in range(n)]
-                 for a in range(n)]
-        sign = [[(deriv[a][c] - deriv[c][a]) / (a - c) if a != c else 0
-                 for c in range(n)] for a in range(n)]
-        with mpmath.workdps(50):
-            cosines = [Decimal(mpmath.nstr(
-                mpmath.cos(mpmath.mpf(angle_sum) * d), 50)) for d in range(n)]
-        # Phi(S) is symmetric and vanishes at even n - m, and the cosine is
-        # even: twice the sum over n > m
-        total = Decimal(0)
-        for a in range(n):
-            weighted = [w[k] * tap[a][k] for k in range(a + 1)]
-            for c in range(a - 1, -1, -2):
-                pulled = sum(weighted[k] * tap[c][k] * sign[a - k][c - k]
-                             for k in range(c + 1))
-                total += g[a] * g[c] * pulled * pulled * cosines[a - c]
-        return float(2 * total / p_click)
-
-
-def exact_ideal_sign_entries(n_trunc):
-    """S[a, c] = (u_a v_c - v_a u_c) / (a - c) at 45 digits, nested lists
-    of Decimals, with v_{2m} = (-1)^m pi^(-1/4) sqrt(C(2m, m) / 4^m) and
-    u_n = sqrt(2n) v_{n-1} from exact binomials."""
-    with decimal.localcontext(decimal.Context(prec=45)):
-        scale = 1 / PI_50.sqrt().sqrt()
-        v = [Decimal(0)] * n_trunc
-        for m in range(0, n_trunc, 2):
-            v[m] = (-1) ** (m // 2) * scale * (
-                Decimal(math.comb(m, m // 2)) / 2 ** m).sqrt()
-        u = [Decimal(2 * n).sqrt() * v[n - 1] if n else Decimal(0)
-             for n in range(n_trunc)]
-        return [[(u[a] * v[c] - v[a] * u[c]) / (a - c) if (a - c) % 2
-                 else Decimal(0) for c in range(n_trunc)]
-                for a in range(n_trunc)]
-
-
-def exact_ideal_sign_operator(n_trunc):
-    """`exact_ideal_sign_entries` rounded to floats."""
-    return np.array([[float(x) for x in row]
-                     for row in exact_ideal_sign_entries(n_trunc)])
-
-
-# ---------------------------------------------------------------------------
-# Delta-block references: the heralded state stored as its photon-number-
-# difference blocks,
-#
-#     blocks[Delta + N - 1, a, c] = <a, a - Delta| rho |c, c - Delta>,
-#
-# and every two-mode quantity read off them with one block reduction.  This
-# is the route the pull-back replaced, kept here to check it.
-
-
-@functools.lru_cache(maxsize=8)
-def in_range(n_trunc):
-    """Mask of block entries [u, i, j] whose partners i - u and j - u lie in
-    [0, N)."""
-    n = n_trunc
-    u = np.arange(1 - n, n)[:, None, None]
-    i = np.arange(n)[None, :, None]
-    j = np.arange(n)[None, None, :]
-    return (i >= u) & (i - u < n) & (j >= u) & (j - u < n)
-
-
-@functools.lru_cache(maxsize=8)
-def mirror_positions(n_trunc):
-    """Flat positions of in-range block entries [u, i, j], i <= j, and [u, j, i]."""
-    valid = in_range(n_trunc)
-    u, i, j = np.nonzero(valid & np.triu(np.ones(valid.shape[1:], bool)))
-    return (np.ravel_multi_index((u, i, j), valid.shape),
-            np.ravel_multi_index((u, j, i), valid.shape))
-
-
-def photon_numbers(blocks, n_trunc):
-    """Photon-number distribution P(n_A, n_B), read off the block diagonals."""
-    idx = np.arange(n_trunc)
-    return blocks[np.subtract.outer(idx, idx) + n_trunc - 1,
-                  idx[:, None], idx[:, None]].real
-
-
-def kept_mode_tail(probs, n_trunc):
-    """Probability that either mode of P(n_A, n_B) holds n_trunc - 4 or more
-    photons, summed over the two-mode array."""
-    cut = n_trunc - 4
-    return float(probs[cut:].sum()) + float(probs[:cut, cut:].sum())
-
-
-@dataclass(frozen=True)
-class FockDensityMatrix:
-    """Mixed two-mode state stored as its photon-number-difference blocks.
-
-    An entry whose partner index a - Delta or c - Delta leaves the
-    truncation must be zero, and n_trunc must be at least
-    `fock.MIN_TRUNCATION`.  The blocks keep their dtype: real blocks stay
-    real float64, complex blocks stay complex, and integer blocks become
-    float64.
-    """
-
-    blocks: np.ndarray
-    n_trunc: int
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks)
-        blocks = blocks.astype(np.promote_types(blocks.dtype, float),
-                               copy=False)
-        n = self.n_trunc
-        fock._check_floor(n)
-        if blocks.shape != (2 * n - 1, n, n):
-            raise DomainError("density blocks do not match the truncation")
-        if np.any(blocks[~in_range(n)]):
-            raise DomainError("density block has an entry whose partner "
-                              "photon number lies outside the truncation")
-        upper, lower = mirror_positions(n)
-        flat = blocks.reshape(-1)
-        if np.max(np.abs(flat[upper] - flat[lower].conj())) > 1e-10:
-            raise DomainError("density matrix is not hermitian within 1e-10")
-        probs = photon_numbers(blocks, n)
-        trace = float(probs.sum())
-        if abs(trace - 1.0) > 1e-9:
-            raise DomainError(f"density matrix trace {trace} differs from 1")
-        fock._check_truncation([kept_mode_tail(probs, n)], n)
-        object.__setattr__(self, "blocks", blocks)
-
-
-def click_conditioned_blocks(squeezing, transmittance, weights):
-    """Unnormalized heralded blocks for click weights w of length N; their
-    trace is the double-click probability.
-
-    Tap counts kc, kd leave |n - kc, n - kd>, so block Delta collects the
-    pairs kd = kc + Delta: blocks[Delta] = U U^T with
-    U[a, kc] = sqrt(w(kc) w(kd)) c(n) t(n, kc) t(n, kd) at n = a + kc.
-    """
-    n = len(weights)
-    # zero padding: totals reach 2n - 2, tap counts run from 1 - n to 2n - 2
-    coeff = np.zeros(2 * n)
-    coeff[:n] = fock.tmsv_amplitudes(squeezing, n)
-    table = np.zeros((2 * n, 3 * n))
-    table[:n, n:2 * n] = fock.tap_amplitude_table(transmittance, n)
-    root_w = np.zeros(3 * n)
-    root_w[n:2 * n] = np.sqrt(weights)
-    a = np.arange(n)[:, None]
-    kc = np.arange(n)[None, :]
-    kd = kc + np.arange(1 - n, n)[:, None, None]
-    first = coeff[a + kc] * table[a + kc, n + kc] * root_w[n + kc]
-    factor = first * table[a + kc, n + kd] * root_w[n + kd]
-    return factor @ factor.transpose(0, 2, 1)
-
-
-def block_conditioning(squeezing, transmittance, apd_efficiency, n_trunc):
-    """Block-stored heralded state and the double-click probability, the
-    trace of the unnormalized blocks."""
-    blocks = click_conditioned_blocks(
-        squeezing, transmittance, fock.click_weights(apd_efficiency, n_trunc))
-    p_click = float(photon_numbers(blocks, n_trunc).sum())
-    return FockDensityMatrix(blocks=blocks / p_click, n_trunc=n_trunc), p_click
-
-
-def partner_view(op):
-    """Read-only view V[..., a, w, c] = O[..., b, c - a + b] at b = N - 1 - w
-    of a stack of N x N operators, zero where c - a + b leaves [0, N).
-
-    op is zero-padded by N - 1 columns on each side.  The diagonals
-    E[..., k + N - 1, b] = O[b, b + k] of the padding, for the offsets
-    k = c - a in (-N, N), are read in windows of N consecutive offsets.
-    """
-    n = op.shape[-1]
-    pad = np.zeros(op.shape[:-1] + (3 * n - 2,), dtype=op.dtype)
-    pad[..., n - 1:2 * n - 1] = op
-    diagonals = sliding_window_view(pad, 2 * n - 1, axis=-1).diagonal(
-        axis1=-3, axis2=-2)
-    return sliding_window_view(diagonals, n, axis=-2)[..., ::-1, ::-1, :]
-
-
-def block_reduce(blocks, op):
-    """M[a, c, ...] = sum_Delta R[Delta, a, c] O[a - Delta, c - Delta, ...]
-    as one contraction of read-only views, in ascending Delta.
-
-    Pairs O with mode B of the block-stored state, so that
-    sum rho[(a, b), (c, d)] O_A[a, c] O[b, d] = sum_{a,c} O_A[a, c] M[a, c].
-    Row a only meets the N values Delta = a + w - N + 1, w in [0, N), whose
-    partner b = a - Delta = N - 1 - w lies in [0, N):
-    M[a, c] = sum_w R[a + w, a, c] O[b, c - a + b].  A complex stack against
-    real blocks is reduced as its real and imaginary parts.
-    """
-    if np.iscomplexobj(op) and not np.iscomplexobj(blocks):
-        out = np.empty(op.shape, dtype=complex)
-        out.real = block_reduce(blocks, op.real)
-        out.imag = block_reduce(blocks, op.imag)
-        return out
-    n = blocks.shape[1]
-    # rows[c, w, a] = R[a + w, a, c]
-    rows = sliding_window_view(blocks, n, axis=0).diagonal(axis1=0, axis2=1)
-    stack = np.moveaxis(op, (0, 1), (-2, -1)).astype(blocks.dtype, copy=False)
-    return np.einsum("cwa,...awc->ac...", rows, partner_view(stack))
-
-
-def block_sign_reduced(rho, homodyne_efficiency=1.0):
-    """S o M_S of the block route, whose phase forms are the correlators."""
-    sign = loop_sign_operator(rho.n_trunc, homodyne_efficiency)
-    return sign * block_reduce(rho.blocks, sign)
-
-
-def block_sign_correlation(rho, theta, phi, homodyne_efficiency=1.0):
-    return fock._phase_form(block_sign_reduced(rho, homodyne_efficiency),
-                            theta + phi)
-
-
-def block_chsh(rho, angles, homodyne_efficiency=1.0):
-    return fock._phase_chsh(block_sign_reduced(rho, homodyne_efficiency),
-                            angles)
-
-
-def block_wigner_values(rho, points, reduce=block_reduce):
-    """W_i = sum_{a,c} T_A[a, c, i] M[a, c, i], M the block reduction of the
-    mode-B table stack."""
-    n = rho.n_trunc
-    table_a = fock.wigner_pair_table(n, points[:, 0], points[:, 1])
-    reduced = reduce(rho.blocks,
-                     fock.wigner_pair_table(n, points[:, 2], points[:, 3]))
-    return np.einsum("aci,aci->i", table_a, reduced).real
-
-
-# ---------------------------------------------------------------------------
-# dense (n, n, n, n) references: the direct photon-number-basis computations
-# the Delta-block route replaced, kept here to check it
-
-
-def block_index(n_trunc):
-    """(u, a, c) of every in-range block entry and its partners b, d."""
-    u, a, c = np.meshgrid(np.arange(1 - n_trunc, n_trunc), np.arange(n_trunc),
-                          np.arange(n_trunc), indexing="ij")
-    inside = (a - u >= 0) & (a - u < n_trunc) & (c - u >= 0) & (c - u < n_trunc)
-    return inside, a[inside], (a - u)[inside], c[inside], (c - u)[inside]
-
-
-def to_dense(rho):
-    """Dense array rho[n_A, n_B, m_A, m_B] of a block-stored density."""
-    n = rho.n_trunc
-    inside, a, b, c, d = block_index(n)
-    dense = np.zeros((n,) * 4, dtype=complex)
-    dense[a, b, c, d] = rho.blocks[inside]
-    return dense
-
-
-def to_blocks(dense):
-    """Delta-blocks of a dense density array."""
-    n = dense.shape[0]
-    inside, a, b, c, d = block_index(n)
-    blocks = np.zeros((2 * n - 1, n, n), dtype=complex)
-    blocks[inside] = dense[a, b, c, d]
-    return blocks
-
-
-def vacuum_density(n_trunc=16):
-    rho = np.zeros((n_trunc,) * 4, dtype=complex)
-    rho[0, 0, 0, 0] = 1.0
-    return FockDensityMatrix(blocks=to_blocks(rho), n_trunc=n_trunc)
 
 
 def vacuum_record(n_trunc=16):
@@ -482,145 +31,6 @@ def vacuum_record(n_trunc=16):
     return fock.HeraldedState(unit, fock.tap_amplitude_table(0.9, n_trunc),
                               0.9, unit, 1.0, n_trunc)
 
-
-def scatter_heralded(coeff, table, weights):
-    """Unnormalized heralded state rho[n_A, n_B, m_A, m_B] of the source
-    amplitudes, tap table and click weights, scattered term by term over
-    the tap counts."""
-    n_trunc = len(coeff)
-    rho = np.zeros((n_trunc, n_trunc, n_trunc, n_trunc))
-    for kc in range(1, n_trunc):
-        for kd in range(1, n_trunc):
-            totals = np.arange(max(kc, kd), n_trunc)
-            vec = coeff[totals] * table[totals, kc] * table[totals, kd]
-            contribution = weights[kc] * weights[kd] * np.outer(vec, vec)
-            a_idx, b_idx = totals - kc, totals - kd
-            rho[a_idx[:, None], b_idx[:, None],
-                a_idx[None, :], b_idx[None, :]] += contribution
-    return rho
-
-
-def expand_record(state):
-    """Dense normalized density rho[n_A, n_B, m_A, m_B] of a
-    `fock.HeraldedState`."""
-    return scatter_heralded(state.amplitudes, state.tap,
-                            state.weights) / state.p_click
-
-
-def dense_click_conditioned(squeezing, transmittance, apd_efficiency, n_trunc):
-    """Unnormalized heralded state, scattered term by term over tap counts."""
-    return scatter_heralded(fock.tmsv_amplitudes(squeezing, n_trunc),
-                            fock.tap_amplitude_table(transmittance, n_trunc),
-                            fock.click_weights(apd_efficiency, n_trunc))
-
-
-def kraus_loss_dual(op, transmittance):
-    """Dual of pure loss, L^dagger(O)[a, c] = sum_l t(a,l) t(c,l) O[a-l, c-l].
-
-    The Kraus operator that loses l photons maps |m> to t(m, l) |m - l>,
-    with t the beam-splitter amplitudes.
-    """
-    n = op.shape[0]
-    tap = np.abs(fock.tap_amplitude_table(transmittance, n))
-    out = np.zeros_like(op)
-    for lost in range(n):
-        kept = tap[lost:, lost]
-        out[lost:, lost:] += np.outer(kept, kept) * op[:n - lost, :n - lost]
-    return out
-
-
-def dense_apply_loss(rho, transmittance, mode):
-    """Pure loss on one mode through its Kraus operators."""
-    n = rho.shape[0]
-    table = np.abs(fock.tap_amplitude_table(transmittance, n))
-    out = np.zeros_like(rho)
-    for lost in range(n):
-        kept = n - lost
-        w = table[lost + np.arange(kept), lost]
-        if mode == 0:
-            out[:kept, :, :kept, :] += (w[:, None, None, None]
-                                        * w[None, None, :, None]
-                                        * rho[lost:, :, lost:, :])
-        else:
-            out[:, :kept, :, :kept] += (w[None, :, None, None]
-                                        * w[None, None, None, :]
-                                        * rho[:, lost:, :, lost:])
-    return out
-
-
-def dense_joint_quadrature_density(rho, theta, phi, x):
-    """P(x_theta^A, x_phi^B) on the tensor grid x (x) x."""
-    n = rho.shape[0]
-    phase_a = np.exp(1j * theta * np.arange(n))
-    phase_b = np.exp(1j * phi * np.arange(n))
-    rotated = (rho
-               * phase_a[:, None, None, None] * phase_b[None, :, None, None]
-               * phase_a[None, None, :, None].conj()
-               * phase_b[None, None, None, :].conj())
-    h = hermite_functions(n, x)
-    pair_x = np.einsum("ax,cx->acx", h, h).reshape(n * n, -1)
-    pair_y = np.einsum("by,dy->bdy", h, h).reshape(n * n, -1)
-    mat = rotated.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    return (pair_x.T @ (mat @ pair_y)).real
-
-
-def dense_sign_correlation(rho, theta, phi, homodyne_efficiency=1.0):
-    """Sign correlator from the joint density integrated on the grid."""
-    if homodyne_efficiency < 1.0:
-        rho = dense_apply_loss(dense_apply_loss(rho, homodyne_efficiency, 0),
-                               homodyne_efficiency, 1)
-    x, w = reference_grid(rho.shape[0])
-    dens = dense_joint_quadrature_density(rho, theta, phi, x)
-    signed = w * np.sign(x)
-    return float(signed @ dens @ signed)
-
-
-def dense_wigner_values(rho, points):
-    """Two-mode Wigner function by a full contraction with both tables."""
-    n = rho.shape[0]
-    table_a = fock.wigner_pair_table(n, points[:, 0], points[:, 1])
-    table_b = fock.wigner_pair_table(n, points[:, 2], points[:, 3])
-    partial = np.einsum("abcd,aci->bdi", rho, table_a)
-    return np.einsum("bdi,bdi->i", partial, table_b).real
-
-
-def loop_wigner_pair_table(n_trunc, x, p):
-    """Wigner transforms of |m><n|, one Laguerre evaluation per pair."""
-    rsq = x * x + p * p
-    alpha = np.sqrt(2.0) * (x - 1j * p)
-    table = np.zeros((n_trunc, n_trunc, x.size), dtype=complex)
-    base = np.exp(-rsq) / np.pi
-    for m in range(n_trunc):
-        for n in range(m + 1):
-            ratio = np.exp(0.5 * (gammaln(n + 1) - gammaln(m + 1)))
-            val = ((-1.0) ** n * ratio * alpha ** (m - n)
-                   * eval_genlaguerre(n, m - n, 2.0 * rsq) * base)
-            table[m, n] = val
-            if m != n:
-                table[n, m] = val.conj()
-    return table
-
-
-def dense_diag_sign_correlation(diag, angle_sum, x, w, h):
-    """Sign correlator of sum_n g_n |n,n> from its wavefunction on the grid."""
-    phased = diag * np.exp(1j * angle_sum * np.arange(diag.size))
-    wave = np.einsum("n,nx,ny->xy", phased, h, h)
-    dens = np.abs(wave) ** 2
-    signed = w * np.sign(x)
-    return float(signed @ dens @ signed)
-
-
-def exact_tap_amplitude_table(transmittance, n_trunc):
-    """Beam-splitter amplitudes (-1)^k sqrt(C(m, k) T^(m-k) (1-T)^k) at 40
-    digits."""
-    with mpmath.workdps(40):
-        t = mpmath.mpf(transmittance)
-        table = np.zeros((n_trunc, n_trunc))
-        for m in range(n_trunc):
-            for k in range(m + 1):
-                table[m, k] = (-1) ** k * mpmath.sqrt(
-                    mpmath.binomial(m, k) * t ** (m - k) * (1 - t) ** k)
-        return table
 
 
 #: truncations tried by `fenced_conditioning`, in order
@@ -671,6 +81,26 @@ class TestStates:
         with pytest.raises(DomainError):
             fock.tmsv_state(0.1, 8)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: fock.tmsv_amplitudes(0.5, n),
+        lambda n: fock.tmsv_state(0.5, n),
+        fock.ladder,
+        fock.quadrature_operators,
+        lambda n: fock.tap_amplitude_table(0.5, n),
+        lambda n: fock.click_weights(0.5, n),
+        lambda n: fock.lossy_click_conditioning(0.5, 0.95, 0.3, n),
+        lambda n: fock.pair_projected_state(0.5, 0.95, n),
+        lambda n: fock.wigner_pair_table(n, np.zeros(2), np.zeros(2)),
+    ], ids=["tmsv_amplitudes", "tmsv_state", "ladder", "quadrature_operators",
+            "tap_amplitude_table", "click_weights", "lossy_click_conditioning",
+            "pair_projected_state", "wigner_pair_table"])
+    def test_truncation_must_be_an_integer(self, call):
+        for n_trunc in (40.5, 40.0, "40"):
+            with pytest.raises(DomainError) as info:
+                call(n_trunc)
+            assert str(info.value) == \
+                f"truncation must be an integer >= 0, got {n_trunc!r}"
+
     def test_second_moments_match_einsum_form(self):
         # the four-operand einsum on the dense amplitudes diag(g)
         rng = np.random.default_rng(8)
@@ -717,27 +147,6 @@ class TestStates:
             cov = ref.tmsv_covariance(lam)
             moments = fock.second_moments(fock.tmsv_state(lam, 60))
             assert np.max(np.abs(cov - moments)) < 1e-8
-
-
-def ideal_subtracted_state(squeezing, transmittance,
-                           n_trunc=fock.DEFAULT_TRUNCATION):
-    """Normalized (n+1)(T*lambda)^n |n,n> state and its projection fidelity.
-
-    Returns the Schmidt coefficients of the closed-form photon-subtracted
-    state together with its overlap fidelity (g_proj . g)^2 against the
-    exact two-beam-splitter photon-pair projection at the same finite
-    transmittance.
-    """
-    if squeezing * transmittance >= 0.95:
-        raise DomainError("squeezing * transmittance must stay below 0.95 "
-                          "for the truncated representation to converge")
-    if squeezing * transmittance == 0.0:
-        raise InvalidRegimeError("zero squeezing cannot herald a photon pair")
-    n = np.arange(n_trunc)
-    coeffs = (n + 1.0) * (transmittance * squeezing) ** n
-    coeffs = fock._check_schmidt(coeffs / np.linalg.norm(coeffs))
-    projected = fock.pair_projected_state(squeezing, transmittance, n_trunc)
-    return coeffs, float((projected @ coeffs) ** 2)
 
 
 class TestIdealSubtractedState:
@@ -789,17 +198,17 @@ class TestClickConditioning:
             fock.lossy_click_conditioning(0.0, 0.95, 0.3, 40)
 
     def test_density_matrix_is_physical(self, fock_realistic):
-        # the record expanded densely: hermitian, unit trace, no partner
-        # outside the truncation and a light tail, as the block reference
-        # checks them, and positive
+        # the record expanded densely: hermitian, unit trace, positive and
+        # with a light tail
         rho, _ = fock_realistic
         dense = expand_record(rho)
-        FockDensityMatrix(to_blocks(dense), rho.n_trunc)
         flat = dense.reshape(rho.n_trunc ** 2, rho.n_trunc ** 2)
         assert np.max(np.abs(flat - flat.conj().T)) < 1e-10
         assert np.einsum("abab->", dense).real == pytest.approx(1.0, abs=1e-9)
         eigs = np.linalg.eigvalsh(flat)
         assert eigs.min() > -1e-8
+        probs = np.einsum("abab->ab", dense)
+        assert kept_mode_tail(probs, rho.n_trunc) <= fock.TAIL_TOLERANCE
 
     def test_truncation_doubling_stability(self):
         rho32, p32 = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 32)
@@ -894,28 +303,6 @@ class TestSignCorrelation:
 #: lambda T and S of `fock.fock_optimal_product` at T = 0.9, 0.95 and 0.99
 PINNED_PRODUCT = "0x1.24d636981bc33p-1"
 PINNED_S = "0x1.062aad5ed9ebap+1"
-
-
-def exact_pair_chsh(product, n_trunc):
-    """S at the paper's angles of the pair-projected state, whose Schmidt
-    vector is proportional to (n + 1)(lambda T)^n for n < N - 1, with the
-    ideal sign operator, at 45 digits.  The angle sums are -pi/4, pi/4
-    (twice) and 3 pi/4, whose cosines come from mpmath."""
-    sign = exact_ideal_sign_entries(n_trunc)
-    with decimal.localcontext(decimal.Context(prec=45)):
-        x = Decimal(product)
-        coeffs = [(n + 1) * x ** n for n in range(n_trunc - 1)] + [0]
-        norm = sum(c * c for c in coeffs)
-
-        def correlator(quarters):
-            with mpmath.workdps(50):
-                cosines = [Decimal(mpmath.nstr(mpmath.cos(
-                    quarters * mpmath.pi / 4 * d), 50)) for d in range(n_trunc)]
-            return sum(coeffs[a] * coeffs[c] * sign[a][c] ** 2
-                       * cosines[abs(a - c)] for a in range(n_trunc)
-                       for c in range(n_trunc) if (a - c) % 2) / norm
-
-        return correlator(-1) + 2 * correlator(1) - correlator(3)
 
 
 class TestOptimalProduct:
@@ -1039,8 +426,8 @@ class TestWigner:
             phase = np.exp(-1j * p0 * y)
             for m in range(6):
                 for n in range(6):
-                    direct = np.trapezoid(left[m] * right[n] * phase,
-                                          y) / (2.0 * np.pi)
+                    direct = trapezoid(left[m] * right[n] * phase,
+                                       y) / (2.0 * np.pi)
                     assert abs(direct - closed[m, n]) < 1e-8
 
     def test_pair_table_matches_loop(self):
@@ -1073,8 +460,9 @@ class TestWigner:
 
 
 class TestDensityBlocks:
-    """The package's truncation refusals, and the checks of the block
-    reference that the pins and the dense comparisons rest on."""
+    """The package's truncation refusals, and the memory its correlator
+    takes against the (2N-1, N, N) array of a density stored as its
+    photon-number-difference blocks."""
 
     def test_heavy_density_tail_raises(self):
         # about 2e-4 of the heralded state's probability sits in the top
@@ -1086,39 +474,6 @@ class TestDensityBlocks:
         with pytest.raises(DomainError) as info:
             fock.lossy_click_conditioning(0.5, 0.95, 0.3, 4)
         assert str(info.value) == "truncation must be >= 16, got 4"
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DomainError, match="truncation"):
-            FockDensityMatrix(blocks=np.zeros((16, 16, 16)), n_trunc=16)
-
-    def test_rejects_non_hermitian_block(self):
-        blocks = vacuum_density().blocks.copy()
-        blocks[15, 1, 2] = 1e-6
-        with pytest.raises(DomainError, match="hermitian"):
-            FockDensityMatrix(blocks=blocks, n_trunc=16)
-
-    def test_rejects_wrong_trace(self):
-        blocks = 1.5 * vacuum_density().blocks
-        with pytest.raises(DomainError, match="trace"):
-            FockDensityMatrix(blocks=blocks, n_trunc=16)
-
-    def test_rejects_partner_outside_truncation(self):
-        # block Delta = 3 at a = 1 would pair n_A = 1 with n_B = -2
-        blocks = vacuum_density().blocks.copy()
-        blocks[15 + 3, 1, 1] = 1e-12
-        with pytest.raises(DomainError, match="partner"):
-            FockDensityMatrix(blocks=blocks, n_trunc=16)
-
-    def test_blocks_keep_their_dtype(self):
-        rho, _ = block_conditioning(0.6, 0.95, 0.3, 40)
-        assert rho.blocks.dtype == np.float64
-        complex_blocks = vacuum_density().blocks
-        assert complex_blocks.dtype == np.complex128
-        assert FockDensityMatrix(complex_blocks, 16).blocks.dtype \
-            == np.complex128
-        integer_blocks = complex_blocks.real.astype(int)
-        assert FockDensityMatrix(integer_blocks, 16).blocks.dtype \
-            == np.float64
 
     def test_correlator_allocates_less_than_a_block_array(self):
         # the correlator pulls the sign operator back through a view; it
@@ -1143,32 +498,18 @@ SMALL_POINTS = [(0.4, 0.95, 0.3), (0.35, 0.9, 1.0)]
 @pytest.fixture(scope="module", params=SMALL_POINTS)
 def small_pair(request):
     """Heralded state, its click probability, the normalized dense state and
-    its trace, and the block-stored state at N=20."""
+    its trace at N=20, and the row (squeezing, T, APD efficiency)."""
     squeezing, transmittance, apd = request.param
     rho, p_click = fock.lossy_click_conditioning(squeezing, transmittance,
                                                  apd, 20)
     dense = dense_click_conditioned(squeezing, transmittance, apd, 20)
     p_dense = float(np.einsum("abab->", dense))
-    block, _ = block_conditioning(squeezing, transmittance, apd, 20)
-    return rho, p_click, dense / p_dense, p_dense, block
-
-
-@pytest.fixture(scope="module")
-def block_realistic():
-    """Block-stored heralded state at the realistic operating point."""
-    return block_conditioning(0.6, 0.95, 0.3, 40)[0]
-
-
-@pytest.fixture(scope="module")
-def block_cut_state():
-    """Block-stored heralded state at the Wigner-cut operating point."""
-    return block_conditioning(0.5, 0.95, 0.3, 40)[0]
+    return rho, p_click, dense / p_dense, p_dense, request.param
 
 
 class TestDenseReferences:
     def test_conditioning_matches_scatter_loop(self, small_pair):
-        rho, p_click, dense, p_dense, block = small_pair
-        assert np.max(np.abs(to_dense(block) - dense)) < 1e-12
+        rho, p_click, dense, p_dense, _ = small_pair
         assert np.max(np.abs(expand_record(rho) - dense)) < 1e-12
         assert abs(p_click - p_dense) < 1e-12 * p_dense
 
@@ -1199,9 +540,9 @@ class TestDenseReferences:
     def test_correlator_matches_grid_density(self, small_pair, eta):
         rho, _, dense, _, _ = small_pair
         for theta, phi in [(0.0, -np.pi / 4), (0.7, 0.2), (-2.5, 1.1)]:
-            e_blocks = fock.fock_sign_correlation(rho, theta, phi, eta)
+            e_fock = fock.fock_sign_correlation(rho, theta, phi, eta)
             e_dense = dense_sign_correlation(dense, theta, phi, eta)
-            assert abs(e_blocks - e_dense) < 1e-12
+            assert abs(e_fock - e_dense) < 1e-12
 
     def test_wigner_matches_dense_contraction(self, small_pair):
         rho, _, dense, _, _ = small_pair
@@ -1210,47 +551,41 @@ class TestDenseReferences:
                              - dense_wigner_values(dense, pts))) < 1e-12
 
     def test_realistic_point_at_full_truncation(self, realistic_params,
-                                                fock_realistic,
-                                                block_realistic):
+                                                fock_realistic):
         rho, p_click = fock_realistic
         dense = dense_click_conditioned(0.6, 0.95, 0.3, 40)
         p_dense = float(np.einsum("abab->", dense))
         dense /= p_dense
-        assert np.max(np.abs(to_dense(block_realistic) - dense)) < 1e-12
         assert abs(p_click - p_dense) < 1e-12 * p_dense
         eta = realistic_params.homodyne_efficiency
-        e_blocks = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
+        e_fock = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
         e_dense = dense_sign_correlation(dense, 0.0, -np.pi / 4, eta)
-        assert abs(e_blocks - e_dense) < 1e-12
+        assert abs(e_fock - e_dense) < 1e-12
         pts = np.random.default_rng(12).normal(size=(4, 4))
         assert np.max(np.abs(fock.wigner_values(rho, pts)
                              - dense_wigner_values(dense, pts))) < 1e-12
 
     def test_complex_blocks_match_dense_references(self, small_pair):
-        # the heralded state rotated by e^{i theta n_A}: block entry (a, c)
-        # picks up e^{i theta (a - c)}, which makes every block complex.  The
-        # record stays real: the package rotates the measurement instead,
-        # the angle of mode A for E and the phase-space point of mode A by
-        # -theta for W
-        rho, _, _, _, block = small_pair
+        # the heralded state rotated by e^{i theta n_A}: dense entry
+        # [a, b, c, d] picks up e^{i theta (a - c)}, which makes it complex.
+        # The record stays real: the package rotates the measurement
+        # instead, the angle of mode A for E and the phase-space point of
+        # mode A by -theta for W
+        rho, _, dense, _, row = small_pair
         theta = 0.7
-        idx = np.arange(block.n_trunc)
-        rotated = FockDensityMatrix(
-            block.blocks * np.exp(1j * theta * np.subtract.outer(idx, idx)),
-            block.n_trunc)
-        assert rotated.blocks.dtype == np.complex128
-        dense = to_dense(rotated)
+        idx = np.arange(rho.n_trunc)
+        rotated = dense * np.exp(1j * theta * np.subtract.outer(
+            idx, idx))[:, None, :, None]
         for phi in (0.0, -np.pi / 4, 1.1):
             for eta in (1.0, 0.9):
-                e_rotated = block_sign_correlation(rotated, 0.0, phi, eta)
-                e_dense = dense_sign_correlation(dense, 0.0, phi, eta)
-                assert abs(e_rotated - e_dense) < 1e-12
+                e_dense = dense_sign_correlation(rotated, 0.0, phi, eta)
                 e_plain = fock.fock_sign_correlation(rho, theta, phi, eta)
-                assert abs(e_rotated - e_plain) < 1e-14
+                assert abs(e_dense - e_plain) < 1e-12
+                exact = exact_fock_correlation(*row, rho.n_trunc, eta,
+                                               theta + phi)
+                assert abs(e_plain - exact) <= 1e-15
         pts = np.random.default_rng(14).normal(size=(12, 4))
-        w_dense = dense_wigner_values(dense, pts)
-        assert np.max(np.abs(block_wigner_values(rotated, pts) - w_dense)) \
-            < 1e-12
+        w_dense = dense_wigner_values(rotated, pts)
         turned = pts.copy()
         turned[:, 0] = np.cos(theta) * pts[:, 0] + np.sin(theta) * pts[:, 1]
         turned[:, 1] = np.cos(theta) * pts[:, 1] - np.sin(theta) * pts[:, 0]
@@ -1329,52 +664,47 @@ class TestDenseReferences:
         assert abs(product - 0.5719468174628503) < 1e-9
 
 
-def loop_wigner_values(rho, points):
-    """`block_wigner_values` with the mode-B table stack reduced by
-    `loop_block_reduce`."""
-    return block_wigner_values(rho, points, reduce=loop_block_reduce)
-
-
 #: (squeezing, transmittance, APD efficiency, homodyne efficiency) of the
 #: small-P corner, where P is about 2e-13
 SMALL_P_CORNER = (0.01, 0.999, 0.05, 0.9)
 
 
 def seeded_heralded_states(n_trunc, count, seed):
-    """Heralded states at seeded criterion-7 draws, as the package's record
-    and as the block reference; the squeezing box shrinks with the
-    truncation so that the tail fence passes."""
+    """Heralded states at seeded criterion-7 draws: the package's record, its
+    click probability, the draw (squeezing, T, APD efficiency, N), a
+    homodyne efficiency and the generator.  The squeezing box shrinks with
+    the truncation so that the tail fence passes."""
     rng = np.random.default_rng([seed, n_trunc])
     top = 0.65 if n_trunc >= 40 else 0.35
     for _ in range(count):
         draw = (rng.uniform(0.2, top), rng.uniform(0.9, 0.99),
                 rng.uniform(0.1, 1.0), n_trunc)
         rho, p_click = fock.lossy_click_conditioning(*draw)
-        block, p_block = block_conditioning(*draw)
-        yield rho, p_click, block, p_block, rng.uniform(0.85, 1.0), rng
+        yield rho, p_click, draw, rng.uniform(0.85, 1.0), rng
 
 
 class TestBitwiseReductions:
-    """The block reference is bitwise the slice-per-Delta reduction, and
-    reproduces the pinned correlators of the block route; the package's
-    observables agree with it within 1e-15.  The package's pull-back of
-    the sign operator, folded and in commutator form, agrees with the
-    recurrence route of the reference."""
+    """The package's correlators against 45 digits and against the
+    recurrence route pulled back term by term, its pull-back of the sign
+    operator, folded and in commutator form, against the recurrence
+    route's, and its Wigner function against the dense route."""
 
-    @pytest.mark.parametrize("eta, correlation, s_value", [
-        (0.95, "0x1.01680d8108e67p-1", "0x1.01680d8108e66p+1"),
-        (1.0, "0x1.03f1b4d4c7b4ep-1", "0x1.03f1b4d4c7b4ep+1")])
-    def test_correlators_pinned(self, realistic_params, fock_realistic,
-                                block_realistic, eta, correlation, s_value):
-        angles = realistic_params.angles
-        e_block = block_sign_correlation(block_realistic, 0.0, -np.pi / 4, eta)
-        s_block = block_chsh(block_realistic, angles, eta)
-        assert e_block == float.fromhex(correlation)
-        assert s_block == float.fromhex(s_value)
+    @pytest.mark.parametrize("eta", [0.95, 1.0])
+    def test_correlators_match_forty_five_digits(self, realistic_params,
+                                                 fock_realistic, eta):
+        # E at N = 40 within 1e-15 of 45 digits, and S within 1e-15 of the
+        # sum of four such correlators
         rho, _ = fock_realistic
+        row = (realistic_params.squeezing, realistic_params.transmittance,
+               realistic_params.apd_efficiency, rho.n_trunc, eta)
         assert abs(fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, eta)
-                   - e_block) <= 1e-15
-        assert abs(fock.fock_chsh(rho, angles, eta) - s_block) <= 1e-15
+                   - exact_fock_correlation(*row, -np.pi / 4)) <= 1e-15
+        theta1, theta2, phi1, phi2 = realistic_params.angles
+        exact = [[exact_fock_correlation(*row, theta + phi)
+                  for phi in (phi1, phi2)] for theta in (theta1, theta2)]
+        s_exact = exact[0][0] + exact[0][1] + exact[1][0] - exact[1][1]
+        assert abs(fock.fock_chsh(rho, realistic_params.angles, eta)
+                   - s_exact) <= 1e-15
 
     @pytest.mark.parametrize("eta", [0.05, 0.7, 0.95, 1.0])
     def test_sign_operator_pinned(self, fock_realistic, eta):
@@ -1397,98 +727,27 @@ class TestBitwiseReductions:
                                      - reference_sign_reduced(rho, eta))) \
                     <= 1e-15
 
-    @pytest.mark.parametrize("n_trunc", [16, 17, 40])
-    def test_reduction_matches_loop_on_heralded_states(self, n_trunc):
-        for _, _, block, _, eta, rng in seeded_heralded_states(n_trunc, 4, 19):
-            sign = loop_sign_operator(n_trunc, eta)
-            generic = rng.normal(size=(n_trunc, n_trunc))
-            for op in (sign, generic + generic.T):
-                assert np.array_equal(block_reduce(block.blocks, op),
-                                      loop_block_reduce(block.blocks, op))
-
     def test_correlators_match_loop_on_seeded_states(self):
         angles = bell.DEFAULT_ANGLES
-        for rho, _, block, _, eta, rng in seeded_heralded_states(40, 4, 23):
-            sign = loop_sign_operator(40, eta)
-            reduced = sign * loop_block_reduce(block.blocks, sign)
+        for rho, _, _, eta, rng in seeded_heralded_states(40, 4, 23):
+            reduced = reference_sign_reduced(rho, eta)
             theta, phi = rng.uniform(-np.pi, np.pi, 2)
             assert abs(fock.fock_sign_correlation(rho, theta, phi, eta)
                        - fock._phase_form(reduced, theta + phi)) <= 1e-15
             assert abs(fock.fock_chsh(rho, angles, eta)
                        - fock._phase_chsh(reduced, angles)) <= 2e-15
 
-    def test_reduction_matches_loop_on_complex_blocks(self, small_pair):
-        _, _, _, _, block = small_pair
-        idx = np.arange(block.n_trunc)
-        rotated = block.blocks * np.exp(0.7j * np.subtract.outer(idx, idx))
-        sign = loop_sign_operator(20, 0.9)
-        assert np.array_equal(block_reduce(rotated, sign),
-                              loop_block_reduce(rotated, sign))
-        rng = np.random.default_rng(29)
-        z = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-        assert np.array_equal(block_reduce(block.blocks, z),
-                              loop_block_reduce(block.blocks, z))
-        # complex times complex: numpy's multiply loop may fuse the
-        # multiply-add of each product where the contraction rounds both
-        # products, so the two agree to rounding, not bitwise
-        op = z + z.conj().T
-        assert np.max(np.abs(block_reduce(rotated, op)
-                             - loop_block_reduce(rotated, op))) < 1e-15
-
-    def test_reduction_matches_loop_on_table_stack(self, block_realistic):
-        pts = np.random.default_rng(31).normal(size=(7, 2))
-        tables = fock.wigner_pair_table(40, pts[:, 0], pts[:, 1])
-        assert np.array_equal(block_reduce(block_realistic.blocks, tables),
-                              loop_block_reduce(block_realistic.blocks, tables))
-
-    def test_wigner_matches_loop(self, fock_realistic, fock_cut_state,
-                                 block_realistic, block_cut_state):
+    def test_wigner_matches_loop(self, fock_realistic, fock_cut_state):
+        # against the dense state contracted with the scipy Laguerre tables
         pts = np.random.default_rng(37).normal(size=(9, 4))
         cut = np.linspace(-3.0, 3.0, 41)[:, None] \
             * np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
-        for (rho, _), block in ((fock_realistic, block_realistic),
-                                (fock_cut_state, block_cut_state)):
+        for rho, _ in (fock_realistic, fock_cut_state):
+            dense = expand_record(rho)
             for points in (pts, cut):
-                reference = loop_wigner_values(block, points)
-                assert np.array_equal(block_wigner_values(block, points),
-                                      reference)
                 assert np.max(np.abs(fock.wigner_values(rho, points)
-                                     - reference)) <= 1e-15
-
-    def test_reduction_writes_no_input(self, block_realistic):
-        sign = loop_sign_operator(40, 0.9)
-        kept = sign.copy()
-        sign.setflags(write=False)
-        assert not partner_view(sign).flags.writeable
-        assert np.array_equal(block_reduce(block_realistic.blocks, sign),
-                              loop_block_reduce(block_realistic.blocks, kept))
-        assert np.array_equal(sign, kept)
-
-    def test_partner_view(self):
-        # V[a, w, c] = O[N - 1 - w, c - a + N - 1 - w], zero off the grid
-        n = 16
-        op = np.arange(n * n, dtype=float).reshape(n, n) + 1.0
-        view = partner_view(op)
-        a, w, c = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
-        b, d = n - 1 - w, c - a + n - 1 - w
-        inside = (d >= 0) & (d < n)
-        assert view.shape == (n, n, n)
-        assert np.array_equal(view[inside], op[b[inside], d[inside]])
-        assert not np.any(view[~inside])
-
-
-def exact_success_prob(squeezing, transmittance, apd_efficiency, n_trunc):
-    """sum_{n < N} g_n^2 q_n^2 at 40 digits, q_n = sum_k C(n, k) T^(n-k)
-    (1-T)^k (1 - (1 - eta)^k)."""
-    with mpmath.workdps(40):
-        lam, t, eta = (mpmath.mpf(v) for v in
-                       (squeezing, transmittance, apd_efficiency))
-        total = mpmath.mpf(0)
-        for n in range(n_trunc):
-            q = mpmath.fsum(mpmath.binomial(n, k) * t ** (n - k) * (1 - t) ** k
-                            * (1 - (1 - eta) ** k) for k in range(1, n + 1))
-            total += (1 - lam ** 2) * lam ** (2 * n) * q * q
-        return float(total)
+                                     - dense_wigner_values(dense, points))) \
+                    <= 1e-15
 
 
 class TestPullBack:
@@ -1545,48 +804,48 @@ class TestPullBack:
 
     @pytest.mark.parametrize("n_trunc", [20, 40])
     def test_matches_block_reference(self, n_trunc):
-        # seeded draws and the small-P corner: E and W within 1e-15, P
-        # within 1e-15 relative of the block route
+        # seeded draws and the small-P corner: P within 1e-15 relative and E
+        # within 1e-15 of 40 and 45 digits, W within 1e-15 of the dense route
         corner = SMALL_P_CORNER[:3] + (n_trunc,)
         rho, p_click = fock.lossy_click_conditioning(*corner)
-        block, p_block = block_conditioning(*corner)
-        states = [(rho, p_click, block, p_block, SMALL_P_CORNER[3],
+        states = [(rho, p_click, corner, SMALL_P_CORNER[3],
                    np.random.default_rng([43, n_trunc]))]
         states += seeded_heralded_states(n_trunc, 6, 47)
-        for rho, p_click, block, p_block, eta, rng in states:
-            assert abs(p_click - p_block) <= 1e-15 * p_block
+        for rho, p_click, row, eta, rng in states:
+            exact = exact_success_prob(*row)
+            assert abs(p_click - exact) <= 1e-15 * exact
             for theta, phi in rng.uniform(-np.pi, np.pi, (3, 2)):
                 assert abs(fock.fock_sign_correlation(rho, theta, phi, eta)
-                           - block_sign_correlation(block, theta, phi, eta)) \
+                           - exact_fock_correlation(*row, eta, theta + phi)) \
                     <= 1e-15
             pts = rng.normal(size=(9, 4))
             assert np.max(np.abs(fock.wigner_values(rho, pts)
-                                 - block_wigner_values(block, pts))) <= 1e-15
+                                 - dense_wigner_values(expand_record(rho),
+                                                       pts))) <= 1e-15
 
     @pytest.mark.parametrize("params", [(0.6, 0.95, 0.3), SMALL_P_CORNER[:3],
                                         (0.45, 0.99, 0.9)],
                              ids=["realistic", "small-P", "high-eta"])
     def test_success_prob_matches_forty_digits(self, params):
-        # the block route's trace was 7.2e-15 off in the small-P corner
         _, p_click = fock.lossy_click_conditioning(*params, 40)
         exact = exact_success_prob(*params, 40)
         assert abs(p_click - exact) <= 10 * np.finfo(float).eps * exact
 
-    def test_fence_reads_kept_mode_distribution(self, monkeypatch,
-                                                block_realistic):
+    def test_fence_reads_kept_mode_distribution(self, monkeypatch):
         # the four values the herald hands the fence sum to the top-layer
-        # mass of the block reference's photon-number distribution
+        # mass of the kept modes' photon-number distribution
         seen = []
         monkeypatch.setattr(fock, "_check_truncation",
                             lambda top, n_trunc: seen.append(top))
         fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
         assert len(seen) == 1 and len(seen[0]) == 4
-        expected = kept_mode_tail(photon_numbers(block_realistic.blocks, 40),
-                                  40)
+        expected = kept_mode_tail(
+            kept_mode_distribution(0.6, 0.95, 0.3, 40), 40)
         assert abs(seen[0].sum() - expected) <= 1e-15 * expected
 
     def test_large_truncation(self):
-        # lambda = 0.95 at N = 300, where the blocks would take 1.2 GB:
+        # lambda = 0.95 at N = 300, where a density stored as its
+        # photon-number-difference blocks would take 1.2 GB:
         # conditioning and one correlator peak under 10 MB and agree with
         # the closed form.  The warm-up keeps numpy's one-time costs out.
         params = bell.ExperimentParams(0.95, 0.95, 0.3, 0.95)
@@ -1702,9 +961,10 @@ class TestFoldedCorrelator:
     @pytest.mark.parametrize("row", [
         SMALL_P_CORNER[:3] + (20, 0.9), SMALL_P_CORNER[:3] + (20, 0.01),
         (0.6, 0.95, 0.3, 40, 0.95), (0.6, 0.95, 0.3, 40, 1.0),
-        (0.85, 0.93, 0.34, 130, 0.61), (0.85, 0.6, 0.7, 130, 0.999999)],
+        (0.85, 0.93, 0.34, 130, 0.61), (0.85, 0.6, 0.7, 130, 0.999999),
+        (0.35, 0.9, 1.0, 20, 0.9)],
         ids=["small-P", "small-P-lossy", "realistic", "realistic-ideal",
-             "high-squeezing", "high-squeezing-near-ideal"])
+             "high-squeezing", "high-squeezing-near-ideal", "unit-apd"])
     def test_matches_forty_digits(self, row):
         rng = np.random.default_rng(67)
         rho, _ = fock.lossy_click_conditioning(*row[:4])
@@ -1738,31 +998,13 @@ class TestFoldedCorrelator:
                                  - fock._sign_reduced(folded, 1.0))) <= 1e-15
 
 
-#: rows whose block-reference tail lies within a factor of 2 of
+#: rows whose reference tail lies within a factor of 2 of
 #: TAIL_TOLERANCE, at 0.7 and 1.4 times it
 NEAR_TOLERANCE_ROWS = (
     (0.39172, 0.9, 0.5, 16), (0.403585, 0.9, 0.5, 16),
     (0.727291, 0.95, 0.3, 40), (0.734911, 0.95, 0.3, 40),
     (0.875112, 0.99, 0.9, 90), (0.879069, 0.99, 0.9, 90),
     (0.911065, 0.999, 0.05, 130), (0.9139, 0.999, 0.05, 130))
-
-
-def block_tail(squeezing, transmittance, apd_efficiency, n_trunc):
-    """Top-layer mass of the block reference's normalized photon-number
-    distribution."""
-    blocks = click_conditioned_blocks(
-        squeezing, transmittance, fock.click_weights(apd_efficiency, n_trunc))
-    probs = photon_numbers(blocks, n_trunc)
-    return kept_mode_tail(probs / probs.sum(), n_trunc)
-
-
-def direct_pair_projection(squeezing, transmittance, n_trunc):
-    """Photon-pair projected Schmidt vector built from the k = 1 column of
-    the tap table and normalized by its own norm."""
-    coeff = fock.tmsv_amplitudes(squeezing, n_trunc)
-    table = fock.tap_amplitude_table(transmittance, n_trunc)
-    diag = coeff[1:] * table[1:, 1] ** 2
-    return np.r_[diag / np.linalg.norm(diag), 0.0]
 
 
 class TestHerald:
@@ -1787,7 +1029,7 @@ class TestHerald:
                 fock.lossy_click_conditioning(*row)
         refused = 0
         for row, tail in zip(rows, seen, strict=True):
-            expected = block_tail(*row)
+            expected = kept_mode_tail(kept_mode_distribution(*row), row[-1])
             if expected > 1e-280:
                 assert abs(tail - expected) <= 1e-15 * expected, row
             if expected > fock.TAIL_TOLERANCE:
@@ -1796,19 +1038,10 @@ class TestHerald:
                     fock.lossy_click_conditioning(*row)
             else:
                 fock.lossy_click_conditioning(*row)
-        near = [block_tail(*row) / fock.TAIL_TOLERANCE
-                for row in NEAR_TOLERANCE_ROWS]
+        near = [kept_mode_tail(kept_mode_distribution(*row), row[-1])
+                / fock.TAIL_TOLERANCE for row in NEAR_TOLERANCE_ROWS]
         assert all(0.5 <= ratio <= 2.0 for ratio in near)
         assert 0 < refused < len(rows)
-
-    def test_block_reference_refuses_like_the_package(self):
-        # the test-side density class fences its own two-mode tail and
-        # raises the package's TruncationError text
-        with pytest.raises(TruncationError) as package:
-            fock.lossy_click_conditioning(0.6, 0.95, 0.3, 16)
-        with pytest.raises(TruncationError) as block:
-            block_conditioning(0.6, 0.95, 0.3, 16)
-        assert str(block.value) == str(package.value)
 
     def test_pair_projection_matches_direct_construction(self):
         rng = np.random.default_rng(2202)
@@ -1819,7 +1052,7 @@ class TestHerald:
             args = (squeezing, transmittance, n_trunc)
             state = fock.pair_projected_state(*args)
             assert state.shape == (n_trunc,) and state[-1] == 0.0
-            assert np.max(np.abs(state - direct_pair_projection(*args))) \
+            assert np.max(np.abs(state - exact_pair_projection(*args))) \
                 <= 1e-15
 
     @pytest.mark.parametrize("args", [(0.0, 0.95, 40), (0.5, 1.0, 40),

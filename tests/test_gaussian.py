@@ -265,6 +265,14 @@ class TestSqueezingConversions:
         with pytest.raises(DomainError):
             gaussian.db_to_squeezing(db)
 
+    @pytest.mark.parametrize("db", ["3", None, np.array([3.0])],
+                             ids=["str", "none", "array"])
+    def test_db_not_a_real_number_raises(self, db):
+        with pytest.raises(DomainError) as info:
+            gaussian.db_to_squeezing(db)
+        assert str(info.value) == \
+            f"squeezing in dB must be finite and non-negative, got {db}"
+
     @pytest.mark.parametrize("lam", [0.1, 0.57, 0.9])
     def test_round_trip(self, lam):
         assert gaussian.db_to_squeezing(gaussian.squeezing_to_db(lam)) == \
