@@ -80,9 +80,10 @@ def inside_domains(rows: np.ndarray) -> np.ndarray:
 
 def check_domain(name: str, values) -> None:
     """Raise DomainError, naming the parameter, unless values are real
-    numbers (`domain_error` for the first outside name's domain)."""
+    numbers, not bools (`domain_error` for the first outside name's
+    domain)."""
     array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be a real number, got {values!r}")
     inside = _in_unit_interval(array, PARAMS[name].open_end)
     if not np.all(inside):
@@ -91,16 +92,19 @@ def check_domain(name: str, values) -> None:
 
 def check_parameter(name: str, value) -> float:
     """value as a float, if it is one real number inside name's domain;
-    else DomainError, naming the parameter."""
-    if not isinstance(value, numbers.Real):
+    else DomainError, naming the parameter.  A bool is not a number here,
+    though Python counts it as one."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     check_domain(name, value)
     return float(value)
 
 
 def check_integer(name: str, value, least: int) -> None:
-    """DomainError naming the field unless value is an integer >= least."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """DomainError naming the field unless value is an integer >= least;
+    a bool is not."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, "
                           f"got {value!r}")
 

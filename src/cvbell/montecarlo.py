@@ -20,13 +20,19 @@ factor of the envelope covariance, where target/envelope is a short sum
 of centred Gaussians in z, r(z) = sum_j a_j exp(-z^T B_j z / 2).  The
 envelope's bound is the peak of r, found by a coarse grid search refined
 around its best points, and a proposal z is accepted by comparing r(z)
-alone with the bound: drawing evaluates neither density.
+alone with the bound: drawing evaluates neither density.  The envelope
+keeps the coefficients of r's exponents and the entries of L, so a chunk
+computes neither.  Each chunk writes the uniforms, normals and r of its
+proposals into one scratch array, which `run_protocol` allocates once
+and every draw of the campaign reuses, then gathers its accepted z into
+the (2, n) result and maps them there to x = L z.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,9 +87,9 @@ class ProtocolConfig:
 
 
 def _positive_real(value) -> bool:
-    """True for a finite, positive real number."""
-    return (isinstance(value, numbers.Real) and np.isfinite(value)
-            and value > 0)
+    """True for a finite, positive real number that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and np.isfinite(value) and value > 0)
 
 
 @dataclass(frozen=True)
@@ -115,22 +121,39 @@ class Envelope(BivariateMixture):
     standard normal, and at x the target over the envelope is
     r(z) = sum_j scales[j] exp(-z^T forms[j] z / 2), one term per mixture
     term.  `accept_rate` is the exact expected acceptance 1/bound.
+    `coeffs` (`_coefficients` of forms) and `chol_entries`, L's (l00, l10,
+    l11), are derived once, for the sampler's chunks.
     """
 
     chol: np.ndarray         # (2, 2) lower Cholesky factor
     scales: np.ndarray       # (terms,) a_j
     forms: np.ndarray        # (terms, 2, 2) B_j
     bound: float
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    chol_entries: tuple[float, float, float] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _coefficients(self.forms))
+        object.__setattr__(self, "chol_entries", tuple(
+            float(v) for v in self.chol[(0, 1, 1), (0, 0, 1)]))
 
     @property
     def accept_rate(self) -> float:
         return 1.0 / self.bound
 
 
-def _ratio(scales: np.ndarray, forms: np.ndarray, z: np.ndarray,
+def _coefficients(forms: np.ndarray) -> np.ndarray:
+    """-[B00, 2 B01, B11] / 2 per term, shape (terms, 3): the exponent of
+    term j of r at z is their dot with (z0^2, z0 z1, z1^2)."""
+    return -0.5 * np.stack([forms[:, 0, 0], 2.0 * forms[:, 0, 1],
+                            forms[:, 1, 1]], axis=-1)
+
+
+def _ratio(scales: np.ndarray, coeffs: np.ndarray, z: np.ndarray,
            work: np.ndarray | None = None) -> np.ndarray:
-    """r(z) = sum_j scales[j] exp(-z^T forms[j] z / 2) at the whitened
-    points z, shape (2, n).
+    """r(z) = sum_j scales[j] exp(-z^T B_j z / 2) at the whitened points z,
+    shape (2, n), with coeffs the `_coefficients` of the B_j.
 
     work, if given, is a flat array of at least (4 + terms) n floats that
     holds the temporaries and the result; `_draw` reuses one for every
@@ -144,8 +167,6 @@ def _ratio(scales: np.ndarray, forms: np.ndarray, z: np.ndarray,
     np.multiply(z[0], z[0], out=moments[0])
     np.multiply(z[0], z[1], out=moments[1])
     np.multiply(z[1], z[1], out=moments[2])
-    coeffs = -0.5 * np.stack([forms[:, 0, 0], 2.0 * forms[:, 0, 1],
-                              forms[:, 1, 1]], axis=-1)
     np.einsum("jk,kn->jn", coeffs, moments, out=values)
     np.exp(values, out=values)
     return np.einsum("j,jn->n", scales, values,
@@ -165,20 +186,23 @@ def _peak_ratio(scales: np.ndarray, forms: np.ndarray) -> float:
     around it, of half the previous spacing, ten times over: the last grid
     is 1024 times finer than the first.
     """
+    coeffs = _coefficients(forms)
     radius = np.sqrt(2.0 * np.log(scales[scales > 0].sum()))
     axis, step = np.linspace(-radius, radius, ENVELOPE_GRID, retstep=True)
     z = np.stack(np.meshgrid(axis[ENVELOPE_GRID // 2:], axis,
                              indexing="ij")).reshape(2, -1)
-    best = np.argsort(_ratio(scales, forms, z))[-ENVELOPE_STARTS:]
+    # one scratch array for every evaluation; the coarse grid is the largest
+    work = np.empty((4 + len(scales)) * z.shape[1])
+    best = np.argsort(_ratio(scales, coeffs, z, work))[-ENVELOPE_STARTS:]
     centres = z[:, best, None]
     offsets = np.mgrid[-2:3, -2:3].reshape(2, 1, 25)
+    starts = np.arange(ENVELOPE_STARTS)
     for _ in range(10):
         step /= 2.0
         points = centres + step * offsets                  # (2, starts, 25)
-        ratio = _ratio(scales, forms, points.reshape(2, -1))
+        ratio = _ratio(scales, coeffs, points.reshape(2, -1), work)
         ratio = ratio.reshape(ENVELOPE_STARTS, 25)
-        centres = np.take_along_axis(
-            points, ratio.argmax(axis=1)[None, :, None], axis=2)
+        centres = points[:, starts, ratio.argmax(axis=1), None]
     # each grid holds its centre, so the last one holds the best value seen
     return float(ratio.max())
 
@@ -222,9 +246,18 @@ def build_envelope(marginal: BivariateMixture) -> Envelope:
                     scales=scales, forms=forms, bound=bound)
 
 
-def _draw(env: Envelope, n: int, rng: np.random.Generator) -> np.ndarray:
+def _scratch(envelopes: list[Envelope]) -> np.ndarray:
+    """A scratch array for `_draw` at any of envelopes: one chunk's accept
+    uniforms, normals and `_ratio` temporaries."""
+    terms = max(len(env.scales) for env in envelopes)
+    return np.empty((7 + terms) * CHUNK)
+
+
+def _draw(env: Envelope, n: int, rng: np.random.Generator,
+          work: np.ndarray | None = None) -> np.ndarray:
     """n samples of the marginal that env dominates, by rejection, shape
-    (n, 2).
+    (n, 2): the transpose of a C-ordered (2, n) array, so Fortran-ordered,
+    with each quadrature's samples contiguous.
 
     Proposes in chunks of at most CHUNK points.  A chunk for m missing
     samples holds bound * (m + 3 sqrt(m)) proposals, which at the
@@ -232,35 +265,44 @@ def _draw(env: Envelope, n: int, rng: np.random.Generator) -> np.ndarray:
     spare (bound >= 1 for any envelope `build_envelope` makes, so a chunk
     is never empty).  It draws the accept uniform u of each point, then a
     (2, size) array of standard normals z, and keeps z where
-    u * bound < r(z); only the kept points are mapped to x = L z.
+    u * bound < r(z); the kept points are gathered into the result and
+    mapped there to x = L z.  The chunk's arrays live in work, a
+    `_scratch` array for env, or a fresh one if work is None.
 
     Raises EnvelopeError when r(z) exceeds the bound at a proposal (the
     peak search of `build_envelope` missed a peak, and the samples would
     be biased there) or when the observed acceptance falls below
     MIN_ACCEPTANCE after 10,000 proposals.
     """
-    l00, l10, l11 = env.chol[(0, 1, 1), (0, 0, 1)]
-    out = np.empty((n, 2))
-    # one chunk's accept uniforms, normals and `_ratio` temporaries
-    work = np.empty((7 + len(env.scales)) * CHUNK)
+    l00, l10, l11 = env.chol_entries
+    bound = env.bound
+    out = np.empty((2, n))
+    if work is None:
+        work = _scratch([env])
     filled = proposed = accepted = 0
     while filled < n:
         missing = n - filled
-        size = min(CHUNK, int(env.bound * (missing + 3.0 * np.sqrt(missing))))
+        size = min(CHUNK, int(bound * (missing + 3.0 * math.sqrt(missing))))
         accept = rng.random(out=work[:size])
         z = rng.standard_normal(out=work[size:3 * size]).reshape(2, size)
-        ratio = _ratio(env.scales, env.forms, z, work[3 * size:])
-        if np.any(ratio > env.bound):
+        ratio = _ratio(env.scales, env.coeffs, z, work[3 * size:])
+        if ratio.max() > bound:
             raise EnvelopeError(
                 f"target/envelope ratio exceeds the envelope bound "
-                f"{env.bound:.3f} at {int(np.count_nonzero(ratio > env.bound))}"
+                f"{bound:.3f} at {int(np.count_nonzero(ratio > bound))}"
                 f" of {size} proposals; the peak search missed a peak")
-        accept *= env.bound
+        accept *= bound
         keep = np.flatnonzero(accept < ratio)
         take = keep[:missing]
-        z0, z1 = z[:, take]
-        out[filled:filled + len(take), 0] = l00 * z0
-        out[filled:filled + len(take), 1] = l10 * z0 + l11 * z1
+        # x1 = l11 z1 + l10 z0, x0 = l00 z0; the accept uniforms are spent,
+        # so their slots hold l10 z0.  Every index is in range, and "clip"
+        # spares the copy of out that take's default mode makes
+        x0, x1 = out[:, filled:filled + len(take)]
+        np.take(z[0], take, out=x0, mode="clip")
+        np.take(z[1], take, out=x1, mode="clip")
+        x1 *= l11
+        x1 += np.multiply(x0, l10, out=work[:len(take)])
+        x0 *= l00
         filled += len(take)
         proposed += size
         accepted += len(keep)
@@ -268,7 +310,7 @@ def _draw(env: Envelope, n: int, rng: np.random.Generator) -> np.ndarray:
             raise EnvelopeError(
                 f"observed acceptance {accepted / proposed:.2%} below "
                 f"{MIN_ACCEPTANCE:.0%} after {proposed} proposals")
-    return out
+    return out.T
 
 
 def sample_joint_quadratures(marginal: BivariateMixture, n: int,
@@ -276,7 +318,8 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
     """Draw n quadrature pairs from a signed-mixture joint distribution.
 
     Chunked rejection sampling (`_draw`) against the Gaussian envelope;
-    the stream is fully determined by the seed.
+    the stream is fully determined by the seed.  The (n, 2) result is
+    Fortran-ordered: each quadrature's n samples are contiguous.
     """
     check_integer("sample count", n, 1)
     check_integer("seed", seed, 0)
@@ -290,8 +333,11 @@ def _block_rng(seed: int, role: int, block: int) -> np.random.Generator:
 
 
 def _simulate_block(seed: int, block: int, size: int, success_prob: float,
-                    envelopes: list[Envelope]):
-    """One block of heralded events: pulses burned, settings, sign products."""
+                    envelopes: list[Envelope], work: np.ndarray):
+    """One block of heralded events: pulses burned, settings, sign products.
+
+    work is the `_scratch` array of envelopes that every draw reuses.
+    """
     sophie = _block_rng(seed, _ROLE_SOPHIE, block)
     alice = _block_rng(seed, _ROLE_ALICE, block)
     bob = _block_rng(seed, _ROLE_BOB, block)
@@ -303,13 +349,14 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     set_a = (alice.random(size) >= 0.5).astype(np.int64)
     set_b = (bob.random(size) >= 0.5).astype(np.int64)
 
-    # settings cell j * 2 + k draws exactly its events' samples
+    # settings cell j * 2 + k draws exactly its events' samples; a product
+    # of signs is -1 where they disagree, so the sum is count - 2 disagree
     counts = np.bincount(set_a * 2 + set_b, minlength=4)
     sums = np.zeros(4)
     for idx in range(4):
-        samples = _draw(envelopes[idx], int(counts[idx]), quad)
-        signs = np.where(samples >= 0.0, 1.0, -1.0)
-        sums[idx] = float((signs[:, 0] * signs[:, 1]).sum())
+        x0, x1 = _draw(envelopes[idx], int(counts[idx]), quad, work).T
+        disagree = np.count_nonzero((x0 >= 0.0) != (x1 >= 0.0))
+        sums[idx] = float(counts[idx] - 2 * disagree)
     return int(gaps.sum()), counts.reshape(2, 2), sums.reshape(2, 2)
 
 
@@ -330,9 +377,10 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
                  for j in range(2) for k in range(2)]
 
     n = config.n_target_events
+    work = _scratch(envelopes)
     results = [_simulate_block(config.seed, block,
                                min(BLOCK_EVENTS, n - block * BLOCK_EVENTS),
-                               state.success_prob, envelopes)
+                               state.success_prob, envelopes, work)
                for block in range((n + BLOCK_EVENTS - 1) // BLOCK_EVENTS)]
     total_pulses, counts, sums = (sum(parts) for parts in zip(*results))
 

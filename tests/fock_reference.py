@@ -25,7 +25,6 @@ from mpmath.calculus.quadrature import GaussLegendre
 from scipy.special import erf, eval_genlaguerre, gammaln
 
 from cvbell import fock
-from cvbell.errors import DomainError, InvalidRegimeError
 
 # ---------------------------------------------------------------------------
 # sign operators: the Hermite functions on a glued Gauss-Legendre grid, and
@@ -306,11 +305,6 @@ def ideal_subtracted_state(squeezing, transmittance,
     exact two-beam-splitter photon-pair projection at the same finite
     transmittance.
     """
-    if squeezing * transmittance >= 0.95:
-        raise DomainError("squeezing * transmittance must stay below 0.95 "
-                          "for the truncated representation to converge")
-    if squeezing * transmittance == 0.0:
-        raise InvalidRegimeError("zero squeezing cannot herald a photon pair")
     n = np.arange(n_trunc)
     coeffs = (n + 1.0) * (transmittance * squeezing) ** n
     coeffs = fock._check_schmidt(coeffs / np.linalg.norm(coeffs))

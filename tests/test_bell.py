@@ -83,8 +83,9 @@ class TestExperimentParams:
             bell.ExperimentParams(**kwargs)
 
     @pytest.mark.parametrize("value", ["0.6", 0.6 + 0j, None,
-                                       np.array([0.6, 0.5])],
-                             ids=["str", "complex", "none", "two-element"])
+                                       np.array([0.6, 0.5]), True],
+                             ids=["str", "complex", "none", "two-element",
+                                  "bool"])
     def test_parameter_must_be_one_real_number(self, value):
         fields = dict(squeezing=0.5, transmittance=0.95, apd_efficiency=0.3,
                       homodyne_efficiency=1.0)
@@ -95,7 +96,8 @@ class TestExperimentParams:
                 f"{name} must be a real number, got {value!r}"
 
     def test_parameters_stored_as_floats(self):
-        p = bell.ExperimentParams(np.float32(0.5), 1, np.float64(0.3), True)
+        p = bell.ExperimentParams(np.float32(0.5), 1, np.float64(0.3),
+                                  np.int64(1))
         assert [type(getattr(p, name)) for name in gaussian.PARAMS] == \
             [float] * 4
         assert (p.squeezing, p.transmittance, p.homodyne_efficiency) == \
@@ -752,8 +754,9 @@ class TestOptimizeLambda:
         assert str(info.value) == text
 
     @pytest.mark.parametrize("value", ["0.95", 0.95 + 0j, None,
-                                       np.array([0.95, 0.9])],
-                             ids=["str", "complex", "none", "two-element"])
+                                       np.array([0.95, 0.9]), True],
+                             ids=["str", "complex", "none", "two-element",
+                                  "bool"])
     def test_fixed_parameter_must_be_one_real_number(self, value):
         fixed = dict(transmittance=0.95, apd_efficiency=0.3,
                      homodyne_efficiency=1.0)

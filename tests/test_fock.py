@@ -71,7 +71,10 @@ class TestStates:
          "transmittance must lie in (0, 1], got 0.0"),
         (lambda: fock.lossy_click_conditioning(0.5, 0.95, 1.5, 40),
          "apd_efficiency must lie in (0, 1], got 1.5"),
-    ], ids=["squeezing", "transmittance", "apd_efficiency"])
+        (lambda: fock.tap_amplitude_table(True, 40),
+         "transmittance must be a real number, got True"),
+    ], ids=["squeezing", "transmittance", "apd_efficiency",
+            "bool-transmittance"])
     def test_parameter_domain_error_text(self, call, text):
         with pytest.raises(DomainError) as info:
             call()
@@ -95,7 +98,7 @@ class TestStates:
             "tap_amplitude_table", "click_weights", "lossy_click_conditioning",
             "pair_projected_state", "wigner_pair_table"])
     def test_truncation_must_be_an_integer(self, call):
-        for n_trunc in (40.5, 40.0, "40"):
+        for n_trunc in (40.5, 40.0, "40", True):
             with pytest.raises(DomainError) as info:
                 call(n_trunc)
             assert str(info.value) == \
@@ -150,29 +153,33 @@ class TestStates:
 
 
 class TestIdealSubtractedState:
+    """The ideal photon-subtracted state (n+1)(T lambda)^n |n, n>, which
+    photon-pair projection heralds (`fock.pair_projected_state`)."""
+
     def test_projection_fidelity_high_transmittance(self):
         _, fidelity = ideal_subtracted_state(0.5, 0.999, 40)
         assert fidelity > 0.999
 
     def test_zero_squeezing_degenerate(self):
         with pytest.raises(InvalidRegimeError):
-            ideal_subtracted_state(0.0, 0.95, 40)
+            fock.pair_projected_state(0.0, 0.95, 40)
 
     def test_truncation_stability(self):
-        state40, _ = ideal_subtracted_state(0.5, 0.95, 40)
-        state60, _ = ideal_subtracted_state(0.5, 0.95, 60)
+        state40 = fock.pair_projected_state(0.5, 0.95, 40)
+        state60 = fock.pair_projected_state(0.5, 0.95, 60)
         assert np.max(np.abs(state40 - state60[:40])) < 1e-10
 
     def test_convergence_guard(self):
-        with pytest.raises(DomainError):
-            ideal_subtracted_state(0.97, 0.99, 40)
+        # a heavy photon-number tail is refused, not cut off
+        with pytest.raises(TruncationError):
+            fock.pair_projected_state(0.97, 0.99, 40)
 
     def test_amplitude_law(self):
-        state, _ = ideal_subtracted_state(0.4, 0.9, 40)
+        state = fock.pair_projected_state(0.4, 0.9, 40)
         n = np.arange(40)
         expected = (n + 1.0) * (0.36) ** n
         expected /= np.linalg.norm(expected)
-        assert np.max(np.abs(state - expected)) < 1e-12
+        assert np.max(np.abs(state - expected)) < 1e-15
 
     def test_fidelity_pinned(self):
         _, fidelity = ideal_subtracted_state(0.5, 0.95, 40)
@@ -737,7 +744,8 @@ class TestBitwiseReductions:
             assert abs(fock.fock_chsh(rho, angles, eta)
                        - fock._phase_chsh(reduced, angles)) <= 2e-15
 
-    def test_wigner_matches_loop(self, fock_realistic, fock_cut_state):
+    def test_wigner_matches_dense_route(self, fock_realistic,
+                                        fock_cut_state):
         # against the dense state contracted with the scipy Laguerre tables
         pts = np.random.default_rng(37).normal(size=(9, 4))
         cut = np.linspace(-3.0, 3.0, 41)[:, None] \
@@ -803,7 +811,7 @@ class TestPullBack:
         assert np.array_equal(sign, kept)
 
     @pytest.mark.parametrize("n_trunc", [20, 40])
-    def test_matches_block_reference(self, n_trunc):
+    def test_matches_oracles_and_dense_route(self, n_trunc):
         # seeded draws and the small-P corner: P within 1e-15 relative and E
         # within 1e-15 of 40 and 45 digits, W within 1e-15 of the dense route
         corner = SMALL_P_CORNER[:3] + (n_trunc,)
@@ -1011,7 +1019,7 @@ class TestHerald:
     """One herald for both detector models: its fence reads four rows of
     the click table, and photon-pair projection is the weight w = e_1."""
 
-    def test_fence_matches_block_tail(self, monkeypatch):
+    def test_fence_matches_kept_mode_tail(self, monkeypatch):
         # seeded rows over the whole box, the small-P corner and rows near
         # the tolerance: the tail agrees with the two-mode sum, and the
         # refusal falls on exactly the rows whose reference tail is too big

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -93,7 +94,7 @@ class TestEnvelope:
                 z = np.stack(np.broadcast_arrays(z0[:, None], axis))
                 z = z.reshape(2, -1)
                 ratio = whitened_ratio(marginal, env, z)
-                stored = montecarlo._ratio(env.scales, env.forms, z)
+                stored = montecarlo._ratio(env.scales, env.coeffs, z)
                 peak = max(peak, ratio.max())
                 stored_peak = max(stored_peak, stored.max())
                 gap = max(gap, np.abs(stored - ratio).max())
@@ -106,7 +107,7 @@ class TestEnvelope:
         env = montecarlo.build_envelope(realistic_marginal)
         z = np.random.default_rng(4).uniform(-4.0, 4.0, (2, 1000))
         np.testing.assert_allclose(
-            montecarlo._ratio(env.scales, env.forms, z),
+            montecarlo._ratio(env.scales, env.coeffs, z),
             whitened_ratio(realistic_marginal, env, z),
             rtol=0.0, atol=1e-12 * np.abs(env.scales).sum())
 
@@ -236,6 +237,13 @@ class TestSampleJointQuadratures:
         with pytest.raises(DomainError, match=field):
             montecarlo.sample_joint_quadratures(realistic_marginal, n, seed)
 
+    def test_bool_count_raises(self, realistic_marginal):
+        # Python counts True as the integer 1; the sampler does not
+        with pytest.raises(DomainError) as info:
+            montecarlo.sample_joint_quadratures(realistic_marginal, True, 1)
+        assert str(info.value) == ("sample count must be an integer >= 1, "
+                                   "got True")
+
 
 class TestRunProtocol:
     def test_estimator_matches_pipeline(self, realistic_params):
@@ -293,8 +301,8 @@ class TestRunProtocol:
         draws, block_counts = [], []
         draw, simulate = montecarlo._draw, montecarlo._simulate_block
 
-        def record_draw(env, n, rng):
-            samples = draw(env, n, rng)
+        def record_draw(env, n, rng, work):
+            samples = draw(env, n, rng, work)
             draws.append(len(samples))
             return samples
 
@@ -344,6 +352,80 @@ class TestRunProtocol:
         with pytest.raises(DomainError, match="rep_rate"):
             ProtocolConfig(params=realistic_params, n_target_events=10, seed=1,
                            rep_rate=rate)
+
+    def test_bool_count_and_seed_raise(self, realistic_params):
+        with pytest.raises(DomainError) as info:
+            ProtocolConfig(realistic_params, True, False)
+        assert str(info.value) == ("n_target_events must be an integer >= 1, "
+                                   "got True")
+        with pytest.raises(DomainError) as info:
+            ProtocolConfig(realistic_params, 10, False)
+        assert str(info.value) == "seed must be an integer >= 0, got False"
+
+    def test_bool_rep_rate_raises(self, realistic_params):
+        with pytest.raises(DomainError) as info:
+            ProtocolConfig(realistic_params, 10, 1, rep_rate=True)
+        assert str(info.value) == ("rep_rate must be finite and positive, "
+                                   "got True")
+
+
+#: SHA-256 of the little-endian, C-ordered bytes of
+#: sample_joint_quadratures(marginal, 3 * CHUNK + 1, 2801 + setting) at the
+#: realistic point, setting = 2 j + k the cell (theta_j, phi_k)
+SAMPLE_DIGESTS = (
+    "2785b5d77fddbc570fd69fb17cbe1a8b2af8a0bfbbdf2eb37c34829a9c198325",
+    "572eccbe19b11adac4af665cc4775bee251247cc56aae393a67860a1fbc369d8",
+    "50ad549c9abca5ed52fc5b562ccf653c54b4b9af8ecaeef855fcc8ebf994161b",
+    "59b0d6fceb49dadfe6d228be7752f25e402ba251d892b83630ee89fe711b71a7")
+
+#: run_protocol at the realistic point: (seed, events) -> counts, product
+#: sums and total pulses; neither event count is a multiple of BLOCK_EVENTS
+PROTOCOL_PINS = {
+    (1, 8969): ([[2188, 2296], [2279, 2206]],
+                [[1116.0, 1236.0], [1073.0, -1104.0]], 34044588),
+    (2028, 12293): ([[3036, 3184], [3060, 3013]],
+                    [[1526.0, 1650.0], [1472.0, -1525.0]], 46750337)}
+
+
+class TestBitwisePins:
+    """Every sample and campaign total, bit for bit: a faster sampler
+    must draw the same streams and make the same accept decisions."""
+
+    @pytest.mark.parametrize("setting", range(4))
+    def test_samples_pinned(self, realistic_params, realistic_state,
+                            setting):
+        j, k = divmod(setting, 2)
+        marginal = bell.rotated_marginal(realistic_state,
+                                         realistic_params.angles[j],
+                                         realistic_params.angles[2 + k])
+        samples = montecarlo.sample_joint_quadratures(
+            marginal, 3 * montecarlo.CHUNK + 1, 2801 + setting)
+        digest = hashlib.sha256(
+            samples.astype("<f8").tobytes(order="C")).hexdigest()
+        assert digest == SAMPLE_DIGESTS[setting]
+
+    @pytest.mark.parametrize("seed, events", sorted(PROTOCOL_PINS))
+    def test_campaign_pinned(self, realistic_params, seed, events):
+        assert events % montecarlo.BLOCK_EVENTS
+        result = montecarlo.run_protocol(ProtocolConfig(
+            params=realistic_params, n_target_events=events, seed=seed))
+        counts, sums, pulses = PROTOCOL_PINS[seed, events]
+        assert result.counts.tolist() == counts
+        assert result.product_sums.tolist() == sums
+        assert result.total_pulses == pulses
+
+    def test_draw_does_not_depend_on_the_scratch(self, realistic_state):
+        # a scratch array that a draw at another setting has filled gives
+        # the samples of a fresh one
+        envs = [montecarlo.build_envelope(bell.rotated_marginal(
+            realistic_state, 0.0, phi)) for phi in (-np.pi / 4, 3 * np.pi / 4)]
+        work = montecarlo._scratch(envs)
+        montecarlo._draw(envs[1], 5000, np.random.default_rng(3), work)
+        for n in (1, 1000, 3 * montecarlo.CHUNK + 1):
+            fresh = montecarlo._draw(envs[0], n, np.random.default_rng(n))
+            reused = montecarlo._draw(envs[0], n, np.random.default_rng(n),
+                                      work)
+            assert np.array_equal(fresh, reused)
 
 
 class TestAcquisitionTime:
