@@ -81,7 +81,12 @@ def inside_domains(rows: np.ndarray) -> np.ndarray:
 def check_domain(name: str, values) -> None:
     """Raise DomainError, naming the parameter, unless values are real
     numbers, not bools (`domain_error` for the first outside name's
-    domain)."""
+    domain).  A float, np.float64 included, is compared as it is; every
+    other input goes through numpy."""
+    if isinstance(values, float):
+        if not _in_unit_interval(values, PARAMS[name].open_end):
+            raise domain_error(name, values)
+        return
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be a real number, got {values!r}")

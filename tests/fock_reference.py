@@ -419,16 +419,21 @@ def exact_success_prob(squeezing, transmittance, apd_efficiency, n_trunc):
         return float(total)
 
 
-def exact_tap_amplitude_table(transmittance, n_trunc):
+def exact_tap_amplitude_table(transmittance, n_trunc, rows=None):
     """Beam-splitter amplitudes (-1)^k sqrt(C(m, k) T^(m-k) (1-T)^k) at 40
-    digits."""
+    digits, for the photon numbers m in rows (every m < n_trunc by
+    default), one table row each.  The binomials are exact integers and
+    each power of T and 1 - T is taken once."""
+    rows = range(n_trunc) if rows is None else rows
     with mpmath.workdps(40):
         t = mpmath.mpf(transmittance)
-        table = np.zeros((n_trunc, n_trunc))
-        for m in range(n_trunc):
+        kept = [t ** j for j in range(n_trunc)]
+        tapped = [(1 - t) ** k for k in range(n_trunc)]
+        table = np.zeros((len(rows), n_trunc))
+        for row, m in zip(table, rows):
             for k in range(m + 1):
-                table[m, k] = (-1) ** k * mpmath.sqrt(
-                    mpmath.binomial(m, k) * t ** (m - k) * (1 - t) ** k)
+                row[k] = (-1) ** k * mpmath.sqrt(
+                    math.comb(m, k) * kept[m - k] * tapped[k])
         return table
 
 

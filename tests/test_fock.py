@@ -139,11 +139,53 @@ class TestStates:
             fock.second_moments(heavy / np.linalg.norm(heavy))
 
     def test_tap_amplitude_table_matches_forty_digits(self):
+        # whole tables within 1e-14 at N = 40 and 60; then the entries
+        # above 1e-250 of seeded rows, the top row among them, within
+        # 1e-14 relative up to N = 111 and 2e-14 up to N = 300, the
+        # rounding of a running product of k factors and of two powers
         for n_trunc in (40, 60):
             for t in (0.05, 0.3, 0.7, 0.95, 0.999):
                 table = fock.tap_amplitude_table(t, n_trunc)
                 exact = exact_tap_amplitude_table(t, n_trunc)
                 assert np.max(np.abs(table - exact)) < 1e-14
+        rng = np.random.default_rng(2901)
+        for n_trunc, bound in ((61, 1e-14), (111, 1e-14), (200, 2e-14),
+                               (300, 2e-14)):
+            for t in (0.05, 0.3, 0.475, 0.7, 0.95, 0.999):
+                rows = np.r_[n_trunc - 1,
+                             rng.choice(n_trunc - 1, 3, replace=False)]
+                table = fock.tap_amplitude_table(t, n_trunc)[rows]
+                exact = exact_tap_amplitude_table(t, n_trunc, rows)
+                big = np.abs(exact) > 1e-250
+                assert np.all(np.abs(table - exact)[big]
+                              <= bound * np.abs(exact[big])), (n_trunc, t)
+
+    def test_tap_amplitude_table_edges(self):
+        # N = 0, 1 and 2 are the closed forms.  Over transmittances from
+        # the least subnormal to 1 every entry is finite and zero above the
+        # diagonal, and the squares of each row sum to 1 within N eps; no
+        # step overflows, the corner past the truncation included
+        sweep = np.r_[5e-324, 1e-300, 1e-150, np.logspace(-16, -1, 6),
+                      np.linspace(0.05, 0.95, 10),
+                      1.0 - np.logspace(-1, -16, 6), 1.0]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for t in map(float, sweep):
+                assert fock.tap_amplitude_table(t, 0).shape == (0, 0)
+                assert np.array_equal(fock.tap_amplitude_table(t, 1), [[1.0]])
+                assert np.array_equal(fock.tap_amplitude_table(t, 2),
+                                      [[1.0, 0.0],
+                                       [np.sqrt(t), -np.sqrt(1.0 - t)]])
+                for n_trunc in (3, 16, 40, 111, 300):
+                    table = fock.tap_amplitude_table(t, n_trunc)
+                    assert np.all(np.isfinite(table)), (t, n_trunc)
+                    assert not np.any(np.triu(table, 1)), (t, n_trunc)
+                    assert np.max(np.abs((table ** 2).sum(axis=1) - 1.0)) \
+                        <= n_trunc * np.finfo(float).eps, (t, n_trunc)
+            # past N = 1025 the square roots of C(j + k, k) beyond the
+            # truncation would overflow without the wrap
+            table = fock.tap_amplitude_table(0.5, 1100)
+            assert np.max(np.abs((table ** 2).sum(axis=1) - 1.0)) \
+                <= 1100 * np.finfo(float).eps
 
     def test_second_moments_match_covariance(self):
         for lam in (0.0, 0.3, 0.5):
@@ -912,9 +954,9 @@ class TestFoldedCorrelator:
     def test_fold_matches_loss_behind_tap(self, n_trunc):
         # the folded tables pull a random operator back as the homodyne
         # loss dual followed by the tap and click measurement does, for
-        # every kind of click weights, within the 1e-14 relative accuracy
-        # of log-space tap tables; on/off detectors of efficiency eta_apd
-        # fold into on/off detectors of efficiency p eta_apd
+        # every kind of click weights, within 1e-13 of the largest entry;
+        # on/off detectors of efficiency eta_apd fold into on/off detectors
+        # of efficiency p eta_apd
         rng = np.random.default_rng([59, n_trunc])
         for _ in range(3):
             transmittance, eta = rng.uniform(0.5, 0.999, 2)
@@ -985,12 +1027,23 @@ class TestFoldedCorrelator:
         # at efficiency 1 no tap table is built: the record's own tables
         # are pulled back, and the record's p_click divides, bitwise
         rho, _ = fock_realistic
-        monkeypatch.setattr(fock, "tap_amplitude_table", None)
+        for builder in ("tap_amplitude_table", "_root_binomials",
+                        "_scaled_taps"):
+            monkeypatch.setattr(fock, builder, None)
         pulled = fock._pull_back_sign(rho.tap, rho.weights)
         coeffs = rho.amplitudes
         assert np.array_equal(fock._sign_reduced(rho, 1.0),
                               np.outer(coeffs, coeffs) * pulled * pulled
                               / rho.p_click)
+
+    def test_derived_transmittances_are_not_rechecked(self):
+        # at T = 5e-324 the product T eta rounds to 0 (eta = 0.5), or back
+        # to T, which leaves the homodyne's share 0 (eta = 0.9); both are
+        # transmittances of exact tables, and the tap empties the kept
+        # modes, so E is 0 as at eta = 1
+        rho, _ = fock.lossy_click_conditioning(0.5, 5e-324, 0.3, 40)
+        for eta in (0.5, 0.9, 1.0):
+            assert fock.fock_sign_correlation(rho, 0.3, -0.4, eta) == 0.0
 
     def test_lossy_branch_is_the_folded_record(self, fock_realistic):
         # below efficiency 1 the correlator is the ideal one of the folded

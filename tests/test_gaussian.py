@@ -223,6 +223,45 @@ class TestXBlock:
                               entries.T)
 
 
+class TestCheckDomain:
+    """`gaussian.check_domain` compares a float as it is and sends every
+    other input through numpy; both paths refuse alike."""
+
+    @pytest.mark.parametrize("name", list(gaussian.PARAMS))
+    def test_float_and_array_paths_refuse_alike(self, name):
+        param = gaussian.PARAMS[name]
+        for value in (np.nan, np.inf, -np.inf, param.open_end, -0.5, -1e-300,
+                      1.5, 1.0 + 2.0 ** -52):
+            for form in (value, np.float64(value), np.array(value),
+                         np.array([0.5, value]), [value]):
+                with pytest.raises(DomainError) as info:
+                    gaussian.check_domain(name, form)
+                assert str(info.value) == \
+                    f"{name} must lie in {param.interval}, got {value}"
+        closed_end = 1.0 - param.open_end
+        for form in (closed_end, np.float64(closed_end), int(closed_end),
+                     np.array([closed_end, 0.5]), 0.5):
+            gaussian.check_domain(name, form)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_,
+                                       np.array([True])],
+                             ids=["true", "false", "numpy-bool", "bool-array"])
+    def test_bools_refused(self, value):
+        for name in gaussian.PARAMS:
+            with pytest.raises(DomainError) as info:
+                gaussian.check_domain(name, value)
+            assert str(info.value) == \
+                f"{name} must be a real number, got {value!r}"
+
+    def test_float_path_makes_no_numpy_call(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "np", None)
+        gaussian.check_domain("squeezing", 0.5)
+        gaussian.check_domain("transmittance", np.float64(1.0))
+        with pytest.raises(DomainError) as info:
+            gaussian.check_domain("squeezing", 1.0)
+        assert str(info.value) == "squeezing must lie in [0, 1), got 1.0"
+
+
 class TestSpdInverse:
     def test_inverts(self):
         cov = pipeline_cov(0.6, 0.9, 0.4, 0.9)
