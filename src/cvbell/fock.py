@@ -68,6 +68,11 @@ MIN_TRUNCATION = 16
 #: maximum probability allowed in the top four photon-number layers
 TAIL_TOLERANCE = 1e-8
 
+#: largest truncation whose square-root binomials sqrt(C(j + k, k)),
+#: j + k < N, are all finite doubles; past it `_root_binomials` restarts
+#: its running product in chunks of rows
+ROOT_BINOMIAL_LIMIT = 2048
+
 #: truncation and lambda * T scan range of `fock_optimal_product`
 PRODUCT_TRUNCATION = 60
 PRODUCT_RANGE = (0.35, 0.80)
@@ -182,11 +187,20 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
 
     table[m, k] = (-1)^k sqrt(C(m, k) T^(m-k) (1-T)^k) is the amplitude
     that k photons end up in the tap arm, zero for k > m: the table of
-    `_scaled_taps` over `_root_binomials`.
+    `_scaled_taps` over `_root_binomials`, finite at every truncation.
     """
     check_integer("truncation", n_trunc, 0)
     check_domain("transmittance", transmittance)
     return _scaled_taps(_root_binomials(n_trunc), transmittance)
+
+
+def _chunk_rows(n_trunc: int) -> int:
+    """Rows of one running product of `_root_binomials`: all N rows up to
+    ROOT_BINOMIAL_LIMIT, and past it as many as keep a product of factors
+    sqrt((j + i) / i) <= sqrt(N) below 2^1020 (at least one)."""
+    if n_trunc <= ROOT_BINOMIAL_LIMIT:
+        return max(n_trunc, 1)
+    return int(2040 / np.log2(n_trunc))
 
 
 def _root_binomials(n_trunc: int) -> np.ndarray:
@@ -196,8 +210,11 @@ def _root_binomials(n_trunc: int) -> np.ndarray:
     r is the running product over i <= k of sqrt((j + i) / i), taken down
     axis 0: one rounded quotient and root per factor, with no logarithm to
     lose digits in.  Past the truncation the numerator j + i wraps to
-    j + i - N, which is 0 at j + i = N, so no entry there overflows;
-    entries up to j + k of about 2048 are finite.
+    j + i - N, which is 0 at j + i = N, so no entry there overflows.  Up to
+    N = ROOT_BINOMIAL_LIMIT every entry is finite.  Past it the product
+    restarts every `_chunk_rows` rows: row k0 + i of a chunk that starts at
+    row k0 > 0 holds the product over k0 <= m <= k0 + i only, which
+    `_scaled_taps` puts on the table row k0 - 1.
     """
     idx = np.arange(n_trunc + 1, dtype=float)
     steps = np.add.outer(idx[:n_trunc], idx)
@@ -206,7 +223,11 @@ def _root_binomials(n_trunc: int) -> np.ndarray:
     # row 0 keeps the wrapped numerator 0 in the last column
     steps[:1, :n_trunc] = 1.0
     np.sqrt(steps, out=steps)
-    return np.multiply.accumulate(steps, axis=0, out=steps)
+    rows = _chunk_rows(n_trunc)
+    for start in range(0, n_trunc, rows):
+        chunk = steps[start:start + rows]
+        np.multiply.accumulate(chunk, axis=0, out=chunk)
+    return steps
 
 
 def _scaled_taps(roots: np.ndarray, transmittance: float) -> np.ndarray:
@@ -225,14 +246,69 @@ def _scaled_taps(roots: np.ndarray, transmittance: float) -> np.ndarray:
     r, and fills the start of the next row.  No index array is formed.
     The result is the transpose of the skewed table, copied to rows, so
     that sums over k run along memory as numpy's pairwise sums.
+
+    Past ROOT_BINOMIAL_LIMIT, where r restarts its product every
+    `_chunk_rows` rows, the rows of a chunk that starts at row k0 > 0 are
+    scaled by the table's row k0 - 1 in place of the powers of T, and by
+    (-sqrt(1 - T))^(k - k0 + 1): every product stays finite, and each
+    restart adds the rounding of one power and two products.  Entries
+    whose power of T or 1 - T falls below the normal range are rewritten
+    by `_log_space_tails`; the check is two scalar powers.
     """
     n_trunc = len(roots)
+    rows = _chunk_rows(n_trunc)
     halves = np.arange(n_trunc + 1) / 2.0
-    tapped = (1.0 - transmittance) ** halves[:n_trunc]
+    kept = transmittance ** halves
+    tapped = (1.0 - transmittance) ** halves[:rows + 1]
     tapped[1::2] *= -1.0
-    skew = roots * transmittance ** halves * tapped[:, None]
+    skew = roots * kept
+    skew[:rows] *= tapped[:rows, None]
+    for start in range(rows, n_trunc, rows):
+        chunk = skew[start:start + rows]
+        np.multiply(roots[start:start + rows], skew[start - 1], out=chunk)
+        chunk *= tapped[1:len(chunk) + 1, None]
+    top = max(n_trunc - 1, 0) / 2.0
+    if (transmittance > 0.0 and transmittance ** top < 2.0 ** -1022
+            or transmittance < 1.0
+            and (1.0 - transmittance) ** top < 2.0 ** -1022):
+        _log_space_tails(skew, transmittance, kept)
     return skew.reshape(-1)[:n_trunc * n_trunc].reshape(
         n_trunc, n_trunc).T.copy()
+
+
+def _log_space_tails(skew: np.ndarray, transmittance: float,
+                     kept: np.ndarray):
+    """Rewrite in place, from logarithms, the entries s[k, j] = t[j + k, k]
+    of the skewed table of `_scaled_taps` whose power T^(j/2) or
+    (1 - T)^(k/2) is below the normal range 2^-1022: the columns
+    j >= j0 and the rows k >= k0 where the powers leave it.  kept holds
+    T^(j/2) for j <= N, and T lies in (0, 1).
+
+    The product loses digits there or flushes to 0, although
+    sqrt(C(j + k, k)) lifts such an entry as high as 1e-70 at N = 2048.
+    In log space these entries keep about 11 digits.  log C(j + k, k) is
+    read from a sliding window over log factorials that are -inf past the
+    truncation, so the zero corner j + k >= N stays zero.
+    """
+    n_trunc = len(skew)
+    idx = np.arange(n_trunc + 1)
+    log_fact = _log_factorials(n_trunc + 1)
+    log_kept = idx / 2.0 * np.log(transmittance) - 0.5 * log_fact
+    log_tapped = (idx[:n_trunc, None] / 2.0 * np.log1p(-transmittance)
+                  - 0.5 * log_fact[:n_trunc, None])
+    log_sums = sliding_window_view(
+        np.r_[0.5 * log_fact[:n_trunc], np.full(n_trunc, -np.inf)],
+        n_trunc + 1)
+    signs = np.where(idx[:n_trunc, None] % 2, -1.0, 1.0)
+    k0 = np.count_nonzero(
+        (1.0 - transmittance) ** (idx[:n_trunc] / 2.0) >= 2.0 ** -1022)
+    j0 = np.count_nonzero(kept >= 2.0 ** -1022)
+    for rows, cols in ((slice(k0, None), slice(None)),
+                       (slice(None, k0), slice(j0, None))):
+        block = log_sums[rows, cols] + log_kept[cols]
+        block += log_tapped[rows]
+        np.exp(block, out=block)
+        np.multiply(block, signs[rows], out=skew[rows, cols])
 
 
 # ---------------------------------------------------------------------------

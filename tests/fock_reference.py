@@ -422,8 +422,10 @@ def exact_success_prob(squeezing, transmittance, apd_efficiency, n_trunc):
 def exact_tap_amplitude_table(transmittance, n_trunc, rows=None):
     """Beam-splitter amplitudes (-1)^k sqrt(C(m, k) T^(m-k) (1-T)^k) at 40
     digits, for the photon numbers m in rows (every m < n_trunc by
-    default), one table row each.  The binomials are exact integers and
-    each power of T and 1 - T is taken once."""
+    default), one table row each.  Each power of T and 1 - T is taken
+    once; the binomials run along a row as C(m, k + 1) = C(m, k) (m - k)
+    / (k + 1), within 2 k 1e-40 relative of the exact integers and
+    several times faster than converting them at m in the thousands."""
     rows = range(n_trunc) if rows is None else rows
     with mpmath.workdps(40):
         t = mpmath.mpf(transmittance)
@@ -431,9 +433,11 @@ def exact_tap_amplitude_table(transmittance, n_trunc, rows=None):
         tapped = [(1 - t) ** k for k in range(n_trunc)]
         table = np.zeros((len(rows), n_trunc))
         for row, m in zip(table, rows):
+            binomial = mpmath.mpf(1)
             for k in range(m + 1):
                 row[k] = (-1) ** k * mpmath.sqrt(
-                    math.comb(m, k) * kept[m - k] * tapped[k])
+                    binomial * kept[m - k] * tapped[k])
+                binomial = binomial * (m - k) / (k + 1)
         return table
 
 

@@ -159,6 +159,20 @@ class TestStates:
                 big = np.abs(exact) > 1e-250
                 assert np.all(np.abs(table - exact)[big]
                               <= bound * np.abs(exact[big])), (n_trunc, t)
+        # past ROOT_BINOMIAL_LIMIT the product restarts in chunks: at
+        # T = 1/2, whose powers stay normal for entries above 1e-200, the
+        # top row and one more keep 2e-14.  Entries whose power of T or
+        # 1 - T is subnormal come from logarithms: at N = 1100 they reach
+        # 1e-156 (T = 0.05), and keep 3e-11
+        for t, n_trunc, floor, bound in (
+                (0.5, 2100, 1e-200, 2e-14),
+                (0.05, 1100, 1e-250, 3e-11), (0.999, 1100, 1e-250, 3e-11)):
+            rows = np.r_[n_trunc - 1, rng.choice(n_trunc - 1, 1)]
+            table = fock.tap_amplitude_table(t, n_trunc)[rows]
+            exact = exact_tap_amplitude_table(t, n_trunc, rows)
+            big = np.abs(exact) > floor
+            assert np.all(np.abs(table - exact)[big]
+                          <= bound * np.abs(exact[big])), (n_trunc, t)
 
     def test_tap_amplitude_table_edges(self):
         # N = 0, 1 and 2 are the closed forms.  Over transmittances from
@@ -182,10 +196,17 @@ class TestStates:
                     assert np.max(np.abs((table ** 2).sum(axis=1) - 1.0)) \
                         <= n_trunc * np.finfo(float).eps, (t, n_trunc)
             # past N = 1025 the square roots of C(j + k, k) beyond the
-            # truncation would overflow without the wrap
-            table = fock.tap_amplitude_table(0.5, 1100)
-            assert np.max(np.abs((table ** 2).sum(axis=1) - 1.0)) \
-                <= 1100 * np.finfo(float).eps
+            # truncation would overflow without the wrap, past
+            # ROOT_BINOMIAL_LIMIT (2048) those below it would without the
+            # chunks, and entries whose power of T or 1 - T is subnormal
+            # come from logarithms
+            for t, n_trunc in ((0.5, 1100), (5e-324, 2100), (0.5, 2100),
+                               (1.0 - 1e-16, 2100)):
+                table = fock.tap_amplitude_table(t, n_trunc)
+                assert np.all(np.isfinite(table)), (t, n_trunc)
+                assert not np.any(np.triu(table, 1)), (t, n_trunc)
+                assert np.max(np.abs((table ** 2).sum(axis=1) - 1.0)) \
+                    <= n_trunc * np.finfo(float).eps, (t, n_trunc)
 
     def test_second_moments_match_covariance(self):
         for lam in (0.0, 0.3, 0.5):
