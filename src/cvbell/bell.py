@@ -64,6 +64,13 @@ def check_angles(angles) -> tuple[float, float, float, float]:
         count = None
     if count != 4:
         raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
+    return _real_angles(angles)
+
+
+def _real_angles(angles) -> tuple[float, ...]:
+    """The angles as floats: DomainError, with the texts of `check_angles`,
+    unless each one is a real number (not a str, complex or None) and all
+    are finite."""
     if not all(isinstance(a, numbers.Real) for a in angles):
         raise DomainError(f"angles must be real numbers, got {angles!r}")
     angles = tuple(float(a) for a in angles)

@@ -46,17 +46,27 @@ vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).  Every public function
 that takes a truncation refuses one that is not an integer (DomainError,
 `gaussian.check_integer`); the MIN_TRUNCATION floor applies where a state
 is formed.
+
+Two tables depend on the truncation N alone: the square-root binomials of
+`_root_binomials`, from which every tap table is scaled, and the Hermite
+values and derivatives at 0 of `_hermite_at_zero`, which the sign
+pull-back reads.  Each is memoised on the integer N alone (a
+`functools.lru_cache` of TABLE_MEMO_SIZE truncations) and returned
+read-only, so no caller can change what the next one reads.  Nothing
+keyed on a parameter is kept: the tables scaled by T are built per call.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bell import DEFAULT_ANGLES, _golden_section_max, check_angles, chsh_value
+from .bell import (DEFAULT_ANGLES, _golden_section_max, _real_angles,
+                   check_angles, chsh_value)
 from .errors import DomainError, InvalidRegimeError, TruncationError
 from .gaussian import check_domain, check_integer
 
@@ -72,6 +82,10 @@ TAIL_TOLERANCE = 1e-8
 #: j + k < N, are all finite doubles; past it `_root_binomials` restarts
 #: its running product in chunks of rows
 ROOT_BINOMIAL_LIMIT = 2048
+
+#: truncations whose tables `_root_binomials` and `_hermite_at_zero` each
+#: keep, least recently used out first
+TABLE_MEMO_SIZE = 8
 
 #: truncation and lambda * T scan range of `fock_optimal_product`
 PRODUCT_TRUNCATION = 60
@@ -138,9 +152,13 @@ def tmsv_state(squeezing: float,
 
 
 def ladder(n_trunc: int) -> np.ndarray:
-    """Annihilation operator on the truncated basis."""
+    """Annihilation operator on the truncated basis, shape (N, N) for every
+    N >= 0."""
     check_integer("truncation", n_trunc, 0)
-    return np.diag(np.sqrt(np.arange(1, n_trunc)), k=1)
+    idx = np.arange(n_trunc)
+    a = np.zeros((n_trunc, n_trunc))
+    a[idx[:-1], idx[1:]] = np.sqrt(idx[1:])
+    return a
 
 
 def quadrature_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +221,14 @@ def _chunk_rows(n_trunc: int) -> int:
     return int(2040 / np.log2(n_trunc))
 
 
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
 def _root_binomials(n_trunc: int) -> np.ndarray:
     """r[k, j] = sqrt(C(j + k, k)) for j + k < N, and 0 for j + k >= N,
     shape (N, N + 1) with N = n_trunc: its last column is zero.
+
+    r depends on the integer N alone, so it is built once per truncation
+    and returned read-only: the memo holds the tables of the
+    TABLE_MEMO_SIZE truncations used last.  `__wrapped__` builds afresh.
 
     r is the running product over i <= k of sqrt((j + i) / i), taken down
     axis 0: one rounded quotient and root per factor, with no logarithm to
@@ -227,6 +250,7 @@ def _root_binomials(n_trunc: int) -> np.ndarray:
     for start in range(0, n_trunc, rows):
         chunk = steps[start:start + rows]
         np.multiply.accumulate(chunk, axis=0, out=chunk)
+    steps.flags.writeable = False
     return steps
 
 
@@ -482,6 +506,27 @@ def _phase_chsh(reduced: np.ndarray,
          for theta in (theta1, theta2)])))
 
 
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _hermite_at_zero(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values v = h(0) and derivatives u = h'(0) of the first N Hermite
+    functions, N = n_trunc >= 1: v_0 = pi^(-1/4),
+    v_{n+2} = -sqrt((n+1)/(n+2)) v_n and u_n = sqrt(2n) v_{n-1}, so v is
+    zero at odd n and u at even n.
+
+    Both depend on the integer N alone; they are built once per truncation
+    and returned read-only, with the memo and bound of `_root_binomials`.
+    """
+    idx = np.arange(n_trunc)
+    v = np.zeros(n_trunc)
+    v[::2] = np.cumprod(np.append(np.pi ** -0.25,
+                                  -np.sqrt(idx[1:-1:2] / idx[2::2])))
+    # u_0 meets the wrapped v_{N-1} with the factor sqrt(0)
+    u = np.sqrt(2.0 * idx) * np.roll(v, 1)
+    v.flags.writeable = False
+    u.flags.writeable = False
+    return v, u
+
+
 def _pull_back_sign(tap: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Phi(S) of the sign operator S[a, c] = int sgn(x) h_a h_c dx of an
     ideal homodyne, for the tap table t and click weights w.
@@ -489,21 +534,16 @@ def _pull_back_sign(tap: np.ndarray, weights: np.ndarray) -> np.ndarray:
     The oscillator equation h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c
     the derivative of h_c h_a' - h_a h_c', so integrating by parts against
     sgn(x) gives the commutator [N, S] = u v^T - v u^T, with v = h(0) and
-    u = h'(0): v_0 = pi^(-1/4), v_{n+2} = -sqrt((n+1)/(n+2)) v_n, and
-    u_n = sqrt(2n) v_{n-1}, so S vanishes for even a + c.  Each Kraus
-    operator of the pull-back lowers both photon numbers by the same k, so
-    Phi commutes with [N, .] and [N, Phi(S)] = U V^T - V U^T with
+    u = h'(0) of `_hermite_at_zero`, so S vanishes for even a + c.  Each
+    Kraus operator of the pull-back lowers both photon numbers by the same
+    k, so Phi commutes with [N, .] and [N, Phi(S)] = U V^T - V U^T with
     U[n, k] = t(n, k) u_{n-k} and V[n, k] = w(k) t(n, k) v_{n-k}: one N x N
     product, divided by n - m; the diagonal of Phi(S) is zero.
     With w = e_0 and t(n, 0) = 1, a transparent tap that always heralds,
     Phi is the identity and this is S itself.
     """
     idx = np.arange(len(weights))
-    v = np.zeros(len(weights))
-    v[::2] = np.cumprod(np.append(np.pi ** -0.25,
-                                  -np.sqrt(idx[1:-1:2] / idx[2::2])))
-    # u_0 meets the wrapped v_{N-1} with the factor sqrt(0)
-    u = np.sqrt(2.0 * idx) * np.roll(v, 1)
+    v, u = _hermite_at_zero(len(weights))
     # kept[n, k] = n - k; its negative entries wrap, where t(n, k) = 0
     kept = idx[:, None] - idx
     pair = (tap * u[kept]) @ (tap * weights * v[kept]).T
@@ -558,8 +598,11 @@ def fock_sign_correlation(rho: HeraldedState, theta: float, phi: float,
     E = Tr rho (S (x) S), with S the erf-smoothed sign operator of the
     lossy homodynes: one pull-back, then its phase form.  A rotation by
     theta on mode A and phi on mode B multiplies entry (n, m) by
-    e^{i theta (n-m)} and e^{i phi (n-m)}.
+    e^{i theta (n-m)} and e^{i phi (n-m)}.  A theta or phi that is not one
+    finite real number raises DomainError, with the texts of
+    `bell.check_angles`.
     """
+    theta, phi = _real_angles((theta, phi))
     return _phase_form(_sign_reduced(rho, homodyne_efficiency), theta + phi)
 
 
@@ -589,10 +632,11 @@ def fock_optimal_product(transmittance: float,
     float spacing.  Every point is heralded behind one tap table.  An
     optimum at the lower end of the scan, or within tol of its upper end,
     raises DomainError, and so does a tol that is not a finite positive
-    real number.  Returns (lambda_opt * T, S_max).
+    real number (a bool is refused).  Returns (lambda_opt * T, S_max).
     """
     check_domain("transmittance", transmittance)
-    if not (isinstance(tol, numbers.Real) and np.isfinite(tol) and tol > 0):
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            and np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be a finite positive number, got {tol!r}")
     # the ideal S: w = e_0 reads only t(n, 0), 1 for a transparent tap
     sign_op = _pull_back_sign(1.0, np.eye(PRODUCT_TRUNCATION)[0])

@@ -32,6 +32,22 @@ def vacuum_record(n_trunc=16):
                               0.9, unit, 1.0, n_trunc)
 
 
+#: the memoised builders of the tables that depend on the truncation alone
+TABLE_MEMOS = (fock._root_binomials, fock._hermite_at_zero)
+
+
+def clear_table_memos():
+    """Empty the memos of TABLE_MEMOS, so that the next call builds cold."""
+    for memo in TABLE_MEMOS:
+        memo.cache_clear()
+
+
+def table_arrays(build, n_trunc):
+    """The arrays a builder of TABLE_MEMOS returns for N = n_trunc, as a
+    tuple."""
+    tables = build(n_trunc)
+    return tables if isinstance(tables, tuple) else (tables,)
+
 
 #: truncations tried by `fenced_conditioning`, in order
 TRUNCATION_STEPS = (40, 60, 90, 130, 160)
@@ -103,6 +119,17 @@ class TestStates:
                 call(n_trunc)
             assert str(info.value) == \
                 f"truncation must be an integer >= 0, got {n_trunc!r}"
+
+    @pytest.mark.parametrize("n_trunc", [0, 1, 2, 16])
+    def test_ladder_shape(self, n_trunc):
+        # sqrt(n) on the superdiagonal and zero elsewhere, N = 0 included,
+        # where np.diag of the empty superdiagonal would be 1 x 1
+        a = fock.ladder(n_trunc)
+        assert a.shape == (n_trunc, n_trunc)
+        assert np.array_equal(np.diag(a, 1), np.sqrt(np.arange(1, n_trunc)))
+        assert np.count_nonzero(a) == max(n_trunc - 1, 0)
+        for op in fock.quadrature_operators(n_trunc):
+            assert op.shape == (n_trunc, n_trunc)
 
     def test_second_moments_match_einsum_form(self):
         # the four-operand einsum on the dense amplitudes diag(g)
@@ -326,6 +353,22 @@ class TestSignCorrelation:
             fock.fock_chsh(rho, bell.DEFAULT_ANGLES, eta)
         assert str(info.value) == text
 
+    @pytest.mark.parametrize("theta, phi, text", [
+        (np.inf, 0.0, "angles must be finite, got (inf, 0.0)"),
+        (0.0, np.nan, "angles must be finite, got (0.0, nan)"),
+        ("0.3", 0.0, "angles must be real numbers, got ('0.3', 0.0)"),
+        (0.0, None, "angles must be real numbers, got (0.0, None)"),
+        (1j, 0.0, "angles must be real numbers, got (1j, 0.0)"),
+    ], ids=["inf-theta", "nan-phi", "str-theta", "none-phi", "complex-theta"])
+    def test_angle_outside_domain_raises(self, fock_realistic, theta, phi,
+                                         text):
+        # the texts `bell.check_angles` gives `fock_chsh`; an infinite
+        # angle used to give NaN with a RuntimeWarning
+        rho, _ = fock_realistic
+        with pytest.raises(DomainError) as info:
+            fock.fock_sign_correlation(rho, theta, phi, 0.95)
+        assert str(info.value) == text
+
     def test_unit_homodyne_efficiency_is_lossless(self, fock_realistic):
         rho, _ = fock_realistic
         value = fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 1.0)
@@ -471,7 +514,8 @@ class TestOptimalProduct:
             fock.fock_optimal_product(0.0)
         assert str(info.value) == "transmittance must lie in (0, 1], got 0.0"
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, "1e-3"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, "1e-3",
+                                     True])
     def test_tolerance_outside_domain_raises(self, tol):
         # a tolerance the golden-section bracket can never reach would
         # search forever
@@ -547,14 +591,16 @@ class TestDensityBlocks:
 
     def test_correlator_allocates_less_than_a_block_array(self):
         # the correlator pulls the sign operator back through a view; it
-        # builds no (2N-1, N, N) array, which at N = 60 is 3.43 MB.  Its
-        # sign operator is built afresh on every call, so the peak counts
-        # it; the warm-up only keeps numpy's one-time costs out.
+        # builds no (2N-1, N, N) array, which at N = 60 is 3.43 MB.  The
+        # tables that depend on N alone are memoised, so the memos are
+        # emptied inside the window and the peak counts a cold build; the
+        # warm-up only keeps numpy's one-time costs out.
         n_trunc = 60
         rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, n_trunc)
         fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 1.0)
         tracemalloc.start()
         try:
+            clear_table_memos()
             fock.fock_sign_correlation(rho, 0.0, -np.pi / 4, 0.95)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -918,13 +964,16 @@ class TestPullBack:
         # lambda = 0.95 at N = 300, where a density stored as its
         # photon-number-difference blocks would take 1.2 GB:
         # conditioning and one correlator peak under 10 MB and agree with
-        # the closed form.  The warm-up keeps numpy's one-time costs out.
+        # the closed form.  The memos of the N-only tables are emptied
+        # inside the window, so the peak counts a cold build; the warm-up
+        # keeps numpy's one-time costs out.
         params = bell.ExperimentParams(0.95, 0.95, 0.3, 0.95)
         theta, _, phi, _ = params.angles
         rho, _ = fock.lossy_click_conditioning(0.6, 0.95, 0.3, 40)
         fock.fock_sign_correlation(rho, theta, phi, 0.95)
         tracemalloc.start()
         try:
+            clear_table_memos()
             rho, p_click = fock.lossy_click_conditioning(0.95, 0.95, 0.3, 300)
             e_fock = fock.fock_sign_correlation(rho, theta, phi, 0.95)
             peak = tracemalloc.get_traced_memory()[1]
@@ -1078,6 +1127,70 @@ class TestFoldedCorrelator:
             assert abs(folded.p_click - rho.p_click) <= 1e-14 * rho.p_click
             assert np.max(np.abs(fock._sign_reduced(rho, eta)
                                  - fock._sign_reduced(folded, 1.0))) <= 1e-15
+
+
+class TestTableMemos:
+    """The tables that depend on the truncation N alone, built once per N:
+    read-only, bounded, and bitwise a fresh build."""
+
+    @pytest.mark.parametrize("n_trunc", [1, 16, 40, 300])
+    def test_tables_are_read_only_fresh_builds(self, n_trunc):
+        # the memo's arrays refuse writes, equal a build without the memo
+        # bit for bit, and come back as the same objects on the next call
+        for memo in TABLE_MEMOS:
+            memo.cache_clear()
+            tables = table_arrays(memo, n_trunc)
+            fresh = table_arrays(memo.__wrapped__, n_trunc)
+            assert len(tables) == len(fresh)
+            for table, built in zip(tables, fresh):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1.0
+                assert table.dtype == built.dtype
+                assert table.shape == built.shape
+                assert table.tobytes() == built.tobytes()
+            assert all(again is table for again, table
+                       in zip(table_arrays(memo, n_trunc), tables))
+
+    def test_memo_is_bounded(self):
+        # three times as many truncations as the memo holds, each through
+        # the herald and the lossy correlator
+        clear_table_memos()
+        for n_trunc in range(16, 16 + 3 * fock.TABLE_MEMO_SIZE):
+            rho, _ = fock.lossy_click_conditioning(0.3, 0.95, 0.3, n_trunc)
+            fock.fock_sign_correlation(rho, 0.0, 0.0, 0.9)
+        for memo in TABLE_MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == fock.TABLE_MEMO_SIZE
+            assert info.currsize == fock.TABLE_MEMO_SIZE
+
+    @pytest.mark.parametrize("n_trunc", [40, 60, 300])
+    def test_cold_and_warm_memo_agree_bitwise(self, n_trunc):
+        # seeded criterion-7 rows: P, E with and without homodyne loss, S
+        # and W from a first call on empty memos and from warm ones
+        rng = np.random.default_rng([3001, n_trunc])
+        for _ in range(3 if n_trunc < 300 else 1):
+            row = (rng.uniform(0.2, 0.65), rng.uniform(0.9, 0.99),
+                   rng.uniform(0.1, 1.0), n_trunc)
+            eta = rng.uniform(0.85, 1.0)
+            theta, phi = rng.uniform(-np.pi, np.pi, 2)
+            pts = rng.normal(size=(2, 4))
+            calls = (
+                lambda rho: rho.p_click,
+                lambda rho: fock.fock_sign_correlation(rho, theta, phi, eta),
+                lambda rho: fock.fock_sign_correlation(rho, theta, phi),
+                lambda rho: fock.fock_chsh(rho, bell.DEFAULT_ANGLES, eta),
+                lambda rho: fock.wigner_values(rho, pts))
+            cold = []
+            for call in calls:
+                clear_table_memos()
+                rho, _ = fock.lossy_click_conditioning(*row)
+                clear_table_memos()
+                cold.append(call(rho))
+            rho, _ = fock.lossy_click_conditioning(*row)
+            for value, call in zip(cold, calls):
+                assert np.asarray(value).tobytes() == \
+                    np.asarray(call(rho)).tobytes(), row
 
 
 #: rows whose reference tail lies within a factor of 2 of
