@@ -55,8 +55,8 @@ QUADRATURE_NODES, QUADRATURE_SIGMAS = 48, 6.0
 def check_angles(angles) -> tuple[float, float, float, float]:
     """The CHSH angles (theta1, theta2, phi1, phi2) as floats.
 
-    DomainError unless angles holds four real numbers (a str, complex or
-    None entry is refused) that are all finite.
+    DomainError unless angles holds four real numbers (a bool, str,
+    complex or None entry is refused) that are all finite.
     """
     try:
         count = len(angles)
@@ -69,9 +69,10 @@ def check_angles(angles) -> tuple[float, float, float, float]:
 
 def _real_angles(angles) -> tuple[float, ...]:
     """The angles as floats: DomainError, with the texts of `check_angles`,
-    unless each one is a real number (not a str, complex or None) and all
-    are finite."""
-    if not all(isinstance(a, numbers.Real) for a in angles):
+    unless each one is a real number (not a bool, str, complex or None) and
+    all are finite."""
+    if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+               for a in angles):
         raise DomainError(f"angles must be real numbers, got {angles!r}")
     angles = tuple(float(a) for a in angles)
     if not all(map(math.isfinite, angles)):

@@ -198,9 +198,10 @@ def squeezing_to_db(squeezing: float) -> float:
 
 def db_to_squeezing(db: float) -> float:
     """Inverse of squeezing_to_db; DomainError unless db is one finite,
-    non-negative real number, and where lambda rounds to 1 (from about
-    165 dB)."""
-    if not (isinstance(db, numbers.Real) and 0.0 <= db < np.inf):
+    non-negative real number that is not a bool, and where lambda rounds
+    to 1 (from about 165 dB)."""
+    if not (isinstance(db, numbers.Real) and not isinstance(db, bool)
+            and 0.0 <= db < np.inf):
         raise DomainError(
             f"squeezing in dB must be finite and non-negative, got {db}")
     squeezing = float(np.tanh(db * np.log(10.0) / 20.0))

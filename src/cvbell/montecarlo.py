@@ -5,15 +5,22 @@ source, a fair coin for the setting at each homodyne station, quadrature
 sampling from the heralded joint distribution, sign binning, and CHSH
 estimation with propagated standard errors.
 
-Randomness is organized around counter-based Philox streams, one per
-party per fixed-size event block, so the heralding, Alice and Bob
-histories are independent and the results do not depend on the order in
-which blocks are simulated.  Within a block, the heralding stream gives
-the pulse gaps, the Alice and Bob streams the settings, and the
-quadrature stream serves the four setting cells in turn, (theta1, phi1),
-(theta1, phi2), (theta2, phi1), (theta2, phi2): each cell draws exactly
-its event count from it by chunked rejection sampling (`_draw`) against
-one inflated Gaussian, the marginal's widest term (`build_envelope`).
+Randomness comes from SFC64 streams, one per party per fixed-size event
+block, each seeded by `SeedSequence(seed, spawn_key=(role, block))`.  The
+spawn keys make the heralding, Alice, Bob and quadrature histories
+independent and the results independent of the order in which blocks are
+simulated; no stream is ever jumped or advanced.  Within a block, the
+heralding stream gives the pulse gaps, the Alice and Bob streams the
+settings, and the quadrature stream serves the setting targets in turn.
+A cell's target depends on its angles only through cos(theta + phi), so
+cells whose `rotated_marginal` takes the same cos(theta + phi), bit for
+bit, share one target: one envelope and one draw per block, which is
+split in cell order, (theta1, phi1), (theta1, phi2), (theta2, phi1),
+(theta2, phi2), by each cell's exact event count.  At the default angles
+the first three cells share a target and (theta2, phi2) has its own.
+A draw takes exactly its event count by chunked rejection sampling
+(`_draw`) against one inflated Gaussian, the marginal's widest term
+(`build_envelope`).
 
 Both work in the envelope's whitened frame x = L z, with L the Cholesky
 factor of the envelope covariance, where target/envelope is a short sum
@@ -323,20 +330,29 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
     """
     check_integer("sample count", n, 1)
     check_integer("seed", seed, 0)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     return _draw(build_envelope(marginal), n, rng)
 
 
 def _block_rng(seed: int, role: int, block: int) -> np.random.Generator:
+    """The SFC64 stream of one party (role) in one event block.
+
+    `SeedSequence(seed, spawn_key=(role, block))` gives every (role,
+    block) pair its own state, so the streams are independent and a block
+    draws the same numbers whatever order the blocks run in.
+    """
     seq = np.random.SeedSequence(seed, spawn_key=(role, block))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _simulate_block(seed: int, block: int, size: int, success_prob: float,
-                    envelopes: list[Envelope], work: np.ndarray):
+                    targets: list[tuple[Envelope, list[int]]],
+                    work: np.ndarray):
     """One block of heralded events: pulses burned, settings, sign products.
 
-    work is the `_scratch` array of envelopes that every draw reuses.
+    targets holds, per distinct setting target, its envelope and the cells
+    j * 2 + k that share it, in cell order; work is the `_scratch` array
+    of the envelopes that every draw reuses.
     """
     sophie = _block_rng(seed, _ROLE_SOPHIE, block)
     alice = _block_rng(seed, _ROLE_ALICE, block)
@@ -349,15 +365,39 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     set_a = (alice.random(size) >= 0.5).astype(np.int64)
     set_b = (bob.random(size) >= 0.5).astype(np.int64)
 
-    # settings cell j * 2 + k draws exactly its events' samples; a product
-    # of signs is -1 where they disagree, so the sum is count - 2 disagree
+    # a target draws its cells' events at once, and each cell takes its
+    # count of them in turn; a product of signs is -1 where they disagree,
+    # so a cell's sum is its count - 2 disagree
     counts = np.bincount(set_a * 2 + set_b, minlength=4)
     sums = np.zeros(4)
-    for idx in range(4):
-        x0, x1 = _draw(envelopes[idx], int(counts[idx]), quad, work).T
-        disagree = np.count_nonzero((x0 >= 0.0) != (x1 >= 0.0))
-        sums[idx] = float(counts[idx] - 2 * disagree)
+    for env, cells in targets:
+        x0, x1 = _draw(env, int(counts[cells].sum()), quad, work).T
+        disagree = (x0 >= 0.0) != (x1 >= 0.0)
+        parts = np.split(disagree, np.cumsum(counts[cells])[:-1])
+        for idx, part in zip(cells, parts):
+            sums[idx] = float(counts[idx] - 2 * np.count_nonzero(part))
     return int(gaps.sum()), counts.reshape(2, 2), sums.reshape(2, 2)
+
+
+def _setting_targets(state: conditioning.SignedGaussianMixture,
+                     angles: tuple[float, float, float, float]
+                     ) -> list[tuple[Envelope, list[int]]]:
+    """One envelope per distinct target of the four setting cells, with the
+    cells j * 2 + k that share it, in order of their first cell.
+
+    Cells share a target when the cos(theta + phi) of `rotated_marginal`
+    is the same float; there is no tolerance, so no cell samples a target
+    other than its own.
+    """
+    targets: dict[float, tuple[Envelope, list[int]]] = {}
+    for idx in range(4):
+        theta, phi = angles[idx // 2], angles[2 + idx % 2]
+        key = float(np.cos(theta + phi))
+        if key not in targets:
+            targets[key] = (build_envelope(rotated_marginal(state, theta,
+                                                            phi)), [])
+        targets[key][1].append(idx)
+    return list(targets.values())
 
 
 def run_protocol(config: ProtocolConfig) -> MCResult:
@@ -367,20 +407,19 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
     success both parties toss a fair coin for their setting and a
     quadrature sample is taken from the corresponding joint marginal.
     Each block of BLOCK_EVENTS events draws from its own streams, so the
-    totals do not depend on the order in which the blocks are simulated.
+    totals do not depend on the order in which the blocks are simulated;
+    the cells that share a target (`_setting_targets`) share one draw per
+    block.
     """
     params = config.params
     state = conditioning.conditional_state(params.output_covariance())
-    theta = (params.angles[0], params.angles[1])
-    phi = (params.angles[2], params.angles[3])
-    envelopes = [build_envelope(rotated_marginal(state, theta[j], phi[k]))
-                 for j in range(2) for k in range(2)]
+    targets = _setting_targets(state, params.angles)
 
     n = config.n_target_events
-    work = _scratch(envelopes)
+    work = _scratch([env for env, _ in targets])
     results = [_simulate_block(config.seed, block,
                                min(BLOCK_EVENTS, n - block * BLOCK_EVENTS),
-                               state.success_prob, envelopes, work)
+                               state.success_prob, targets, work)
                for block in range((n + BLOCK_EVENTS - 1) // BLOCK_EVENTS)]
     total_pulses, counts, sums = (sum(parts) for parts in zip(*results))
 

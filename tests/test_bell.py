@@ -118,6 +118,8 @@ BAD_ANGLES = {
     "numeric-str": (("0.5", 0.0, 0.0, 0.0), "angles must be real numbers"),
     "none": ((None, 0.0, 0.0, 0.0), "angles must be real numbers"),
     "complex": ((1j, 0.0, 0.0, 0.0), "angles must be real numbers"),
+    # Python counts True as the number 1; an angle of True is refused
+    "bool": ((True, 0.0, 0.0, 0.0), "angles must be real numbers"),
     "scalar": (0.0, SHAPE_TEXT),
     "two": ((0.0, 1.0), SHAPE_TEXT),
     "three": ((0.0, 1.0, 2.0), SHAPE_TEXT),

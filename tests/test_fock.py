@@ -359,7 +359,9 @@ class TestSignCorrelation:
         ("0.3", 0.0, "angles must be real numbers, got ('0.3', 0.0)"),
         (0.0, None, "angles must be real numbers, got (0.0, None)"),
         (1j, 0.0, "angles must be real numbers, got (1j, 0.0)"),
-    ], ids=["inf-theta", "nan-phi", "str-theta", "none-phi", "complex-theta"])
+        (True, 0.0, "angles must be real numbers, got (True, 0.0)"),
+    ], ids=["inf-theta", "nan-phi", "str-theta", "none-phi", "complex-theta",
+            "bool-theta"])
     def test_angle_outside_domain_raises(self, fock_realistic, theta, phi,
                                          text):
         # the texts `bell.check_angles` gives `fock_chsh`; an infinite

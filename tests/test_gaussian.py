@@ -304,8 +304,8 @@ class TestSqueezingConversions:
         with pytest.raises(DomainError):
             gaussian.db_to_squeezing(db)
 
-    @pytest.mark.parametrize("db", ["3", None, np.array([3.0])],
-                             ids=["str", "none", "array"])
+    @pytest.mark.parametrize("db", ["3", None, np.array([3.0]), True],
+                             ids=["str", "none", "array", "bool"])
     def test_db_not_a_real_number_raises(self, db):
         with pytest.raises(DomainError) as info:
             gaussian.db_to_squeezing(db)

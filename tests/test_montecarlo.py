@@ -298,6 +298,11 @@ class TestRunProtocol:
 
     def test_each_setting_draws_its_cell_count(self, realistic_params,
                                                 monkeypatch):
+        # cells whose cos(theta + phi) is the same float share one draw per
+        # block, split in cell order.  At the default angles (theta1, phi1),
+        # (theta1, phi2) and (theta2, phi1) share one; cos(3 pi / 4) is a
+        # float spacing from -cos(pi / 4), so (theta2, phi2) has its own.
+        # Generic angles make four targets, one draw per cell
         draws, block_counts = [], []
         draw, simulate = montecarlo._draw, montecarlo._simulate_block
 
@@ -308,17 +313,31 @@ class TestRunProtocol:
 
         def record_block(*args):
             result = simulate(*args)
-            block_counts.append(result[1])
+            block_counts.append(result[1].ravel())
             return result
 
         monkeypatch.setattr(montecarlo, "_draw", record_draw)
         monkeypatch.setattr(montecarlo, "_simulate_block", record_block)
-        result = montecarlo.run_protocol(ProtocolConfig(
-            params=realistic_params, n_target_events=10_000, seed=11))
-        assert len(block_counts) == 3
-        assert draws == [int(c) for counts in block_counts
-                         for c in counts.ravel()]
-        assert np.array_equal(sum(block_counts), result.counts)
+        for angles, targets in [
+                (bell.DEFAULT_ANGLES, [[0, 1, 2], [3]]),
+                ((0.1, 0.7, -0.3, 0.45), [[0], [1], [2], [3]])]:
+            draws.clear()
+            block_counts.clear()
+            params = dataclasses.replace(realistic_params, angles=angles)
+            result = montecarlo.run_protocol(ProtocolConfig(
+                params=params, n_target_events=10_000, seed=11))
+            assert len(block_counts) == 3
+            assert draws == [int(counts[cells].sum())
+                             for counts in block_counts for cells in targets]
+            assert np.array_equal(sum(block_counts).reshape(2, 2),
+                                  result.counts)
+
+    def test_spawn_keys_give_distinct_streams(self):
+        # each (role, block) key seeds its own stream: the first draws of
+        # the four roles over the first blocks are pairwise distinct
+        firsts = [tuple(montecarlo._block_rng(11, role, block).random(2))
+                  for role in range(4) for block in range(8)]
+        assert len(set(firsts)) == len(firsts)
 
     def test_degenerate_choice_flags_s(self, realistic_params):
         # one event fills one cell and leaves the other three empty
@@ -373,23 +392,25 @@ class TestRunProtocol:
 #: sample_joint_quadratures(marginal, 3 * CHUNK + 1, 2801 + setting) at the
 #: realistic point, setting = 2 j + k the cell (theta_j, phi_k)
 SAMPLE_DIGESTS = (
-    "2785b5d77fddbc570fd69fb17cbe1a8b2af8a0bfbbdf2eb37c34829a9c198325",
-    "572eccbe19b11adac4af665cc4775bee251247cc56aae393a67860a1fbc369d8",
-    "50ad549c9abca5ed52fc5b562ccf653c54b4b9af8ecaeef855fcc8ebf994161b",
-    "59b0d6fceb49dadfe6d228be7752f25e402ba251d892b83630ee89fe711b71a7")
+    "bd1c2146abba6dcc2252d20ca6a79472aa0d4cccfdf0ace4ea8c9bf93d32dbef",
+    "6b13df20671c64e6abd9f98f47821336aa9755d27c26c2fac4ef64d2b7751f2a",
+    "03f5a5e4ca7c3625a3f714dfe154f1d31bc8b79e4cb5513bf06a4f160b271d36",
+    "c0e6d120c7fcac3bebf37d86977e2b8a104b1dcec19ae5d3258200d8f20647cc")
 
 #: run_protocol at the realistic point: (seed, events) -> counts, product
 #: sums and total pulses; neither event count is a multiple of BLOCK_EVENTS
 PROTOCOL_PINS = {
-    (1, 8969): ([[2188, 2296], [2279, 2206]],
-                [[1116.0, 1236.0], [1073.0, -1104.0]], 34044588),
-    (2028, 12293): ([[3036, 3184], [3060, 3013]],
-                    [[1526.0, 1650.0], [1472.0, -1525.0]], 46750337)}
+    (1, 8969): ([[2293, 2213], [2266, 2197]],
+                [[1151.0, 1119.0], [1130.0, -1089.0]], 34533064),
+    (2028, 12293): ([[3098, 3112], [3072, 3011]],
+                    [[1624.0, 1564.0], [1576.0, -1413.0]], 46880146)}
 
 
 class TestBitwisePins:
-    """Every sample and campaign total, bit for bit: a faster sampler
-    must draw the same streams and make the same accept decisions."""
+    """Every sample and campaign total, bit for bit: the pins hold the
+    SFC64 streams, and the campaigns' one draw per shared setting target,
+    so a faster sampler must draw the same numbers and make the same
+    accept decisions."""
 
     @pytest.mark.parametrize("setting", range(4))
     def test_samples_pinned(self, realistic_params, realistic_state,
