@@ -8,17 +8,18 @@ correlator follows from the Gaussian orthant probability, so
 
     E(theta, phi) = sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)).
 
-`chsh`, `sweep` and the pre-scan of `optimize_lambda` evaluate whole
-arrays of parameter rows with one kernel call, on the entries of
-`gaussian.x_entries` and the P of `conditioning.success_probability`; a
-single point is a batch of one.  The golden-section search of
+The kernel, `gaussian.x_entries`, `conditioning.success_probability`
+and the conditioning of `conditioning.herald`, runs one parameter row of
+`chsh` on float64 scalars, far cheaper per numpy call than 1-element
+arrays, and the rows of `sweep`, the pre-scan of `optimize_lambda` and
+the `fig2` panels as arrays, one call per batch; a row's values are
+bitwise the same either way.  The golden-section search of
 `optimize_lambda` evaluates, per call, every point that its next
-`LAMBDA_LOOKAHEAD` steps could need, so it makes at most four calls; a
-row's values do not depend on its batch, so the result is bitwise that
-of the one-point-at-a-time search.  `rotated_marginal` gives the terms at
-one setting as a `conditioning.BivariateMixture`, for the Monte Carlo
-sampler and for the 2D quadrature fallback that guards the closed form
-in the tests.
+`LAMBDA_LOOKAHEAD` steps could need, so it makes at most four calls, and
+its result is bitwise that of the one-point-at-a-time search.
+`rotated_marginal` gives the terms at one setting as a
+`conditioning.BivariateMixture`, for the Monte Carlo sampler and for the
+2D quadrature fallback that guards the closed form in the tests.
 """
 
 from __future__ import annotations
@@ -181,61 +182,71 @@ def sign_correlation_quadrature(marginal: BivariateMixture) -> float:
     return float(total)
 
 
-def _evaluate(rows: dict, angles):
-    """Correlators of parameter rows with one call of the closed form.
+def _evaluate(values, angles):
+    """Correlators of one parameter row, or of a batch of rows, with one
+    call of the closed form.
 
-    rows maps each pipeline parameter (`gaussian.PARAMS`) to an
-    array of n values.  Returns the correlators (n, 2, 2), P (n,), the
-    cancellation factor (n,) and the per-row errors: the DomainError
+    values holds the pipeline parameters in `gaussian.PARAMS` order, shape
+    (4,) for one row, which runs as float64 scalars, or (4, n) for n rows;
+    the shape is the only selector.  Returns the correlators, shape (2, 2)
+    or (n, 2, 2); P and the cancellation factor, scalars or (n,); and the
+    rows' errors, a list of one entry per row: the DomainError
     ExperimentParams raises for the first of a row's values outside its
     domain, in PARAMS order, else the refusal of `conditioning.herald`.
     Failed rows hold NaN.
     """
-    values = np.array([rows[name] for name in gaussian.PARAMS], dtype=float)
+    values = np.asarray(values, dtype=float)
     ok = gaussian.inside_domains(values)
-    errors: list = [None] * values.shape[1]
-    outside = np.flatnonzero(~ok.all(axis=0))
-    if outside.size:
+    inside = ok.all(axis=0)
+    own = {}
+    if not inside.all():
         names = tuple(gaussian.PARAMS)
-        for i in outside:
-            k = int(np.argmin(ok[:, i]))
-            errors[i] = gaussian.domain_error(names[k], values[k, i])
+        flat_ok, flat = ok.reshape(4, -1), values.reshape(4, -1)
+        for i in np.flatnonzero(~inside):
+            k = int(np.argmin(flat_ok[:, i]))
+            own[i] = gaussian.domain_error(names[k], flat[k, i])
         values = np.where(ok, values, 0.5)
-    success = conditioning.success_probability(*values[:3])
-    # an out-of-domain row gets a NaN P, which the kernel refuses
-    success[outside] = np.nan
-    terms = conditioning.herald(gaussian.x_entries(*values), success)
-    errors = [own or kernel for own, kernel in zip(errors, terms.errors)]
+    lam, trans, eta, eta_h = values
+    success = conditioning.success_probability(lam, trans, eta)
+    if own:
+        # an out-of-domain row gets a NaN P, which the kernel refuses
+        success = np.where(inside, success, np.nan)
+    success, weights, correlations, _, errors = conditioning._condition(
+        gaussian.x_entries(lam, trans, eta, eta_h), success)
+    for i, error in own.items():
+        errors[i] = error
     theta1, theta2, phi1, phi2 = angles
     cosines = np.cos([[theta1 + phi1, theta1 + phi2],
                       [theta2 + phi1, theta2 + phi2]])
-    corr = _arcsine_mean(terms.weights[:, None, None, :],
-                         terms.correlations[:, None, None, :]
+    corr = _arcsine_mean(weights.T[..., None, None, :],
+                         correlations.T[..., None, None, :]
                          * cosines[..., None])
-    return corr, terms.success_prob, terms.cancellation, errors
+    return corr, success, conditioning.cancellation(weights), errors
 
 
-def _rows(fixed: dict, **varying) -> dict:
-    """Parameter rows for `_evaluate`: the values in fixed, repeated, and
-    the arrays in varying; one row when nothing varies."""
-    n = len(next(iter(varying.values()))) if varying else 1
-    return {name: varying[name] if name in varying else [fixed[name]] * n
-            for name in gaussian.PARAMS}
+def _rows(fixed: dict, name: str, values) -> np.ndarray:
+    """Parameter rows (4, n) for `_evaluate`: the n values of name, and
+    each other parameter's value in fixed, repeated."""
+    values = np.asarray(values, dtype=float)
+    return np.array([values if key == name else np.full(len(values),
+                                                        fixed[key])
+                     for key in gaussian.PARAMS])
 
 
 def chsh(params: ExperimentParams) -> BellResult:
     """Run the Gaussian pipeline end to end and assemble the CHSH parameter.
 
+    The closed form runs on the one row of params, as float64 scalars.
     Raises the refusal of the conditioning step when the parameters cannot
     herald (InvalidRegimeError, e.g. zero squeezing) or a matrix is unusable.
     """
-    corr, success, cancellation, errors = _evaluate(_rows(vars(params)),
-                                                    params.angles)
+    corr, success, cancellation, errors = _evaluate(
+        [getattr(params, name) for name in gaussian.PARAMS], params.angles)
     if errors[0] is not None:
         raise errors[0]
-    return BellResult(correlators=corr[0], S=float(chsh_value(corr[0])),
-                      success_prob=float(success[0]),
-                      cancellation=float(cancellation[0]))
+    return BellResult(correlators=corr, S=float(chsh_value(corr)),
+                      success_prob=float(success),
+                      cancellation=float(cancellation))
 
 
 def _golden_step(lo, hi, c, d, c_wins: bool):
@@ -325,7 +336,8 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
     angles = check_angles(angles)
 
     def scan(lams: np.ndarray) -> tuple[np.ndarray, list]:
-        corr, _, _, errors = _evaluate(_rows(fixed, squeezing=lams), angles)
+        corr, _, _, errors = _evaluate(_rows(fixed, "squeezing", lams),
+                                       angles)
         values = chsh_value(corr)
         values[[e is not None for e in errors]] = -np.inf
         return values, errors
@@ -366,15 +378,19 @@ def sweep(axis: str, grid, fixed: ExperimentParams) -> list[SweepPoint]:
 
     Rows are ordered by axis value, NaN last.  A point that fails records
     the error text its own `chsh` call would raise, and the sweep
-    continues.
+    continues.  A grid value that is not one real number (a str, bytes,
+    bool, complex or None) raises DomainError, naming the axis, before
+    anything is evaluated; an array of real dtype is accepted as a whole.
     """
     axes = tuple(gaussian.SWEEP_KEYS.values())
     if axis not in axes:
         raise DomainError(f"sweep axis must be one of {axes}, got {axis!r}")
+    if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "iuf"):
+        grid = [gaussian.real_number(axis, v) for v in grid]
     # np.sort, not sorted(): NaN compares false, so sorted() would leave it
     # and its neighbours in place; np.sort puts it last
-    values = np.sort([float(v) for v in grid])
-    corr, success, _, errors = _evaluate(_rows(vars(fixed), **{axis: values}),
+    values = np.sort(np.asarray(grid, dtype=float))
+    corr, success, _, errors = _evaluate(_rows(vars(fixed), axis, values),
                                          fixed.angles)
     s_values = chsh_value(corr)
     return [SweepPoint(value=float(v), error=str(e)) if e is not None

@@ -155,10 +155,8 @@ def _fig2_sweep_rows(axis: str, grid, series) -> list[dict]:
     parameters) series, all series stacked into one closed-form call.  A
     point the closed form refuses holds NaN, as in `bell.sweep`."""
     grid = np.asarray(grid, dtype=float)
-    stack = {name: np.concatenate([grid if name == axis
-                                   else np.full(len(grid), fixed[name])
-                                   for _, fixed in series])
-             for name in gaussian.PARAMS}
+    stack = np.concatenate([bell._rows(fixed, axis, grid)
+                            for _, fixed in series], axis=1)
     corr, _, _, _ = bell._evaluate(stack, bell.DEFAULT_ANGLES)
     values = iter(bell.chsh_value(corr))
     return [{"axis": float(v), "series": label, "value": float(next(values))}

@@ -14,7 +14,8 @@ C with D, so its six distinct entries (aa, ab, ac, ad, cc, cd) give each
 term in a scalar closed form, and in the basis (x_A +- x_B, x_C +- x_D) /
 sqrt 2 it splits into X+- = [[aa +- ab, ac +- ad], [ac +- ad, cc +- cd]].
 `herald` conditions arrays of the entries elementwise into P and four
-(w_j, Sigma_j) terms, Sigma_j the (x_A, x_B) covariance of term j;
+(w_j, Sigma_j) terms, Sigma_j the (x_A, x_B) covariance of term j, through
+`_condition`, which runs the same code on the float64 scalars of one row;
 `success_probability` gives P free of cancellation, and
 `conditional_state` reads one 8x8 covariance as a `SignedGaussianMixture`.
 """
@@ -34,12 +35,6 @@ CONDITION_LIMIT = 1e12
 
 #: inclusion-exclusion weights of (no kernel, C vacuum, D vacuum, CD vacuum)
 CLICK_WEIGHTS = (1, -2, -2, 4)
-
-#: the signs of the blocks X+ and X-, as a column
-_SIGNS = np.array([[1.0], [-1.0]])
-
-#: CLICK_WEIGHTS as a column
-_CLICK_WEIGHTS = np.array(CLICK_WEIGHTS, dtype=float)[:, None]
 
 #: heralding probabilities smaller than this are numerically zero
 MIN_SUCCESS_PROB = 64 * np.finfo(float).eps
@@ -118,7 +113,13 @@ class HeraldedTerms:
     @property
     def cancellation(self) -> np.ndarray:
         """Sum of |w_j| per row: the error amplification of the signed sum."""
-        return np.abs(self.weights).sum(axis=-1)
+        return cancellation(self.weights.T)
+
+
+def cancellation(weights):
+    """Sum of |w_j| over the terms, on the leading axis of weights: the
+    error amplification of the signed sum."""
+    return np.abs(weights).sum(axis=0)
 
 
 def spd_error(lowest, highest) -> SingularMatrixError | None:
@@ -175,6 +176,61 @@ def success_probability(squeezing, transmittance, apd_efficiency):
             / ((omega + lam2s) * (omega + lam2s * (2.0 - s))))
 
 
+def _condition(entries, success_prob=None):
+    """`herald`'s conditioning of one x-block, its six entries of shape
+    (6,), or of n x-blocks, shape (6, n): the same code runs on float64
+    scalars and on (n,) arrays.
+
+    Returns P; the weights and correlations of the four terms, and the
+    entries (p, q, r) of twice each Sigma_j = [[p, r], [r, q]] / 2, each
+    with the terms on the leading axis, shape (4,) or (4, n); and the list
+    of the rows' errors, one entry per row.  A refused row holds NaN in
+    every array.
+    """
+    aa, ab, ac, ad, cc, cd = entries
+    with np.errstate(all="ignore"):
+        # X+ and X-, each [[p, r], [r, q]]
+        p_p, r_p, q_p = aa + ab, ac + ad, cc + cd
+        p_m, r_m, q_m = aa - ab, ac - ad, cc - cd
+        a_p, a_m, a_c = 1.0 + q_p, 1.0 + q_m, 1.0 + cc
+        sigma_p, sigma_m = p_p - r_p * r_p / a_p, p_m - r_m * r_m / a_m
+        p_c, q_c = aa - ac * ac / a_c, aa - ad * ad / a_c
+        r_c = ab - ac * ad / a_c
+        mean, half = 0.5 * (sigma_p + sigma_m), 0.5 * (sigma_p - sigma_m)
+        # X+, X-, then twice Sigma_0, Sigma_C, Sigma_D and Sigma_CD
+        p, q, r = np.array([[p_p, p_m, aa, p_c, q_c, mean],
+                            [q_p, q_m, aa, q_c, p_c, mean],
+                            [r_p, r_m, ab, r_c, r_c, half]])
+        lowest, highest = _eig2(p, q, r)
+        # row 1 becomes the extreme eigenvalues of X; rows 1-5 are checked
+        lowest[1] = np.minimum(lowest[0], lowest[1])
+        highest[1] = np.maximum(highest[0], highest[1])
+        lowest, highest = lowest[1:], highest[1:]
+        p, q, r = p[2:], q[2:], r[2:]
+        correlations = r / np.sqrt(p * q)
+        # the masses; term 0's is w_0, as det A_0 = 1
+        w_0, w_c, w_d, w_cd = CLICK_WEIGHTS
+        m_c, m_d, m_cd = w_c / a_c, w_d / a_c, w_cd / (a_p * a_m)
+        success = (w_0 + m_c + m_d + m_cd if success_prob is None
+                   else success_prob)
+        weights = np.array([w_0 / success, m_c / success, m_d / success,
+                            m_cd / success])
+        usable = (lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT)
+        failed = ~(usable.all(axis=0) & (success >= MIN_SUCCESS_PROB)
+                   & (success < np.inf))
+    errors: list[CVBellError | None] = [None] * np.size(failed)
+    if failed.any():
+        rows = np.reshape(failed, -1)
+        flat = [np.reshape(v, (-1, rows.size))
+                for v in (success, lowest, highest)]
+        for i in np.flatnonzero(rows):
+            errors[i] = _refusal(flat[0][0, i], flat[1][:, i], flat[2][:, i])
+        success, weights, correlations, p, q, r = (
+            np.where(failed, np.nan, values)
+            for values in (success, weights, correlations, p, q, r))
+    return success, weights, correlations, (p, q, r), errors
+
+
 def herald(entries: np.ndarray, success_prob=None) -> HeraldedTerms:
     """Condition x-blocks, given by their entries (aa, ab, ac, ad, cc, cd)
     in an array of shape (6, n), on a double click.
@@ -196,46 +252,18 @@ def herald(entries: np.ndarray, success_prob=None) -> HeraldedTerms:
     MIN_SUCCESS_PROB (InvalidRegimeError); every Sigma_j passes the check
     on X (SingularMatrixError), so every rotated marginal is proper.  A
     refused row holds NaN in every array; a caller refuses a row of its
-    own with a NaN P.  A row's values do not depend on its batch.
+    own with a NaN P.  A row's values do not depend on its batch, and are
+    bitwise those that `_condition` gives for the row alone.
     """
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2 or len(entries) != 6:
         raise DomainError("expected the six entries of n x-blocks, shape "
                           f"(6, n), got shape {entries.shape}")
-    aa, ab, ac, ad, cc, cd = entries
-    with np.errstate(all="ignore"):
-        # X+ and X-, rows of [[p, r], [r, q]]
-        p_pm, r_pm, q_pm = aa + _SIGNS * ab, ac + _SIGNS * ad, cc + _SIGNS * cd
-        a_pm, a_c = 1.0 + q_pm, 1.0 + cc
-        sigma = p_pm - r_pm * r_pm / a_pm
-        p_c, q_c = aa - ac * ac / a_c, aa - ad * ad / a_c
-        r_c = ab - ac * ad / a_c
-        mean, half = 0.5 * (sigma[0] + sigma[1]), 0.5 * (sigma[0] - sigma[1])
-        # X+, X-, then twice Sigma_0, Sigma_C, Sigma_D and Sigma_CD
-        p, q, r = np.array([[p_pm[0], p_pm[1], aa, p_c, q_c, mean],
-                            [q_pm[0], q_pm[1], aa, q_c, p_c, mean],
-                            [r_pm[0], r_pm[1], ab, r_c, r_c, half]])
-        lowest, highest = _eig2(p, q, r)
-        # row 1 becomes the extreme eigenvalues of X; rows 1-5 are checked
-        np.minimum(lowest[0], lowest[1], out=lowest[1])
-        np.maximum(highest[0], highest[1], out=highest[1])
-        lowest, highest = lowest[1:], highest[1:]
-        correlations = r[2:] / np.sqrt(p[2:] * q[2:])
-        masses = _CLICK_WEIGHTS / np.array([np.ones_like(a_c), a_c, a_c,
-                                            a_pm[0] * a_pm[1]])
-        success = (masses.sum(axis=0) if success_prob is None
-                   else np.array(success_prob, dtype=float))
-        weights = masses / success
-        covariances = 0.5 * np.array([p[2:], r[2:], r[2:], q[2:]])
-        usable = (lowest > 0.0) & (highest / lowest <= CONDITION_LIMIT)
-        failed = ~(usable.all(axis=0) & (success >= MIN_SUCCESS_PROB)
-                   & (success < np.inf))
-    errors: list[CVBellError | None] = [None] * len(aa)
-    if failed.any():
-        for i in np.flatnonzero(failed):
-            errors[i] = _refusal(success[i], lowest[:, i], highest[:, i])
-        for values in (success, weights, correlations, covariances):
-            values[..., failed] = np.nan
+    if success_prob is not None:
+        success_prob = np.array(success_prob, dtype=float)
+    success, weights, correlations, (p, q, r), errors = _condition(
+        entries, success_prob)
+    covariances = 0.5 * np.array([p, r, r, q])
     return HeraldedTerms(success_prob=success, weights=weights.T,
                          correlations=correlations.T,
                          covariances=covariances.T.reshape(-1, 4, 2, 2),
@@ -280,10 +308,8 @@ def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray
     bivariate normal density of covariance Sigma_j: the p-part of term j
     is Sigma_j with its off-diagonal negated.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 4:
-        raise DomainError("phase-space points must have 4 components")
-    x_a, p_a, x_b, p_b = np.moveaxis(pts, -1, 0)
+    x_a, p_a, x_b, p_b = np.moveaxis(gaussian.phase_space_points(points),
+                                     -1, 0)
     covs = state.covariances
     return (_term_densities(state.weights, covs, quadratic_moments(x_a, x_b))
             * _term_densities(np.ones(len(covs)), covs,

@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .bell import (DEFAULT_ANGLES, _golden_section_max, _real_angles,
                    check_angles, chsh_value)
 from .errors import DomainError, InvalidRegimeError, TruncationError
-from .gaussian import check_domain, check_integer
+from .gaussian import check_integer, check_parameter, phase_space_points
 
 DEFAULT_TRUNCATION = 40
 
@@ -139,7 +139,7 @@ def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
 def tmsv_amplitudes(squeezing: float, n_trunc: int) -> np.ndarray:
     """Schmidt coefficients of the two-mode squeezed vacuum, sqrt(1-l^2) l^n."""
     check_integer("truncation", n_trunc, 0)
-    check_domain("squeezing", squeezing)
+    squeezing = check_parameter("squeezing", squeezing)
     return np.sqrt(1.0 - squeezing ** 2) * squeezing ** np.arange(n_trunc)
 
 
@@ -208,7 +208,7 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     `_scaled_taps` over `_root_binomials`, finite at every truncation.
     """
     check_integer("truncation", n_trunc, 0)
-    check_domain("transmittance", transmittance)
+    transmittance = check_parameter("transmittance", transmittance)
     return _scaled_taps(_root_binomials(n_trunc), transmittance)
 
 
@@ -347,7 +347,7 @@ def click_weights(apd_efficiency: float, n_trunc: int) -> np.ndarray:
     w(k) is small; w(0) = 0, and eta = 1 gives w(k) = 1 for every k >= 1.
     """
     check_integer("truncation", n_trunc, 0)
-    check_domain("apd_efficiency", apd_efficiency)
+    apd_efficiency = check_parameter("apd_efficiency", apd_efficiency)
     weights = np.zeros(n_trunc)
     with np.errstate(divide="ignore"):
         weights[1:] = -np.expm1(np.arange(1, n_trunc)
@@ -576,7 +576,8 @@ def _sign_reduced(state: HeraldedState,
     to 2.6e-14 with the record's p_click.  homodyne_efficiency must lie in
     (0, 1] (DomainError, with the text ExperimentParams uses).
     """
-    check_domain("homodyne_efficiency", homodyne_efficiency)
+    homodyne_efficiency = check_parameter("homodyne_efficiency",
+                                          homodyne_efficiency)
     tap, weights = state.tap, state.weights
     if homodyne_efficiency != 1.0:
         product = state.transmittance * homodyne_efficiency
@@ -634,7 +635,7 @@ def fock_optimal_product(transmittance: float,
     raises DomainError, and so does a tol that is not a finite positive
     real number (a bool is refused).  Returns (lambda_opt * T, S_max).
     """
-    check_domain("transmittance", transmittance)
+    transmittance = check_parameter("transmittance", transmittance)
     if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
             and np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be a finite positive number, got {tol!r}")
@@ -722,9 +723,7 @@ def wigner_values(rho: HeraldedState, points: np.ndarray) -> np.ndarray:
     radius are pulled back once and W is the phase form of
     (g g^T) o Phi(R_A) o Phi(R_B) / P at -(varphi_A + varphi_B).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 4:
-        raise DomainError("phase-space points must have 4 components")
+    pts = phase_space_points(points)
     flat = pts.reshape(-1, 4)
     count = len(flat)
     rsq, which = np.unique(np.r_[flat[:, 0] ** 2 + flat[:, 1] ** 2,

@@ -378,6 +378,12 @@ def domain_sweep_rows(n, seed):
     return rows
 
 
+def stacked(rows):
+    """The (4, n) parameter rows that `bell._evaluate` takes, of a dict of
+    arrays by name."""
+    return np.array([rows[name] for name in gaussian.PARAMS])
+
+
 def error_texts(errors):
     return [None if e is None else (type(e), str(e)) for e in errors]
 
@@ -414,7 +420,8 @@ class TestAgainstPerCallRoute:
     def test_evaluate_refusals(self):
         rows = domain_sweep_rows(4000, 2501)
         angles = tuple(np.random.default_rng(2502).uniform(-np.pi, np.pi, 4))
-        corr, success, cancellation, errors = bell._evaluate(rows, angles)
+        corr, success, cancellation, errors = bell._evaluate(stacked(rows),
+                                                             angles)
         ref_corr, ref_success, ref_cancellation, ref_errors = \
             per_call.evaluate(rows, angles)
         floor = conditioning.MIN_SUCCESS_PROB
@@ -525,6 +532,68 @@ class TestAgainstPerCallRoute:
             assert str(info.value) == str(expected.value)
 
 
+class TestRowAndBatch:
+    """One row runs through the closed form as float64 scalars, a batch as
+    (n,) arrays, in the same code: the values are bitwise the same, and so
+    are the refusals, type and text."""
+
+    def test_chsh_equals_the_batch_row_bitwise(self):
+        # the whole domain: 1 - lambda down to 1e-12, the small-P corner
+        # and values outside the domains
+        rows = domain_sweep_rows(3000, 2701)
+        values = stacked(rows)
+        angles = tuple(np.random.default_rng(2702).uniform(-np.pi, np.pi, 4))
+        corr, success, cancellation, errors = bell._evaluate(values, angles)
+        refused = set()
+        for i, error in enumerate(errors):
+            try:
+                result = bell.chsh(params_of(rows, i, angles))
+            except CVBellError as exc:
+                assert error_texts([exc]) == error_texts([error])
+                refused.add(type(exc))
+                continue
+            assert error is None
+            assert result.correlators.shape == (2, 2)
+            assert result.correlators.tobytes() == corr[i].tobytes()
+            assert result.S == bell.chsh_value(corr[i])
+            assert result.success_prob == success[i]
+            assert result.cancellation == cancellation[i]
+        assert refused == {DomainError, InvalidRegimeError,
+                           SingularMatrixError}
+        assert sum(rows["squeezing"][i] > 1.0 - 1e-8 and errors[i] is None
+                   for i in range(len(errors))) > 100
+        assert sum(cancellation[i] > 1e10 for i in range(len(errors))
+                   if errors[i] is None) > 10
+
+    def test_one_row_equals_its_batch_row_bitwise(self):
+        # a (4,) row, out-of-domain rows included, gives the batch's values
+        # and NaNs byte for byte, and the same refusal
+        rows = domain_sweep_rows(600, 2703)
+        values = stacked(rows)
+        angles = tuple(np.random.default_rng(2704).uniform(-np.pi, np.pi, 4))
+        batch = bell._evaluate(values, angles)
+        for i in range(values.shape[1]):
+            corr, success, cancellation, errors = bell._evaluate(values[:, i],
+                                                                 angles)
+            assert corr.shape == (2, 2) and np.ndim(success) == 0
+            assert corr.tobytes() == batch[0][i].tobytes()
+            assert np.float64(success).tobytes() == batch[1][i].tobytes()
+            assert np.float64(cancellation).tobytes() == \
+                batch[2][i].tobytes()
+            assert error_texts(errors) == error_texts([batch[3][i]])
+
+    def test_chsh_runs_the_kernel_on_scalars(self, monkeypatch):
+        kernel, shapes = conditioning._condition, []
+
+        def recorded(entries, success_prob=None):
+            shapes.append([np.shape(e) for e in entries])
+            return kernel(entries, success_prob)
+
+        monkeypatch.setattr(conditioning, "_condition", recorded)
+        bell.chsh(bell.ExperimentParams(0.6, 0.95, 0.3, 0.95))
+        assert shapes == [[()] * 6]
+
+
 class TestFiftyDigits:
     """The closed form against its 50-digit evaluation: P within 4 eps
     relative, E within 8 sum|w_j| eps + 4 eps, on the whole domain."""
@@ -535,7 +604,8 @@ class TestFiftyDigits:
         eps = np.finfo(float).eps
         rows = domain_sweep_rows(240, 2601)
         angles = tuple(np.random.default_rng(2602).uniform(-np.pi, np.pi, 4))
-        corr, success, cancellation, errors = bell._evaluate(rows, angles)
+        corr, success, cancellation, errors = bell._evaluate(stacked(rows),
+                                                             angles)
         accepted = [i for i, e in enumerate(errors) if e is None]
         assert len(accepted) > 200
         assert sum(rows["squeezing"][i] > 1.0 - 1e-6 for i in accepted) > 30
@@ -603,7 +673,7 @@ class TestFiftyDigits:
         accepted = 0
         for _ in range(4):
             angles = tuple(rng.uniform(-np.pi, np.pi, 4))
-            corr, _, _, errors = bell._evaluate(rows, angles)
+            corr, _, _, errors = bell._evaluate(stacked(rows), angles)
             ok = np.array([e is None for e in errors])
             assert all(isinstance(e, InvalidRegimeError)
                        for e in errors if e is not None)
@@ -686,17 +756,17 @@ class TestOptimizeLambda:
     def test_at_most_four_kernel_calls(self, monkeypatch):
         # the one-point-at-a-time search makes 19: the pre-scan, c and d,
         # 15 steps and the final midpoint
-        kernel, calls = conditioning.herald, []
+        kernel, calls = conditioning._condition, []
 
         def counted(entries, success_prob=None):
             calls.append(entries.shape[1])
             return kernel(entries, success_prob)
 
-        monkeypatch.setattr(conditioning, "herald", counted)
+        monkeypatch.setattr(conditioning, "_condition", counted)
         for row in [(0.95, 0.3, 1.0), *self.README_ROWS]:
             calls.clear()
             bell.optimize_lambda(*row)
-            assert len(calls) <= 4
+            assert 1 <= len(calls) <= 4
 
     def test_rows_bitwise_independent_of_batch(self):
         rng = np.random.default_rng(183)
@@ -705,10 +775,10 @@ class TestOptimizeLambda:
                 "apd_efficiency": rng.uniform(0.05, 1.0, 31),
                 "homodyne_efficiency": rng.uniform(0.5, 1.0, 31)}
         corr, success, cancellation, errors = bell._evaluate(
-            rows, bell.DEFAULT_ANGLES)
+            stacked(rows), bell.DEFAULT_ANGLES)
         assert not any(errors)
         for i in range(31):
-            one = bell._evaluate({k: v[i:i + 1] for k, v in rows.items()},
+            one = bell._evaluate(stacked(rows)[:, i:i + 1],
                                  bell.DEFAULT_ANGLES)
             assert one[0][0].tobytes() == corr[i].tobytes()
             assert one[1][0] == success[i] and one[2][0] == cancellation[i]
@@ -730,8 +800,8 @@ class TestOptimizeLambda:
     def test_two_separated_maxima_raise(self, monkeypatch):
         # S(lambda) = -min(|lambda - 0.3|, |lambda - 0.7|): two peaks whose
         # pre-scan values differ by 0.004
-        def two_peaks(rows, angles):
-            lams = np.asarray(rows["squeezing"])
+        def two_peaks(values, angles):
+            lams = np.asarray(values[0])
             corr = np.zeros((len(lams), 2, 2))
             corr[:, 0, 0] = -np.minimum(abs(lams - 0.3), abs(lams - 0.7))
             return corr, None, None, [None] * len(lams)
@@ -831,9 +901,8 @@ class TestSweep:
                            ("homodyne_efficiency", np.linspace(0.8, 1.0, 21))):
             for point in bell.sweep(axis, grid, fixed):
                 single = bell.chsh(replace(fixed, **{axis: point.value}))
-                assert abs(point.S - single.S) <= 1e-15
-                assert abs(point.success_prob - single.success_prob) \
-                    <= 1e-15 * single.success_prob
+                assert point.S == single.S
+                assert point.success_prob == single.success_prob
 
     def test_bad_rows_recorded_with_the_scalar_error_text(self):
         fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
@@ -852,6 +921,53 @@ class TestSweep:
         assert eff[0].error == str(info.value)
         assert eff[1].error is None
         assert bell.sweep("squeezing", [], fixed) == []
+
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", True, np.True_,
+                                       0.5 + 0j, None, np.array([0.5])],
+                             ids=["str", "bytes", "bool", "numpy-bool",
+                                  "complex", "none", "array"])
+    def test_grid_value_not_a_real_number_raises(self, monkeypatch, value):
+        fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
+
+        def refuse(*args):
+            raise AssertionError("sweep evaluated a refused grid")
+
+        monkeypatch.setattr(bell, "_evaluate", refuse)
+        for axis in gaussian.SWEEP_KEYS.values():
+            for grid in ([value], [0.4, value], (0.4, np.nan, value)):
+                with pytest.raises(DomainError) as info:
+                    bell.sweep(axis, grid, fixed)
+                assert str(info.value) == \
+                    f"{axis} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("grid", [np.array(["0.5", "0.4"]),
+                                      np.array([True, False]),
+                                      np.array([0.5, 0.4j])],
+                             ids=["str", "bool", "complex"])
+    def test_array_grid_of_other_dtype_raises(self, grid):
+        fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
+        with pytest.raises(DomainError) as info:
+            bell.sweep("squeezing", grid, fixed)
+        assert str(info.value) == \
+            f"squeezing must be a real number, got {grid[0]!r}"
+
+    def test_real_array_grid_is_checked_by_its_dtype(self, monkeypatch):
+        # a real-dtype array is accepted as a whole, with no check per point
+        fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)
+        expected = bell.sweep("squeezing", [0.3, np.nan, 0.2, 1], fixed)
+
+        def refuse(*args):
+            raise AssertionError("a real array grid was checked per point")
+
+        monkeypatch.setattr(gaussian, "real_number", refuse)
+        # NaN != NaN, so the rows compare by repr
+        for grid in (np.array([0.3, np.nan, 0.2, 1.0]),
+                     np.array([0.3, 0.0, np.nan, 0.0, 0.2, 0.0, 1.0])[::2]):
+            assert repr(bell.sweep("squeezing", grid, fixed)) == \
+                repr(expected)
+        ints = bell.sweep("squeezing", np.array([1, 0]), fixed)
+        assert [p.value for p in ints] == [0.0, 1.0]
+        assert all(p.error is not None for p in ints)
 
     def test_unknown_axis(self):
         fixed = bell.ExperimentParams(0.5, 0.95, 0.3, 1.0)

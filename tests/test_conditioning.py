@@ -262,6 +262,17 @@ class TestWignerCut:
             conditioning.wigner_value(cut_state, np.zeros((2, 3)))
         assert str(info.value) == "phase-space points must have 4 components"
 
+    @pytest.mark.parametrize("points", [
+        np.array([["0.5", "0.1", "0.0", "0.2"]]), [[0.5, 0.1, None, 0.2]],
+        np.zeros((2, 4), dtype=bool), np.zeros(4, dtype=complex)],
+        ids=["str", "none", "bool", "complex"])
+    def test_points_must_be_real_numbers(self, cut_state, points):
+        with pytest.raises(DomainError) as info:
+            conditioning.wigner_value(cut_state, points)
+        assert str(info.value) == ("phase-space points must be real "
+                                   f"numbers, got dtype "
+                                   f"{np.asarray(points).dtype}")
+
 
 def loop_density(marginal, x, y):
     """Per-term loop form of `BivariateMixture.density`, the reference for

@@ -96,6 +96,36 @@ class TestStates:
             call()
         assert str(info.value) == text
 
+    @pytest.mark.parametrize("value", [np.array([0.5, 0.4]), [0.5], "0.5",
+                                       None, 0.5 + 0j, True, np.True_],
+                             ids=["two-element", "list", "str", "none",
+                                  "complex", "bool", "numpy-bool"])
+    def test_one_number_inputs_refuse_anything_else(self, fock_realistic,
+                                                    value):
+        # each goes through gaussian.check_parameter, with its text
+        rho, _ = fock_realistic
+        calls = [
+            ("squeezing", lambda v: fock.tmsv_amplitudes(v, 40)),
+            ("squeezing",
+             lambda v: fock.lossy_click_conditioning(v, 0.95, 0.3, 40)),
+            ("transmittance", lambda v: fock.tap_amplitude_table(v, 40)),
+            ("transmittance",
+             lambda v: fock.lossy_click_conditioning(0.5, v, 0.3, 40)),
+            ("transmittance", fock.fock_optimal_product),
+            ("apd_efficiency", lambda v: fock.click_weights(v, 40)),
+            ("apd_efficiency",
+             lambda v: fock.lossy_click_conditioning(0.5, 0.95, v, 40)),
+            ("homodyne_efficiency",
+             lambda v: fock.fock_sign_correlation(rho, 0.0, 0.0, v)),
+            ("homodyne_efficiency",
+             lambda v: fock.fock_chsh(rho, bell.DEFAULT_ANGLES, v)),
+        ]
+        for name, call in calls:
+            with pytest.raises(DomainError) as info:
+                call(value)
+            assert str(info.value) == \
+                f"{name} must be a real number, got {value!r}"
+
     def test_minimum_truncation(self):
         with pytest.raises(DomainError):
             fock.tmsv_state(0.1, 8)
@@ -563,6 +593,17 @@ class TestWigner:
         with pytest.raises(DomainError) as info:
             fock.wigner_values(vacuum_record(), np.zeros((2, 3)))
         assert str(info.value) == "phase-space points must have 4 components"
+
+    @pytest.mark.parametrize("points", [
+        np.array([["0.5", "0.1", "0.0", "0.2"]]), [[0.5, 0.1, None, 0.2]],
+        np.zeros((2, 4), dtype=bool), np.zeros(4, dtype=complex)],
+        ids=["str", "none", "bool", "complex"])
+    def test_points_must_be_real_numbers(self, points):
+        with pytest.raises(DomainError) as info:
+            fock.wigner_values(vacuum_record(), points)
+        assert str(info.value) == ("phase-space points must be real "
+                                   f"numbers, got dtype "
+                                   f"{np.asarray(points).dtype}")
 
     def test_matches_gaussian_mixture(self, cut_state, fock_cut_state):
         rho, _ = fock_cut_state

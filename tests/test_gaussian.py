@@ -312,6 +312,21 @@ class TestSqueezingConversions:
         assert str(info.value) == \
             f"squeezing in dB must be finite and non-negative, got {db}"
 
+    @pytest.mark.parametrize("lam", [np.array([0.5, 0.4]), [0.5], "0.5",
+                                     None, 0.5 + 0j, True, np.True_],
+                             ids=["two-element", "list", "str", "none",
+                                  "complex", "bool", "numpy-bool"])
+    def test_squeezing_not_a_real_number_raises(self, lam):
+        with pytest.raises(DomainError) as info:
+            gaussian.squeezing_to_db(lam)
+        assert str(info.value) == \
+            f"squeezing must be a real number, got {lam!r}"
+
+    def test_squeezing_outside_domain_raises(self):
+        with pytest.raises(DomainError) as info:
+            gaussian.squeezing_to_db(1)
+        assert str(info.value) == "squeezing must lie in [0, 1), got 1.0"
+
     @pytest.mark.parametrize("lam", [0.1, 0.57, 0.9])
     def test_round_trip(self, lam):
         assert gaussian.db_to_squeezing(gaussian.squeezing_to_db(lam)) == \
