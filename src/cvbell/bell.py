@@ -25,14 +25,13 @@ its result is bitwise that of the one-point-at-a-time search.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import conditioning, gaussian
+from . import conditioning, gaussian, inputs
 from .conditioning import BivariateMixture
+from .inputs import PARAMS, SWEEP_KEYS
 from .errors import DomainError, OptimizationError
 
 DEFAULT_ANGLES = (0.0, np.pi / 2, -np.pi / 4, np.pi / 4)
@@ -53,44 +52,14 @@ LAMBDA_LOOKAHEAD = 5
 QUADRATURE_NODES, QUADRATURE_SIGMAS = 48, 6.0
 
 
-def check_angles(angles) -> tuple[float, float, float, float]:
-    """The CHSH angles (theta1, theta2, phi1, phi2) as floats.
-
-    DomainError unless angles holds four real numbers (a bool, str,
-    complex or None entry is refused) that are all finite.
-    """
-    try:
-        count = len(angles)
-    except TypeError:
-        count = None
-    if count != 4:
-        raise DomainError("angles must be (theta1, theta2, phi1, phi2)")
-    return _real_angles(angles)
-
-
-def _real_angles(angles) -> tuple[float, ...]:
-    """The angles as floats: DomainError, with the texts of `check_angles`,
-    unless each one is a real number (not a bool, str, complex or None) and
-    all are finite."""
-    if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
-               for a in angles):
-        raise DomainError(f"angles must be real numbers, got {angles!r}")
-    angles = tuple(float(a) for a in angles)
-    if not all(map(math.isfinite, angles)):
-        raise DomainError(f"angles must be finite, got {angles}")
-    return angles
-
-
 @dataclass(frozen=True)
 class ExperimentParams:
     """Source and analysis settings for one CHSH evaluation.
 
     squeezing is tanh of the squeeze parameter; angles are the two
     quadrature phases per party, (theta1, theta2, phi1, phi2).  Each
-    parameter is stored as a float.  DomainError, naming the field, for a
-    parameter that is not one real number (a str, complex, None or array
-    is refused) or lies outside its domain, and for angles that
-    `check_angles` refuses.
+    parameter goes through `inputs.parameter` (an array is refused) and is
+    stored as a float; the angles go through `inputs.angles`.
     """
 
     squeezing: float
@@ -100,10 +69,10 @@ class ExperimentParams:
     angles: tuple[float, float, float, float] = DEFAULT_ANGLES
 
     def __post_init__(self):
-        for name in gaussian.PARAMS:
-            object.__setattr__(self, name, gaussian.check_parameter(
+        for name in PARAMS:
+            object.__setattr__(self, name, inputs.parameter(
                 name, getattr(self, name)))
-        object.__setattr__(self, "angles", check_angles(self.angles))
+        object.__setattr__(self, "angles", inputs.angles(self.angles))
 
     def output_covariance(self) -> np.ndarray:
         return gaussian.output_covariance(self.squeezing, self.transmittance,
@@ -124,8 +93,12 @@ class BellResult:
 
 
 def chsh_value(correlators):
-    """CHSH combination E11 + E12 + E21 - E22 of correlators (..., 2, 2)."""
-    c = np.asarray(correlators)
+    """CHSH combination E11 + E12 + E21 - E22 of a batch of correlators
+    (`inputs.reals`), shape (..., 2, 2)."""
+    c = inputs.reals("correlators", correlators)
+    if c.shape[-2:] != (2, 2):
+        raise DomainError("correlators must have shape (..., 2, 2), got "
+                          f"shape {c.shape}")
     return c[..., 0, 0] + c[..., 0, 1] + c[..., 1, 0] - c[..., 1, 1]
 
 
@@ -144,7 +117,9 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
     because the (p_A, p_B) covariance is the (x_A, x_B) one with cov_AB
     negated.  The conditioning refuses a term whose (x_A, x_B) covariance
     is not positive definite, so every rotated term is a proper Gaussian.
+    theta and phi go through `inputs.angles`.
     """
+    theta, phi = inputs.angles((theta, phi), 2)
     covs = state.covariances.copy()
     covs[:, 0, 1] = covs[:, 1, 0] = covs[:, 0, 1] * np.cos(theta + phi)
     return BivariateMixture(weights=state.weights.copy(), covariances=covs)
@@ -186,7 +161,7 @@ def _evaluate(values, angles):
     """Correlators of one parameter row, or of a batch of rows, with one
     call of the closed form.
 
-    values holds the pipeline parameters in `gaussian.PARAMS` order, shape
+    values holds the pipeline parameters in `PARAMS` order, shape
     (4,) for one row, which runs as float64 scalars, or (4, n) for n rows;
     the shape is the only selector.  Returns the correlators, shape (2, 2)
     or (n, 2, 2); P and the cancellation factor, scalars or (n,); and the
@@ -196,15 +171,15 @@ def _evaluate(values, angles):
     Failed rows hold NaN.
     """
     values = np.asarray(values, dtype=float)
-    ok = gaussian.inside_domains(values)
+    ok = inputs.inside_domains(values)
     inside = ok.all(axis=0)
     own = {}
     if not inside.all():
-        names = tuple(gaussian.PARAMS)
+        names = tuple(PARAMS)
         flat_ok, flat = ok.reshape(4, -1), values.reshape(4, -1)
         for i in np.flatnonzero(~inside):
             k = int(np.argmin(flat_ok[:, i]))
-            own[i] = gaussian.domain_error(names[k], flat[k, i])
+            own[i] = inputs.domain_error(names[k], flat[k, i])
         values = np.where(ok, values, 0.5)
     lam, trans, eta, eta_h = values
     success = conditioning.success_probability(lam, trans, eta)
@@ -230,7 +205,7 @@ def _rows(fixed: dict, name: str, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     return np.array([values if key == name else np.full(len(values),
                                                         fixed[key])
-                     for key in gaussian.PARAMS])
+                     for key in PARAMS])
 
 
 def chsh(params: ExperimentParams) -> BellResult:
@@ -241,7 +216,7 @@ def chsh(params: ExperimentParams) -> BellResult:
     herald (InvalidRegimeError, e.g. zero squeezing) or a matrix is unusable.
     """
     corr, success, cancellation, errors = _evaluate(
-        [getattr(params, name) for name in gaussian.PARAMS], params.angles)
+        [getattr(params, name) for name in PARAMS], params.angles)
     if errors[0] is not None:
         raise errors[0]
     return BellResult(correlators=corr, S=float(chsh_value(corr)),
@@ -325,15 +300,14 @@ def optimize_lambda(transmittance: float, apd_efficiency: float,
     local maxima agree within 0.005 (the unimodality assumption behind
     golden-section search would then be unsafe).  When the pre-scan
     refuses every row (nothing heralds, as at T = 1), the first row's
-    refusal is raised.  A fixed parameter that is not one real number or
-    lies outside its domain, or angles that `check_angles` refuses, raise
-    DomainError.
+    refusal is raised.  The fixed parameters go through `inputs.parameter`
+    (an array is refused) and the angles through `inputs.angles`.
     """
-    fixed = {name: gaussian.check_parameter(name, value) for name, value in
+    fixed = {name: inputs.parameter(name, value) for name, value in
              (("transmittance", transmittance),
               ("apd_efficiency", apd_efficiency),
               ("homodyne_efficiency", homodyne_efficiency))}
-    angles = check_angles(angles)
+    angles = inputs.angles(angles)
 
     def scan(lams: np.ndarray) -> tuple[np.ndarray, list]:
         corr, _, _, errors = _evaluate(_rows(fixed, "squeezing", lams),
@@ -378,18 +352,16 @@ def sweep(axis: str, grid, fixed: ExperimentParams) -> list[SweepPoint]:
 
     Rows are ordered by axis value, NaN last.  A point that fails records
     the error text its own `chsh` call would raise, and the sweep
-    continues.  A grid value that is not one real number (a str, bytes,
-    bool, complex or None) raises DomainError, naming the axis, before
-    anything is evaluated; an array of real dtype is accepted as a whole.
+    continues.  The grid is a batch along one axis (`inputs.vector`),
+    checked before anything is evaluated; an array of real dtype is
+    accepted by its dtype alone.
     """
-    axes = tuple(gaussian.SWEEP_KEYS.values())
-    if axis not in axes:
+    axes = tuple(SWEEP_KEYS.values())
+    if not (isinstance(axis, str) and axis in axes):
         raise DomainError(f"sweep axis must be one of {axes}, got {axis!r}")
-    if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "iuf"):
-        grid = [gaussian.real_number(axis, v) for v in grid]
     # np.sort, not sorted(): NaN compares false, so sorted() would leave it
     # and its neighbours in place; np.sort puts it last
-    values = np.sort(np.asarray(grid, dtype=float))
+    values = np.sort(inputs.vector(axis, grid))
     corr, success, _, errors = _evaluate(_rows(vars(fixed), axis, values),
                                          fixed.angles)
     s_values = chsh_value(corr)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bell, conditioning, fock, gaussian, montecarlo
+from . import bell, conditioning, fock, gaussian, inputs, montecarlo
 from .config import RunConfig, load_config
 from .errors import CVBellError, ConfigError, DomainError, InvalidRegimeError
 from .montecarlo import ProtocolConfig
@@ -95,7 +95,7 @@ def cmd_chsh(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = cfg.sweep_grid()
-    axis = gaussian.SWEEP_KEYS[cfg.sweep_axis]
+    axis = inputs.SWEEP_KEYS[cfg.sweep_axis]
     points = bell.sweep(axis, grid, cfg.params())
     rows = [{"axis": cfg.sweep_axis, "value": p.value, "S": p.S,
              "P": p.success_prob, "error": p.error or ""} for p in points]

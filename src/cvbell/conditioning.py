@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
+from . import gaussian, inputs
 from .errors import (CVBellError, DomainError, InvalidRegimeError,
                      SingularMatrixError)
 
@@ -253,14 +253,19 @@ def herald(entries: np.ndarray, success_prob=None) -> HeraldedTerms:
     on X (SingularMatrixError), so every rotated marginal is proper.  A
     refused row holds NaN in every array; a caller refuses a row of its
     own with a NaN P.  A row's values do not depend on its batch, and are
-    bitwise those that `_condition` gives for the row alone.
+    bitwise those that `_condition` gives for the row alone.  Both inputs
+    are batches (`inputs.reals`).
     """
-    entries = np.asarray(entries, dtype=float)
+    entries = inputs.reals("entries", entries)
     if entries.ndim != 2 or len(entries) != 6:
         raise DomainError("expected the six entries of n x-blocks, shape "
                           f"(6, n), got shape {entries.shape}")
     if success_prob is not None:
-        success_prob = np.array(success_prob, dtype=float)
+        success_prob = inputs.reals("success_prob", success_prob).copy()
+        if success_prob.shape != entries.shape[1:]:
+            raise DomainError(f"success_prob must have shape "
+                              f"{entries.shape[1:]}, got shape "
+                              f"{success_prob.shape}")
     success, weights, correlations, (p, q, r), errors = _condition(
         entries, success_prob)
     covariances = 0.5 * np.array([p, r, r, q])
@@ -275,11 +280,12 @@ def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
 
     cov_out is the 8x8 output covariance: a zero x-p cross block, p-block
     D X D and an x-block X symmetric under transposition and under the
-    joint swap of A with B and C with D, each within STRUCTURE_TOL
-    (DomainError otherwise).  P is the sum of the masses of `herald`,
-    whose refusal it raises, e.g. InvalidRegimeError for vacuum input.
+    joint swap of A with B and C with D, each within STRUCTURE_TOL, a
+    batch (`inputs.reals`; DomainError otherwise).  P is the sum of the
+    masses of `herald`, whose refusal it raises, e.g. InvalidRegimeError
+    for vacuum input.
     """
-    cov = np.asarray(cov_out, dtype=float)
+    cov = inputs.reals("covariance", cov_out)
     if cov.shape != (8, 8):
         raise DomainError(f"expected an 8x8 covariance, got shape {cov.shape}")
     x = cov[0::2, 0::2]
@@ -306,10 +312,11 @@ def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray
 
     W = sum_j w_j g_j(x_A, x_B) g_j(p_A, -p_B), with g_j the zero-mean
     bivariate normal density of covariance Sigma_j: the p-part of term j
-    is Sigma_j with its off-diagonal negated.
+    is Sigma_j with its off-diagonal negated.  The points go through
+    `inputs.points`.
     """
-    x_a, p_a, x_b, p_b = np.moveaxis(gaussian.phase_space_points(points),
-                                     -1, 0)
+    x_a, p_a, x_b, p_b = np.moveaxis(
+        inputs.points("phase-space points", points), -1, 0)
     covs = state.covariances
     return (_term_densities(state.weights, covs, quadratic_moments(x_a, x_b))
             * _term_densities(np.ones(len(covs)), covs,
@@ -320,13 +327,14 @@ def wigner_cut(state: SignedGaussianMixture, direction: np.ndarray,
                offsets: np.ndarray) -> np.ndarray:
     """W along the line r = offset * direction; returns rows (offset, W).
 
-    `direction` must be a unit 4-vector in (x_A, p_A, x_B, p_B) order.
+    `direction` must be a unit 4-vector in (x_A, p_A, x_B, p_B) order
+    (`inputs.points`), and offsets a vector of finite coordinates.
     """
-    direction = np.asarray(direction, dtype=float)
+    direction = inputs.points("direction", direction)
     if direction.shape != (4,):
         raise DomainError("direction must be a 4-vector")
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise DomainError("direction must be normalized")
-    offsets = np.asarray(offsets, dtype=float)
+    offsets = inputs.coordinates("offsets", inputs.vector("offsets", offsets))
     values = wigner_value(state, offsets[:, None] * direction[None, :])
     return np.column_stack([offsets, values])

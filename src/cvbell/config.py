@@ -15,7 +15,7 @@ import numpy as np
 from .bell import DEFAULT_ANGLES, ExperimentParams
 from .errors import ConfigError
 from .fock import DEFAULT_TRUNCATION, MIN_TRUNCATION
-from .gaussian import PARAMS, SWEEP_KEYS
+from .inputs import PARAMS, SWEEP_KEYS
 
 OUTPUT_FORMATS = ("csv", "json")
 

@@ -42,10 +42,8 @@ real radial part times e^{-i(a-c) varphi}: the radial parts are pulled
 back, once per distinct radius, and the phases are put back afterwards.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
-vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).  Every public function
-that takes a truncation refuses one that is not an integer (DomainError,
-`gaussian.check_integer`); the MIN_TRUNCATION floor applies where a state
-is formed.
+vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).  A truncation goes
+through `inputs.integer`, at least MIN_TRUNCATION where a state is formed.
 
 Two tables depend on the truncation N alone: the square-root binomials of
 `_root_binomials`, from which every tap table is scaled, and the Hermite
@@ -59,16 +57,14 @@ keyed on a parameter is kept: the tables scaled by T are built per call.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bell import (DEFAULT_ANGLES, _golden_section_max, _real_angles,
-                   check_angles, chsh_value)
+from . import inputs
+from .bell import DEFAULT_ANGLES, _golden_section_max, chsh_value
 from .errors import DomainError, InvalidRegimeError, TruncationError
-from .gaussian import check_integer, check_parameter, phase_space_points
 
 DEFAULT_TRUNCATION = 40
 
@@ -107,24 +103,15 @@ def _check_truncation(top: np.ndarray, n_trunc: int):
             f"exceeds {TAIL_TOLERANCE:.1e}; increase the truncation")
 
 
-def _check_floor(n_trunc: int):
-    """DomainError for a truncation below MIN_TRUNCATION."""
-    if n_trunc < MIN_TRUNCATION:
-        raise DomainError(f"truncation must be >= {MIN_TRUNCATION}, "
-                          f"got {n_trunc}")
-
-
 def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
     """Schmidt coefficients g of a pure state sum_n g_n |n,n>, checked.
 
-    DomainError unless g is a real vector of at least MIN_TRUNCATION
-    entries with unit norm within 1e-10; TruncationError when its tail
-    reaches the truncation edge.
+    DomainError unless g is a real vector (`inputs.vector`) of at least
+    MIN_TRUNCATION entries with unit norm within 1e-10; TruncationError
+    when its tail reaches the truncation edge.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1:
-        raise DomainError("Schmidt coefficients must form a vector")
-    _check_floor(len(coeffs))
+    coeffs = inputs.vector("Schmidt coefficients", coeffs)
+    inputs.integer("truncation", len(coeffs), MIN_TRUNCATION)
     norm = float(coeffs @ coeffs)
     if abs(norm - 1.0) > 1e-10:
         raise DomainError(f"state norm {norm} differs from 1 beyond 1e-10")
@@ -138,8 +125,8 @@ def _check_schmidt(coeffs: np.ndarray) -> np.ndarray:
 
 def tmsv_amplitudes(squeezing: float, n_trunc: int) -> np.ndarray:
     """Schmidt coefficients of the two-mode squeezed vacuum, sqrt(1-l^2) l^n."""
-    check_integer("truncation", n_trunc, 0)
-    squeezing = check_parameter("squeezing", squeezing)
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
+    squeezing = inputs.parameter("squeezing", squeezing)
     return np.sqrt(1.0 - squeezing ** 2) * squeezing ** np.arange(n_trunc)
 
 
@@ -154,7 +141,7 @@ def tmsv_state(squeezing: float,
 def ladder(n_trunc: int) -> np.ndarray:
     """Annihilation operator on the truncated basis, shape (N, N) for every
     N >= 0."""
-    check_integer("truncation", n_trunc, 0)
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
     idx = np.arange(n_trunc)
     a = np.zeros((n_trunc, n_trunc))
     a[idx[:-1], idx[1:]] = np.sqrt(idx[1:])
@@ -207,8 +194,8 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     that k photons end up in the tap arm, zero for k > m: the table of
     `_scaled_taps` over `_root_binomials`, finite at every truncation.
     """
-    check_integer("truncation", n_trunc, 0)
-    transmittance = check_parameter("transmittance", transmittance)
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
+    transmittance = inputs.parameter("transmittance", transmittance)
     return _scaled_taps(_root_binomials(n_trunc), transmittance)
 
 
@@ -346,8 +333,8 @@ def click_weights(apd_efficiency: float, n_trunc: int) -> np.ndarray:
     Evaluated as -expm1(k log1p(-eta)), accurate to rounding also where
     w(k) is small; w(0) = 0, and eta = 1 gives w(k) = 1 for every k >= 1.
     """
-    check_integer("truncation", n_trunc, 0)
-    apd_efficiency = check_parameter("apd_efficiency", apd_efficiency)
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
+    apd_efficiency = inputs.parameter("apd_efficiency", apd_efficiency)
     weights = np.zeros(n_trunc)
     with np.errstate(divide="ignore"):
         weights[1:] = -np.expm1(np.arange(1, n_trunc)
@@ -410,7 +397,7 @@ def _herald(squeezing: float, transmittance: float, weights: np.ndarray,
         raise InvalidRegimeError(
             f"double-click probability {p_click} vanishes; "
             "no conditional state exists")
-    _check_floor(n_trunc)
+    inputs.integer("truncation", n_trunc, MIN_TRUNCATION)
     high = np.tril(clicked[-4:, :4]).sum(axis=1)
     _check_truncation(amplitudes[-4:] ** 2 * high * (2.0 * clicks[-4:] - high)
                       / p_click, n_trunc)
@@ -444,7 +431,7 @@ def pair_projected_state(squeezing: float, transmittance: float,
     to (n+1)(T*lambda)^n.  It is normalized by construction, and the
     herald's tail fence sums the same top entries as `_check_schmidt`.
     """
-    check_integer("truncation", n_trunc, 0)
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
     return _pair_projection(squeezing, transmittance, n_trunc)
 
 
@@ -576,8 +563,8 @@ def _sign_reduced(state: HeraldedState,
     to 2.6e-14 with the record's p_click.  homodyne_efficiency must lie in
     (0, 1] (DomainError, with the text ExperimentParams uses).
     """
-    homodyne_efficiency = check_parameter("homodyne_efficiency",
-                                          homodyne_efficiency)
+    homodyne_efficiency = inputs.parameter("homodyne_efficiency",
+                                           homodyne_efficiency)
     tap, weights = state.tap, state.weights
     if homodyne_efficiency != 1.0:
         product = state.transmittance * homodyne_efficiency
@@ -600,10 +587,10 @@ def fock_sign_correlation(rho: HeraldedState, theta: float, phi: float,
     lossy homodynes: one pull-back, then its phase form.  A rotation by
     theta on mode A and phi on mode B multiplies entry (n, m) by
     e^{i theta (n-m)} and e^{i phi (n-m)}.  A theta or phi that is not one
-    finite real number raises DomainError, with the texts of
-    `bell.check_angles`.
+    finite real number raises DomainError, as `inputs.angles` refuses a
+    pair.
     """
-    theta, phi = _real_angles((theta, phi))
+    theta, phi = inputs.angles((theta, phi), 2)
     return _phase_form(_sign_reduced(rho, homodyne_efficiency), theta + phi)
 
 
@@ -611,9 +598,9 @@ def fock_chsh(rho: HeraldedState,
               angles: tuple[float, float, float, float],
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state:
-    one pull-back and four phase forms.  Angles that `bell.check_angles`
+    one pull-back and four phase forms.  Angles that `inputs.angles`
     refuses raise DomainError."""
-    angles = check_angles(angles)
+    angles = inputs.angles(angles)
     return _phase_chsh(_sign_reduced(rho, homodyne_efficiency), angles)
 
 
@@ -633,12 +620,10 @@ def fock_optimal_product(transmittance: float,
     float spacing.  Every point is heralded behind one tap table.  An
     optimum at the lower end of the scan, or within tol of its upper end,
     raises DomainError, and so does a tol that is not a finite positive
-    real number (a bool is refused).  Returns (lambda_opt * T, S_max).
+    real number (`inputs.positive`).  Returns (lambda_opt * T, S_max).
     """
-    transmittance = check_parameter("transmittance", transmittance)
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-            and np.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be a finite positive number, got {tol!r}")
+    transmittance = inputs.parameter("transmittance", transmittance)
+    tol = inputs.positive("tol", tol)
     # the ideal S: w = e_0 reads only t(n, 0), 1 for a transparent tap
     sign_op = _pull_back_sign(1.0, np.eye(PRODUCT_TRUNCATION)[0])
     tap = tap_amplitude_table(transmittance, PRODUCT_TRUNCATION)
@@ -703,11 +688,12 @@ def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Wigner transforms of |m><n| at phase-space points, shape (n, n, npts).
 
     The radial part of `_radial_table` times e^{-i(m-n) varphi}, with
-    sqrt(2) (x - i p) = sqrt(2) r e^{-i varphi}.
+    sqrt(2) (x - i p) = sqrt(2) r e^{-i varphi}; x and p broadcast, and go
+    through `inputs.coordinates`.
     """
-    check_integer("truncation", n_trunc, 0)
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
+    x = inputs.coordinates("x", x)
+    p = inputs.coordinates("p", p)
     offset = np.subtract.outer(np.arange(n_trunc), np.arange(n_trunc))
     return (_radial_table(n_trunc, x * x + p * p)
             * np.exp(-1j * offset[..., None] * np.arctan2(p, x)))
@@ -721,9 +707,10 @@ def wigner_values(rho: HeraldedState, points: np.ndarray) -> np.ndarray:
     varphi} with R real and depending on the radius alone, and rotations
     commute with the pull-back, so the radial parts of every distinct
     radius are pulled back once and W is the phase form of
-    (g g^T) o Phi(R_A) o Phi(R_B) / P at -(varphi_A + varphi_B).
+    (g g^T) o Phi(R_A) o Phi(R_B) / P at -(varphi_A + varphi_B); the
+    points go through `inputs.points`.
     """
-    pts = phase_space_points(points)
+    pts = inputs.points("phase-space points", points)
     flat = pts.reshape(-1, 4)
     count = len(flat)
     rsq, which = np.unique(np.r_[flat[:, 0] ** 2 + flat[:, 1] ** 2,

@@ -38,16 +38,14 @@ the (2, n) result and maps them there to x = L z.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conditioning
+from . import conditioning, inputs
 from .bell import (BellResult, BivariateMixture, ExperimentParams, chsh_value,
                    rotated_marginal)
-from .errors import DomainError, EnvelopeError
-from .gaussian import check_integer
+from .errors import EnvelopeError
 
 #: events processed per RNG block; the block is the reproducibility atom
 BLOCK_EVENTS = 4096
@@ -77,7 +75,8 @@ _ROLE_SOPHIE, _ROLE_ALICE, _ROLE_BOB, _ROLE_QUAD = range(4)
 class ProtocolConfig:
     """Settings for one simulated data-taking campaign.
 
-    Each station picks each of its two angles with probability 1/2.
+    Each station picks each of its two angles with probability 1/2.  The
+    fields are stored as `inputs.integer` and `inputs.positive` give them.
     """
 
     params: ExperimentParams
@@ -86,17 +85,11 @@ class ProtocolConfig:
     rep_rate: float = 1e6
 
     def __post_init__(self):
-        check_integer("n_target_events", self.n_target_events, 1)
-        check_integer("seed", self.seed, 0)
-        if not _positive_real(self.rep_rate):
-            raise DomainError(f"rep_rate must be finite and positive, "
-                              f"got {self.rep_rate}")
-
-
-def _positive_real(value) -> bool:
-    """True for a finite, positive real number that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and np.isfinite(value) and value > 0)
+        for name, least in (("n_target_events", 1), ("seed", 0)):
+            object.__setattr__(self, name, inputs.integer(
+                name, getattr(self, name), least))
+        object.__setattr__(self, "rep_rate",
+                           inputs.positive("rep_rate", self.rep_rate))
 
 
 @dataclass(frozen=True)
@@ -326,10 +319,11 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
 
     Chunked rejection sampling (`_draw`) against the Gaussian envelope;
     the stream is fully determined by the seed.  The (n, 2) result is
-    Fortran-ordered: each quadrature's n samples are contiguous.
+    Fortran-ordered: each quadrature's n samples are contiguous.  n and
+    seed go through `inputs.integer`.
     """
-    check_integer("sample count", n, 1)
-    check_integer("seed", seed, 0)
+    n = inputs.integer("sample count", n, 1)
+    seed = inputs.integer("seed", seed, 0)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
     return _draw(build_envelope(marginal), n, rng)
 
@@ -448,11 +442,11 @@ def acquisition_time(bell: BellResult, rep_rate: float,
     the per-event estimator variance is sigma0^2 = sum over cells of
     (1 - E^2) / 0.25, and the answer is
     (sigma0 / target)^2 / (P * rep_rate) with P = bell.success_prob.
+    P, rep_rate and target_stderr_s go through `inputs.positive`.
     """
-    if not all(map(_positive_real, (bell.success_prob, rep_rate,
-                                    target_stderr_s))):
-        raise DomainError(
-            "all acquisition-time inputs must be finite and positive")
+    success_prob = inputs.positive("success_prob", bell.success_prob)
+    rep_rate = inputs.positive("rep_rate", rep_rate)
+    target_stderr_s = inputs.positive("target_stderr_s", target_stderr_s)
     sigma0_sq = float(((1.0 - bell.correlators ** 2) / 0.25).sum())
     n_events = sigma0_sq / target_stderr_s ** 2
-    return n_events / (bell.success_prob * rep_rate)
+    return n_events / (success_prob * rep_rate)

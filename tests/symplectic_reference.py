@@ -11,7 +11,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from cvbell.conditioning import spd_error
 from cvbell.errors import DomainError
-from cvbell.gaussian import check_domain
+from cvbell.inputs import parameters
 
 MODES = ("A", "B", "C", "D")
 BS_PAIRS = (("A", "C"), ("B", "D"))
@@ -75,7 +75,7 @@ def tmsv_covariance(squeezing: float) -> np.ndarray:
     `squeezing` is tanh of the squeeze parameter, in [0, 1).  Diagonal
     blocks are cosh(2r) I, off-diagonal blocks sinh(2r) diag(1, -1).
     """
-    check_domain("squeezing", squeezing)
+    parameters("squeezing", squeezing)
     r = np.arctanh(squeezing)
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     z = np.diag([1.0, -1.0])
@@ -108,7 +108,7 @@ def beamsplitter_symplectic(transmittance: float,
     identity on the other modes.  The overall sign of the reflected arm is
     a phase convention; final observables are insensitive to it.
     """
-    check_domain("transmittance", transmittance)
+    parameters("transmittance", transmittance)
     if tuple(pair) not in BS_PAIRS:
         raise DomainError(f"pair must be one of {BS_PAIRS}, got {pair}")
     t = np.sqrt(transmittance)
@@ -151,8 +151,8 @@ def detector_loss_channel(homodyne_efficiency: float,
     efficiency.  Zero efficiency is rejected: it makes heralding (or the
     homodyne readout) impossible.
     """
-    check_domain("homodyne_efficiency", homodyne_efficiency)
-    check_domain("apd_efficiency", apd_efficiency)
+    parameters("homodyne_efficiency", homodyne_efficiency)
+    parameters("apd_efficiency", apd_efficiency)
     scale = np.array([homodyne_efficiency] * 4 + [apd_efficiency] * 4)
     return GaussianChannel(linear_part=np.diag(np.sqrt(scale)),
                            noise_part=np.diag(1.0 - scale))

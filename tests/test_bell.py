@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cvbell import bell, cli, conditioning, fock, gaussian
+from cvbell import bell, cli, conditioning, fock, gaussian, inputs
 from cvbell.errors import (CVBellError, DomainError, InvalidRegimeError,
                            OptimizationError, SingularMatrixError)
 from conftest import integrate_mixture_2d
@@ -933,12 +933,15 @@ class TestSweep:
             raise AssertionError("sweep evaluated a refused grid")
 
         monkeypatch.setattr(bell, "_evaluate", refuse)
-        for axis in gaussian.SWEEP_KEYS.values():
+        for axis in inputs.SWEEP_KEYS.values():
             for grid in ([value], [0.4, value], (0.4, np.nan, value)):
                 with pytest.raises(DomainError) as info:
                     bell.sweep(axis, grid, fixed)
-                assert str(info.value) == \
-                    f"{axis} must be a real number, got {value!r}"
+                # numpy reads [array([0.5])] as a grid of shape (1, 1)
+                assert str(info.value) == (
+                    f"{axis} must form a vector, got shape (1, 1)"
+                    if grid == [value] and isinstance(value, np.ndarray)
+                    else f"{axis} must be a real number, got {value!r}")
 
     @pytest.mark.parametrize("grid", [np.array(["0.5", "0.4"]),
                                       np.array([True, False]),
@@ -959,7 +962,7 @@ class TestSweep:
         def refuse(*args):
             raise AssertionError("a real array grid was checked per point")
 
-        monkeypatch.setattr(gaussian, "real_number", refuse)
+        monkeypatch.setattr(inputs, "real", refuse)
         # NaN != NaN, so the rows compare by repr
         for grid in (np.array([0.3, np.nan, 0.2, 1.0]),
                      np.array([0.3, 0.0, np.nan, 0.0, 0.2, 0.0, 1.0])[::2]):

@@ -255,7 +255,7 @@ class TestWignerCut:
         with pytest.raises(DomainError) as info:
             conditioning.wigner_cut(cut_state, np.array([1.0, 0.0, 0.0]),
                                     [0.0])
-        assert str(info.value) == "direction must be a 4-vector"
+        assert str(info.value) == "direction must have 4 components"
 
     def test_points_must_have_four_components(self, cut_state):
         with pytest.raises(DomainError) as info:
@@ -269,9 +269,9 @@ class TestWignerCut:
     def test_points_must_be_real_numbers(self, cut_state, points):
         with pytest.raises(DomainError) as info:
             conditioning.wigner_value(cut_state, points)
-        assert str(info.value) == ("phase-space points must be real "
-                                   f"numbers, got dtype "
-                                   f"{np.asarray(points).dtype}")
+        bad = points.flat[0] if isinstance(points, np.ndarray) else None
+        assert str(info.value) == \
+            f"phase-space points must be a real number, got {bad!r}"
 
 
 def loop_density(marginal, x, y):

@@ -553,8 +553,10 @@ class TestOptimalProduct:
         # search forever
         with pytest.raises(DomainError) as info:
             fock.fock_optimal_product(0.95, tol=tol)
-        assert str(info.value) == \
+        assert str(info.value) == (
             f"tol must be a finite positive number, got {tol!r}"
+            if isinstance(tol, float)
+            else f"tol must be a real number, got {tol!r}")
 
 
 class TestWigner:
@@ -601,9 +603,9 @@ class TestWigner:
     def test_points_must_be_real_numbers(self, points):
         with pytest.raises(DomainError) as info:
             fock.wigner_values(vacuum_record(), points)
-        assert str(info.value) == ("phase-space points must be real "
-                                   f"numbers, got dtype "
-                                   f"{np.asarray(points).dtype}")
+        bad = points.flat[0] if isinstance(points, np.ndarray) else None
+        assert str(info.value) == \
+            f"phase-space points must be a real number, got {bad!r}"
 
     def test_matches_gaussian_mixture(self, cut_state, fock_cut_state):
         rho, _ = fock_cut_state
@@ -630,7 +632,8 @@ class TestDensityBlocks:
     def test_rejects_truncation_below_floor(self):
         with pytest.raises(DomainError) as info:
             fock.lossy_click_conditioning(0.5, 0.95, 0.3, 4)
-        assert str(info.value) == "truncation must be >= 16, got 4"
+        assert str(info.value) == \
+            "truncation must be an integer >= 16, got 4"
 
     def test_correlator_allocates_less_than_a_block_array(self):
         # the correlator pulls the sign operator back through a view; it

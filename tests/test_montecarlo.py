@@ -384,8 +384,7 @@ class TestRunProtocol:
     def test_bool_rep_rate_raises(self, realistic_params):
         with pytest.raises(DomainError) as info:
             ProtocolConfig(realistic_params, 10, 1, rep_rate=True)
-        assert str(info.value) == ("rep_rate must be finite and positive, "
-                                   "got True")
+        assert str(info.value) == "rep_rate must be a real number, got True"
 
 
 #: SHA-256 of the little-endian, C-ordered bytes of
@@ -497,10 +496,11 @@ class TestAcquisitionTime:
     def test_non_real_input_raises(self, realistic_params, index):
         result = bell.chsh(realistic_params)
         value = str([result.success_prob, 1e6, 0.005][index])
+        name = ("success_prob", "rep_rate", "target_stderr_s")[index]
         with pytest.raises(DomainError) as info:
             self.call(result, index, value)
-        assert str(info.value) == ("all acquisition-time inputs must be "
-                                   "finite and positive")
+        assert str(info.value) == \
+            f"{name} must be a real number, got {value!r}"
 
     def test_positive_inputs_required(self, realistic_params):
         result = bell.chsh(realistic_params)
