@@ -12,9 +12,8 @@ Carlo protocol simulation (`montecarlo`).
 from .bell import (BellResult, BivariateMixture, ExperimentParams, chsh,
                    chsh_value, optimize_lambda, rotated_marginal,
                    sign_correlation, sign_correlation_quadrature, sweep)
-from .conditioning import (HeraldedTerms, SignedGaussianMixture,
-                           conditional_state, herald, wigner_cut,
-                           wigner_value)
+from .conditioning import (SignedGaussianMixture, conditional_state,
+                           wigner_cut, wigner_value)
 from .errors import (ConfigError, CVBellError, DomainError, EnvelopeError,
                      InvalidRegimeError, OptimizationError,
                      SingularMatrixError, TruncationError)

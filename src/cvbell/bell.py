@@ -1,7 +1,7 @@
 """CHSH correlators from sign-binned homodyne outcomes.
 
 The heralded state is a signed mixture of four Gaussians, the (w_j,
-Sigma_j) terms of `conditioning.herald`.  Measured at phase theta on A
+Sigma_j) terms of `conditioning._condition`.  Measured at phase theta on A
 and phi on B, term j is a bivariate Gaussian with correlation c_j
 cos(theta + phi), c_j the correlation of Sigma_j, and its sign-binned
 correlator follows from the Gaussian orthant probability, so
@@ -9,17 +9,19 @@ correlator follows from the Gaussian orthant probability, so
     E(theta, phi) = sum_j w_j (2/pi) arcsin(c_j cos(theta + phi)).
 
 The kernel, `gaussian.x_entries`, `conditioning.success_probability`
-and the conditioning of `conditioning.herald`, runs one parameter row of
-`chsh` on float64 scalars, far cheaper per numpy call than 1-element
-arrays, and the rows of `sweep`, the pre-scan of `optimize_lambda` and
+and `conditioning._condition`, runs one parameter row of `chsh` on
+float64 scalars, far cheaper per numpy call than 1-element arrays, and
+the rows of `sweep`, the pre-scan of `optimize_lambda` and
 the `fig2` panels as arrays, one call per batch; a row's values are
 bitwise the same either way.  The golden-section search of
 `optimize_lambda` evaluates, per call, every point that its next
 `LAMBDA_LOOKAHEAD` steps could need, so it makes at most four calls, and
 its result is bitwise that of the one-point-at-a-time search.
-`rotated_marginal` gives the terms at one setting as a
+`rotated_marginal` gives the terms of a
+`conditioning.SignedGaussianMixture` at one setting as a
 `conditioning.BivariateMixture`, for the Monte Carlo sampler and for the
-2D quadrature fallback that guards the closed form in the tests.
+2D quadrature fallback that guards the closed form in the tests.  Every
+record argument goes through `inputs.record`.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def chsh_value(correlators):
 
 def _arcsine_mean(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_j w_j (2/pi) arcsin(rho_j) over the last axis; the terms
-    `conditioning.herald` accepts have |rho_j| <= 1 - 2 / (1 +
+    `conditioning._condition` accepts have |rho_j| <= 1 - 2 / (1 +
     CONDITION_LIMIT), so no clamp is needed."""
     return (weights * (2.0 / np.pi) * np.arcsin(rho)).sum(axis=-1)
 
@@ -119,6 +121,7 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
     is not positive definite, so every rotated term is a proper Gaussian.
     theta and phi go through `inputs.angles`.
     """
+    inputs.record("state", state, BivariateMixture)
     theta, phi = inputs.angles((theta, phi), 2)
     covs = state.covariances.copy()
     covs[:, 0, 1] = covs[:, 1, 0] = covs[:, 0, 1] * np.cos(theta + phi)
@@ -128,6 +131,7 @@ def rotated_marginal(state: conditioning.SignedGaussianMixture,
 def sign_correlation(marginal: BivariateMixture) -> float:
     """Closed-form sign-binned correlator of a signed Gaussian mixture;
     DomainError for a term with |correlation| > 1."""
+    inputs.record("marginal", marginal, BivariateMixture)
     covs = marginal.covariances
     rho = covs[:, 0, 1] / np.sqrt(covs[:, 0, 0] * covs[:, 1, 1])
     if np.any(np.abs(rho) > 1.0):
@@ -143,6 +147,7 @@ def sign_correlation_quadrature(marginal: BivariateMixture) -> float:
     nodes (so the sign discontinuity never crosses a panel), giving the
     independent check on the arcsine closed form.
     """
+    inputs.record("marginal", marginal, BivariateMixture)
     sx, sy = QUADRATURE_SIGMAS * np.sqrt(
         marginal.covariances[:, (0, 1), (0, 1)].max(axis=0))
     nodes, wts = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
@@ -167,7 +172,7 @@ def _evaluate(values, angles):
     or (n, 2, 2); P and the cancellation factor, scalars or (n,); and the
     rows' errors, a list of one entry per row: the DomainError
     ExperimentParams raises for the first of a row's values outside its
-    domain, in PARAMS order, else the refusal of `conditioning.herald`.
+    domain, in PARAMS order, else the refusal of `conditioning._condition`.
     Failed rows hold NaN.
     """
     values = np.asarray(values, dtype=float)
@@ -215,6 +220,7 @@ def chsh(params: ExperimentParams) -> BellResult:
     Raises the refusal of the conditioning step when the parameters cannot
     herald (InvalidRegimeError, e.g. zero squeezing) or a matrix is unusable.
     """
+    inputs.record("params", params, ExperimentParams)
     corr, success, cancellation, errors = _evaluate(
         [getattr(params, name) for name in PARAMS], params.angles)
     if errors[0] is not None:
@@ -356,6 +362,7 @@ def sweep(axis: str, grid, fixed: ExperimentParams) -> list[SweepPoint]:
     checked before anything is evaluated; an array of real dtype is
     accepted by its dtype alone.
     """
+    inputs.record("fixed", fixed, ExperimentParams)
     axes = tuple(SWEEP_KEYS.values())
     if not (isinstance(axis, str) and axis in axes):
         raise DomainError(f"sweep axis must be one of {axes}, got {axis!r}")

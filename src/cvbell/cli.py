@@ -210,12 +210,15 @@ def _validation_checks(cfg: RunConfig) -> list[dict]:
     params = cfg.params()
     n_trunc = cfg.n_trunc
 
-    # the two-mode squeezed vacuum is the AB block at unit transmittance
-    cov = gaussian.from_x_block(
-        gaussian.x_block(params.squeezing, 1.0, 1.0, 1.0))[:4, :4]
-    moments = fock.second_moments(fock.tmsv_state(params.squeezing,
-                                                  max(n_trunc, 60)))
-    err = float(np.max(np.abs(cov - moments)))
+    # the two-mode squeezed vacuum is the AB block at unit transmittance;
+    # its Schmidt vector g gives aa = <2 a^dag a + 1> = sum g_n^2 (2n + 1)
+    # and ab = <ab + a^dag b^dag> = 2 sum g_n g_{n+1} (n + 1)
+    x = gaussian.x_block(params.squeezing, 1.0, 1.0, 1.0)
+    coeffs = fock.tmsv_state(params.squeezing, max(n_trunc, 60))
+    n = np.arange(len(coeffs))
+    aa = coeffs ** 2 @ (2 * n + 1)
+    ab = 2.0 * (coeffs[:-1] * coeffs[1:]) @ n[1:]
+    err = max(abs(aa - x[0, 0]), abs(ab - x[0, 1]))
     record("tmsv_covariance_vs_fock_moments", err, 1e-8)
 
     state = conditioning.conditional_state(params.output_covariance())

@@ -13,11 +13,14 @@ check on the x-part.  X is invariant under the joint swap of A with B and
 C with D, so its six distinct entries (aa, ab, ac, ad, cc, cd) give each
 term in a scalar closed form, and in the basis (x_A +- x_B, x_C +- x_D) /
 sqrt 2 it splits into X+- = [[aa +- ab, ac +- ad], [ac +- ad, cc +- cd]].
-`herald` conditions arrays of the entries elementwise into P and four
-(w_j, Sigma_j) terms, Sigma_j the (x_A, x_B) covariance of term j, through
-`_condition`, which runs the same code on the float64 scalars of one row;
-`success_probability` gives P free of cancellation, and
-`conditional_state` reads one 8x8 covariance as a `SignedGaussianMixture`.
+`_condition` conditions the entries of one x-block, as float64 scalars,
+or of a batch, as arrays, into P and four (w_j, Sigma_j) terms, Sigma_j
+the (x_A, x_B) covariance of term j; `bell` runs it on parameter rows
+with the P of `success_probability`, free of cancellation.  The package's
+one record of the heralded state is `SignedGaussianMixture`:
+`conditional_state` reads one 8x8 covariance as one, with P the sum of
+the four masses, and `wigner_value` and `wigner_cut` evaluate its Wigner
+function.
 """
 
 from __future__ import annotations
@@ -90,30 +93,12 @@ class BivariateMixture:
 
 @dataclass(frozen=True, kw_only=True)
 class SignedGaussianMixture(BivariateMixture):
-    """The heralded two-mode state, one row of `HeraldedTerms`; `density`
-    is its (x_A, x_B) marginal."""
+    """The heralded two-mode state: four normalized Gaussian terms of signed
+    weights w_j and (x_A, x_B) covariances Sigma_j, whose (p_A, p_B)
+    covariances have the off-diagonal negated, and the heralding
+    probability P; `density` is its (x_A, x_B) marginal."""
 
     success_prob: float
-
-
-@dataclass(frozen=True)
-class HeraldedTerms:
-    """Heralded state of every row of a stack of x-blocks: term j of row
-    i is a normalized Gaussian of signed mass weights[i, j] and (x_A, x_B)
-    covariance covariances[i, j], of correlation correlations[i, j]; its
-    (p_A, p_B) covariance has the off-diagonal negated.  A refused row
-    holds its error in `errors` and NaN in every array."""
-
-    success_prob: np.ndarray        # (n,)
-    weights: np.ndarray             # (n, 4), rows sum to 1 up to rounding
-    correlations: np.ndarray        # (n, 4)
-    covariances: np.ndarray         # (n, 4, 2, 2)
-    errors: tuple[CVBellError | None, ...]
-
-    @property
-    def cancellation(self) -> np.ndarray:
-        """Sum of |w_j| per row: the error amplification of the signed sum."""
-        return cancellation(self.weights.T)
 
 
 def cancellation(weights):
@@ -137,7 +122,7 @@ def spd_error(lowest, highest) -> SingularMatrixError | None:
 
 
 def _refusal(success, lowest, highest) -> CVBellError:
-    """Error of a refused row of `herald`: its first failing check, in the
+    """Error of a refused row of `_condition`: its first failing check, in the
     order X, P, Sigma_j, from the extreme eigenvalues lowest and highest
     of X, Sigma_0, ..., Sigma_3."""
     if error := spd_error(lowest[0], highest[0]):
@@ -177,9 +162,30 @@ def success_probability(squeezing, transmittance, apd_efficiency):
 
 
 def _condition(entries, success_prob=None):
-    """`herald`'s conditioning of one x-block, its six entries of shape
-    (6,), or of n x-blocks, shape (6, n): the same code runs on float64
-    scalars and on (n,) arrays.
+    """Condition one x-block, given by its entries (aa, ab, ac, ad, cc, cd)
+    in a float64 array of shape (6,), or n x-blocks, shape (6, n), on a
+    double click; the same code runs on float64 scalars and on (n,)
+    arrays, and a row's values are bitwise the same either way.  The
+    values must be numpy floats: on Python floats a zero divisor raises
+    ZeroDivisionError in place of a refusal.
+
+    Term j projects the detector modes S_j (none, C, D, both) onto vacuum:
+    Sigma_j = (X_AB,AB - X_AB,S A_j^-1 X_S,AB) / 2 with A_j = I + X_SS, of
+    mass q_j / det A_j.  With k = 1 / (1 + cc): Sigma_0 = [[aa, ab], [ab,
+    aa]] / 2, of mass 1; Sigma_C = [[aa - ac^2 k, ab - ac ad k], [., aa -
+    ad^2 k]] / 2, of mass -2 k, and Sigma_D its mirror image; Sigma_CD has
+    eigenvalues sigma+- / 2 on (1, +-1) / sqrt 2, sigma+- = (aa +- ab) -
+    (ac +- ad)^2 / (1 + (cc +- cd)), so correlation (sigma+ - sigma-) /
+    (sigma+ + sigma-), and mass 4 / ((1 + (cc + cd))(1 + (cc - cd))).
+
+    P is success_prob (a float64 or (n,) values) when given, else the sum
+    of the masses; the weights are the masses over P.  A row is refused
+    with the error of its first failing check: X, from the eigenvalues of
+    X+ and X-, is positive definite with an eigenvalue condition number at
+    most CONDITION_LIMIT (SingularMatrixError); P is finite and at least
+    MIN_SUCCESS_PROB (InvalidRegimeError); every Sigma_j passes the check
+    on X (SingularMatrixError), so every rotated marginal is proper.  A
+    caller refuses a row of its own with a NaN P.
 
     Returns P; the weights and correlations of the four terms, and the
     entries (p, q, r) of twice each Sigma_j = [[p, r], [r, q]] / 2, each
@@ -231,80 +237,40 @@ def _condition(entries, success_prob=None):
     return success, weights, correlations, (p, q, r), errors
 
 
-def herald(entries: np.ndarray, success_prob=None) -> HeraldedTerms:
-    """Condition x-blocks, given by their entries (aa, ab, ac, ad, cc, cd)
-    in an array of shape (6, n), on a double click.
-
-    Term j projects the detector modes S_j (none, C, D, both) onto vacuum:
-    Sigma_j = (X_AB,AB - X_AB,S A_j^-1 X_S,AB) / 2 with A_j = I + X_SS, of
-    mass q_j / det A_j.  With k = 1 / (1 + cc): Sigma_0 = [[aa, ab], [ab,
-    aa]] / 2, of mass 1; Sigma_C = [[aa - ac^2 k, ab - ac ad k], [., aa -
-    ad^2 k]] / 2, of mass -2 k, and Sigma_D its mirror image; Sigma_CD has
-    eigenvalues sigma+- / 2 on (1, +-1) / sqrt 2, sigma+- = (aa +- ab) -
-    (ac +- ad)^2 / (1 + (cc +- cd)), so correlation (sigma+ - sigma-) /
-    (sigma+ + sigma-), and mass 4 / ((1 + (cc + cd))(1 + (cc - cd))).
-
-    P is success_prob (n values) when given, else the sum of the masses;
-    the weights are the masses over P.  A row is refused with the error of
-    its first failing check: X, from the eigenvalues of X+ and X-, is
-    positive definite with an eigenvalue condition number at most
-    CONDITION_LIMIT (SingularMatrixError); P is finite and at least
-    MIN_SUCCESS_PROB (InvalidRegimeError); every Sigma_j passes the check
-    on X (SingularMatrixError), so every rotated marginal is proper.  A
-    refused row holds NaN in every array; a caller refuses a row of its
-    own with a NaN P.  A row's values do not depend on its batch, and are
-    bitwise those that `_condition` gives for the row alone.  Both inputs
-    are batches (`inputs.reals`).
-    """
-    entries = inputs.reals("entries", entries)
-    if entries.ndim != 2 or len(entries) != 6:
-        raise DomainError("expected the six entries of n x-blocks, shape "
-                          f"(6, n), got shape {entries.shape}")
-    if success_prob is not None:
-        success_prob = inputs.reals("success_prob", success_prob).copy()
-        if success_prob.shape != entries.shape[1:]:
-            raise DomainError(f"success_prob must have shape "
-                              f"{entries.shape[1:]}, got shape "
-                              f"{success_prob.shape}")
-    success, weights, correlations, (p, q, r), errors = _condition(
-        entries, success_prob)
-    covariances = 0.5 * np.array([p, r, r, q])
-    return HeraldedTerms(success_prob=success, weights=weights.T,
-                         correlations=correlations.T,
-                         covariances=covariances.T.reshape(-1, 4, 2, 2),
-                         errors=tuple(errors))
-
-
 def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
     """Signed four-Gaussian mixture of the double-click conditional state.
 
     cov_out is the 8x8 output covariance: a zero x-p cross block, p-block
     D X D and an x-block X symmetric under transposition and under the
     joint swap of A with B and C with D, each within STRUCTURE_TOL, a
-    batch (`inputs.reals`; DomainError otherwise).  P is the sum of the
-    masses of `herald`, whose refusal it raises, e.g. InvalidRegimeError
-    for vacuum input.
+    batch (`inputs.reals`; DomainError otherwise).  Its six entries are
+    conditioned as one row of float64 scalars (`_condition`), with P the
+    sum of the four masses; the row's refusal is raised, e.g.
+    InvalidRegimeError for vacuum input.
     """
     cov = inputs.reals("covariance", cov_out)
     if cov.shape != (8, 8):
         raise DomainError(f"expected an 8x8 covariance, got shape {cov.shape}")
     x = cov[0::2, 0::2]
-    if not np.all(np.abs(cov - gaussian.from_x_block(x)) <= STRUCTURE_TOL):
-        raise DomainError("covariance must have a zero x-p cross block "
-                          "and p-block D x D, D = diag(1, -1, 1, -1)")
-    if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
-        raise DomainError("matrix is not symmetric")
-    entries = x[0, :4].tolist() + x[2, 2:].tolist()
-    if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
-                  <= STRUCTURE_TOL):
-        raise DomainError("x-block must be invariant under the joint swap "
-                          "of A with B and C with D")
-    terms = herald(np.array(entries)[:, None])
-    if terms.errors[0] is not None:
-        raise terms.errors[0]
-    return SignedGaussianMixture(weights=terms.weights[0],
-                                 covariances=terms.covariances[0],
-                                 success_prob=float(terms.success_prob[0]))
+    entries = np.concatenate([x[0, :4], x[2, 2:]])
+    # an infinite entry fails its check as a NaN gap, without a warning
+    with np.errstate(invalid="ignore"):
+        if not np.all(np.abs(cov - gaussian.from_x_block(x))
+                      <= STRUCTURE_TOL):
+            raise DomainError("covariance must have a zero x-p cross block "
+                              "and p-block D x D, D = diag(1, -1, 1, -1)")
+        if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
+            raise DomainError("matrix is not symmetric")
+        if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
+                      <= STRUCTURE_TOL):
+            raise DomainError("x-block must be invariant under the joint "
+                              "swap of A with B and C with D")
+    success, weights, _, (p, q, r), errors = _condition(entries)
+    if errors[0] is not None:
+        raise errors[0]
+    covariances = 0.5 * np.array([p, r, r, q]).T.reshape(4, 2, 2)
+    return SignedGaussianMixture(weights=weights, covariances=covariances,
+                                 success_prob=float(success))
 
 
 def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray:
@@ -312,9 +278,10 @@ def wigner_value(state: SignedGaussianMixture, points: np.ndarray) -> np.ndarray
 
     W = sum_j w_j g_j(x_A, x_B) g_j(p_A, -p_B), with g_j the zero-mean
     bivariate normal density of covariance Sigma_j: the p-part of term j
-    is Sigma_j with its off-diagonal negated.  The points go through
-    `inputs.points`.
+    is Sigma_j with its off-diagonal negated.  state goes through
+    `inputs.record` and the points through `inputs.points`.
     """
+    inputs.record("state", state, BivariateMixture)
     x_a, p_a, x_b, p_b = np.moveaxis(
         inputs.points("phase-space points", points), -1, 0)
     covs = state.covariances
@@ -328,7 +295,8 @@ def wigner_cut(state: SignedGaussianMixture, direction: np.ndarray,
     """W along the line r = offset * direction; returns rows (offset, W).
 
     `direction` must be a unit 4-vector in (x_A, p_A, x_B, p_B) order
-    (`inputs.points`), and offsets a vector of finite coordinates.
+    (`inputs.points`), and offsets a vector of finite coordinates; state
+    goes through `inputs.record` in `wigner_value`.
     """
     direction = inputs.points("direction", direction)
     if direction.shape != (4,):

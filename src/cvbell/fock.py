@@ -42,8 +42,12 @@ real radial part times e^{-i(a-c) varphi}: the radial parts are pulled
 back, once per distinct radius, and the phases are put back afterwards.
 
 Quadrature convention matches the covariance modules: <x^2> = 1/2 in
-vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2).  A truncation goes
-through `inputs.integer`, at least MIN_TRUNCATION where a state is formed.
+vacuum, i.e. psi_0(x) = pi^(-1/4) exp(-x^2/2); the Schmidt vector of
+`tmsv_state` gives the two-mode squeezed vacuum's covariance entries
+sum_n g_n^2 (2n + 1) and 2 sum_n g_n g_{n+1} (n + 1), which `validate`
+compares with `gaussian.x_block` at unit transmittance.  A truncation
+goes through `inputs.integer`, at least MIN_TRUNCATION where a state is
+formed, and a state argument through `inputs.record`.
 
 Two tables depend on the truncation N alone: the square-root binomials of
 `_root_binomials`, from which every tap table is scaled, and the Hermite
@@ -136,50 +140,6 @@ def tmsv_state(squeezing: float,
     on the truncated basis and checked."""
     coeffs = tmsv_amplitudes(squeezing, n_trunc)
     return _check_schmidt(coeffs / np.linalg.norm(coeffs))
-
-
-def ladder(n_trunc: int) -> np.ndarray:
-    """Annihilation operator on the truncated basis, shape (N, N) for every
-    N >= 0."""
-    n_trunc = inputs.integer("truncation", n_trunc, 0)
-    idx = np.arange(n_trunc)
-    a = np.zeros((n_trunc, n_trunc))
-    a[idx[:-1], idx[1:]] = np.sqrt(idx[1:])
-    return a
-
-
-def quadrature_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """x and p matrices with <x^2>_vac = 1/2."""
-    a = ladder(n_trunc)
-    x = (a + a.T) / np.sqrt(2.0)
-    p = (a - a.T) / (1j * np.sqrt(2.0))
-    return x, p
-
-
-def second_moments(coeffs: np.ndarray) -> np.ndarray:
-    """Covariance matrix gamma_ij = <r_i r_j + r_j r_i> of the zero-mean
-    pure state sum_n g_n |n,n>, given its Schmidt coefficients g.
-
-    Brute-force moment evaluation used as the ground truth for the
-    covariance-matrix constructors; g is checked as the constructors
-    check it.  Each quadrature is a pair of operators (F on mode A, G on
-    mode B), one of them the identity, and
-    <F (x) G> = sum_{a,c} g_a F[a,c] G[a,c] g_c = g^T (F o G) g.
-    """
-    coeffs = _check_schmidt(coeffs)
-    x, p = quadrature_operators(len(coeffs))
-    eye = np.eye(len(coeffs))
-    ops = ((x, eye), (p, eye), (eye, x), (eye, p))
-
-    def expect(f, g):
-        return coeffs @ (f * g) @ coeffs
-
-    gamma = np.zeros((4, 4))
-    for i, (f_i, g_i) in enumerate(ops):
-        for j, (f_j, g_j) in enumerate(ops):
-            gamma[i, j] = (expect(f_i @ f_j, g_i @ g_j)
-                           + expect(f_j @ f_i, g_j @ g_i)).real
-    return gamma
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -588,8 +548,9 @@ def fock_sign_correlation(rho: HeraldedState, theta: float, phi: float,
     theta on mode A and phi on mode B multiplies entry (n, m) by
     e^{i theta (n-m)} and e^{i phi (n-m)}.  A theta or phi that is not one
     finite real number raises DomainError, as `inputs.angles` refuses a
-    pair.
+    pair; rho goes through `inputs.record`.
     """
+    inputs.record("rho", rho, HeraldedState)
     theta, phi = inputs.angles((theta, phi), 2)
     return _phase_form(_sign_reduced(rho, homodyne_efficiency), theta + phi)
 
@@ -598,8 +559,9 @@ def fock_chsh(rho: HeraldedState,
               angles: tuple[float, float, float, float],
               homodyne_efficiency: float = 1.0) -> float:
     """CHSH combination of four sign correlators for a given heralded state:
-    one pull-back and four phase forms.  Angles that `inputs.angles`
-    refuses raise DomainError."""
+    one pull-back and four phase forms.  rho goes through `inputs.record`;
+    angles that `inputs.angles` refuses raise DomainError."""
+    inputs.record("rho", rho, HeraldedState)
     angles = inputs.angles(angles)
     return _phase_chsh(_sign_reduced(rho, homodyne_efficiency), angles)
 
@@ -684,21 +646,6 @@ def _radial_table(n_trunc: int, rsq: np.ndarray) -> np.ndarray:
     return table
 
 
-def wigner_pair_table(n_trunc: int, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Wigner transforms of |m><n| at phase-space points, shape (n, n, npts).
-
-    The radial part of `_radial_table` times e^{-i(m-n) varphi}, with
-    sqrt(2) (x - i p) = sqrt(2) r e^{-i varphi}; x and p broadcast, and go
-    through `inputs.coordinates`.
-    """
-    n_trunc = inputs.integer("truncation", n_trunc, 0)
-    x = inputs.coordinates("x", x)
-    p = inputs.coordinates("p", p)
-    offset = np.subtract.outer(np.arange(n_trunc), np.arange(n_trunc))
-    return (_radial_table(n_trunc, x * x + p * p)
-            * np.exp(-1j * offset[..., None] * np.arctan2(p, x)))
-
-
 def wigner_values(rho: HeraldedState, points: np.ndarray) -> np.ndarray:
     """Two-mode Wigner function at phase-space points (..., 4).
 
@@ -707,9 +654,10 @@ def wigner_values(rho: HeraldedState, points: np.ndarray) -> np.ndarray:
     varphi} with R real and depending on the radius alone, and rotations
     commute with the pull-back, so the radial parts of every distinct
     radius are pulled back once and W is the phase form of
-    (g g^T) o Phi(R_A) o Phi(R_B) / P at -(varphi_A + varphi_B); the
-    points go through `inputs.points`.
+    (g g^T) o Phi(R_A) o Phi(R_B) / P at -(varphi_A + varphi_B); rho goes
+    through `inputs.record` and the points through `inputs.points`.
     """
+    inputs.record("rho", rho, HeraldedState)
     pts = inputs.points("phase-space points", points)
     flat = pts.reshape(-1, 4)
     count = len(flat)

@@ -7,7 +7,9 @@ large for a float, or an integer above INDEX_MAX, is refused.  A float
 passes without the `numbers.Real` check, an int without `numbers.Integral`.
 A validator of one number refuses an array.  A batch validator takes an
 ndarray of integer or real dtype by its dtype alone, and anything else
-value by value, as `real` takes one number.
+value by value, as `real` takes one number.  A record the package builds
+(parameters, states, mixtures, results) is checked by its class alone
+(`record`).
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ def real(name: str, value) -> float:
     except OverflowError:
         raise DomainError(f"{name} must not exceed {sys.float_info.max} "
                           "in magnitude") from None
+
+
+def record(name: str, value, cls: type) -> None:
+    """Refuse value unless it is an instance of the record class cls (or
+    of a subclass)."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def domain_error(name: str, value) -> DomainError:

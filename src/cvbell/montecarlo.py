@@ -75,8 +75,9 @@ _ROLE_SOPHIE, _ROLE_ALICE, _ROLE_BOB, _ROLE_QUAD = range(4)
 class ProtocolConfig:
     """Settings for one simulated data-taking campaign.
 
-    Each station picks each of its two angles with probability 1/2.  The
-    fields are stored as `inputs.integer` and `inputs.positive` give them.
+    Each station picks each of its two angles with probability 1/2.
+    params must be an ExperimentParams (`inputs.record`); the other fields
+    are stored as `inputs.integer` and `inputs.positive` give them.
     """
 
     params: ExperimentParams
@@ -85,6 +86,7 @@ class ProtocolConfig:
     rep_rate: float = 1e6
 
     def __post_init__(self):
+        inputs.record("params", self.params, ExperimentParams)
         for name, least in (("n_target_events", 1), ("seed", 0)):
             object.__setattr__(self, name, inputs.integer(
                 name, getattr(self, name), least))
@@ -320,8 +322,9 @@ def sample_joint_quadratures(marginal: BivariateMixture, n: int,
     Chunked rejection sampling (`_draw`) against the Gaussian envelope;
     the stream is fully determined by the seed.  The (n, 2) result is
     Fortran-ordered: each quadrature's n samples are contiguous.  n and
-    seed go through `inputs.integer`.
+    seed go through `inputs.integer`, and marginal through `inputs.record`.
     """
+    inputs.record("marginal", marginal, BivariateMixture)
     n = inputs.integer("sample count", n, 1)
     seed = inputs.integer("seed", seed, 0)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
@@ -403,8 +406,9 @@ def run_protocol(config: ProtocolConfig) -> MCResult:
     Each block of BLOCK_EVENTS events draws from its own streams, so the
     totals do not depend on the order in which the blocks are simulated;
     the cells that share a target (`_setting_targets`) share one draw per
-    block.
+    block.  config must be a ProtocolConfig (`inputs.record`).
     """
+    inputs.record("config", config, ProtocolConfig)
     params = config.params
     state = conditioning.conditional_state(params.output_covariance())
     targets = _setting_targets(state, params.angles)
@@ -442,8 +446,10 @@ def acquisition_time(bell: BellResult, rep_rate: float,
     the per-event estimator variance is sigma0^2 = sum over cells of
     (1 - E^2) / 0.25, and the answer is
     (sigma0 / target)^2 / (P * rep_rate) with P = bell.success_prob.
-    P, rep_rate and target_stderr_s go through `inputs.positive`.
+    bell must be a BellResult (`inputs.record`); P, rep_rate and
+    target_stderr_s go through `inputs.positive`.
     """
+    inputs.record("bell", bell, BellResult)
     success_prob = inputs.positive("success_prob", bell.success_prob)
     rep_rate = inputs.positive("rep_rate", rep_rate)
     target_stderr_s = inputs.positive("target_stderr_s", target_stderr_s)

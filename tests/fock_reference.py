@@ -4,7 +4,9 @@ The definition route: Hermite functions on a glued Gauss-Legendre grid,
 the heralded state scattered into a dense (N, N, N, N) array term by term
 over the tap counts, homodyne loss through its Kraus operators, the joint
 quadrature density integrated against the signs, and the Wigner function
-as a full contraction with Laguerre tables from scipy.  The sign operator
+as a full contraction with Laguerre tables from scipy.  The ladder and
+quadrature operators and the second moments of a Schmidt state are the
+ground truth for the covariance constructors.  The sign operator
 below efficiency 1 comes from its Gaussian-overlap recurrence; pulled back
 term by term it is the float twin of `exact_fock_correlation`, which
 covers seeded rows up to N = 130 where the oracle is too slow.  The
@@ -24,7 +26,7 @@ import numpy as np
 from mpmath.calculus.quadrature import GaussLegendre
 from scipy.special import erf, eval_genlaguerre, gammaln
 
-from cvbell import fock
+from cvbell import fock, inputs
 
 # ---------------------------------------------------------------------------
 # sign operators: the Hermite functions on a glued Gauss-Legendre grid, and
@@ -310,6 +312,56 @@ def ideal_subtracted_state(squeezing, transmittance,
     coeffs = fock._check_schmidt(coeffs / np.linalg.norm(coeffs))
     projected = fock.pair_projected_state(squeezing, transmittance, n_trunc)
     return coeffs, float((projected @ coeffs) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# quadrature moments: the ladder operator on the truncated basis and the
+# brute-force second moments of a Schmidt state, the ground truth for the
+# covariance constructors
+
+
+def ladder(n_trunc: int) -> np.ndarray:
+    """Annihilation operator on the truncated basis, shape (N, N) for every
+    N >= 0."""
+    n_trunc = inputs.integer("truncation", n_trunc, 0)
+    idx = np.arange(n_trunc)
+    a = np.zeros((n_trunc, n_trunc))
+    a[idx[:-1], idx[1:]] = np.sqrt(idx[1:])
+    return a
+
+
+def quadrature_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and p matrices with <x^2>_vac = 1/2."""
+    a = ladder(n_trunc)
+    x = (a + a.T) / np.sqrt(2.0)
+    p = (a - a.T) / (1j * np.sqrt(2.0))
+    return x, p
+
+
+def second_moments(coeffs: np.ndarray) -> np.ndarray:
+    """Covariance matrix gamma_ij = <r_i r_j + r_j r_i> of the zero-mean
+    pure state sum_n g_n |n,n>, given its Schmidt coefficients g.
+
+    Brute-force moment evaluation used as the ground truth for the
+    covariance-matrix constructors; g is checked as the constructors
+    check it.  Each quadrature is a pair of operators (F on mode A, G on
+    mode B), one of them the identity, and
+    <F (x) G> = sum_{a,c} g_a F[a,c] G[a,c] g_c = g^T (F o G) g.
+    """
+    coeffs = fock._check_schmidt(coeffs)
+    x, p = quadrature_operators(len(coeffs))
+    eye = np.eye(len(coeffs))
+    ops = ((x, eye), (p, eye), (eye, x), (eye, p))
+
+    def expect(f, g):
+        return coeffs @ (f * g) @ coeffs
+
+    gamma = np.zeros((4, 4))
+    for i, (f_i, g_i) in enumerate(ops):
+        for j, (f_j, g_j) in enumerate(ops):
+            gamma[i, j] = (expect(f_i @ f_j, g_i @ g_j)
+                           + expect(f_j @ f_i, g_j @ g_i)).real
+    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -198,12 +198,12 @@ class TestSignCorrelation:
             1.0 - 10.0 ** -np.arange(1, 15), (0.85, 0.99, 0.999999),
             (0.01, 1.0), (0.01, 1.0))))
         lam, trans, eta, _ = grid.T
-        terms = conditioning.herald(
+        _, _, correlations, _, errors = conditioning._condition(
             gaussian.x_entries(*grid.T),
             conditioning.success_probability(lam, trans, eta))
-        accepted = np.array([e is None for e in terms.errors])
+        accepted = np.array([e is None for e in errors])
         assert accepted.any()
-        assert np.all(np.abs(terms.correlations[accepted]) < 1.0)
+        assert np.all(np.abs(correlations[:, accepted]) < 1.0)
 
     def test_closed_form_vs_quadrature_at_reference_point(self, cut_state):
         marginal = bell.rotated_marginal(cut_state, 0.0, -np.pi / 4)
@@ -483,32 +483,32 @@ class TestAgainstPerCallRoute:
             np.array([[1.0, 0.0, 0.0, 0.0, 1e-13, 0.0]]).T
         nan = rng.random(entries.shape[1]) < 0.02
         entries[3, nan] = np.nan
-        terms = conditioning.herald(entries)
+        success, weights, correlations, _, errors = \
+            conditioning._condition(entries)
         expected = per_call.heralded_terms(
             gaussian.x_block_of_entries(entries).reshape(-1, 4, 4))
-        assert all(str(terms.errors[i]) == "matrix is not positive definite "
+        assert all(str(errors[i]) == "matrix is not positive definite "
                    "(condition estimate inf)" and
                    str(expected.errors[i]) == "matrix is not symmetric"
                    for i in np.flatnonzero(nan))
-        assert [type(e) for e, bad in zip(terms.errors, nan) if not bad] == \
+        assert [type(e) for e, bad in zip(errors, nan) if not bad] == \
             [type(e) for e, bad in zip(expected.errors, nan) if not bad]
         # the texts agree where they quote no rounded number
-        for error, ref, bad in zip(terms.errors, expected.errors, nan):
+        for error, ref, bad in zip(errors, expected.errors, nan):
             if getattr(error, "condition_estimate", 0.0) == np.inf \
                     and not bad:
                 assert str(error) == str(ref)
         # the generic kernel's 4x4 Woodbury route exceeds the budget
         # from about lambda = 0.998 (3 sum|w_j| eps at 0.999)
-        ok = np.array([e is None for e in terms.errors]) & (args[0] < 0.95)
+        ok = np.array([e is None for e in errors]) & (args[0] < 0.95)
         assert ok.sum() > 1000
-        bound = closed_form_budget(terms.cancellation[ok])
-        assert np.all(np.abs(terms.success_prob[ok]
-                             - expected.success_prob[ok])
-                      <= bound * terms.success_prob[ok])
+        bound = closed_form_budget(conditioning.cancellation(weights)[ok])
+        assert np.all(np.abs(success[ok] - expected.success_prob[ok])
+                      <= bound * success[ok])
         for cosine in (1.0, 0.7, -0.3):
-            values = [bell._arcsine_mean(t.weights[ok],
-                                         t.correlations[ok] * cosine)
-                      for t in (terms, expected)]
+            values = [bell._arcsine_mean(w[ok], c[ok] * cosine)
+                      for w, c in ((weights.T, correlations.T),
+                                   (expected.weights, expected.correlations))]
             assert np.all(np.abs(values[0] - values[1]) <= bound)
 
     def test_x_block_bitwise(self):
@@ -581,6 +581,27 @@ class TestRowAndBatch:
             assert np.float64(cancellation).tobytes() == \
                 batch[2][i].tobytes()
             assert error_texts(errors) == error_texts([batch[3][i]])
+
+    def test_mass_sum_row_equals_its_batch_row_bitwise(self):
+        # the branch with P the sum of the masses, which `conditional_state`
+        # runs: a (6,) row of the whole domain's entries gives the (6, n)
+        # batch's values and NaNs byte for byte, and the same refusal
+        rows = domain_sweep_rows(1500, 2705)
+        with np.errstate(all="ignore"):
+            entries = gaussian.x_entries(*stacked(rows))
+        batch = conditioning._condition(entries)
+        kinds = set()
+        for i in range(entries.shape[1]):
+            success, weights, correlations, sigmas, errors = \
+                conditioning._condition(entries[:, i])
+            assert np.ndim(success) == 0 and weights.shape == (4,)
+            assert np.float64(success).tobytes() == batch[0][i].tobytes()
+            for one, values in zip((weights, correlations, *sigmas),
+                                   (batch[1], batch[2], *batch[3])):
+                assert one.tobytes() == values[:, i].tobytes()
+            assert error_texts(errors) == error_texts([batch[4][i]])
+            kinds.add(type(errors[0]))
+        assert kinds == {type(None), InvalidRegimeError, SingularMatrixError}
 
     def test_chsh_runs_the_kernel_on_scalars(self, monkeypatch):
         kernel, shapes = conditioning._condition, []

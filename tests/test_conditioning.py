@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,11 +74,14 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 class TestHeraldedTerms:
+    """The (w_j, Sigma_j) terms of `conditioning._condition` and the record
+    `conditional_state` builds of them."""
+
     def test_ill_conditioned_x_block_refused(self):
         # X = diag(1e-14, 1e-14, 1, 1), invariant under the joint swap
         entries = IDENTITY.copy()
         entries[0] = 1e-14
-        error = conditioning.herald(entries[:, None]).errors[0]
+        error = conditioning._condition(entries)[4][0]
         assert isinstance(error, SingularMatrixError)
         assert error.condition_estimate > 1e12
         x = gaussian.x_block_of_entries(entries)
@@ -94,18 +99,19 @@ class TestHeraldedTerms:
         success = conditioning.success_probability(
             np.array([0.6, 0.5, 0.0, 0.6]), 0.95, 0.3)
         success[3] = np.nan
-        terms = conditioning.herald(stack, success)
-        assert terms.errors[0] is None
-        assert isinstance(terms.errors[1], SingularMatrixError)
-        assert isinstance(terms.errors[2], InvalidRegimeError)
-        assert isinstance(terms.errors[3], InvalidRegimeError)
-        for values in (terms.success_prob, terms.weights, terms.correlations,
-                       terms.covariances):
-            assert np.all(np.isnan(values[1:]))
-        single = conditioning.herald(good[:, None], success[:1])
-        assert np.array_equal(terms.weights[0], single.weights[0])
-        assert np.array_equal(terms.covariances[0], single.covariances[0])
-        assert terms.success_prob[0] == single.success_prob[0]
+        prob, weights, correlations, sigmas, errors = \
+            conditioning._condition(stack, success)
+        assert errors[0] is None
+        assert isinstance(errors[1], SingularMatrixError)
+        assert isinstance(errors[2], InvalidRegimeError)
+        assert isinstance(errors[3], InvalidRegimeError)
+        for values in (prob, weights, correlations, *sigmas):
+            assert np.all(np.isnan(values[..., 1:]))
+        single = conditioning._condition(good[:, None], success[:1])
+        assert single[0].tobytes() == prob[:1].tobytes()
+        for values, one in zip((weights, correlations, *sigmas),
+                               (single[1], single[2], *single[3])):
+            assert one.tobytes() == values[:, :1].tobytes()
 
     def test_refusal_names_the_first_failing_check(self):
         # checks run in the order X, P, Sigma_j; the last row fails X and
@@ -115,8 +121,8 @@ class TestHeraldedTerms:
         singular[0] = 0.0
         singular_vacuum = IDENTITY.copy()
         singular_vacuum[0] = 0.0
-        terms = conditioning.herald(np.column_stack(
-            [good, singular, IDENTITY, singular_vacuum]))
+        _, _, _, sigmas, errors = conditioning._condition(
+            np.column_stack([good, singular, IDENTITY, singular_vacuum]))
         not_pd = "matrix is not positive definite (condition estimate inf)"
         expected = [
             None,
@@ -126,8 +132,8 @@ class TestHeraldedTerms:
              "detectors"),
             (SingularMatrixError, not_pd),
         ]
-        assert [e and (type(e), str(e)) for e in terms.errors] == expected
-        assert np.all(np.isnan(terms.covariances[1:]))
+        assert [e and (type(e), str(e)) for e in errors] == expected
+        assert np.all(np.isnan(np.array(sigmas)[..., 1:]))
         # an out-of-domain sweep row reports its parameter, not the kernel
         fixed = bell.ExperimentParams(0.6, 0.95, 0.3, 0.95)
         bad, ok = bell.sweep("homodyne_efficiency", [0.0, 0.95], fixed)
@@ -153,14 +159,39 @@ class TestHeraldedTerms:
                     params, theta, phi)) <= 1e-8
 
     def test_state_reads_the_kernel_row(self, realistic_params):
+        # the record holds the kernel's row: P the sum of the masses, the
+        # weights, and Sigma_j = [[p, r], [r, q]] / 2
         cov = realistic_params.output_covariance()
         state = conditioning.conditional_state(cov)
         x = cov[0::2, 0::2]
-        terms = conditioning.herald(np.array(
-            [x[0, 0], x[0, 1], x[0, 2], x[0, 3], x[2, 2], x[2, 3]])[:, None])
-        assert state.success_prob == terms.success_prob[0]
-        assert np.array_equal(state.weights, terms.weights[0])
-        assert np.array_equal(state.covariances, terms.covariances[0])
+        success, weights, correlations, (p, q, r), _ = \
+            conditioning._condition(np.array(
+                [x[0, 0], x[0, 1], x[0, 2], x[0, 3], x[2, 2], x[2, 3]]))
+        assert type(state.success_prob) is float
+        assert state.success_prob == success
+        assert state.weights.tobytes() == weights.tobytes()
+        assert state.covariances.shape == (4, 2, 2)
+        for j in range(4):
+            assert state.covariances[j].tobytes() == (0.5 * np.array(
+                [[p[j], r[j]], [r[j], q[j]]])).tobytes()
+        covs = state.covariances
+        assert np.array_equal(correlations, covs[:, 0, 1] / np.sqrt(
+            covs[:, 0, 0] * covs[:, 1, 1]))
+
+    def test_state_runs_the_kernel_on_one_row(self, monkeypatch,
+                                              realistic_params):
+        # one (6,) row of float64 entries, whose unpacked values are
+        # float64 scalars, not a (6, 1) batch
+        kernel, calls = conditioning._condition, []
+
+        def recorded(entries, success_prob=None):
+            calls.append((type(entries), np.shape(entries),
+                          {type(e) for e in entries}, success_prob))
+            return kernel(entries, success_prob)
+
+        monkeypatch.setattr(conditioning, "_condition", recorded)
+        conditioning.conditional_state(realistic_params.output_covariance())
+        assert calls == [(np.ndarray, (6,), {np.float64}, None)]
 
     def test_state_is_its_x_marginal(self, realistic_state):
         assert isinstance(realistic_state, conditioning.BivariateMixture)
@@ -180,6 +211,16 @@ class TestHeraldedTerms:
         unflipped[1::2, 1::2] = cov[0::2, 0::2]
         with pytest.raises(DomainError):
             conditioning.conditional_state(unflipped)
+
+    def test_infinite_entry_refused_without_a_warning(self,
+                                                      realistic_params):
+        cov = realistic_params.output_covariance()
+        cov[0, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                conditioning.conditional_state(cov)
+        assert str(info.value).startswith("covariance must have a zero x-p")
 
     @pytest.mark.parametrize("entries, message", [
         ([(3, 0)], "matrix is not symmetric"),
@@ -202,8 +243,6 @@ class TestHeraldedTerms:
         assert state(1e-11).success_prob > 0.0
 
     def test_shape_checked(self):
-        with pytest.raises(DomainError):
-            conditioning.herald(np.ones((4, 3)))
         with pytest.raises(DomainError):
             conditioning.conditional_state(np.eye(4))
 

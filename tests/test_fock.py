@@ -18,9 +18,10 @@ from fock_reference import (
     exact_pair_projection, exact_sign_entries, exact_success_prob,
     exact_tap_amplitude_table, expand_record, folded_record,
     grid_sign_operator, hermite_functions, ideal_subtracted_state,
-    kept_mode_distribution, kept_mode_tail, kraus_loss_dual,
-    loop_sign_operator, loop_wigner_pair_table, reference_grid,
-    reference_sign_correlation, reference_sign_reduced)
+    kept_mode_distribution, kept_mode_tail, kraus_loss_dual, ladder,
+    loop_sign_operator, loop_wigner_pair_table, quadrature_operators,
+    reference_grid, reference_sign_correlation, reference_sign_reduced,
+    second_moments)
 import symplectic_reference as ref
 
 
@@ -133,16 +134,15 @@ class TestStates:
     @pytest.mark.parametrize("call", [
         lambda n: fock.tmsv_amplitudes(0.5, n),
         lambda n: fock.tmsv_state(0.5, n),
-        fock.ladder,
-        fock.quadrature_operators,
+        ladder,
+        quadrature_operators,
         lambda n: fock.tap_amplitude_table(0.5, n),
         lambda n: fock.click_weights(0.5, n),
         lambda n: fock.lossy_click_conditioning(0.5, 0.95, 0.3, n),
         lambda n: fock.pair_projected_state(0.5, 0.95, n),
-        lambda n: fock.wigner_pair_table(n, np.zeros(2), np.zeros(2)),
     ], ids=["tmsv_amplitudes", "tmsv_state", "ladder", "quadrature_operators",
             "tap_amplitude_table", "click_weights", "lossy_click_conditioning",
-            "pair_projected_state", "wigner_pair_table"])
+            "pair_projected_state"])
     def test_truncation_must_be_an_integer(self, call):
         for n_trunc in (40.5, 40.0, "40", True):
             with pytest.raises(DomainError) as info:
@@ -154,11 +154,11 @@ class TestStates:
     def test_ladder_shape(self, n_trunc):
         # sqrt(n) on the superdiagonal and zero elsewhere, N = 0 included,
         # where np.diag of the empty superdiagonal would be 1 x 1
-        a = fock.ladder(n_trunc)
+        a = ladder(n_trunc)
         assert a.shape == (n_trunc, n_trunc)
         assert np.array_equal(np.diag(a, 1), np.sqrt(np.arange(1, n_trunc)))
         assert np.count_nonzero(a) == max(n_trunc - 1, 0)
-        for op in fock.quadrature_operators(n_trunc):
+        for op in quadrature_operators(n_trunc):
             assert op.shape == (n_trunc, n_trunc)
 
     def test_second_moments_match_einsum_form(self):
@@ -167,7 +167,7 @@ class TestStates:
         n = 20
         coeffs = 0.5 ** np.arange(n) * rng.normal(size=n)
         coeffs /= np.linalg.norm(coeffs)
-        x, p = fock.quadrature_operators(n)
+        x, p = quadrature_operators(n)
         quads, psi = (x, p), np.diag(coeffs)
         expected = np.zeros((4, 4))
         for i in range(4):
@@ -183,17 +183,17 @@ class TestStates:
                     val = 2.0 * np.einsum("ab,ac,bd,cd->", psi.conj(), op_a,
                                           op_b, psi)
                 expected[i, j] = val.real
-        assert np.max(np.abs(fock.second_moments(coeffs) - expected)) < 1e-13
+        assert np.max(np.abs(second_moments(coeffs) - expected)) < 1e-13
 
     def test_second_moments_check_their_input(self):
         coeffs = fock.tmsv_state(0.5, 40)
         with pytest.raises(DomainError, match="norm"):
-            fock.second_moments(2.0 * coeffs)
+            second_moments(2.0 * coeffs)
         with pytest.raises(DomainError, match="vector"):
-            fock.second_moments(np.diag(coeffs))
+            second_moments(np.diag(coeffs))
         heavy = fock.tmsv_amplitudes(0.85, 16)
         with pytest.raises(TruncationError):
-            fock.second_moments(heavy / np.linalg.norm(heavy))
+            second_moments(heavy / np.linalg.norm(heavy))
 
     def test_tap_amplitude_table_matches_forty_digits(self):
         # whole tables within 1e-14 at N = 40 and 60; then the entries
@@ -268,7 +268,7 @@ class TestStates:
     def test_second_moments_match_covariance(self):
         for lam in (0.0, 0.3, 0.5):
             cov = ref.tmsv_covariance(lam)
-            moments = fock.second_moments(fock.tmsv_state(lam, 60))
+            moments = second_moments(fock.tmsv_state(lam, 60))
             assert np.max(np.abs(cov - moments)) < 1e-8
 
 
@@ -561,12 +561,13 @@ class TestOptimalProduct:
 
 class TestWigner:
     def test_pair_table_matches_transform_definition(self):
-        # check the Laguerre closed form against the defining integral
+        # check the Laguerre closed form of the reference table against the
+        # defining integral
         # W(x,p) = (1/2pi) Int psi_m(x+y/2) psi_n(x-y/2) exp(-ipy) dy
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1.5, 1.5, size=(6, 2))
         y = np.linspace(-18.0, 18.0, 6001)
-        table = fock.wigner_pair_table(6, pts[:, 0], pts[:, 1])
+        table = loop_wigner_pair_table(6, pts[:, 0], pts[:, 1])
         for x0, p0, closed in zip(pts[:, 0], pts[:, 1],
                                   np.moveaxis(table, -1, 0)):
             left = hermite_functions(6, x0 + y / 2.0)
@@ -579,10 +580,14 @@ class TestWigner:
                     assert abs(direct - closed[m, n]) < 1e-8
 
     def test_pair_table_matches_loop(self):
-        pts = np.random.default_rng(6).normal(scale=1.5, size=(20, 2))
+        # the radial parts of `wigner_values`, with their phases
+        # e^{-i(m-n) varphi} put back, are the pair table
+        x, p = np.random.default_rng(6).normal(scale=1.5, size=(2, 20))
         for n_trunc in (40, 60):
-            table = fock.wigner_pair_table(n_trunc, pts[:, 0], pts[:, 1])
-            direct = loop_wigner_pair_table(n_trunc, pts[:, 0], pts[:, 1])
+            offset = np.subtract.outer(np.arange(n_trunc), np.arange(n_trunc))
+            table = (fock._radial_table(n_trunc, x * x + p * p)
+                     * np.exp(-1j * offset[..., None] * np.arctan2(p, x)))
+            direct = loop_wigner_pair_table(n_trunc, x, p)
             assert np.max(np.abs(table - direct)) < 1e-14
 
     def test_vacuum_wigner(self):

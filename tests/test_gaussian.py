@@ -3,6 +3,7 @@ import pytest
 
 from cvbell import fock, gaussian, inputs
 from cvbell.errors import DomainError, SingularMatrixError
+from fock_reference import second_moments
 import symplectic_reference as ref
 
 
@@ -20,7 +21,7 @@ class TestTmsvCovariance:
 
     def test_matches_fock_second_moments(self):
         cov = ref.tmsv_covariance(0.5)
-        moments = fock.second_moments(fock.tmsv_state(0.5, 60))
+        moments = second_moments(fock.tmsv_state(0.5, 60))
         assert np.max(np.abs(cov - moments)) < 1e-8
 
     def test_block_form(self):

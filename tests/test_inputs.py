@@ -2,11 +2,12 @@
 
 Each name that `cvbell` exports, and each public function of `cvbell.fock`,
 has a row in ENTRY_POINTS: a call with valid arguments, and the arguments a
-caller gives as numbers or arrays, each with its kind (see
-`cvbell.inputs`) and the names its refusal text may give.  Arguments that
-are records the package builds (parameters, states, mixtures, results)
-are not catalogued, and a record class or error class has no row of its
-own but an entry in RECORDS.
+caller gives as numbers, arrays or records, each with its kind (see
+`cvbell.inputs`) and the names its refusal text may give.  An argument
+that is a record the package builds (parameters, states, mixtures,
+results) is of kind "record": every catalogue value is a non-record.  A
+record class or error class has no row of its own but an entry in
+RECORDS.
 
 Each catalogue value, put in one catalogued argument at a time, must
 either raise a DomainError whose text names the argument, or be taken as
@@ -55,16 +56,15 @@ MUST_REFUSE = {
     "angle": _NOT_NUMBERS | _ARRAYS | _NON_FINITE,
     # `inputs.integer`: all but np.int64(1)
     "integer": set(CATALOGUE) - {"int64"},
-    # a batch of any shape (`inputs.reals`, `parameters`), one of finite
-    # numbers (`inputs.coordinates`), and one that may be None
+    # a batch of any shape (`inputs.reals`, `parameters`)
     "batch": _NOT_NUMBERS,
-    "finite": _NOT_NUMBERS | _NON_FINITE,
-    "optional": _NOT_NUMBERS - {"none"},
     # a batch along one axis (`inputs.vector`)
     "vector": set(CATALOGUE) - {"two-element", "list"},
     # an argument of a fixed shape that no catalogue value has: a tuple of
-    # four angles, points, a sweep axis, the entries of herald, ...
+    # four angles, points, a sweep axis, a covariance, ...
     "shaped": set(CATALOGUE),
+    # a record of one class (`inputs.record`), which no catalogue value is
+    "record": set(CATALOGUE),
 }
 
 
@@ -83,14 +83,10 @@ def _fixtures():
     state = conditioning.conditional_state(params.output_covariance())
     marginal = bell.rotated_marginal(state, 0.0, 0.0)
     rho, _ = fock.lossy_click_conditioning(0.3, 0.95, 0.3, 16)
-    coeffs = fock.tmsv_state(0.3, 40)
-    # the (6, 1) x-block entries of params, as `herald` takes them
-    entries = gaussian.x_entries(*(np.array([getattr(params, name)])
-                                   for name in gaussian.PARAMS))
-    return params, state, marginal, rho, coeffs, entries
+    return params, state, marginal, rho
 
 
-PARAMS, STATE, MARGINAL, RHO, COEFFS, ENTRIES = _fixtures()
+PARAMS, STATE, MARGINAL, RHO = _fixtures()
 ANGLES = bell.DEFAULT_ANGLES
 
 
@@ -105,7 +101,7 @@ ENTRY_POINTS = {
     "ExperimentParams": Row(
         bell.ExperimentParams, (0.5, 0.95, 0.3, 1.0, ANGLES),
         {**_four("number"), 4: ("shaped", ("angles",))}),
-    "chsh": Row(bell.chsh, (PARAMS,), {}),
+    "chsh": Row(bell.chsh, (PARAMS,), {0: ("record", ("params",))}),
     "chsh_value": Row(bell.chsh_value, (np.zeros((2, 2)),),
                       {0: ("shaped", ("correlators",))}),
     "optimize_lambda": Row(
@@ -114,27 +110,30 @@ ENTRY_POINTS = {
          1: ("number", ("apd_efficiency",)),
          2: ("number", ("homodyne_efficiency",)), 3: ("shaped", ("angles",))}),
     "rotated_marginal": Row(bell.rotated_marginal, (STATE, 0.0, 0.0),
-                            {1: ("angle", ("angles",)),
+                            {0: ("record", ("state",)),
+                             1: ("angle", ("angles",)),
                              2: ("angle", ("angles",))}),
-    "sign_correlation": Row(bell.sign_correlation, (MARGINAL,), {}),
+    "sign_correlation": Row(bell.sign_correlation, (MARGINAL,),
+                            {0: ("record", ("marginal",))}),
     "sign_correlation_quadrature": Row(bell.sign_correlation_quadrature,
-                                       (MARGINAL,), {}),
+                                       (MARGINAL,),
+                                       {0: ("record", ("marginal",))}),
     "sweep": Row(bell.sweep, ("squeezing", [0.3, 0.5], PARAMS),
                  {0: ("shaped", ("sweep axis",)),
-                  1: ("vector", ("squeezing",))}),
+                  1: ("vector", ("squeezing",)),
+                  2: ("record", ("fixed",))}),
     # conditioning
     "conditional_state": Row(conditioning.conditional_state,
                              (PARAMS.output_covariance(),),
                              {0: ("shaped", ("covariance",))}),
-    "herald": Row(conditioning.herald, (ENTRIES, None),
-                  {0: ("shaped", ("entries",)),
-                   1: ("optional", ("success_prob",))}),
     "wigner_cut": Row(conditioning.wigner_cut,
                       (STATE, np.array([1.0, 0.0, 0.0, 0.0]), [0.0, 0.5]),
-                      {1: ("shaped", ("direction",)),
+                      {0: ("record", ("state",)),
+                       1: ("shaped", ("direction",)),
                        2: ("vector", ("offsets",))}),
     "wigner_value": Row(conditioning.wigner_value, (STATE, np.zeros(4)),
-                        {1: ("shaped", ("phase-space points",))}),
+                        {0: ("record", ("state",)),
+                         1: ("shaped", ("phase-space points",))}),
     # gaussian
     "db_to_squeezing": Row(cvbell.db_to_squeezing, (3.0,),
                            {0: ("number", ("squeezing",))}),
@@ -146,17 +145,21 @@ ENTRY_POINTS = {
     # montecarlo
     "ProtocolConfig": Row(
         montecarlo.ProtocolConfig, (PARAMS, 10, 1, 1e6),
-        {1: ("integer", ("n_target_events",)), 2: ("integer", ("seed",)),
+        {0: ("record", ("params",)),
+         1: ("integer", ("n_target_events",)), 2: ("integer", ("seed",)),
          3: ("number", ("rep_rate",))}),
     "acquisition_time": Row(montecarlo.acquisition_time,
                             (bell.chsh(PARAMS), 1e6, 0.005),
-                            {1: ("number", ("rep_rate",)),
+                            {0: ("record", ("bell",)),
+                             1: ("number", ("rep_rate",)),
                              2: ("number", ("target_stderr_s",))}),
     "run_protocol": Row(montecarlo.run_protocol,
-                        (montecarlo.ProtocolConfig(PARAMS, 10, 1),), {}),
+                        (montecarlo.ProtocolConfig(PARAMS, 10, 1),),
+                        {0: ("record", ("config",))}),
     "sample_joint_quadratures": Row(
         montecarlo.sample_joint_quadratures, (MARGINAL, 10, 1),
-        {1: ("integer", ("sample count",)), 2: ("integer", ("seed",))}),
+        {0: ("record", ("marginal",)), 1: ("integer", ("sample count",)),
+         2: ("integer", ("seed",))}),
     # fock
     "tmsv_amplitudes": Row(fock.tmsv_amplitudes, (0.5, 40),
                            {0: ("number", ("squeezing",)),
@@ -164,12 +167,6 @@ ENTRY_POINTS = {
     "tmsv_state": Row(fock.tmsv_state, (0.3, 40),
                       {0: ("number", ("squeezing",)),
                        1: ("integer", ("truncation",))}),
-    "ladder": Row(fock.ladder, (4,), {0: ("integer", ("truncation",))}),
-    "quadrature_operators": Row(fock.quadrature_operators, (4,),
-                                {0: ("integer", ("truncation",))}),
-    "second_moments": Row(fock.second_moments, (COEFFS,),
-                          {0: ("vector",
-                               ("Schmidt coefficients", "truncation"))}),
     "tap_amplitude_table": Row(fock.tap_amplitude_table, (0.95, 16),
                                {0: ("number", ("transmittance",)),
                                 1: ("integer", ("truncation",))}),
@@ -186,26 +183,23 @@ ENTRY_POINTS = {
          2: ("integer", ("truncation",))}),
     "fock_sign_correlation": Row(
         fock.fock_sign_correlation, (RHO, 0.0, 0.0, 0.95),
-        {1: ("angle", ("angles",)), 2: ("angle", ("angles",)),
-         3: ("number", ("homodyne_efficiency",))}),
+        {0: ("record", ("rho",)), 1: ("angle", ("angles",)),
+         2: ("angle", ("angles",)), 3: ("number", ("homodyne_efficiency",))}),
     "fock_chsh": Row(fock.fock_chsh, (RHO, ANGLES, 0.95),
-                     {1: ("shaped", ("angles",)),
+                     {0: ("record", ("rho",)), 1: ("shaped", ("angles",)),
                       2: ("number", ("homodyne_efficiency",))}),
     "fock_optimal_product": Row(fock.fock_optimal_product, (0.95, 5e-4),
                                 {0: ("number", ("transmittance",)),
                                  1: ("number", ("tol",))}),
-    "wigner_pair_table": Row(fock.wigner_pair_table,
-                             (4, np.zeros(2), np.zeros(2)),
-                             {0: ("integer", ("truncation",)),
-                              1: ("finite", ("x",)), 2: ("finite", ("p",))}),
     "wigner_values": Row(fock.wigner_values, (RHO, np.zeros(4)),
-                         {1: ("shaped", ("phase-space points",))}),
+                         {0: ("record", ("rho",)),
+                          1: ("shaped", ("phase-space points",))}),
 }
 
 #: exported names with no catalogued argument of their own: records the
 #: package builds and fills, and the error classes
-RECORDS = {"BellResult", "BivariateMixture", "HeraldedTerms",
-           "SignedGaussianMixture", "MCResult", "ConfigError",
+RECORDS = {"BellResult", "BivariateMixture", "SignedGaussianMixture",
+           "MCResult", "ConfigError",
            "CVBellError", "DomainError", "EnvelopeError",
            "InvalidRegimeError", "OptimizationError", "SingularMatrixError",
            "TruncationError"}
