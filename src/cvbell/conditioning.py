@@ -240,31 +240,28 @@ def _condition(entries, success_prob=None):
 def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
     """Signed four-Gaussian mixture of the double-click conditional state.
 
-    cov_out is the 8x8 output covariance: a zero x-p cross block, p-block
-    D X D and an x-block X symmetric under transposition and under the
-    joint swap of A with B and C with D, each within STRUCTURE_TOL, a
-    batch (`inputs.reals`; DomainError otherwise).  Its six entries are
-    conditioned as one row of float64 scalars (`_condition`), with P the
-    sum of the four masses; the row's refusal is raised, e.g.
-    InvalidRegimeError for vacuum input.
+    cov_out is the 8x8 output covariance: finite entries
+    (`inputs.coordinates`), a zero x-p cross block, p-block D X D and an
+    x-block X symmetric under transposition and under the joint swap of A
+    with B and C with D, each within STRUCTURE_TOL (DomainError
+    otherwise).  Its six entries are conditioned as one row of float64
+    scalars (`_condition`), with P the sum of the four masses; the row's
+    refusal is raised, e.g. InvalidRegimeError for vacuum input.
     """
-    cov = inputs.reals("covariance", cov_out)
+    cov = inputs.coordinates("covariance", cov_out)
     if cov.shape != (8, 8):
         raise DomainError(f"expected an 8x8 covariance, got shape {cov.shape}")
     x = cov[0::2, 0::2]
     entries = np.concatenate([x[0, :4], x[2, 2:]])
-    # an infinite entry fails its check as a NaN gap, without a warning
-    with np.errstate(invalid="ignore"):
-        if not np.all(np.abs(cov - gaussian.from_x_block(x))
-                      <= STRUCTURE_TOL):
-            raise DomainError("covariance must have a zero x-p cross block "
-                              "and p-block D x D, D = diag(1, -1, 1, -1)")
-        if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
-            raise DomainError("matrix is not symmetric")
-        if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
-                      <= STRUCTURE_TOL):
-            raise DomainError("x-block must be invariant under the joint "
-                              "swap of A with B and C with D")
+    if not np.all(np.abs(cov - gaussian.from_x_block(x)) <= STRUCTURE_TOL):
+        raise DomainError("covariance must have a zero x-p cross block "
+                          "and p-block D x D, D = diag(1, -1, 1, -1)")
+    if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
+        raise DomainError("matrix is not symmetric")
+    if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
+                  <= STRUCTURE_TOL):
+        raise DomainError("x-block must be invariant under the joint "
+                          "swap of A with B and C with D")
     success, weights, _, (p, q, r), errors = _condition(entries)
     if errors[0] is not None:
         raise errors[0]

@@ -49,13 +49,17 @@ compares with `gaussian.x_block` at unit transmittance.  A truncation
 goes through `inputs.integer`, at least MIN_TRUNCATION where a state is
 formed, and a state argument through `inputs.record`.
 
-Two tables depend on the truncation N alone: the square-root binomials of
-`_root_binomials`, from which every tap table is scaled, and the Hermite
-values and derivatives at 0 of `_hermite_at_zero`, which the sign
-pull-back reads.  Each is memoised on the integer N alone (a
-`functools.lru_cache` of TABLE_MEMO_SIZE truncations) and returned
-read-only, so no caller can change what the next one reads.  Nothing
-keyed on a parameter is kept: the tables scaled by T are built per call.
+Two memos hold the tables that depend on the truncation N alone:
+`_root_binomials` the square-root binomials and the exponent row from
+which every tap table is scaled, and `_sign_tables` the N x N tables
+u_{n-k}, v_{n-k} of the Hermite derivatives and values at 0 and the
+divisor n - m, which the sign pull-back reads.  These three are Toeplitz
+views over 2N - 1 values each, one per diagonal, so they add O(N) memory
+and no call gathers or builds an index table.  Each memo is keyed on the
+integer N alone (a `functools.lru_cache` of TABLE_MEMO_SIZE truncations)
+and returns read-only arrays, so no caller can change what the next one
+reads.  Nothing keyed on a parameter is kept: the tables scaled by T are
+built per call.
 """
 
 from __future__ import annotations
@@ -83,9 +87,14 @@ TAIL_TOLERANCE = 1e-8
 #: its running product in chunks of rows
 ROOT_BINOMIAL_LIMIT = 2048
 
-#: truncations whose tables `_root_binomials` and `_hermite_at_zero` each
+#: truncations whose tables `_root_binomials` and `_sign_tables` each
 #: keep, least recently used out first
 TABLE_MEMO_SIZE = 8
+
+#: lower triangle of the bottom-left 4 x 4 corner of a click table: the
+#: entries that reach the top four photon-number layers (see `_herald`)
+_CORNER = np.tril(np.ones((4, 4), dtype=bool))
+_CORNER.flags.writeable = False
 
 #: truncation and lambda * T scan range of `fock_optimal_product`
 PRODUCT_TRUNCATION = 60
@@ -156,7 +165,7 @@ def tap_amplitude_table(transmittance: float, n_trunc: int) -> np.ndarray:
     """
     n_trunc = inputs.integer("truncation", n_trunc, 0)
     transmittance = inputs.parameter("transmittance", transmittance)
-    return _scaled_taps(_root_binomials(n_trunc), transmittance)
+    return _scaled_taps(*_root_binomials(n_trunc), transmittance)
 
 
 def _chunk_rows(n_trunc: int) -> int:
@@ -169,12 +178,13 @@ def _chunk_rows(n_trunc: int) -> int:
 
 
 @functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
-def _root_binomials(n_trunc: int) -> np.ndarray:
+def _root_binomials(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """r[k, j] = sqrt(C(j + k, k)) for j + k < N, and 0 for j + k >= N,
-    shape (N, N + 1) with N = n_trunc: its last column is zero.
+    shape (N, N + 1) with N = n_trunc: its last column is zero; and the
+    exponent row j / 2, j <= N, of the powers `_scaled_taps` scales r by.
 
-    r depends on the integer N alone, so it is built once per truncation
-    and returned read-only: the memo holds the tables of the
+    Both depend on the integer N alone, so they are built once per
+    truncation and returned read-only: the memo holds the tables of the
     TABLE_MEMO_SIZE truncations used last.  `__wrapped__` builds afresh.
 
     r is the running product over i <= k of sqrt((j + i) / i), taken down
@@ -197,14 +207,17 @@ def _root_binomials(n_trunc: int) -> np.ndarray:
     for start in range(0, n_trunc, rows):
         chunk = steps[start:start + rows]
         np.multiply.accumulate(chunk, axis=0, out=chunk)
+    halves = idx / 2.0
     steps.flags.writeable = False
-    return steps
+    halves.flags.writeable = False
+    return steps, halves
 
 
-def _scaled_taps(roots: np.ndarray, transmittance: float) -> np.ndarray:
+def _scaled_taps(roots: np.ndarray, halves: np.ndarray,
+                 transmittance: float) -> np.ndarray:
     """The tap amplitude table t[n, k] = r[k, n - k] sqrt(T)^(n-k)
-    (-sqrt(1 - T))^k of the root binomials r of `_root_binomials`, for a
-    transmittance in [0, 1] (unchecked).
+    (-sqrt(1 - T))^k of the root binomials r and exponent row j / 2 of
+    `_root_binomials`, for a transmittance in [0, 1] (unchecked).
 
     The powers are taken of T and 1 - T at half-integer exponents, so the
     rounding of a square root is not raised to the k-th power.  r is
@@ -228,7 +241,6 @@ def _scaled_taps(roots: np.ndarray, transmittance: float) -> np.ndarray:
     """
     n_trunc = len(roots)
     rows = _chunk_rows(n_trunc)
-    halves = np.arange(n_trunc + 1) / 2.0
     kept = transmittance ** halves
     tapped = (1.0 - transmittance) ** halves[:rows + 1]
     tapped[1::2] *= -1.0
@@ -358,7 +370,7 @@ def _herald(squeezing: float, transmittance: float, weights: np.ndarray,
             f"double-click probability {p_click} vanishes; "
             "no conditional state exists")
     inputs.integer("truncation", n_trunc, MIN_TRUNCATION)
-    high = np.tril(clicked[-4:, :4]).sum(axis=1)
+    high = clicked[-4:, :4].sum(axis=1, where=_CORNER)
     _check_truncation(amplitudes[-4:] ** 2 * high * (2.0 * clicks[-4:] - high)
                       / p_click, n_trunc)
     return HeraldedState(amplitudes, tap, transmittance, weights, p_click,
@@ -453,15 +465,27 @@ def _phase_chsh(reduced: np.ndarray,
          for theta in (theta1, theta2)])))
 
 
-@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
-def _hermite_at_zero(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values v = h(0) and derivatives u = h'(0) of the first N Hermite
-    functions, N = n_trunc >= 1: v_0 = pi^(-1/4),
-    v_{n+2} = -sqrt((n+1)/(n+2)) v_n and u_n = sqrt(2n) v_{n-1}, so v is
-    zero at odd n and u at even n.
+def _toeplitz(diagonals: np.ndarray) -> np.ndarray:
+    """Read-only N x N view T[n, k] = d[n - k + N - 1] of 2N - 1 values d,
+    one per diagonal, so that a table adds O(N) memory."""
+    diagonals.flags.writeable = False
+    return sliding_window_view(diagonals, (len(diagonals) + 1) // 2)[:, ::-1]
 
-    Both depend on the integer N alone; they are built once per truncation
-    and returned read-only, with the memo and bound of `_root_binomials`.
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _sign_tables(n_trunc: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N x N tables u_{n-k}, v_{n-k} and n - m that `_pull_back_sign`
+    reads, N = n_trunc >= 1, as read-only `_toeplitz` views.
+
+    v = h(0) and u = h'(0) are the values and derivatives at 0 of the
+    first N Hermite functions: v_0 = pi^(-1/4),
+    v_{n+2} = -sqrt((n+1)/(n+2)) v_n and u_n = sqrt(2n) v_{n-1}, so v is
+    zero at odd n and u at even n.  A negative n - k wraps to n - k + N,
+    where t(n, k) = 0.  The divisor n - m is 1 on the diagonal, where the
+    commutator is 0.
+
+    All three depend on the integer N alone; they are built once per
+    truncation, with the memo and bound of `_root_binomials`.
     """
     idx = np.arange(n_trunc)
     v = np.zeros(n_trunc)
@@ -469,9 +493,10 @@ def _hermite_at_zero(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
                                   -np.sqrt(idx[1:-1:2] / idx[2::2])))
     # u_0 meets the wrapped v_{N-1} with the factor sqrt(0)
     u = np.sqrt(2.0 * idx) * np.roll(v, 1)
-    v.flags.writeable = False
-    u.flags.writeable = False
-    return v, u
+    gaps = np.arange(1.0 - n_trunc, n_trunc)
+    gaps[n_trunc - 1] = 1.0
+    return (_toeplitz(np.r_[u[1:], u]), _toeplitz(np.r_[v[1:], v]),
+            _toeplitz(gaps))
 
 
 def _pull_back_sign(tap: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -481,7 +506,7 @@ def _pull_back_sign(tap: np.ndarray, weights: np.ndarray) -> np.ndarray:
     The oscillator equation h_n'' = (x^2 - 2n - 1) h_n makes 2 (c - a) h_a h_c
     the derivative of h_c h_a' - h_a h_c', so integrating by parts against
     sgn(x) gives the commutator [N, S] = u v^T - v u^T, with v = h(0) and
-    u = h'(0) of `_hermite_at_zero`, so S vanishes for even a + c.  Each
+    u = h'(0) of `_sign_tables`, so S vanishes for even a + c.  Each
     Kraus operator of the pull-back lowers both photon numbers by the same
     k, so Phi commutes with [N, .] and [N, Phi(S)] = U V^T - V U^T with
     U[n, k] = t(n, k) u_{n-k} and V[n, k] = w(k) t(n, k) v_{n-k}: one N x N
@@ -489,13 +514,9 @@ def _pull_back_sign(tap: np.ndarray, weights: np.ndarray) -> np.ndarray:
     With w = e_0 and t(n, 0) = 1, a transparent tap that always heralds,
     Phi is the identity and this is S itself.
     """
-    idx = np.arange(len(weights))
-    v, u = _hermite_at_zero(len(weights))
-    # kept[n, k] = n - k; its negative entries wrap, where t(n, k) = 0
-    kept = idx[:, None] - idx
-    pair = (tap * u[kept]) @ (tap * weights * v[kept]).T
-    return np.divide(pair - pair.T, kept, out=np.zeros(pair.shape),
-                     where=kept != 0)
+    shifted_u, shifted_v, gaps = _sign_tables(len(weights))
+    pair = (tap * shifted_u) @ (tap * weights * shifted_v).T
+    return (pair - pair.T) / gaps
 
 
 def _sign_reduced(state: HeraldedState,
@@ -528,15 +549,19 @@ def _sign_reduced(state: HeraldedState,
     tap, weights = state.tap, state.weights
     if homodyne_efficiency != 1.0:
         product = state.transmittance * homodyne_efficiency
-        roots = _root_binomials(state.n_trunc)
+        tables = _root_binomials(state.n_trunc)
         thinning = _scaled_taps(
-            roots, (state.transmittance - product) / (1.0 - product))
-        tap = _scaled_taps(roots, product)
+            *tables, (state.transmittance - product) / (1.0 - product))
+        tap = _scaled_taps(*tables, product)
         weights = thinning * thinning @ weights
     pulled = _pull_back_sign(tap, weights)
     coeffs = state.amplitudes
     p_click = float(coeffs ** 2 @ (tap * tap * weights).sum(axis=1) ** 2)
-    return np.outer(coeffs, coeffs) * pulled * pulled / p_click
+    reduced = np.outer(coeffs, coeffs)
+    reduced *= pulled
+    reduced *= pulled
+    reduced /= p_click
+    return reduced
 
 
 def fock_sign_correlation(rho: HeraldedState, theta: float, phi: float,

@@ -12,7 +12,9 @@ term by term it is the float twin of `exact_fock_correlation`, which
 covers seeded rows up to N = 130 where the oracle is too slow.  The
 oracles evaluate the same definitions at 40 to 45 digits in mpmath and
 decimal.  The tests hold the package's herald, pull-back, correlators,
-Wigner function and tap tables to these.
+Wigner function and tap tables to these.  The ideal sign pull-back and
+the herald's tail fence are also held byte for byte to the same
+arithmetic on tables gathered per call.
 """
 
 import decimal
@@ -116,6 +118,35 @@ def closed_sign_operator(n_trunc):
     """The package's ideal sign operator S: its pull-back with w = e_0 and
     t(n, 0) = 1, a transparent tap that always heralds, is S itself."""
     return fock._pull_back_sign(1.0, np.eye(n_trunc)[0])
+
+
+def gathered_pull_back_sign(tap, weights):
+    """`fock._pull_back_sign` with its tables gathered on every call: the
+    Hermite values v = h(0) and derivatives u = h'(0) read at n - k
+    through an N x N index table whose negative entries wrap, and
+    U V^T - V U^T divided by n - m off the diagonal only, into zeros.
+    The package's Toeplitz views must give these bytes."""
+    n_trunc = len(weights)
+    idx = np.arange(n_trunc)
+    v = np.zeros(n_trunc)
+    v[::2] = np.cumprod(np.append(np.pi ** -0.25,
+                                  -np.sqrt(idx[1:-1:2] / idx[2::2])))
+    u = np.sqrt(2.0 * idx) * np.roll(v, 1)
+    kept = idx[:, None] - idx
+    pair = (tap * u[kept]) @ (tap * weights * v[kept]).T
+    return np.divide(pair - pair.T, kept, out=np.zeros(pair.shape),
+                     where=kept != 0)
+
+
+def tril_fence_top(state):
+    """What `fock._herald` hands its tail fence for a record, with the
+    lower triangle of the click table's bottom-left 4 x 4 corner taken by
+    np.tril."""
+    clicked = state.tap * state.tap * state.weights
+    clicks = clicked.sum(axis=1)
+    high = np.tril(clicked[-4:, :4]).sum(axis=1)
+    return (state.amplitudes[-4:] ** 2 * high * (2.0 * clicks[-4:] - high)
+            / state.p_click)
 
 
 def reference_sign_reduced(state, homodyne_efficiency):

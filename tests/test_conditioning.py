@@ -214,13 +214,19 @@ class TestHeraldedTerms:
 
     def test_infinite_entry_refused_without_a_warning(self,
                                                       realistic_params):
-        cov = realistic_params.output_covariance()
-        cov[0, 0] = np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError) as info:
-                conditioning.conditional_state(cov)
-        assert str(info.value).startswith("covariance must have a zero x-p")
+        # an infinite or NaN entry, in the x-block or the p-block, is
+        # refused by name before any structure check computes with it
+        for entry in ((0, 0), (5, 3)):
+            for value, text in ((np.inf, "inf"), (-np.inf, "-inf"),
+                                (np.nan, "nan")):
+                cov = realistic_params.output_covariance()
+                cov[entry] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(DomainError) as info:
+                        conditioning.conditional_state(cov)
+                assert str(info.value) == \
+                    f"covariance must be finite, got {text}"
 
     @pytest.mark.parametrize("entries, message", [
         ([(3, 0)], "matrix is not symmetric"),

@@ -17,11 +17,11 @@ from fock_reference import (
     exact_fock_correlation, exact_ideal_sign_operator, exact_pair_chsh,
     exact_pair_projection, exact_sign_entries, exact_success_prob,
     exact_tap_amplitude_table, expand_record, folded_record,
-    grid_sign_operator, hermite_functions, ideal_subtracted_state,
-    kept_mode_distribution, kept_mode_tail, kraus_loss_dual, ladder,
-    loop_sign_operator, loop_wigner_pair_table, quadrature_operators,
-    reference_grid, reference_sign_correlation, reference_sign_reduced,
-    second_moments)
+    gathered_pull_back_sign, grid_sign_operator, hermite_functions,
+    ideal_subtracted_state, kept_mode_distribution, kept_mode_tail,
+    kraus_loss_dual, ladder, loop_sign_operator, loop_wigner_pair_table,
+    quadrature_operators, reference_grid, reference_sign_correlation,
+    reference_sign_reduced, second_moments, tril_fence_top)
 import symplectic_reference as ref
 
 
@@ -34,7 +34,7 @@ def vacuum_record(n_trunc=16):
 
 
 #: the memoised builders of the tables that depend on the truncation alone
-TABLE_MEMOS = (fock._root_binomials, fock._hermite_at_zero)
+TABLE_MEMOS = (fock._root_binomials, fock._sign_tables)
 
 
 def clear_table_memos():
@@ -1203,6 +1203,21 @@ class TestTableMemos:
             assert all(again is table for again, table
                        in zip(table_arrays(memo, n_trunc), tables))
 
+    @pytest.mark.parametrize("n_trunc", [1, 2, 16, 40, 300])
+    def test_sign_tables_read_2n_minus_1_values(self, n_trunc):
+        # each N x N table is a view of one read-only array of 2N - 1
+        # values, one per diagonal: a truncation adds O(N) memory
+        for table in fock._sign_tables(n_trunc):
+            assert table.shape == (n_trunc, n_trunc)
+            base = table
+            while base.base is not None:
+                base = base.base
+            assert isinstance(base, np.ndarray)
+            assert base.shape == (2 * n_trunc - 1,)
+            assert not base.flags.writeable
+            n, k = np.indices((n_trunc, n_trunc))
+            assert np.array_equal(table, base[n - k + n_trunc - 1])
+
     def test_memo_is_bounded(self):
         # three times as many truncations as the memo holds, each through
         # the herald and the lossy correlator
@@ -1242,6 +1257,67 @@ class TestTableMemos:
             for value, call in zip(cold, calls):
                 assert np.asarray(value).tobytes() == \
                     np.asarray(call(rho)).tobytes(), row
+
+
+class TestAgainstGatheredTables:
+    """The sign pull-back over the Toeplitz views of `_sign_tables`, and
+    the herald's fence over its constant corner mask, against the same
+    arithmetic on tables gathered per call: byte for byte."""
+
+    @pytest.mark.parametrize("n_trunc", [16, 17, 40, 60, 300])
+    def test_pull_back_sign_bitwise(self, monkeypatch, n_trunc):
+        # every pull-back the lossy and the ideal correlator make, with the
+        # folded tables and with the record's own, on seeded criterion-7
+        # rows, and the pull-back of each kind of click weights
+        seen = []
+        pull_back = fock._pull_back_sign
+
+        def recording(tap, weights):
+            pulled = pull_back(tap, weights)
+            seen.append((pulled, gathered_pull_back_sign(tap, weights)))
+            return pulled
+
+        monkeypatch.setattr(fock, "_pull_back_sign", recording)
+        count = 2 if n_trunc == 300 else 4
+        for rho, _, _, eta, rng in seeded_heralded_states(n_trunc, count,
+                                                          3501):
+            theta, phi = rng.uniform(-np.pi, np.pi, 2)
+            fock.fock_sign_correlation(rho, theta, phi, eta)
+            fock.fock_sign_correlation(rho, theta, phi)
+            for weights in weight_vectors(n_trunc, rng):
+                recording(rho.tap, weights)
+        assert len(seen) == 6 * count
+        for pulled, gathered in seen:
+            assert pulled.dtype == gathered.dtype
+            assert pulled.tobytes() == gathered.tobytes()
+
+    def test_ideal_sign_operator_bitwise(self, monkeypatch):
+        # the ideal S that `fock_optimal_product` scans with, at its
+        # truncation, and the optimum it gives with the gathered S
+        n_trunc = fock.PRODUCT_TRUNCATION
+        unit = np.eye(n_trunc)[0]
+        assert fock._pull_back_sign(1.0, unit).tobytes() == \
+            gathered_pull_back_sign(1.0, unit).tobytes()
+        optimum = fock.fock_optimal_product(0.95)
+        monkeypatch.setattr(fock, "_pull_back_sign", gathered_pull_back_sign)
+        assert fock.fock_optimal_product(0.95) == optimum
+
+    def test_fence_corner_sums_bitwise(self, monkeypatch):
+        # what the herald hands its fence, for on/off detectors and for
+        # photon-pair projection, against the np.tril sums of the record
+        rng = np.random.default_rng(3502)
+        seen = []
+        monkeypatch.setattr(fock, "_check_truncation",
+                            lambda top, n_trunc: seen.append(top))
+        for _ in range(12):
+            row = (rng.uniform(0.01, 0.97), rng.uniform(0.5, 0.9999),
+                   rng.uniform(1e-3, 1.0), int(rng.integers(16, 131)))
+            rho, _ = fock.lossy_click_conditioning(*row)
+            state, _ = fock._herald(row[0], row[1], np.eye(row[3])[1])
+            for record in (rho, state):
+                assert seen.pop(0).tobytes() == \
+                    tril_fence_top(record).tobytes(), row
+        assert not seen
 
 
 #: rows whose reference tail lies within a factor of 2 of
