@@ -253,15 +253,19 @@ def conditional_state(cov_out: np.ndarray) -> SignedGaussianMixture:
         raise DomainError(f"expected an 8x8 covariance, got shape {cov.shape}")
     x = cov[0::2, 0::2]
     entries = np.concatenate([x[0, :4], x[2, 2:]])
-    if not np.all(np.abs(cov - gaussian.from_x_block(x)) <= STRUCTURE_TOL):
-        raise DomainError("covariance must have a zero x-p cross block "
-                          "and p-block D x D, D = diag(1, -1, 1, -1)")
-    if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
-        raise DomainError("matrix is not symmetric")
-    if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
-                  <= STRUCTURE_TOL):
-        raise DomainError("x-block must be invariant under the joint "
-                          "swap of A with B and C with D")
+    # a difference of finite entries of opposite sign can overflow to inf,
+    # which fails its check like any other gap above the tolerance
+    with np.errstate(over="ignore"):
+        if not np.all(np.abs(cov - gaussian.from_x_block(x))
+                      <= STRUCTURE_TOL):
+            raise DomainError("covariance must have a zero x-p cross block "
+                              "and p-block D x D, D = diag(1, -1, 1, -1)")
+        if not np.all(np.abs(x - x.T) <= STRUCTURE_TOL):
+            raise DomainError("matrix is not symmetric")
+        if not np.all(np.abs(x - gaussian.x_block_of_entries(entries))
+                      <= STRUCTURE_TOL):
+            raise DomainError("x-block must be invariant under the joint "
+                              "swap of A with B and C with D")
     success, weights, _, (p, q, r), errors = _condition(entries)
     if errors[0] is not None:
         raise errors[0]

@@ -5,18 +5,19 @@ source, a fair coin for the setting at each homodyne station, quadrature
 sampling from the heralded joint distribution, sign binning, and CHSH
 estimation with propagated standard errors.
 
-Randomness comes from SFC64 streams, one per party per fixed-size event
-block, each seeded by `SeedSequence(seed, spawn_key=(role, block))`.  The
-spawn keys make the heralding, Alice, Bob and quadrature histories
-independent and the results independent of the order in which blocks are
-simulated; no stream is ever jumped or advanced.  Within a block, the
-heralding stream gives the pulse gaps, the Alice and Bob streams the
-settings, and the quadrature stream serves the setting targets in turn.
+Randomness comes from SFC64 streams, one per party per block of
+BLOCK_EVENTS (16,384) events, each seeded by `SeedSequence(seed,
+spawn_key=(role, block))`.  The spawn keys make the heralding, Alice, Bob
+and quadrature histories independent and the results independent of the
+order in which blocks are simulated; no stream is ever jumped or
+advanced.  Within a block, the heralding stream gives the pulse gaps, the
+Alice and Bob streams the settings, and the quadrature stream serves the
+setting targets in turn.
 A cell's target depends on its angles only through cos(theta + phi), so
 cells whose `rotated_marginal` takes the same cos(theta + phi), bit for
 bit, share one target: one envelope and one draw per block, which is
-split in cell order, (theta1, phi1), (theta1, phi2), (theta2, phi1),
-(theta2, phi2), by each cell's exact event count.  At the default angles
+sliced in cell order, (theta1, phi1), (theta1, phi2), (theta2, phi1),
+(theta2, phi2), at the cumulative cell event counts.  At the default angles
 the first three cells share a target and (theta2, phi2) has its own.
 A draw takes exactly its event count by chunked rejection sampling
 (`_draw`) against one inflated Gaussian, the marginal's widest term
@@ -29,7 +30,8 @@ envelope's bound is the peak of r, found by a coarse grid search refined
 around its best points, and a proposal z is accepted by comparing r(z)
 alone with the bound: drawing evaluates neither density.  The envelope
 keeps the coefficients of r's exponents and the entries of L, so a chunk
-computes neither.  Each chunk writes the uniforms, normals and r of its
+computes neither, and forms r's exponents and weighted sum as two BLAS
+matrix products.  Each chunk writes the uniforms, normals and r of its
 proposals into one scratch array, which `run_protocol` allocates once
 and every draw of the campaign reuses, then gathers its accepted z into
 the (2, n) result and maps them there to x = L z.
@@ -47,8 +49,11 @@ from .bell import (BellResult, BivariateMixture, ExperimentParams, chsh_value,
                    rotated_marginal)
 from .errors import EnvelopeError
 
-#: events processed per RNG block; the block is the reproducibility atom
-BLOCK_EVENTS = 4096
+#: events processed per RNG block; the block is the reproducibility atom.
+#: Each block pays fixed costs (four seeded streams, one draw per setting
+#: target), and one CHUNK of events keeps them small per event while a
+#: block's arrays stay chunk-sized
+BLOCK_EVENTS = 16_384
 
 #: most proposals the rejection sampler evaluates at once
 CHUNK = 16_384
@@ -157,9 +162,13 @@ def _ratio(scales: np.ndarray, coeffs: np.ndarray, z: np.ndarray,
     """r(z) = sum_j scales[j] exp(-z^T B_j z / 2) at the whitened points z,
     shape (2, n), with coeffs the `_coefficients` of the B_j.
 
-    work, if given, is a flat array of at least (4 + terms) n floats that
-    holds the temporaries and the result; `_draw` reuses one for every
-    chunk, because fresh chunk-sized arrays cost a page fault per page.
+    The exponents are coeffs times the (3, n) moments (z0^2, z0 z1, z1^2),
+    and r is scales times their exponentials: two `np.matmul` products,
+    which BLAS evaluates in its own order, so r may differ from a
+    term-by-term sum in the last bits.  work, if given, is a flat array of
+    at least (4 + terms) n floats that holds the temporaries and the
+    result; `_draw` reuses one for every chunk, because fresh chunk-sized
+    arrays cost a page fault per page.
     """
     terms, n = len(scales), z.shape[1]
     if work is None:
@@ -169,9 +178,9 @@ def _ratio(scales: np.ndarray, coeffs: np.ndarray, z: np.ndarray,
     np.multiply(z[0], z[0], out=moments[0])
     np.multiply(z[0], z[1], out=moments[1])
     np.multiply(z[1], z[1], out=moments[2])
-    np.einsum("jk,kn->jn", coeffs, moments, out=values)
+    np.matmul(coeffs, moments, out=values)
     np.exp(values, out=values)
-    return np.einsum("j,jn->n", scales, values,
+    return np.matmul(scales, values,
                      out=work[(3 + terms) * n:(4 + terms) * n])
 
 
@@ -267,9 +276,12 @@ def _draw(env: Envelope, n: int, rng: np.random.Generator,
     spare (bound >= 1 for any envelope `build_envelope` makes, so a chunk
     is never empty).  It draws the accept uniform u of each point, then a
     (2, size) array of standard normals z, and keeps z where
-    u * bound < r(z); the kept points are gathered into the result and
-    mapped there to x = L z.  The chunk's arrays live in work, a
-    `_scratch` array for env, or a fresh one if work is None.
+    u * bound < r(z), r from `_ratio`'s two matrix products; the kept
+    points are gathered into the result and mapped there to x = L z.  The
+    chunk's arrays live in work, a `_scratch` array for env, or a fresh one
+    if work is None.  A campaign draws one block's events of one setting
+    target at a time, at most BLOCK_EVENTS = CHUNK, which takes a chunk or
+    a few.
 
     Raises EnvelopeError when r(z) exceeds the bound at a proposal (the
     peak search of `build_envelope` missed a peak, and the samples would
@@ -370,9 +382,12 @@ def _simulate_block(seed: int, block: int, size: int, success_prob: float,
     for env, cells in targets:
         x0, x1 = _draw(env, int(counts[cells].sum()), quad, work).T
         disagree = (x0 >= 0.0) != (x1 >= 0.0)
-        parts = np.split(disagree, np.cumsum(counts[cells])[:-1])
-        for idx, part in zip(cells, parts):
-            sums[idx] = float(counts[idx] - 2 * np.count_nonzero(part))
+        start = 0
+        for idx in cells:
+            stop = start + int(counts[idx])
+            sums[idx] = float(counts[idx]
+                              - 2 * np.count_nonzero(disagree[start:stop]))
+            start = stop
     return int(gaps.sum()), counts.reshape(2, 2), sums.reshape(2, 2)
 
 

@@ -229,6 +229,26 @@ class TestHeraldedTerms:
                     f"covariance must be finite, got {text}"
 
     @pytest.mark.parametrize("entries, message", [
+        ({(0, 0): -1.7e308, (1, 1): 1.7e308},
+         "covariance must have a zero x-p cross block and p-block D x D, "
+         "D = diag(1, -1, 1, -1)"),
+        ({(0, 2): 1.7e308, (2, 0): -1.7e308, (1, 3): -1.7e308,
+          (3, 1): 1.7e308}, "matrix is not symmetric")],
+        ids=["p-block", "asymmetric"])
+    def test_huge_entry_refused_without_a_warning(self, realistic_params,
+                                                  entries, message):
+        # finite entries of opposite sign whose difference overflows to inf
+        # fail the structure check that subtracts them, with no warning
+        cov = realistic_params.output_covariance()
+        for entry, value in entries.items():
+            cov[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                conditioning.conditional_state(cov)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entries, message", [
         ([(3, 0)], "matrix is not symmetric"),
         ([(1, 1)], "x-block must be invariant under the joint swap of A "
          "with B and C with D"),

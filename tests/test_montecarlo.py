@@ -34,6 +34,33 @@ def whitened_ratio(marginal, env, z):
     return marginal.density(x, y) / env.density(x, y)
 
 
+def einsum_ratio(scales, coeffs, z):
+    """`montecarlo._ratio` in its einsum form, and per point the most that
+    a float64 evaluation in another order may differ from it.
+
+    With m_k the moments (z0^2, z0 z1, z1^2), each exponent
+    sum_k c_jk m_k is a dot of three products, which two orders round to
+    within 2 gamma_3 sum_k |c_jk m_k| of each other, gamma_n =
+    n eps / (1 - n eps) with eps the float64 machine epsilon (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 3.1).  exp
+    turns that gap into a relative one, expm1 of it, and rounds within
+    2 eps on either side; the weighted sum of the terms adds
+    2 gamma_terms sum_j |a_j e_j|.
+    """
+    eps = np.finfo(np.float64).eps
+
+    def gamma(n):
+        return n * eps / (1.0 - n * eps)
+
+    moments = np.stack([z[0] * z[0], z[0] * z[1], z[1] * z[1]])
+    values = np.exp(np.einsum("jk,kn->jn", coeffs, moments))
+    spread = np.einsum("jk,kn->jn", np.abs(coeffs), np.abs(moments))
+    gap = (np.expm1(2.0 * gamma(3) * spread) + 4.0 * eps
+           + 2.0 * gamma(len(scales)))
+    tolerance = np.einsum("j,jn->n", np.abs(scales), values * gap)
+    return np.einsum("j,jn->n", scales, values), tolerance
+
+
 def mixture_rectangle_mass(marginal, x_edges, y_edges):
     """Exact bin masses of a signed bivariate Gaussian mixture."""
     nx, ny = len(x_edges) - 1, len(y_edges) - 1
@@ -110,6 +137,24 @@ class TestEnvelope:
             montecarlo._ratio(env.scales, env.coeffs, z),
             whitened_ratio(realistic_marginal, env, z),
             rtol=0.0, atol=1e-12 * np.abs(env.scales).sum())
+
+    def test_ratio_matches_its_einsum_form(self, realistic_params,
+                                           realistic_state):
+        # the four settings' envelopes, at proposals and over the region
+        # the peak search covers, with and without a scratch array
+        rng = np.random.default_rng(36)
+        z = np.concatenate([rng.standard_normal((2, 5000)),
+                            rng.uniform(-6.0, 6.0, (2, 5000))], axis=1)
+        for theta in realistic_params.angles[:2]:
+            for phi in realistic_params.angles[2:]:
+                env = montecarlo.build_envelope(bell.rotated_marginal(
+                    realistic_state, theta, phi))
+                expected, tolerance = einsum_ratio(env.scales, env.coeffs, z)
+                work = np.full(montecarlo._scratch([env]).size, np.nan)
+                for ratio in (montecarlo._ratio(env.scales, env.coeffs, z),
+                              montecarlo._ratio(env.scales, env.coeffs, z,
+                                                work)):
+                    assert np.all(np.abs(ratio - expected) <= tolerance)
 
     def test_positive_term_not_below_the_widest_raises(self):
         mixture = bell.BivariateMixture(
@@ -281,6 +326,25 @@ class TestRunProtocol:
         ratio = small.stderr_S / large.stderr_S
         assert ratio == pytest.approx(2.0, rel=0.20)
 
+    def test_memory_is_bounded_by_one_block(self, realistic_params):
+        # a campaign keeps each block's totals, never its events: 40 blocks
+        # peak above 2 by less than one block's (2, n) samples.  The first
+        # campaign runs untraced, so one-off allocations count in neither
+        configs = [ProtocolConfig(params=realistic_params, seed=5,
+                                  n_target_events=blocks
+                                  * montecarlo.BLOCK_EVENTS)
+                   for blocks in (2, 40)]
+        montecarlo.run_protocol(configs[0])
+        peaks = []
+        for config in configs:
+            tracemalloc.start()
+            try:
+                montecarlo.run_protocol(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 16 * montecarlo.BLOCK_EVENTS
+
     def test_seed_reproducibility(self, realistic_config):
         a = montecarlo.run_protocol(realistic_config)
         b = montecarlo.run_protocol(realistic_config)
@@ -325,7 +389,8 @@ class TestRunProtocol:
             block_counts.clear()
             params = dataclasses.replace(realistic_params, angles=angles)
             result = montecarlo.run_protocol(ProtocolConfig(
-                params=params, n_target_events=10_000, seed=11))
+                params=params, n_target_events=2 * montecarlo.BLOCK_EVENTS
+                + 1808, seed=11))
             assert len(block_counts) == 3
             assert draws == [int(counts[cells].sum())
                              for counts in block_counts for cells in targets]
@@ -397,19 +462,22 @@ SAMPLE_DIGESTS = (
     "c0e6d120c7fcac3bebf37d86977e2b8a104b1dcec19ae5d3258200d8f20647cc")
 
 #: run_protocol at the realistic point: (seed, events) -> counts, product
-#: sums and total pulses; neither event count is a multiple of BLOCK_EVENTS
+#: sums and total pulses; each event count spans a full block and a partial
+#: one of BLOCK_EVENTS = 16,384
 PROTOCOL_PINS = {
-    (1, 8969): ([[2293, 2213], [2266, 2197]],
-                [[1151.0, 1119.0], [1130.0, -1089.0]], 34533064),
-    (2028, 12293): ([[3098, 3112], [3072, 3011]],
-                    [[1624.0, 1564.0], [1576.0, -1413.0]], 46880146)}
+    (1, 25353): ([[6346, 6331], [6353, 6323]],
+                 [[3026.0, 3199.0], [3233.0, -3151.0]], 97029138),
+    (2028, 28677): ([[7198, 7347], [7064, 7068]],
+                    [[3622.0, 3673.0], [3600.0, -3520.0]], 110003941)}
 
 
 class TestBitwisePins:
-    """Every sample and campaign total, bit for bit: the pins hold the
-    SFC64 streams, and the campaigns' one draw per shared setting target,
-    so a faster sampler must draw the same numbers and make the same
-    accept decisions."""
+    """Every sample and campaign total, bit for bit.  The sampler pins hold
+    the SFC64 streams and the accept decisions, so a faster sampler must
+    draw the same numbers and keep the same ones.  The campaign pins also
+    hold the partition into blocks of BLOCK_EVENTS events, each with its
+    own streams, and the one draw per shared setting target: they move
+    with the block size, and were recorded at 16,384."""
 
     @pytest.mark.parametrize("setting", range(4))
     def test_samples_pinned(self, realistic_params, realistic_state,
@@ -426,6 +494,7 @@ class TestBitwisePins:
 
     @pytest.mark.parametrize("seed, events", sorted(PROTOCOL_PINS))
     def test_campaign_pinned(self, realistic_params, seed, events):
+        assert events > montecarlo.BLOCK_EVENTS
         assert events % montecarlo.BLOCK_EVENTS
         result = montecarlo.run_protocol(ProtocolConfig(
             params=realistic_params, n_target_events=events, seed=seed))
